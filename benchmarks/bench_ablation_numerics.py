@@ -16,7 +16,7 @@ from repro.compiler import compile_cnf
 from repro.core import shapley_all_facts
 from repro.core.numerics import HAS_NUMPY, available_kernels, get_kernel
 
-MODES = ("conditioning", "smoothed", "derivative")
+MODES = ("conditioning", "derivative")
 HEADERS = ["bucket", "circuits", "python [s]", "numpy [s]", "numpy available"]
 
 

@@ -1,12 +1,9 @@
 """Ablation: Algorithm 1's all-facts strategies — the paper's per-fact
-conditioning loop (O(|C| n^3) total), the legacy shared derivative pass
-over an explicitly smoothed circuit, and the smoothing-free compiled
-gate tape (PR 4).
+conditioning loop (O(|C| n^3) total, the oracle) against the shared
+smoothing-free derivative pass over a compiled gate tape.
 
-Expected shape: both shared passes beat conditioning increasingly with
-the number of facts, and the smoothing-free tape is at least as fast as
-the smoothed pass (it skips the padding gates and the per-call circuit
-traversal); all three return identical exact values (asserted).
+Expected shape: the shared pass beats conditioning increasingly with
+the number of facts; both return identical exact values (asserted).
 """
 
 import time
@@ -17,14 +14,14 @@ from repro.compiler import compile_cnf
 from repro.core import shapley_all_facts
 
 HEADERS = [
-    "bucket", "circuits", "conditioning [s]", "smoothed [s]",
-    "smoothing-free [s]", "speedup vs smoothed",
+    "bucket", "circuits", "conditioning [s]", "derivative [s]",
+    "speedup vs conditioning",
 ]
 
 
 def test_ablation_all_facts_modes(ground_truth_records, results_dir, capsys, benchmark):
     records = [r for r in ground_truth_records if r.n_facts <= 120][:50]
-    per_bucket: dict[str, list[tuple[float, float, float]]] = {}
+    per_bucket: dict[str, list[tuple[float, float]]] = {}
     checked = 0
     compiled_cache = []
     for record in records:
@@ -37,25 +34,21 @@ def test_ablation_all_facts_modes(ground_truth_records, results_dir, capsys, ben
         conditioning = shapley_all_facts(ddnnf, players, method="conditioning")
         t_cond = time.perf_counter() - start
         start = time.perf_counter()
-        smoothed = shapley_all_facts(ddnnf, players, method="smoothed")
-        t_smooth = time.perf_counter() - start
-        start = time.perf_counter()
         derivative = shapley_all_facts(ddnnf, players, method="derivative")
         t_der = time.perf_counter() - start
-        assert conditioning == smoothed == derivative
+        assert conditioning == derivative
         checked += 1
         bucket = bucket_of(record.n_facts) or ">400"
-        per_bucket.setdefault(bucket, []).append((t_cond, t_smooth, t_der))
+        per_bucket.setdefault(bucket, []).append((t_cond, t_der))
         compiled_cache.append((ddnnf, players))
 
     rows = []
     for bucket in sorted(per_bucket, key=lambda b: int(b.strip(">").split("-")[0])):
-        triples = per_bucket[bucket]
-        cond = mean([t[0] for t in triples])
-        smooth = mean([t[1] for t in triples])
-        der = mean([t[2] for t in triples])
-        rows.append([bucket, len(triples), cond, smooth, der,
-                     smooth / der if der else float("nan")])
+        pairs = per_bucket[bucket]
+        cond = mean([t[0] for t in pairs])
+        der = mean([t[1] for t in pairs])
+        rows.append([bucket, len(pairs), cond, der,
+                     cond / der if der else float("nan")])
 
     write_csv(results_dir / "ablation_shapley_modes.csv", HEADERS, rows)
     with capsys.disabled():
@@ -67,10 +60,7 @@ def test_ablation_all_facts_modes(ground_truth_records, results_dir, capsys, ben
     big = max(compiled_cache, key=lambda pair: len(pair[0]))
     benchmark(shapley_all_facts, big[0], big[1], method="derivative")
 
-    # Shape: on the largest bucket the shared passes are not slower
-    # than conditioning, and the smoothing-free tape holds its own
-    # against the smoothed pass.
+    # Shape: on the largest bucket the shared pass is not slower than
+    # conditioning.
     if len(rows) >= 2:
-        last = rows[-1]
-        assert last[2] / last[4] >= 0.8  # conditioning / smoothing-free
-        assert last[5] >= 0.8            # smoothed / smoothing-free
+        assert rows[-1][4] >= 0.8  # conditioning / derivative

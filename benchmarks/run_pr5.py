@@ -8,7 +8,7 @@ Checks, in one run:
    (the level-scheduled tier actually ran).
 2. **Kernel/mode parity** — on the fig7 ground-truth pool, every
    numeric kernel (python / numpy / int64) x all-facts mode
-   (conditioning / smoothed / derivative) returns byte-identical exact
+   (conditioning / derivative) returns byte-identical exact
    Fractions.
 3. **Machine-width speedup** — on the largest fig7 instance, the
    warm-tape derivative pass on the ``int64`` level-scheduled tier must
@@ -65,7 +65,7 @@ from repro.workloads import (  # noqa: E402
 from repro.workloads.synthetic import random_monotone_cnf  # noqa: E402
 
 EXACT_BUDGET = CompilationBudget(max_nodes=400_000, max_seconds=2.5)
-MODES = ("conditioning", "smoothed", "derivative")
+MODES = ("conditioning", "derivative")
 TIMING_REPEATS = 9
 
 

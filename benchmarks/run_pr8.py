@@ -4,19 +4,17 @@ Checks, in one run:
 
 1. **Warm-batch throughput** — a 100-answer same-shape batch from the
    fig7 ground-truth pool, executed warm (tape compiled, plan cached):
-   the cross-answer batched ``(batch, planes, slots, width)`` pass must
-   beat the PR 5 per-answer machine-width loop by >= 2x (median over
-   warmed repeats), with byte-identical Fractions.
+   the group's single shared sweep plus per-answer Equation 3 must
+   beat the per-answer machine-width loop by >= 2x (median over warmed
+   repeats), with byte-identical Fractions.
 2. **Batched/per-answer x kernel x transport matrix** — on a join
-   workload, batched sessions on every kernel (python / auto / torch)
+   workload, batched sessions on every kernel (python / int64 / auto)
    and every transport (thread / process / socket) return Fractions
    byte-identical to the unbatched reference session.
 3. **Mixed-tier batch** — one batch spanning the float64 tier, the CRT
-   tier, and a beyond-capacity fallback shape stays exact lane by lane
-   (eligible lanes batched, the fallback lane interpreted).
-4. **Budget knob** — ``bench --fastpath-budget`` with a tiny budget
-   reports every answer under ``fastpath_budget_fallbacks`` and still
-   returns exact values.
+   tier, and a beyond-capacity fallback shape stays exact answer by
+   answer (one machine-width sweep per eligible shape, the fallback
+   shape interpreted).
 
 Run with ``PYTHONPATH=src python benchmarks/run_pr8.py``; pass
 ``--quick`` (the CI perf-smoke mode) to shrink the pool, skip the
@@ -24,7 +22,6 @@ timing assertion (CI runners are too noisy to gate on wall-clock
 ratios), and skip writing BENCH_8.json.
 """
 
-import io
 import json
 import random
 import statistics
@@ -32,7 +29,6 @@ import sys
 import tempfile
 import threading
 import time
-from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,12 +39,10 @@ from repro.bench import run_suite  # noqa: E402
 from repro.circuits import (  # noqa: E402
     Circuit, eliminate_auxiliary, tseytin_transform,
 )
-from repro.cli import main as cli_main  # noqa: E402
 from repro.compiler import CompilationBudget, compile_cnf  # noqa: E402
 from repro.core import shapley_all_facts  # noqa: E402
 from repro.core.numerics import (  # noqa: E402
     HAS_NUMPY,
-    HAS_TORCH,
     FastpathStats,
     compile_tape,
     plan_for,
@@ -219,7 +213,7 @@ def transport_matrix(quick: bool) -> dict:
         coordinator.wait_for_workers(2, timeout=30)
         combos = []
         try:
-            for backend in ("python", "auto", "torch"):
+            for backend in ("python", "int64", "auto"):
                 with ExplainSession(
                     db, method="exact", max_workers=2,
                     options=EngineOptions(numeric_backend=backend),
@@ -243,7 +237,6 @@ def transport_matrix(quick: bool) -> dict:
     return {
         "answers": len(expected),
         "combinations": combos,
-        "torch_available": HAS_TORCH,
         "identical_fractions": True,
     }
 
@@ -277,39 +270,11 @@ def mixed_tier_batch() -> dict:
     }
 
 
-def budget_knob_check() -> dict:
-    """``bench --fastpath-budget`` end to end: a tiny budget routes
-    every answer to the exact pass and counts it by reason."""
-    def bench(extra):
-        buffer = io.StringIO()
-        with redirect_stdout(buffer):
-            code = cli_main([
-                "bench", "--workload", "flights",
-                "--numeric-backend", "auto", "--json", *extra,
-            ])
-        assert code == 0, buffer.getvalue()
-        return json.loads(buffer.getvalue())
-
-    tiny = bench(["--fastpath-budget", "1k"])
-    roomy = bench([])
-    assert tiny["stats"]["fastpath_budget_fallbacks"] == tiny["outputs"]
-    assert tiny["stats"]["fastpath_hits"] == 0
-    assert roomy["stats"]["fastpath_budget_fallbacks"] == 0
-    assert tiny["ok"] == roomy["ok"] == tiny["outputs"]
-    return {
-        "tiny_budget_fallbacks": tiny["stats"]["fastpath_budget_fallbacks"],
-        "default_budget_fallbacks":
-            roomy["stats"]["fastpath_budget_fallbacks"],
-        "outputs": tiny["outputs"],
-    }
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     quick = "--quick" in argv
     if not HAS_NUMPY:
-        print("run_pr8 needs NumPy (the batched machine-width tier "
-              "under test)")
+        print("run_pr8 needs NumPy (the machine-width tier under test)")
         return 1
     started = time.time()
     print("PR 8 acceptance: warm-batch throughput "
@@ -321,25 +286,19 @@ def main(argv=None) -> int:
           flush=True)
     print("PR 8 acceptance: kernel x transport matrix ...", flush=True)
     matrix = transport_matrix(quick)
-    torch_note = ("present" if HAS_TORCH
-                  else "absent: int64 serves torch requests")
-    print(f"  {len(matrix['combinations'])} combinations identical "
-          f"(torch {torch_note})", flush=True)
+    print(f"  {len(matrix['combinations'])} combinations identical",
+          flush=True)
     print("PR 8 acceptance: mixed-tier batch ...", flush=True)
     mixed = mixed_tier_batch()
-    print("PR 8 acceptance: fastpath budget knob ...", flush=True)
-    budget = budget_knob_check()
     payload = {
         "pr": 8,
-        "title": "Cross-answer batched LevelPlan execution with an "
-                 "optional GPU kernel backend",
+        "title": "Same-shape answer groups sharing one Algorithm-1 "
+                 "sweep",
         "numpy_available": HAS_NUMPY,
-        "torch_available": HAS_TORCH,
         "quick": quick,
         "warm_batch_throughput": throughput,
         "transport_matrix": matrix,
         "mixed_tier_batch": mixed,
-        "fastpath_budget": budget,
         "total_seconds": round(time.time() - started, 1),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -16,9 +16,10 @@ the pipeline's correctness or reproducibility rests on:
   across processes and ``PYTHONHASHSEED`` values.
 * **REP003 — float-free exact arithmetic.**  No ``float`` literals or
   ``float(...)`` conversions in the exact-arithmetic modules
-  (``core/numerics/exact.py``, ``core/shapley.py``); machine floats
-  belong only to the overflow-guarded fixed-width tier, which proves
-  its own bounds.
+  (``core/numerics/exact.py``, ``core/shapley.py``) or in the
+  level-scheduled sweeps (``core/numerics/fixed.py``), whose float64
+  tier is chosen by dtype object under proven bounds, never by a
+  literal.
 * **REP004 — acyclic lock order.**  Over ``engine/service/`` and
   ``engine/store.py``, extract the static lock-acquisition graph
   (every ``with self.<lock>`` nesting, direct and through the
@@ -58,7 +59,7 @@ REP002_SCOPE = ("compiler/knowledge.py", "engine/cache.py")
 REP002_SCOPE_PREFIXES = ("circuits/",)
 REP003_SCOPE = (
     "core/numerics/exact.py",
-    "core/numerics/batched.py",
+    "core/numerics/fixed.py",
     "core/shapley.py",
 )
 REP004_SCOPE = ("engine/store.py",)

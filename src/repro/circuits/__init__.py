@@ -15,7 +15,6 @@ from .dnnf import (
     from_nnf_text,
     model_count,
     probability,
-    smooth,
     to_nnf_text,
     weighted_model_count,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "from_nnf_text",
     "model_count",
     "probability",
-    "smooth",
     "to_nnf_text",
     "weighted_model_count",
     "tseytin_transform",

@@ -7,7 +7,6 @@ knowledge-compiled circuits:
 * model counting and weighted model counting (probability computation);
 * the per-gate ``#SAT_k`` dynamic program of Lemma 4.5 — the engine of
   Algorithm 1;
-* smoothing (used by the fast all-facts Shapley mode);
 * the Tseytin-variable elimination of Lemma 4.6;
 * reading and writing the c2d ``.nnf`` file format.
 
@@ -302,77 +301,6 @@ def probability(
     for label, p in probs.items():
         weights[label] = (p, 1 - p)
     return weighted_model_count(circuit, weights, root)
-
-
-# ----------------------------------------------------------------------
-# Smoothing
-# ----------------------------------------------------------------------
-
-def smooth(
-    circuit: Circuit,
-    target_vars: Iterable[Hashable] | None = None,
-    root: int | None = None,
-) -> Circuit:
-    """Return a smooth equivalent of a d-D circuit.
-
-    In a smooth circuit every child of an OR gate mentions exactly the
-    gate's variable set, and the root mentions all of ``target_vars``.
-    Smoothing conjoins ``(x ∨ ¬x)`` gates over the missing variables; it
-    preserves determinism and decomposability.  The backward-derivative
-    pass of the fast all-facts Shapley algorithm requires smoothness.
-    """
-    if root is None:
-        root = circuit.output_gate()
-    var_sets = circuit.gate_var_sets(root)
-    result = Circuit()
-    new_gate: dict[int, int] = {}
-    free_gate: dict[Hashable, int] = {}
-
-    def free(label: Hashable) -> int:
-        gate = free_gate.get(label)
-        if gate is None:
-            v = result.var(label)
-            gate = result.raw_or((v, result.not_(v)))
-            free_gate[label] = gate
-        return gate
-
-    def pad(gate_id: int, missing_labels: list[Hashable]) -> int:
-        if not missing_labels:
-            return gate_id
-        parts = [gate_id] + [free(lbl) for lbl in missing_labels]
-        return result.raw_and(tuple(parts))
-
-    for gate in sorted(var_sets):
-        kind = circuit.kind(gate)
-        if kind == VAR:
-            new_gate[gate] = result.var(circuit.label(gate))
-        elif kind == TRUE:
-            new_gate[gate] = result.true()
-        elif kind == FALSE:
-            new_gate[gate] = result.false()
-        elif kind == NOT:
-            new_gate[gate] = result.not_(new_gate[circuit.children(gate)[0]])
-        elif kind == AND:
-            kids = tuple(new_gate[c] for c in circuit.children(gate))
-            new_gate[gate] = result.and_(kids)
-        else:  # OR
-            gset = var_sets[gate]
-            kids = []
-            for child in circuit.children(gate):
-                gap = gset - var_sets[child]
-                # REP002: gate ids are sorted so the padding chain is
-                # identical across processes and hash seeds.
-                missing = [circuit.label(v) for v in sorted(gap)]
-                kids.append(pad(new_gate[child], missing))
-            new_gate[gate] = result.raw_or(tuple(kids)) if len(kids) != 1 else kids[0]
-
-    top = new_gate[root]
-    if target_vars is not None:
-        present = {circuit.label(v) for v in sorted(var_sets[root])}
-        extra = [lbl for lbl in target_vars if lbl not in present]
-        top = pad(top, extra)
-    result.output = top
-    return result
 
 
 # ----------------------------------------------------------------------

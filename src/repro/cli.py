@@ -175,20 +175,13 @@ def _address(text: str) -> tuple[str, int]:
 
 def _numeric_backend(args: argparse.Namespace) -> str | None:
     """The requested numeric kernel, warning once when an explicit
-    ``numpy`` / ``int64`` / ``torch`` request will fall back (the
-    library is not installed)."""
+    ``numpy`` / ``int64`` request will fall back (the library is not
+    installed)."""
     backend = getattr(args, "numeric_backend", None)
-    if backend in ("numpy", "int64", "torch") and not HAS_NUMPY:
+    if backend in ("numpy", "int64") and not HAS_NUMPY:
         print(f"warning: NumPy is not installed; "
               f"--numeric-backend {backend} falls back to the reference "
               f"kernel", file=sys.stderr)
-    elif backend == "torch":
-        from .core.numerics import HAS_TORCH
-
-        if not HAS_TORCH:
-            print("warning: torch is not installed; --numeric-backend "
-                  "torch falls back to the int64 machine-width kernel",
-                  file=sys.stderr)
     return backend
 
 
@@ -275,7 +268,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             budget=CompilationBudget(max_seconds=args.timeout), timeout=None,
             numeric_backend=_numeric_backend(args),
             compile_jobs=args.compile_jobs,
-            fastpath_budget_bytes=args.fastpath_budget,
             batch_execution=not args.no_batch,
             pipeline_execution=not args.no_pipeline,
             pipeline_cost_scale=args.pipeline_cost_scale,
@@ -851,16 +843,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "machine-width fast path, 'auto' the ladder "
                         "int64>numpy>python; NumPy-backed kernels fall "
                         "back to the reference when NumPy is missing)")
-    b.add_argument("--fastpath-budget", type=_byte_size, default=None,
-                   metavar="BYTES",
-                   help="byte budget of the machine-width fast path's "
-                        "value buffers (suffixes k/m/g; default 64m); "
-                        "shapes over budget fall back to the exact pass "
-                        "and count as fastpath_budget_fallbacks")
     b.add_argument("--no-batch", action="store_true",
-                   help="disable batched same-shape group execution "
-                        "(per-answer passes only; results are identical "
-                        "either way)")
+                   help="disable same-shape group execution (one "
+                        "Algorithm-1 sweep per answer; results are "
+                        "identical either way)")
     b.add_argument("--no-pipeline", action="store_true",
                    help="disable pipelined cold-batch execution (run the "
                         "classic warm-wave compile barrier instead; "

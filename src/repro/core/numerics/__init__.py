@@ -13,17 +13,16 @@
   overflow-guarded native ``"int64"`` kernel and the level-scheduled
   tape fast path (float64 / int64 / CRT residue planes, per-shape
   fallback to the exact object kernels);
-* :mod:`~repro.core.numerics.batched` — the cross-answer batch axis
-  over the machine-width tier: one ``(batch, planes, slots, width)``
-  sweep per same-shape answer group, per-lane overflow fallback;
-* :mod:`~repro.core.numerics.torch_backend` — the optional ``"torch"``
-  backend (CUDA when available) for the batched sweeps, with the same
-  graceful fallback contract as NumPy;
 * :mod:`~repro.core.numerics.tape` — :class:`GateTape`, the compiled
   flat instruction form of a d-DNNF executing the smoothing-free
   forward/backward sweeps, now carrying its level schedule and
   a-priori magnitude bounds; persisted by the engine layer as a third
   artifact kind (payload format v2, v1 re-lowered on load).
+
+Sweeps read only a tape's instruction arrays, never its labels, so
+:func:`~repro.core.shapley.shapley_all_facts_batched` runs one sweep
+per distinct tape shape of an answer group and shares its difference
+vectors across every answer of that shape.
 
 ``get_kernel("auto")`` walks the ladder int64 → numpy → python.  See
 README.md ("Choosing a numeric backend") for selection guidance and
@@ -49,8 +48,6 @@ from .fixed import (
     plan_for,
     plan_with_reason,
 )
-from .batched import BatchLevelPlan, batched_fastpath_diffs
-from .torch_backend import HAS_TORCH, TorchKernel
 from .tape import (
     GateTape,
     NonDecomposableTape,
@@ -60,10 +57,9 @@ from .tape import (
 
 __all__ = [
     "Kernel", "PythonKernel", "NumpyKernel", "Int64Kernel", "HAS_NUMPY",
-    "TorchKernel", "HAS_TORCH",
     "available_kernels", "get_kernel", "register_kernel",
     "binomial_row", "shapley_coefficients", "coefficients_cache_info",
     "FastpathStats", "LevelPlan", "fastpath_diffs", "plan_for",
-    "plan_with_reason", "BatchLevelPlan", "batched_fastpath_diffs",
+    "plan_with_reason",
     "GateTape", "TapeError", "NonDecomposableTape", "compile_tape",
 ]

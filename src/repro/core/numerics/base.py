@@ -256,9 +256,7 @@ def available_kernels() -> tuple[str, ...]:
 
 #: Registered backends that require NumPy; requested without it they
 #: fall back to the reference kernel (or raise under ``strict``).
-#: ``torch`` is listed too: its diff extraction and sentinels run on
-#: NumPy arrays, so it needs both optional dependencies.
-_NEEDS_NUMPY = ("numpy", "int64", "torch")
+_NEEDS_NUMPY = ("numpy", "int64")
 
 
 def get_kernel(name: str | None = None, strict: bool = False) -> Kernel:
@@ -292,18 +290,6 @@ def get_kernel(name: str | None = None, strict: bool = False) -> Kernel:
                 "(NumPy not installed)"
             )
         return get_kernel("python")
-    if cls.name == "torch":
-        from .torch_backend import HAS_TORCH  # late: optional dependency
-
-        if not HAS_TORCH:
-            if strict:
-                raise ValueError(
-                    "numeric kernel 'torch' is unavailable "
-                    "(torch not installed)"
-                )
-            # Same contract as NumPy: resolve down the ladder rather
-            # than fail — torch → int64 → python.
-            return get_kernel("auto")
     instance = _INSTANCES.get(cls.name)
     if instance is None:
         instance = _INSTANCES[cls.name] = cls()

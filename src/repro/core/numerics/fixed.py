@@ -114,7 +114,8 @@ class FastpathStats:
     ``overflow`` (a runtime sentinel tripped mid-execution),
     ``ineligible`` (the shape's magnitude bounds or structure rule the
     fast path out a priori), and ``budget`` (the SoA value buffers
-    would exceed the configured memory budget).
+    would exceed :data:`MAX_BUFFER_ELEMENTS`).  ``tier`` names the
+    arithmetic tier of the most recent hit (``None`` until one).
     """
 
     hits: int = 0
@@ -122,6 +123,7 @@ class FastpathStats:
     overflow: int = 0
     ineligible: int = 0
     budget: int = 0
+    tier: str | None = None
 
     def count_fallback(self, reason: str, n: int = 1) -> None:
         """Record ``n`` fallbacks attributed to ``reason`` (one of
@@ -246,20 +248,12 @@ class _Ineligible(Exception):
 
     ``reason`` attributes the refusal for the per-reason fallback
     counters: ``"ineligible"`` (magnitude bounds / structure) or
-    ``"budget"`` (SoA buffers exceed the memory budget).
+    ``"budget"`` (SoA buffers exceed :data:`MAX_BUFFER_ELEMENTS`).
     """
 
     def __init__(self, message: str, reason: str = "ineligible") -> None:
         super().__init__(message)
         self.reason = reason
-
-
-def budget_elements(budget_bytes: int | None) -> int:
-    """The per-plan element ceiling implied by a byte budget (int64
-    elements are 8 bytes); ``None`` keeps the built-in default."""
-    if budget_bytes is None:
-        return MAX_BUFFER_ELEMENTS
-    return max(1, budget_bytes // 8)
 
 
 def _select_arithmetic(bits: int, width: int) -> tuple[Any, tuple[int, ...] | None]:
@@ -305,9 +299,7 @@ class LevelPlan:
     box, so isomorphic warm hits across a session build the plan once.
     """
 
-    def __init__(
-        self, tape: GateTape, budget_elements: int = MAX_BUFFER_ELEMENTS
-    ) -> None:
+    def __init__(self, tape: GateTape) -> None:
         if not HAS_NUMPY:
             raise _Ineligible("NumPy is not available")
         ops = tape.ops
@@ -485,10 +477,9 @@ class LevelPlan:
         forward_bits, backward_bits, diff_bits = tape.bound_bits()
         self.bound_bits = max(forward_bits, backward_bits, diff_bits)
         self.dtype, self.moduli = _select_arithmetic(self.bound_bits, width)
-        self.lane_elements = self.n_planes * self.n_slots * width
-        if self.lane_elements > budget_elements:
+        if self.n_planes * self.n_slots * width > MAX_BUFFER_ELEMENTS:
             raise _Ineligible(
-                "value buffers exceed the memory budget", reason="budget")
+                "value buffers exceed MAX_BUFFER_ELEMENTS", reason="budget")
         self._gap_matrices: dict[tuple, object] = {}
 
     # -- execution helpers ---------------------------------------------
@@ -756,7 +747,7 @@ class LevelPlan:
 
 
 def plan_with_reason(
-    tape: GateTape, limit: int = MAX_BUFFER_ELEMENTS
+    tape: GateTape,
 ) -> tuple[LevelPlan | None, str | None]:
     """The cached :class:`LevelPlan` of a tape shape plus the refusal
     reason (``None`` on success, ``"ineligible"`` / ``"budget"``
@@ -764,26 +755,24 @@ def plan_with_reason(
 
     The result — including the negative one — is cached on the tape's
     shared analysis box, so isomorphic re-targets of a warm shape never
-    re-plan.  Non-default budgets key a separate cache slot: a shape
-    refused under a tight budget is re-planned when a looser session
-    asks again.
+    re-plan.
     """
-    key = "plan" if limit == MAX_BUFFER_ELEMENTS else ("plan", limit)
-    cached = tape._analysis.get(key, False)
+    cached = tape._analysis.get("plan", False)
     if cached is not False:
         return cached
     try:
-        entry = (LevelPlan(tape, budget_elements=limit), None)
+        entry = (LevelPlan(tape), None)
     except _Ineligible as refusal:
         entry = (None, refusal.reason)
-    tape._analysis[key] = entry
+    tape._analysis["plan"] = entry
     return entry
 
 
 def plan_for(tape: GateTape) -> LevelPlan | None:
     """The cached :class:`LevelPlan` of a tape shape, or ``None`` when
     the shape is ineligible (no NumPy, general negation, bounds beyond
-    CRT capacity, non-decomposable AND, memory budget).
+    CRT capacity, non-decomposable AND, buffers over
+    :data:`MAX_BUFFER_ELEMENTS`).
     """
     return plan_with_reason(tape)[0]
 
@@ -792,21 +781,24 @@ def fastpath_diffs(
     tape: GateTape,
     stats: FastpathStats | None = None,
     check: Callable[[], None] | None = None,
-    budget_bytes: int | None = None,
+    answers: int = 1,
 ) -> dict[int, list[int]] | None:
     """Machine-width difference vectors of ``tape``, or ``None`` when
     the shape must take the interpreted exact path.
 
     A non-``None`` result is byte-identical to
     :meth:`GateTape.backward_diffs` over the reference kernel (up to
-    trailing zeros, which Equation 3 ignores).  ``stats`` receives one
-    hit or one fallback (attributed per reason) per call.
+    trailing zeros, which Equation 3 ignores).  ``answers`` is the
+    number of answers sharing this sweep; ``stats`` receives that many
+    hits or fallbacks (attributed per reason).
     """
-    plan, reason = plan_with_reason(tape, budget_elements(budget_bytes))
+    plan, reason = plan_with_reason(tape)
     diffs = plan.execute(check) if plan is not None else None
     if stats is not None:
         if diffs is None:
-            stats.count_fallback("overflow" if plan is not None else reason)
+            stats.count_fallback(
+                "overflow" if plan is not None else reason, answers)
         else:
-            stats.hits += 1
+            stats.hits += answers
+            stats.tier = plan.tier_name
     return diffs

@@ -4,8 +4,8 @@ list.
 The counting passes of Algorithm 1 repeatedly walk a
 :class:`~repro.circuits.circuit.Circuit`: reachability, per-gate
 variable-set union-finds (``gate_var_sets``), kind dispatch, and — in
-the old all-facts mode — an explicitly materialized ``smooth()`` copy
-whose ``(x v -x)`` padding gates can dwarf the circuit.  A
+the textbook formulation — an explicitly smoothed copy whose
+``(x v -x)`` padding gates can dwarf the circuit.  A
 :class:`GateTape` pays all of that once per circuit *shape*: it is a
 topologically ordered list of instructions carrying exactly what the
 numeric passes need — the opcode, the child instruction indices, each
@@ -32,7 +32,8 @@ completion factors ``C(gap, j)`` during the sweeps:
 
 Tapes are label-agnostic up to the ``var_labels`` table, which makes
 them cheap to re-target at isomorphic lineages (:meth:`with_labels` is
-O(#vars) — no gate is copied), and JSON-serializable
+O(#vars) — no gate is copied) and let isomorphic answers share one
+sweep (:meth:`same_shape`), and JSON-serializable
 (:meth:`to_payload` / :meth:`from_payload`) so the engine layer stores
 them as a third artifact kind next to canonical CNFs and d-DNNFs.
 
@@ -153,6 +154,20 @@ class GateTape:
             [mapping.get(label, label) for label in self.var_labels],
             self.source_gates,
             analysis=self._analysis,
+        )
+
+    def same_shape(self, other: "GateTape") -> bool:
+        """Whether both tapes run the same sweeps (labels aside).
+
+        Re-targets of one shape share the analysis box outright;
+        independently compiled isomorphic tapes compare their
+        instruction arrays instead.
+        """
+        return self._analysis is other._analysis or (
+            self.ops == other.ops
+            and self.args == other.args
+            and self.gaps == other.gaps
+            and self.nvars == other.nvars
         )
 
     # ------------------------------------------------------------------

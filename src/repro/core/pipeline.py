@@ -28,7 +28,7 @@ from ..db.conjunctive import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..db.database import Database, Fact
 from ..db.evaluate import LineageResult, lineage
 from ..db.sql import plan_sql
-from .numerics.fixed import FastpathStats, budget_elements, plan_with_reason
+from .numerics.fixed import FastpathStats
 from .shapley import (
     ShapleyTimeout, shapley_all_facts, shapley_all_facts_batched,
 )
@@ -152,7 +152,6 @@ def run_exact(
     artifacts: "CircuitArtifacts | None" = None,
     numeric_backend: str | None = None,
     compile_jobs: int | None = None,
-    fastpath_budget_bytes: int | None = None,
 ) -> ExactOutcome:
     """Run the knowledge-compilation pipeline on one lineage circuit,
     catching budget events into the outcome.
@@ -179,10 +178,6 @@ def run_exact(
     ``compile_jobs`` > 1 compiles independent top-level CNF components
     concurrently; stitching stays deterministic, so results are
     byte-identical to the serial compile.
-
-    ``fastpath_budget_bytes`` bounds the machine-width fast path's SoA
-    value buffers (default 64 MiB); shapes over budget fall back to the
-    interpreted exact pass and are counted as budget fallbacks.
     """
     endo = list(endogenous_facts)
     stats = ProvenanceStats()
@@ -254,7 +249,6 @@ def run_exact(
         values = shapley_all_facts(
             ddnnf, endo, method=method, deadline=deadline,
             kernel=numeric_backend, tape=tape, fastpath_stats=fastpath,
-            fastpath_budget_bytes=fastpath_budget_bytes,
         )
     except ShapleyTimeout as exc:
         timings["shapley"] = time.perf_counter() - t0
@@ -347,24 +341,23 @@ def run_exact_batch(
     artifacts_list=None,
     numeric_backend: str | None = None,
     compile_jobs: int | None = None,
-    fastpath_budget_bytes: int | None = None,
 ) -> list[ExactOutcome]:
     """Run the exact pipeline over a *same-shape answer group*.
 
     ``circuits[i]`` / ``endo_lists[i]`` (and optionally
     ``artifacts_list[i]``) describe answer *i*.  In ``"derivative"``
-    mode the group's Algorithm-1 sweeps run as one batched machine-width
-    pass (:func:`~repro.core.shapley.shapley_all_facts_batched`); per
-    answer, compilation failures become individual budget outcomes and
-    sentinel-tripped lanes fall back individually to the interpreted
-    pass, so every answer's Fractions are identical to a
-    :func:`run_exact` loop.  Other modes (and singleton groups) *are*
-    that loop.
+    mode the group runs Algorithm 1's sweeps once per shape and
+    Equation 3 per answer
+    (:func:`~repro.core.shapley.shapley_all_facts_batched`); per
+    answer, compilation failures become individual budget outcomes, so
+    every answer's Fractions are identical to a :func:`run_exact` loop.
+    Other modes (and singleton groups) *are* that loop.
 
     Timing attribution: each answer's ``shapley`` stage receives an
-    equal share of the group sweep, mirrored as ``batch_exec``, plus a
-    ``tier_<float64|int64|crt>`` entry naming the arithmetic tier the
-    group's plan executed in (absent when the shape fell back).
+    equal share of the group pass, mirrored as ``batch_exec``, plus a
+    ``tier_<float64|int64|crt>`` entry naming the arithmetic tier of
+    the group's machine-width sweep (absent when no such sweep ran:
+    the kernel has no fast path or the shape fell back).
     """
     n_answers = len(circuits)
     endo_lists = [list(endo) for endo in endo_lists]
@@ -376,7 +369,6 @@ def run_exact_batch(
                 circuit, endo, budget=budget, method=method, cache=cache,
                 artifacts=artifacts, numeric_backend=numeric_backend,
                 compile_jobs=compile_jobs,
-                fastpath_budget_bytes=fastpath_budget_bytes,
             )
             for circuit, endo, artifacts
             in zip(circuits, endo_lists, artifacts_list)
@@ -412,7 +404,6 @@ def run_exact_batch(
         values_list = shapley_all_facts_batched(
             tapes, group_endo, deadline=deadline, kernel=numeric_backend,
             fastpath_stats=fastpath,
-            fastpath_budget_bytes=fastpath_budget_bytes,
         )
     except ShapleyTimeout as exc:
         elapsed = time.perf_counter() - t0
@@ -436,18 +427,11 @@ def run_exact_batch(
 
     elapsed = time.perf_counter() - t0
     share = elapsed / len(prepared)
-    # Attribute the group's arithmetic tier (the plan lookup is a pure
-    # cache hit here; the sweep above already built or refused it).
-    tier = None
-    if not tapes[0].is_constant:
-        plan, _ = plan_with_reason(
-            tapes[0], budget_elements(fastpath_budget_bytes))
-        tier = plan.tier_name if plan is not None else None
     for (i, tape, stats, timings), values in zip(prepared, values_list):
         timings["shapley"] = share
         timings["batch_exec"] = share
-        if tier is not None:
-            timings[f"tier_{tier}"] = share
+        if fastpath.tier is not None:
+            timings[f"tier_{fastpath.tier}"] = share
         outcomes[i] = ExactOutcome("ok", values, stats, timings)
     return outcomes
 

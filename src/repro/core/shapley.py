@@ -8,7 +8,7 @@ endogenous fact ``f`` is (Equation 3 of the paper):
 
 with ``n = |Dn|`` and counts completed over all endogenous facts.
 
-Three computation modes are provided:
+Two computation modes are provided:
 
 * ``"conditioning"`` — the paper's literal Algorithm 1: condition the
   circuit on ``f -> 1`` and ``f -> 0`` and recount, once per fact;
@@ -23,11 +23,8 @@ Three computation modes are provided:
   contributions cancel in the difference), and the traversal runs on a
   compiled :class:`~repro.core.numerics.tape.GateTape` so repeated
   circuit shapes pay no gate-level walk at all.
-* ``"smoothed"`` — the previous derivative implementation over an
-  explicitly ``smooth()``-ed circuit; kept as the ablation baseline
-  the smoothing-free pass is benchmarked against.
 
-All modes agree exactly (asserted by the parity suite), on every
+Both modes agree exactly (asserted by the parity suite), on every
 numeric kernel (:mod:`repro.core.numerics`).  All arithmetic is exact
 (`int` counts, `Fraction` values).
 """
@@ -38,11 +35,10 @@ import time
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from ..circuits.circuit import AND, FALSE, NOT, OR, TRUE, VAR, Circuit, CircuitError
-from ..circuits.dnnf import count_models_by_size, smooth
+from ..circuits.circuit import FALSE, TRUE, Circuit, CircuitError
+from ..circuits.dnnf import count_models_by_size
 from .numerics import GateTape, compile_tape
 from .numerics.base import Kernel, get_kernel, shapley_coefficients
-from .numerics.batched import batched_fastpath_diffs
 from .numerics.fixed import FastpathStats, Int64Kernel, fastpath_diffs
 
 __all__ = [
@@ -57,7 +53,7 @@ __all__ = [
 ]
 
 #: The all-facts strategies accepted by :func:`shapley_all_facts`.
-MODES = ("derivative", "smoothed", "conditioning")
+MODES = ("derivative", "conditioning")
 
 
 class ShapleyTimeout(RuntimeError):
@@ -159,14 +155,12 @@ def shapley_all_facts(
     kernel=None,
     tape: GateTape | None = None,
     fastpath_stats: FastpathStats | None = None,
-    fastpath_budget_bytes: int | None = None,
 ) -> dict[Hashable, Fraction]:
     """Shapley values of every endogenous fact.
 
     ``method`` is ``"derivative"`` (one shared smoothing-free pass,
-    default), ``"smoothed"`` (the legacy shared pass over an explicitly
-    smoothed circuit), or ``"conditioning"`` (the paper's per-fact
-    loop).  ``kernel`` selects the numeric backend (instance, name, or
+    default) or ``"conditioning"`` (the paper's per-fact loop).
+    ``kernel`` selects the numeric backend (instance, name, or
     ``None`` for the reference; ``"int64"``/``"auto"`` additionally arm
     the machine-width level-scheduled fast path of the derivative mode,
     which falls back per shape to the interpreted exact pass whenever
@@ -193,14 +187,17 @@ def shapley_all_facts(
             else:
                 values[fact] = _conditioned_shapley(circuit, n, fact, resolved)
         return values
-    if method == "smoothed":
-        return _shapley_all_smoothed(circuit, endo, deadline, resolved)
     if method != "derivative":
         raise ValueError(f"unknown method {method!r}; choose from {MODES}")
-    return _shapley_all_derivative(
-        circuit, endo, deadline, resolved, tape, fastpath_stats,
-        fastpath_budget_bytes,
-    )
+    if tape is None:
+        simplified = circuit.condition({})
+        if simplified.kind(simplified.output_gate()) in (TRUE, FALSE):
+            return {fact: Fraction(0) for fact in endo}
+        _check_time(deadline)
+        tape = compile_tape(simplified)
+    # One answer is a group of one.
+    return shapley_all_facts_batched(
+        [tape], [endo], deadline, resolved, fastpath_stats)[0]
 
 
 def _foreign_vars_error(present: set, endo_set: set) -> CircuitError:
@@ -208,71 +205,6 @@ def _foreign_vars_error(present: set, endo_set: set) -> CircuitError:
         "circuit mentions variables outside the endogenous set: "
         f"{sorted(map(repr, present - endo_set))[:5]}"
     )
-
-
-def _shapley_all_derivative(
-    circuit: Circuit | None,
-    endo: list[Hashable],
-    deadline: float | None = None,
-    kernel: Kernel | None = None,
-    tape: GateTape | None = None,
-    fastpath_stats: FastpathStats | None = None,
-    fastpath_budget_bytes: int | None = None,
-) -> dict[Hashable, Fraction]:
-    """Smoothing-free shared pass over a compiled gate tape.
-
-    The forward sweep is Lemma 4.5 with per-child OR-gap binomials; the
-    backward sweep pushes the circuit derivative down the same tape,
-    accumulating per-variable *difference* vectors ``#SAT_m(C[x->1]) -
-    #SAT_m(C[x->0])`` directly — models in which ``x`` is free (what
-    smoothing pads exist to represent) contribute equally to both
-    conditionings and are never materialized.
-
-    With the ``"int64"`` kernel selected (directly or via ``"auto"``),
-    the sweeps run level-scheduled and machine-width when the tape's
-    magnitude bounds allow (:func:`~.numerics.fixed.fastpath_diffs`);
-    a shape the bounds cannot certify falls back to the per-gate
-    interpreted pass below, so the returned Fractions are identical
-    either way.
-    """
-    kernel = kernel if kernel is not None else get_kernel(None)
-    n = len(endo)
-    zero = Fraction(0)
-    values: dict[Hashable, Fraction] = {fact: zero for fact in endo}
-    if n == 0:
-        return values
-
-    if tape is None:
-        simplified = circuit.condition({})
-        if simplified.kind(simplified.output_gate()) in (TRUE, FALSE):
-            return values
-        present = simplified.reachable_vars()
-        endo_set = set(endo)
-        if not present <= endo_set:
-            raise _foreign_vars_error(present, endo_set)
-        _check_time(deadline)
-        tape = compile_tape(simplified)
-    else:
-        if tape.is_constant:
-            return values
-        present = tape.labels()
-        endo_set = set(endo)
-        if not present <= endo_set:
-            raise _foreign_vars_error(present, endo_set)
-
-    check = (lambda: _check_time(deadline)) if deadline is not None else None
-    _check_time(deadline)
-    diffs = None
-    if isinstance(kernel, Int64Kernel):
-        diffs = fastpath_diffs(
-            tape, fastpath_stats, check, fastpath_budget_bytes)
-        _check_time(deadline)
-    if diffs is None:
-        vals = tape.forward(kernel, check)
-        _check_time(deadline)
-        diffs = tape.backward_diffs(kernel, vals, check)
-    _check_time(deadline)
-    return _combine_diffs(values, tape, diffs, kernel, n)
 
 
 def _combine_diffs(
@@ -297,187 +229,69 @@ def shapley_all_facts_batched(
     deadline: float | None = None,
     kernel=None,
     fastpath_stats: FastpathStats | None = None,
-    fastpath_budget_bytes: int | None = None,
 ) -> list[dict[Hashable, Fraction]]:
-    """Shapley values for a *same-shape answer group*, derivative mode.
+    """Shapley values for a group of answers, derivative mode.
 
     ``tapes[i]`` is answer *i*'s (re-targeted) gate tape and
-    ``endo_lists[i]`` its endogenous facts.  With a machine-width
-    kernel selected, the group's forward/backward sweeps run as one
-    batched ``(batch, planes, slots, width)`` pass
-    (:func:`~.numerics.batched.batched_fastpath_diffs`); any lane whose
-    runtime sentinel trips — and every lane of an ineligible shape —
-    falls back individually to the interpreted per-gate pass, so each
-    answer's Fractions are identical to :func:`shapley_all_facts` on
-    every input.  The ``"torch"`` kernel routes the batched sweeps
-    through the optional torch backend (CUDA when available).
+    ``endo_lists[i]`` its endogenous facts.  The forward sweep is
+    Lemma 4.5 with per-child OR-gap binomials; the backward sweep
+    pushes the circuit derivative down the same tape, accumulating
+    per-slot *difference* vectors ``#SAT_m(C[x->1]) - #SAT_m(C[x->0])``
+    directly — models in which ``x`` is free (what smoothing pads exist
+    to represent) contribute equally to both conditionings and are
+    never materialized.
+
+    Both sweeps read only a tape's instructions, never its labels, so
+    the group runs them once per distinct shape
+    (:meth:`~.numerics.tape.GateTape.same_shape`) and every answer of
+    that shape reuses the slot-indexed difference vectors; only
+    Equation 3 runs per answer, over its own labels and player count.
+    With the ``"int64"`` kernel selected (directly or via ``"auto"``)
+    a sweep runs level-scheduled and machine-width when the tape's
+    magnitude bounds allow (:func:`~.numerics.fixed.fastpath_diffs`),
+    and otherwise as the per-gate interpreted pass, so the returned
+    Fractions are identical either way.  ``fastpath_stats`` counts one
+    hit or fallback per answer.
     """
     if len(tapes) != len(endo_lists):
         raise ValueError("tapes and endo_lists must have equal length")
     resolved = _resolve_kernel(kernel)
     check = (lambda: _check_time(deadline)) if deadline is not None else None
-    outputs: list[dict[Hashable, Fraction] | None] = []
-    lanes: list[int] = []  # indices that join the batched sweep
     zero = Fraction(0)
-    per_answer: list[tuple[list[Hashable], dict[Hashable, Fraction]]] = []
+    outputs: list[dict[Hashable, Fraction]] = []
+    # (representative tape, [(values, tape, n), ...]) per distinct shape
+    shapes: list[tuple[GateTape, list]] = []
     for tape, endo_facts in zip(tapes, endo_lists):
         endo = list(endo_facts)
         values: dict[Hashable, Fraction] = {fact: zero for fact in endo}
-        per_answer.append((endo, values))
+        outputs.append(values)
         if len(endo) == 0 or tape.is_constant:
-            outputs.append(values)
             continue
         present = tape.labels()
         endo_set = set(endo)
         if not present <= endo_set:
             raise _foreign_vars_error(present, endo_set)
-        outputs.append(None)
-        lanes.append(len(outputs) - 1)
+        lane = (values, tape, len(endo))
+        for representative, lanes in shapes:
+            if tape.same_shape(representative):
+                lanes.append(lane)
+                break
+        else:
+            shapes.append((tape, [lane]))
 
-    diffs_by_lane: list[dict[int, list[int]] | None] | None = None
-    if lanes and isinstance(resolved, Int64Kernel):
-        backend = resolved.name if resolved.name == "torch" else None
+    for tape, lanes in shapes:
         _check_time(deadline)
-        diffs_by_lane = batched_fastpath_diffs(
-            [tapes[i] for i in lanes], fastpath_stats, check,
-            fastpath_budget_bytes, backend,
-        )
-    for position, index in enumerate(lanes):
-        _check_time(deadline)
-        tape = tapes[index]
-        endo, values = per_answer[index]
-        diffs = diffs_by_lane[position] if diffs_by_lane else None
+        diffs = None
+        if isinstance(resolved, Int64Kernel):
+            diffs = fastpath_diffs(tape, fastpath_stats, check, len(lanes))
         if diffs is None:
             vals = tape.forward(resolved, check)
             _check_time(deadline)
             diffs = tape.backward_diffs(resolved, vals, check)
-        outputs[index] = _combine_diffs(
-            values, tape, diffs, resolved, len(endo))
+        for values, lane_tape, n in lanes:
+            _check_time(deadline)
+            _combine_diffs(values, lane_tape, diffs, resolved, n)
     return outputs
-
-
-def _shapley_all_smoothed(
-    circuit: Circuit,
-    endo: list[Hashable],
-    deadline: float | None = None,
-    kernel: Kernel | None = None,
-) -> dict[Hashable, Fraction]:
-    """Legacy shared pass: smooth the circuit, then compute conditioned
-    counts for all variables with one forward and one backward sweep.
-
-    Kept as the ablation baseline for the smoothing-free tape pass
-    (``benchmarks/bench_ablation_shapley_modes.py``); both return
-    identical Fractions on every input.
-    """
-    kernel = kernel if kernel is not None else get_kernel(None)
-    n = len(endo)
-    zero = Fraction(0)
-    values: dict[Hashable, Fraction] = {fact: zero for fact in endo}
-    if n == 0:
-        return values
-
-    simplified = circuit.condition({})
-    root_kind = simplified.kind(simplified.output_gate())
-    if root_kind in (TRUE, FALSE):
-        return values
-    present = simplified.reachable_vars()
-    endo_set = set(endo)
-    if not present <= endo_set:
-        raise _foreign_vars_error(present, endo_set)
-
-    smoothed = smooth(simplified)
-    root = smoothed.output_gate()
-    var_sets = smoothed.gate_var_sets(root)
-    v = len(var_sets[root])
-    extra = (n - 1) - (v - 1)  # endogenous facts outside the circuit
-
-    _check_time(deadline)
-    # Forward: val[g][k] = #SAT_k of the function of g over Vars(g).
-    val: dict[int, list[int]] = {}
-    for gate in sorted(var_sets):
-        kind = smoothed.kind(gate)
-        if kind == VAR:
-            val[gate] = [0, 1]
-        elif kind == NOT:
-            child = smoothed.children(gate)[0]
-            if smoothed.kind(child) != VAR:
-                raise CircuitError("derivative mode requires NNF circuits")
-            val[gate] = [1, 0]
-        elif kind == TRUE:
-            val[gate] = [1]
-        elif kind == FALSE:
-            val[gate] = [0]
-        elif kind == AND:
-            acc = [1]
-            for child in smoothed.children(gate):
-                acc = kernel.poly_mul(acc, val[child])
-            val[gate] = acc
-        else:  # OR (smooth: children cover Vars(g))
-            nvars = len(var_sets[gate])
-            acc = [0] * (nvars + 1)
-            for child in smoothed.children(gate):
-                for k, count in enumerate(val[child]):
-                    acc[k] += count
-            val[gate] = acc
-
-    _check_time(deadline)
-    # Backward: der[g][m] = number of (model of root, certificate
-    # containing g) pairs where the model has m true variables outside
-    # Vars(g).  der at a literal leaf therefore gives the conditioned
-    # counts of its variable.
-    der: dict[int, list[int]] = {root: [1]}
-    order = sorted(var_sets, reverse=True)
-    for gate in order:
-        d = der.get(gate)
-        if d is None or not any(d):
-            continue
-        kind = smoothed.kind(gate)
-        if kind == OR:
-            for child in smoothed.children(gate):
-                der[child] = kernel.poly_add(der.get(child), d)
-        elif kind == AND:
-            children = smoothed.children(gate)
-            # prefix/suffix products of sibling value polynomials
-            prefix = [[1]]
-            for child in children[:-1]:
-                prefix.append(kernel.poly_mul(prefix[-1], val[child]))
-            suffix = [1]
-            for index in range(len(children) - 1, -1, -1):
-                sibling_product = kernel.poly_mul(prefix[index], suffix)
-                contribution = kernel.poly_mul(d, sibling_product)
-                der[children[index]] = kernel.poly_add(
-                    der.get(children[index]), contribution
-                )
-                suffix = kernel.poly_mul(suffix, val[children[index]]) if index else suffix
-        # NOT / VAR / constants: leaves for this pass.
-
-    _check_time(deadline)
-    # Collect per-variable positive/negative leaf derivatives:
-    # der at leaf x gives #SAT_k(C[x->1]); der at leaf (not x) gives
-    # #SAT_k(C[x->0]), both over Vars(C) minus x.
-    pos_counts: dict[Hashable, list[int]] = {}
-    neg_counts: dict[Hashable, list[int]] = {}
-    for gate in var_sets:
-        kind = smoothed.kind(gate)
-        if kind == VAR:
-            label = smoothed.label(gate)
-            if gate in der:
-                pos_counts[label] = kernel.poly_add(
-                    pos_counts.get(label), der[gate]
-                )
-        elif kind == NOT:
-            child = smoothed.children(gate)[0]
-            label = smoothed.label(child)
-            if gate in der:
-                neg_counts[label] = kernel.poly_add(
-                    neg_counts.get(label), der[gate]
-                )
-
-    for label in present:
-        counts1 = kernel.complete(pos_counts.get(label, [0]), extra)
-        counts0 = kernel.complete(neg_counts.get(label, [0]), extra)
-        values[label] = kernel.equation3(counts1, counts0, n)
-    return values
 
 
 def efficiency_gap(

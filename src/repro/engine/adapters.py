@@ -52,7 +52,6 @@ class ExactEngine(Engine):
             artifacts=options.artifacts,
             numeric_backend=options.numeric_backend,
             compile_jobs=options.compile_jobs,
-            fastpath_budget_bytes=options.fastpath_budget_bytes,
         )
         seconds = time.perf_counter() - start
         return EngineResult(
@@ -95,7 +94,6 @@ class ExactEngine(Engine):
             ],
             numeric_backend=options.numeric_backend,
             compile_jobs=options.compile_jobs,
-            fastpath_budget_bytes=options.fastpath_budget_bytes,
         )
         seconds = (time.perf_counter() - start) / len(requests)
         return [

@@ -64,10 +64,11 @@ class EngineOptions:
     bounds allow, exact fallback elsewhere; ``fastpath_hits`` /
     ``fastpath_fallbacks`` in the session stats count which), and
     ``"auto"`` walks the ladder int64 → numpy → python by what is
-    installed.  Every backend returns byte-identical Fractions; this is
-    purely a performance knob, and it travels with the options through
-    every transport so remote workers compute on the requested backend
-    too.
+    installed.  Whatever the backend, a same-shape answer group runs
+    one forward/backward sweep and Equation 3 per answer.  Every
+    backend returns byte-identical Fractions; this is purely a
+    performance knob, and it travels with the options through every
+    transport so remote workers compute on the requested backend too.
     """
 
     budget: CompilationBudget | None = None
@@ -81,13 +82,8 @@ class EngineOptions:
     #: serial).  Purely a wall-clock knob: stitching is deterministic,
     #: so the compiled circuit is byte-identical to the serial one.
     compile_jobs: int | None = None
-    #: Byte budget of the machine-width fast path's SoA value buffers
-    #: (``None`` = the built-in 64 MiB default).  Shapes over budget
-    #: fall back to the interpreted exact pass and are counted under
-    #: ``fastpath_budget_fallbacks``.
-    fastpath_budget_bytes: int | None = None
-    #: Whether sessions may group same-shape answers into one batched
-    #: machine-width execution (the PR 8 warm path).  Purely a
+    #: Whether sessions may group same-shape answers so that they
+    #: share one Algorithm-1 sweep (the warm path).  Purely a
     #: performance knob: batched and per-answer execution return
     #: byte-identical Fractions.
     batch_execution: bool = True

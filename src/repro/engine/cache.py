@@ -78,15 +78,14 @@ class CacheStats:
     #: ``fastpath_fallbacks`` is the total; the three reason counters
     #: split it: a runtime overflow sentinel tripped, the shape's
     #: bounds/structure were ineligible a priori, or the SoA value
-    #: buffers exceeded the (configurable) memory budget.
+    #: buffers exceeded the fast path's size ceiling.
     fastpath_hits: int = 0
     fastpath_fallbacks: int = 0
     fastpath_overflow_fallbacks: int = 0
     fastpath_ineligible_fallbacks: int = 0
     fastpath_budget_fallbacks: int = 0
-    #: Cross-answer batched execution (the PR 8 tentpole): same-shape
-    #: answer groups whose Algorithm-1 sweeps ran as one batched
-    #: machine-width pass, and the answers they covered.
+    #: Same-shape answer groups that shared one Algorithm-1 sweep per
+    #: shape, and the answers they covered.
     batched_groups: int = 0
     batched_answers: int = 0
     #: Cross-shape sub-circuit memoization (the PR 6 cold-path tier):
@@ -673,8 +672,8 @@ class ArtifactCache:
                 self.stats.fastpath_budget_fallbacks += fastpath.budget
 
     def record_batch(self, groups: int, answers: int) -> None:
-        """Count one batched same-shape group execution covering
-        ``answers`` answers (thread-safe)."""
+        """Count one same-shape group pass covering ``answers``
+        answers (thread-safe)."""
         with self._lock:
             self.stats.batched_groups += groups
             self.stats.batched_answers += answers

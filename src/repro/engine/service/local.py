@@ -62,8 +62,8 @@ def _process_explain_group(
     """Top-level body of one batched :class:`ProcessPoolTransport` task.
 
     The whole same-shape group runs in one pool worker through the
-    engine's ``explain_batch`` — one batched machine-width pass instead
-    of one task round-trip per answer."""
+    engine's ``explain_batch`` — one shared sweep and one task
+    round-trip instead of one per answer."""
     cache = _worker_cache(store_dir)
     prepared = [
         (circuit, players, options.with_(cache=cache))

@@ -471,10 +471,10 @@ class ExplainSession:
         backends), with the fallbacks split by reason under
         ``fastpath_overflow_fallbacks`` (runtime sentinel tripped),
         ``fastpath_ineligible_fallbacks`` (bounds/structure) and
-        ``fastpath_budget_fallbacks`` (SoA memory budget);
-        ``batched_groups`` / ``batched_answers`` count same-shape
-        groups executed as one batched machine-width pass and the
-        answers they covered.  The ``shapley_coefficients_cache_*``
+        ``fastpath_budget_fallbacks`` (value buffers over the fast
+        path's size ceiling); ``batched_groups`` / ``batched_answers``
+        count same-shape groups that shared one Algorithm-1 sweep per
+        shape and the answers they covered.  The ``shapley_coefficients_cache_*``
         keys expose the bounded Equation-3 weight cache.  With a persistent store
         attached, ``store_*`` counters report the disk tier.  Pool
         workers of the ``"process"`` executor keep

@@ -1,16 +1,15 @@
-"""Tests for cross-answer batched LevelPlan execution (PR 8).
+"""Tests for same-shape answer groups sharing one Algorithm-1 sweep.
 
-Covers the batch axis of the machine-width tier
-(:func:`~repro.core.numerics.batched.batched_fastpath_diffs` and
-:class:`~repro.core.numerics.batched.BatchLevelPlan`): parity with the
-per-answer fast path across all three tiers, per-lane sentinel
-fallback, mixed-shape and mixed-tier inputs, the configurable SoA
-memory budget with its per-reason counters, the batched derivative
-pipeline (:func:`~repro.core.shapley.shapley_all_facts_batched`,
-:func:`~repro.core.pipeline.run_exact_batch`), shape-group scheduling,
-the optional torch backend's graceful absence, and the headline
-randomized property: batched and per-answer execution return
-byte-identical Fractions across kernels and all three transports.
+Covers :func:`~repro.core.shapley.shapley_all_facts_batched`: one
+forward/backward sweep per distinct tape shape (the level-scheduled
+fast path on the ``int64`` kernel, the interpreted pass otherwise),
+Equation 3 per answer, Fraction parity with the per-answer path across
+all three machine-width tiers and the ineligible fallback, mixed-shape
+inputs, per-answer fast-path counters including refusals over the
+buffer ceiling, :func:`~repro.core.pipeline.run_exact_batch` and its
+tier attribution, shape-group scheduling, and the headline property:
+grouped and per-answer execution return byte-identical Fractions
+across kernels and all three transports.
 """
 
 import threading
@@ -18,21 +17,18 @@ from fractions import Fraction
 
 import pytest
 
+import repro.core.numerics.fixed as fixed
 from repro.circuits import circuit_from_nested
 from repro.core import shapley_all_facts
 from repro.core.numerics import (
     HAS_NUMPY,
-    HAS_TORCH,
     FastpathStats,
-    Int64Kernel,
-    available_kernels,
-    batched_fastpath_diffs,
+    GateTape,
+    LevelPlan,
     compile_tape,
     fastpath_diffs,
-    get_kernel,
-    plan_with_reason,
+    plan_for,
 )
-from repro.core.numerics.fixed import budget_elements
 from repro.core.pipeline import run_exact, run_exact_batch
 from repro.core.shapley import shapley_all_facts_batched
 from repro.engine import (
@@ -56,6 +52,8 @@ INT64_SHAPE = (20, 3, 0)
 CRT_SHAPE = (23, 3, 0)
 #: ~141 bits: beyond every tier, the whole shape declines the fast path.
 FALLBACK_SHAPE = (50, 3, 4)
+SHAPES = [FLOAT64_SHAPE, INT64_SHAPE, CRT_SHAPE, FALLBACK_SHAPE]
+SHAPE_IDS = ["float64", "int64", "crt", "ineligible"]
 
 
 def _tape(shape):
@@ -73,6 +71,75 @@ def _group(tape, size):
     ]
 
 
+def _players(tape):
+    return list(tape.var_labels)
+
+
+def _per_answer(tapes):
+    """Each tape's values from the per-answer reference pass."""
+    return [
+        shapley_all_facts(None, _players(tape), tape=tape, kernel="python")
+        for tape in tapes
+    ]
+
+
+def _assert_identical(got, expected):
+    assert got == expected
+    for values, reference in zip(got, expected):
+        for fact, value in values.items():
+            assert type(value) is Fraction
+            assert value.numerator == reference[fact].numerator
+            assert value.denominator == reference[fact].denominator
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Counts interpreted (``GateTape.forward``) and machine-width
+    (``LevelPlan.execute``) sweeps."""
+    counts = {"forward": 0, "execute": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        GateTape, "forward", counting("forward", GateTape.forward))
+    monkeypatch.setattr(
+        LevelPlan, "execute", counting("execute", LevelPlan.execute))
+    return counts
+
+
+def _run(tapes, kernel, stats=None):
+    return shapley_all_facts_batched(
+        tapes, [_players(tape) for tape in tapes], kernel=kernel,
+        fastpath_stats=stats)
+
+
+class TestOneSweepPerShape:
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_python_group_runs_one_interpreted_sweep(self, shape, sweeps):
+        tapes = _group(_tape(shape), 5)
+        got = _run(tapes, "python")
+        assert sweeps == {"forward": 1, "execute": 0}
+        _assert_identical(got, _per_answer(tapes))
+
+    @needs_numpy
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_int64_group_runs_one_sweep(self, shape, sweeps):
+        tapes = _group(_tape(shape), 5)
+        stats = FastpathStats()
+        got = _run(tapes, "int64", stats)
+        if shape is FALLBACK_SHAPE:
+            assert sweeps == {"forward": 1, "execute": 0}
+            assert stats.ineligible == 5 and stats.hits == 0
+        else:
+            assert sweeps == {"forward": 0, "execute": 1}
+            assert stats.hits == 5 and stats.fallbacks == 0
+        _assert_identical(got, _per_answer(tapes))
+
+
 class TestBatchedFastpathParity:
     @needs_numpy
     @pytest.mark.parametrize(
@@ -81,60 +148,60 @@ class TestBatchedFastpathParity:
     def test_batched_matches_per_answer_across_tiers(self, shape):
         tapes = _group(_tape(shape), 4)
         stats = FastpathStats()
-        batched = batched_fastpath_diffs(tapes, stats)
-        assert batched is not None
+        got = _run(tapes, "int64", stats)
         assert stats.hits == 4 and stats.fallbacks == 0
-        for tape, got in zip(tapes, batched):
-            assert got == fastpath_diffs(tape)
+        assert stats.tier == plan_for(tapes[0]).tier_name
+        _assert_identical(got, _per_answer(tapes))
 
     @needs_numpy
-    def test_independently_compiled_isomorphic_tapes_batch(self):
+    def test_independently_compiled_isomorphic_tapes_batch(self, sweeps):
         # No shared analysis box: shape identity falls back to the
-        # instruction-array comparison and still batches as one group.
+        # instruction-array comparison and still shares one sweep.
         a = _tape(FLOAT64_SHAPE)
         b = _tape(FLOAT64_SHAPE)
         assert a._analysis is not b._analysis
-        batched = batched_fastpath_diffs([a, b])
-        assert batched == [fastpath_diffs(a), fastpath_diffs(b)]
+        got = _run([a, b], "int64")
+        assert sweeps == {"forward": 0, "execute": 1}
+        _assert_identical(got, _per_answer([a, b]))
 
     @needs_numpy
-    def test_mixed_shape_input_regroups_preserving_order(self):
+    def test_mixed_shape_input_regroups_preserving_order(self, sweeps):
         a = _group(_tape(FLOAT64_SHAPE), 2)
         b = _group(_tape(CRT_SHAPE), 2)
         tapes = [a[0], b[0], a[1], b[1]]
         stats = FastpathStats()
-        batched = batched_fastpath_diffs(tapes, stats)
+        got = _run(tapes, "int64", stats)
         assert stats.hits == 4
-        for tape, got in zip(tapes, batched):
-            assert got == fastpath_diffs(tape)
+        assert sweeps == {"forward": 0, "execute": 2}
+        _assert_identical(got, _per_answer(tapes))
 
     @needs_numpy
     def test_mixed_tier_batch_with_an_ineligible_shape(self):
-        # One batch spanning the float64 tier, the CRT tier, and a
-        # shape beyond every tier: the eligible lanes keep their
-        # machine-width results, the ineligible lanes come back None
-        # (per-answer interpreted fallback) and are counted by reason.
+        # One group spanning the float64 tier, the CRT tier, and a
+        # shape beyond every tier: the eligible answers take the
+        # machine-width sweep, the ineligible one the interpreted pass,
+        # and the fallback is counted by reason.
         eligible = _group(_tape(FLOAT64_SHAPE), 2) + [_tape(CRT_SHAPE)]
         fallback = _tape(FALLBACK_SHAPE)
-        assert plan_with_reason(fallback, budget_elements(None))[0] is None
+        assert plan_for(fallback) is None
         tapes = [eligible[0], fallback, eligible[1], eligible[2]]
         stats = FastpathStats()
-        batched = batched_fastpath_diffs(tapes, stats)
-        assert batched[1] is None
+        got = _run(tapes, "int64", stats)
         assert stats.hits == 3
         assert stats.ineligible == 1 and stats.fallbacks == 1
-        for slot in (0, 2, 3):
-            assert batched[slot] == fastpath_diffs(tapes[slot])
+        _assert_identical(got, _per_answer(tapes))
 
     @needs_numpy
     def test_whole_group_ineligible_returns_none(self):
         tapes = _group(_tape(FALLBACK_SHAPE), 3)
+        assert fastpath_diffs(tapes[0]) is None
         stats = FastpathStats()
-        assert batched_fastpath_diffs(tapes, stats) is None
+        got = _run(tapes, "int64", stats)
         assert stats.ineligible == 3 and stats.fallbacks == 3
+        _assert_identical(got, _per_answer(tapes))
 
     def test_empty_input(self):
-        assert batched_fastpath_diffs([]) == []
+        assert shapley_all_facts_batched([], []) == []
 
     @needs_numpy
     def test_negated_lineage_batches(self):
@@ -142,55 +209,48 @@ class TestBatchedFastpathParity:
             ("or", ("and", "a", ("not", "b")), ("and", ("not", "a"), "b"))
         )
         tapes = _group(compile_tape(_compile(circuit)), 3)
-        batched = batched_fastpath_diffs(tapes)
-        assert batched == [fastpath_diffs(tape) for tape in tapes]
+        _assert_identical(_run(tapes, "int64"), _per_answer(tapes))
 
 
 class TestFastpathBudget:
+    """Shapes whose value buffers exceed ``MAX_BUFFER_ELEMENTS`` take
+    the interpreted pass; the ceiling is lowered on fresh tapes (plans
+    are cached per shape)."""
+
     @needs_numpy
-    def test_budget_rejection_counted_per_lane(self):
+    def test_budget_rejection_counted_per_lane(self, monkeypatch):
+        monkeypatch.setattr(fixed, "MAX_BUFFER_ELEMENTS", 16)
         tapes = _group(_tape(FLOAT64_SHAPE), 3)
         stats = FastpathStats()
-        assert batched_fastpath_diffs(tapes, stats, budget_bytes=64) is None
+        got = _run(tapes, "int64", stats)
         assert stats.budget == 3 and stats.fallbacks == 3
         assert stats.hits == 0 and stats.overflow == 0
+        _assert_identical(got, _per_answer(tapes))
 
     @needs_numpy
-    def test_chunked_execution_stays_exact(self):
-        tape = _tape(CRT_SHAPE)
-        plan, reason = plan_with_reason(tape, budget_elements(None))
-        assert reason is None
-        # Budget for exactly one lane: a 5-lane group runs in 5 chunks.
-        budget = plan.lane_elements * 8
-        tapes = _group(tape, 5)
-        stats = FastpathStats()
-        batched = batched_fastpath_diffs(tapes, stats, budget_bytes=budget)
-        assert stats.hits == 5
-        for lane_tape, got in zip(tapes, batched):
-            assert got == fastpath_diffs(lane_tape)
-
-    @needs_numpy
-    def test_per_answer_budget_knob_matches_batched(self):
+    def test_per_answer_budget_knob_matches_batched(self, monkeypatch):
+        monkeypatch.setattr(fixed, "MAX_BUFFER_ELEMENTS", 16)
+        single = FastpathStats()
         tape = _tape(INT64_SHAPE)
-        tiny = FastpathStats()
-        assert fastpath_diffs(tape, tiny, budget_bytes=64) is None
-        assert tiny.budget == 1
-        roomy = FastpathStats()
-        assert fastpath_diffs(tape, roomy, budget_bytes=1 << 26) is not None
-        assert roomy.hits == 1
+        shapley_all_facts(None, _players(tape), tape=tape, kernel="int64",
+                          fastpath_stats=single)
+        grouped = FastpathStats()
+        _run(_group(_tape(INT64_SHAPE), 3), "int64", grouped)
+        assert single.budget == 1 and single.hits == 0
+        assert grouped.budget == 3 and grouped.hits == 0
 
     @needs_numpy
-    def test_session_budget_knob_counts_and_stays_exact(self):
+    def test_session_budget_knob_counts_and_stays_exact(self, monkeypatch):
         db = join_database(4, 2)
         baseline = {
             a: r.values
             for a, r in ExplainSession(db, method="exact")
             .explain_many(JOIN_QUERY).items()
         }
+        monkeypatch.setattr(fixed, "MAX_BUFFER_ELEMENTS", 1)
         with ExplainSession(
             db, method="exact",
-            options=EngineOptions(numeric_backend="auto",
-                                  fastpath_budget_bytes=64),
+            options=EngineOptions(numeric_backend="auto"),
         ) as session:
             results = session.explain_many(JOIN_QUERY)
             stats = session.stats
@@ -200,35 +260,18 @@ class TestFastpathBudget:
 
 
 class TestShapleyAllFactsBatched:
-    def _players(self, tape, i):
-        return [(label, i) for label in tape.var_labels]
-
-    @pytest.mark.parametrize("kernel", ["python", "auto", "torch"])
+    @pytest.mark.parametrize("kernel", ["python", "auto", "int64"])
     def test_group_fractions_identical_to_per_answer(self, kernel):
-        tape = _tape(FLOAT64_SHAPE)
-        tapes = _group(tape, 3)
-        endo = [self._players(tape, i) for i in range(3)]
-        batched = shapley_all_facts_batched(tapes, endo, kernel=kernel)
-        for lane_tape, players, values in zip(tapes, endo, batched):
-            reference = shapley_all_facts(
-                None, players, method="derivative", tape=lane_tape,
-                kernel="python",
-            )
-            assert values == reference
-            for fact in players:
-                assert type(values[fact]) is Fraction
-                assert values[fact].numerator == reference[fact].numerator
-                assert (values[fact].denominator
-                        == reference[fact].denominator)
+        tapes = _group(_tape(FLOAT64_SHAPE), 3)
+        _assert_identical(_run(tapes, kernel), _per_answer(tapes))
 
     @needs_numpy
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("kernel", ["int64", "torch"])
+    @pytest.mark.parametrize("kernel", ["int64", "auto"])
     def test_randomized_mixed_tier_batch_parity(self, seed, kernel):
-        # The property test of the PR: a batch mixing lanes from every
-        # tier (float64 / CRT / beyond-capacity fallback) in a seeded
-        # shuffled order returns byte-identical Fractions to the
-        # interpreted per-answer pass, on every machine-width kernel.
+        # A group mixing answers from every tier (float64 / CRT /
+        # beyond-capacity fallback) in a seeded shuffled order returns
+        # byte-identical Fractions to the interpreted per-answer pass.
         import random
 
         rng = random.Random(seed)
@@ -237,24 +280,15 @@ class TestShapleyAllFactsBatched:
         for shape in shapes:
             lanes.extend([_tape(shape)] * rng.randint(1, 3))
         rng.shuffle(lanes)
-        tapes, endo = [], []
-        for i, base in enumerate(lanes):
-            tapes.append(base.with_labels(
-                {label: (label, i) for label in base.var_labels}))
-            endo.append(self._players(base, i))
+        tapes = [
+            base.with_labels({label: (label, i) for label in base.var_labels})
+            for i, base in enumerate(lanes)
+        ]
         stats = FastpathStats()
-        batched = shapley_all_facts_batched(
-            tapes, endo, kernel=kernel, fastpath_stats=stats)
+        got = _run(tapes, kernel, stats)
         assert stats.hits + stats.fallbacks == len(tapes)
         assert stats.ineligible > 0  # the fallback shape was present
-        for lane_tape, players, values in zip(tapes, endo, batched):
-            reference = shapley_all_facts(
-                None, players, method="derivative", tape=lane_tape,
-                kernel="python",
-            )
-            assert values == reference
-            for fact in players:
-                assert type(values[fact]) is Fraction
+        _assert_identical(got, _per_answer(tapes))
 
     def test_length_mismatch_rejected(self):
         tape = _tape(FLOAT64_SHAPE)
@@ -262,10 +296,9 @@ class TestShapleyAllFactsBatched:
             shapley_all_facts_batched([tape], [])
 
     def test_empty_endo_list_yields_empty_dict(self):
-        tape = _tape(FLOAT64_SHAPE)
-        players = self._players(tape, 1)
-        out = shapley_all_facts_batched(
-            _group(tape, 2), [[], players])
+        tapes = _group(_tape(FLOAT64_SHAPE), 2)
+        players = _players(tapes[1])
+        out = shapley_all_facts_batched(tapes, [[], players])
         assert out[0] == {}
         assert set(out[1]) == set(players)
 
@@ -301,6 +334,26 @@ class TestRunExactBatch:
                 break
             assert "batch_exec" in outcome.timings
             assert any(key.startswith("tier_") for key in outcome.timings)
+
+    @needs_numpy
+    def test_tier_timing_comes_from_the_sweep_that_ran(self):
+        # The reference kernel has no machine-width sweep: no tier is
+        # reported and no level plan is built; int64 reports its tier.
+        circuits, endo = self._answers(3)
+        python_cache = ArtifactCache()
+        for outcome in run_exact_batch(circuits, endo, cache=python_cache):
+            assert outcome.ok
+            assert not any(key.startswith("tier_") for key in outcome.timings)
+        tape = python_cache.open(circuits[0].condition({})).tape()
+        assert "plan" not in tape._analysis
+
+        int64_cache = ArtifactCache()
+        outcomes = run_exact_batch(circuits, endo, cache=int64_cache,
+                                   numeric_backend="int64")
+        tape = int64_cache.open(circuits[0].condition({})).tape()
+        tier = plan_for(tape).tier_name
+        for outcome in outcomes:
+            assert f"tier_{tier}" in outcome.timings
 
     def test_singleton_delegates_to_run_exact(self):
         circuits, endo = self._answers(1)
@@ -368,7 +421,7 @@ def fleet(tmp_path):
 
 class TestBatchedTransportParity:
     def test_identical_fractions_across_kernels_and_transports(self, fleet):
-        # The acceptance matrix: batched execution on three kernels x
+        # The acceptance matrix: grouped execution on three kernels x
         # three transports == the unbatched reference, byte for byte.
         db = join_database(6, 2)
         baseline = ExplainSession(
@@ -376,7 +429,7 @@ class TestBatchedTransportParity:
             options=EngineOptions(batch_execution=False),
         ).explain_many(JOIN_QUERY)
         expected = {a: r.values for a, r in baseline.items()}
-        for backend in ("python", "auto", "torch"):
+        for backend in ("python", "int64", "auto"):
             with ExplainSession(
                 db, method="exact", max_workers=2,
                 options=EngineOptions(numeric_backend=backend),
@@ -402,7 +455,7 @@ class TestBatchedTransportParity:
             stats = session.stats
         assert all(r.ok for r in results.values())
         # six isomorphic answers, one shape: the warm representative
-        # runs alone, the other five execute as one batched group.
+        # runs alone, the other five share one group pass.
         assert stats["batched_groups"] == 1
         assert stats["batched_answers"] == 5
 
@@ -442,39 +495,3 @@ class TestBatchedTransportParity:
             stats = session.stats
         assert all(r.ok for r in results.values())
         assert stats["batched_groups"] == 0
-
-
-class TestTorchBackendGating:
-    def test_torch_is_a_registered_kernel_name(self):
-        assert "torch" in available_kernels()
-
-    @pytest.mark.skipif(HAS_TORCH, reason="torch installed")
-    def test_absent_torch_falls_back_to_the_ladder(self):
-        kernel = get_kernel("torch")
-        if HAS_NUMPY:
-            assert isinstance(kernel, Int64Kernel)
-            assert kernel.name == "int64"
-        else:
-            assert kernel is get_kernel("python")
-
-    @pytest.mark.skipif(HAS_TORCH, reason="torch installed")
-    def test_absent_torch_strict_raises(self):
-        with pytest.raises(ValueError, match="unavailable"):
-            get_kernel("torch", strict=True)
-
-    @needs_numpy
-    def test_torch_backend_request_stays_exact(self):
-        # With torch installed this routes the sweeps through the torch
-        # backend; without it the NumPy path serves the request — the
-        # results must be identical either way.
-        tapes = _group(_tape(CRT_SHAPE), 3)
-        batched = batched_fastpath_diffs(tapes, backend="torch")
-        assert batched == [fastpath_diffs(tape) for tape in tapes]
-
-    @pytest.mark.skipif(not HAS_TORCH, reason="torch not installed")
-    def test_torch_sweeps_match_numpy_across_tiers(self):
-        for shape in (FLOAT64_SHAPE, INT64_SHAPE, CRT_SHAPE):
-            tapes = _group(_tape(shape), 3)
-            via_torch = batched_fastpath_diffs(tapes, backend="torch")
-            via_numpy = batched_fastpath_diffs(tapes)
-            assert via_torch == via_numpy

@@ -1,4 +1,4 @@
-"""Tests for d-DNNF algorithms: counting, WMC, smoothing, Lemma 4.6,
+"""Tests for d-DNNF algorithms: counting, WMC, Lemma 4.6,
 and the .nnf format."""
 
 from fractions import Fraction
@@ -21,7 +21,6 @@ from repro.circuits import (
     from_nnf_text,
     model_count,
     probability,
-    smooth,
     to_nnf_text,
     tseytin_transform,
     weighted_model_count,
@@ -191,44 +190,6 @@ class TestWeightedCounting:
                     weight *= probs[v] if v in chosen else 1 - probs[v]
                 expected += weight
         assert probability(ddnnf, probs) == expected
-
-
-class TestSmoothing:
-    def test_smooth_preserves_counts(self):
-        c = Circuit()
-        x, y = c.var("x"), c.var("y")
-        # OR with a gap: x | (x? no) -- use x | (y & !x) variant w/ gap:
-        c.output = c.or_((c.and_((x, y)), c.not_(x)))
-        smoothed = smooth(c)
-        assert count_models_by_size(smoothed) == count_models_by_size(c)
-
-    def test_smooth_or_children_cover_gate_vars(self):
-        c = Circuit()
-        x, y = c.var("x"), c.var("y")
-        c.output = c.or_((c.and_((x, y)), c.not_(x)))
-        smoothed = smooth(c)
-        sets = smoothed.gate_var_sets()
-        for gate in sets:
-            if smoothed.kind(gate).name == "OR":
-                for child in smoothed.children(gate):
-                    assert sets[child] == sets[gate]
-
-    def test_smooth_extends_to_target_vars(self):
-        c = Circuit()
-        c.output = c.var("x")
-        smoothed = smooth(c, target_vars=["x", "extra1", "extra2"])
-        counts, nvars = count_models_by_size(smoothed)
-        assert nvars == 3
-        assert sum(counts) == 4  # x * 2^2
-
-    @given(nested_exprs(), st.sets(st.sampled_from(VARS)))
-    @settings(max_examples=60, deadline=None)
-    def test_smooth_equivalence(self, expr, assignment):
-        _, ddnnf = compiled(expr)
-        if ddnnf.kind(ddnnf.output_gate()).name in ("TRUE", "FALSE"):
-            return
-        smoothed = smooth(ddnnf)
-        assert smoothed.evaluate(assignment) == ddnnf.evaluate(assignment)
 
 
 class TestEliminateAuxiliary:

@@ -202,6 +202,12 @@ class TestRep003FloatsInExactModules:
     def test_out_of_scope_module_ignored(self):
         assert rules("src/repro/core/pipeline.py", "x = 0.5\n") == []
 
+    def test_level_scheduled_sweeps_in_scope(self):
+        assert rules(
+            "src/repro/core/numerics/fixed.py",
+            "scale = 2.0\n",
+        ) == ["REP003"]
+
 
 LOCK_CYCLE = """
 import threading

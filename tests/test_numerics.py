@@ -7,9 +7,8 @@ artifact kind of the persistent store), the incremental
 ``shapley_coefficients`` recurrence, the unified Equation-3
 combination's bounds handling, and the headline randomized parity
 suite: on seeded small monotone CNFs, conditioning mode == derivative
-(smoothing-free) mode == smoothed mode == naive permutation
-enumeration, with byte-identical Fractions across both kernels and all
-three transports.
+(smoothing-free) mode == naive permutation enumeration, with
+byte-identical Fractions across both kernels and all three transports.
 """
 
 import random
@@ -358,7 +357,7 @@ class TestParitySuite:
         naive = shapley_naive(game_from_circuit(circuit), players)
         results = {}
         for kernel in (PYTHON, NUMPY, INT64):
-            for mode in ("conditioning", "derivative", "smoothed"):
+            for mode in ("conditioning", "derivative"):
                 results[(kernel.name, mode)] = shapley_all_facts(
                     ddnnf, players, method=mode, kernel=kernel
                 )
@@ -378,7 +377,7 @@ class TestParitySuite:
         players = ["a", "b", "c"]
         ddnnf = _compile(circuit)
         naive = shapley_naive(game_from_circuit(circuit), players)
-        for mode in ("conditioning", "derivative", "smoothed"):
+        for mode in ("conditioning", "derivative"):
             assert shapley_all_facts(ddnnf, players, method=mode) == naive
 
     def test_prebuilt_tape_path_matches(self):
