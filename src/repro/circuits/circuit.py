@@ -251,14 +251,31 @@ class Circuit:
                     stack.append(child)
         return flags
 
+    def cone(self, root: int | None = None) -> list[int]:
+        """Return the ids of the gates reachable from ``root``, sorted.
+
+        Sorted ids are a bottom-up order, so every pass over the cone
+        visits gates exactly as a sweep of ``range(root + 1)`` filtered
+        by :meth:`reachable` would.  The walk touches only the cone: one
+        answer's lineage inside a large shared provenance circuit costs
+        time proportional to that lineage, not to the shared circuit.
+        """
+        if root is None:
+            root = self.output_gate()
+        childs = self._children
+        seen = {root}
+        stack = [root]
+        while stack:
+            for child in childs[stack.pop()]:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        return sorted(seen)
+
     def reachable_vars(self, root: int | None = None) -> set[Hashable]:
         """Return the labels of variables reachable from ``root``."""
-        flags = self.reachable(root)
-        return {
-            self._labels[gate]
-            for gate, kind in enumerate(self._kinds)
-            if kind == VAR and flags[gate]
-        }
+        kinds = self._kinds
+        return {self._labels[gate] for gate in self.cone(root) if kinds[gate] == VAR}
 
     def gate_var_sets(self, root: int | None = None) -> dict[int, frozenset[int]]:
         """Compute ``Vars(g)`` for every gate reachable from ``root``.
@@ -266,14 +283,9 @@ class Circuit:
         Variable sets are represented as frozensets of VAR *gate ids* (not
         labels), which is both faster and unambiguous.
         """
-        if root is None:
-            root = self.output_gate()
-        flags = self.reachable(root)
         empty: frozenset[int] = frozenset()
         sets: dict[int, frozenset[int]] = {}
-        for gate in range(root + 1):
-            if not flags[gate]:
-                continue
+        for gate in self.cone(root):
             kind = self._kinds[gate]
             if kind == VAR:
                 sets[gate] = frozenset((gate,))
@@ -311,15 +323,10 @@ class Circuit:
         share one compiled artifact, recovered per tuple by renaming
         canonical variable *i* back to ``labels[i]``.
         """
-        if root is None:
-            root = self.output_gate()
-        flags = self.reachable(root)
         canon: dict[int, int] = {}
         labels: list[Hashable] = []
         parts: list[tuple] = []
-        for gate in range(root + 1):
-            if not flags[gate]:
-                continue
+        for gate in self.cone(root):
             kind = self._kinds[gate]
             if kind == VAR:
                 parts.append((kind, len(labels)))
@@ -417,21 +424,24 @@ class Circuit:
     # Transformation
     # ------------------------------------------------------------------
 
-    def condition(self, assignment: Mapping[Hashable, bool]) -> "Circuit":
+    def condition(
+        self, assignment: Mapping[Hashable, bool], root: int | None = None
+    ) -> "Circuit":
         """Return a new circuit with the given variables fixed.
 
         This is the partial evaluation ``C[f -> 0/1]`` used by Algorithm 1
         and by the exogenous-variable elimination of the pipeline
         (``ELin`` is ``Lin`` with all exogenous facts set to 1).  Constant
         propagation happens on the fly, so the result is simplified.
+        The result holds only the cone of ``root`` (default: the
+        output), so ``condition({}, root=g)`` extracts gate ``g``'s
+        sub-circuit in time proportional to that sub-circuit.
         """
+        if root is None:
+            root = self.output_gate()
         result = Circuit()
-        root = self.output_gate()
-        flags = self.reachable(root)
         mapping: dict[int, int] = {}
-        for gate in range(root + 1):
-            if not flags[gate]:
-                continue
+        for gate in self.cone(root):
             kind = self._kinds[gate]
             if kind == VAR:
                 lbl = self._labels[gate]
@@ -467,11 +477,8 @@ class Circuit:
         """
         result = Circuit()
         root = self.output_gate()
-        flags = self.reachable(root)
         mapping: dict[int, int] = {}
-        for gate in range(root + 1):
-            if not flags[gate]:
-                continue
+        for gate in self.cone(root):
             kind = self._kinds[gate]
             if kind == VAR:
                 mapping[gate] = result.var(self._labels[gate])
@@ -505,11 +512,8 @@ class Circuit:
         """
         result = Circuit()
         root = self.output_gate()
-        flags = self.reachable(root)
         gates: dict[int, int] = {}
-        for gate in range(root + 1):
-            if not flags[gate]:
-                continue
+        for gate in self.cone(root):
             kind = self._kinds[gate]
             if kind == VAR:
                 lbl = self._labels[gate]
@@ -544,14 +548,11 @@ class Circuit:
         """
         if root is None:
             root = self.output_gate()
-        flags = self.reachable(root)
         dense: dict[int, int] = {}
         kinds: list[int] = []
         children: list[list[int]] = []
         labels: list[Hashable | None] = []
-        for gate in range(root + 1):
-            if not flags[gate]:
-                continue
+        for gate in self.cone(root):
             dense[gate] = len(kinds)
             kinds.append(int(self._kinds[gate]))
             children.append([dense[c] for c in self._children[gate]])
@@ -622,14 +623,9 @@ class Circuit:
 
     def to_dot(self, root: int | None = None) -> str:
         """Render the circuit in Graphviz DOT format."""
-        if root is None:
-            root = self.output_gate()
-        flags = self.reachable(root)
         lines = ["digraph circuit {", "  rankdir=BT;"]
         symbols = {AND: "∧", OR: "∨", NOT: "¬", TRUE: "1", FALSE: "0"}
-        for gate in range(root + 1):
-            if not flags[gate]:
-                continue
+        for gate in self.cone(root):
             kind = self._kinds[gate]
             if kind == VAR:
                 text = str(self._labels[gate])

@@ -35,12 +35,11 @@ def tseytin_transform(circuit: Circuit, root: int | None = None) -> Cnf:
     """
     if root is None:
         root = circuit.output_gate()
-    pruned = circuit if root == circuit.output else _with_output(circuit, root)
     # Constant-propagate, then flatten nested same-kind gates: lineage
     # circuits chain binary ORs, and flattening recovers the compact
     # n-ary encoding of the paper's Example 5.3 (fewer auxiliary
     # variables, fewer clauses).
-    simplified = pruned.condition({}).flatten()
+    simplified = circuit.condition({}, root=root).flatten()
     out = simplified.output_gate()
 
     cnf = Cnf(0)
@@ -54,14 +53,12 @@ def tseytin_transform(circuit: Circuit, root: int | None = None) -> Cnf:
         return cnf
 
     # Literal (signed CNF variable) representing each reachable gate.
-    reachable = simplified.reachable(out)
+    cone = simplified.cone(out)
     lit: dict[int, int] = {}
-    for gate in range(out + 1):
-        if reachable[gate] and simplified.kind(gate) == VAR:
+    for gate in cone:
+        if simplified.kind(gate) == VAR:
             lit[gate] = cnf.new_var(simplified.label(gate))
-    for gate in range(out + 1):
-        if not reachable[gate]:
-            continue
+    for gate in cone:
         gkind = simplified.kind(gate)
         if gkind == VAR:
             continue
@@ -94,15 +91,3 @@ def tseytin_transform(circuit: Circuit, root: int | None = None) -> Cnf:
             raise CircuitError(f"unexpected constant gate {gate} after simplification")
     cnf.add_clause((lit[out],))
     return cnf
-
-
-def _with_output(circuit: Circuit, root: int) -> Circuit:
-    """Return a shallow view of ``circuit`` whose output is ``root``."""
-    view = Circuit()
-    view._kinds = circuit._kinds  # shared, read-only use
-    view._children = circuit._children
-    view._labels = circuit._labels
-    view._var_gates = circuit._var_gates
-    view._cache = circuit._cache
-    view.output = root
-    return view

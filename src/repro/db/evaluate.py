@@ -269,20 +269,11 @@ class LineageResult:
 
     def lineage_of(self, row: tuple) -> Circuit:
         """A pruned, standalone circuit for one output tuple."""
-        gate = self.relation.rows[row]
-        view = Circuit()
-        view._kinds = self.circuit._kinds
-        view._children = self.circuit._children
-        view._labels = self.circuit._labels
-        view._var_gates = self.circuit._var_gates
-        view._cache = self.circuit._cache
-        view.output = gate
-        return view.condition({})
+        return self.circuit.condition({}, root=self.relation.rows[row])
 
     def facts_of(self, row: tuple) -> set[Fact]:
         """Distinct facts appearing in one output tuple's lineage."""
-        gate = self.relation.rows[row]
-        return self.circuit.reachable_vars(gate)
+        return self.circuit.reachable_vars(self.relation.rows[row])
 
 
 def lineage(

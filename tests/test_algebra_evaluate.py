@@ -1,6 +1,10 @@
 """Tests for relational algebra evaluation across semirings."""
 
+from time import perf_counter
+
 import pytest
+
+from repro.circuits import Circuit
 
 from repro.db import (
     AlgebraError,
@@ -33,6 +37,7 @@ from repro.db import (
     evaluate,
     lineage,
 )
+from repro.db.evaluate import AnnotatedRelation, LineageResult
 
 
 def sample_db():
@@ -253,6 +258,49 @@ class TestLineage:
 
                 answer = ("y",) in ev(plan, world, BooleanSemiring()).rows
                 assert circuit.evaluate(set(subset)) == answer
+
+
+def _answer_on_shared_circuit(padding):
+    """One answer's lineage built on top of ``padding`` unrelated gates
+    that all have lower ids, as in a provenance circuit shared by many
+    answers."""
+    c = Circuit()
+    pad = [c.var(("pad", i)) for i in range(padding // 2)]
+    for left, right in zip(pad, pad[1:]):
+        c.and_((left, right))
+    r = [c.var(("R", i)) for i in range(3)]
+    s = [c.var(("S", i)) for i in range(3)]
+    terms = [c.and_((r[i], s[j])) for i in range(3) for j in range(3) if i <= j]
+    row = ("answer",)
+    relation = AnnotatedRelation(("R.a",), {row: c.or_(terms)})
+    return LineageResult(relation, c), row
+
+
+def _extraction_seconds(result, row, calls=100, repeats=5):
+    best = float("inf")
+    for _ in range(repeats):
+        start = perf_counter()
+        for _ in range(calls):
+            result.lineage_of(row)
+            result.facts_of(row)
+        best = min(best, perf_counter() - start)
+    return best
+
+
+class TestConeLocalExtraction:
+    def test_extraction_cost_ignores_unrelated_gates(self):
+        padded, row = _answer_on_shared_circuit(100_000)
+        plain, _ = _answer_on_shared_circuit(0)
+        assert len(padded.circuit) > 100_000
+        extracted = padded.lineage_of(row)
+        expected = plain.lineage_of(row)
+        assert (extracted._kinds, extracted._children, extracted._labels,
+                extracted.output) == (expected._kinds, expected._children,
+                                      expected._labels, expected.output)
+        assert padded.facts_of(row) == plain.facts_of(row)
+        ratio = (_extraction_seconds(padded, row)
+                 / _extraction_seconds(plain, row))
+        assert ratio < 5, f"padded extraction {ratio:.1f}x the unpadded one"
 
 
 class TestCounters:

@@ -1,5 +1,7 @@
 """Unit tests for repro.circuits.circuit."""
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -252,3 +254,122 @@ class TestPropertyBased:
         for gate in c.gates():
             for child in c.children(gate):
                 assert child < gate
+
+
+# ----------------------------------------------------------------------
+# Cone-local walkers vs. the whole-circuit flag sweep
+# ----------------------------------------------------------------------
+
+WALKER_LABELS = ["a", "b", "c", "d", "e"]
+
+
+@st.composite
+def shared_dags(draw):
+    """A random DAG built through the constructor API, a root anywhere in
+    it (not only the last gate) and a partial assignment.
+
+    Gates pick children from every gate built so far, so sub-circuits are
+    shared; constants and NOTs are drawn like any other gate.
+    """
+    c = Circuit()
+    pool = [c.var(draw(st.sampled_from(WALKER_LABELS)))]
+    for _ in range(draw(st.integers(1, 25))):
+        op = draw(st.sampled_from(["var", "true", "false", "not", "and", "or"]))
+        if op == "var":
+            pool.append(c.var(draw(st.sampled_from(WALKER_LABELS))))
+        elif op == "true":
+            pool.append(c.true())
+        elif op == "false":
+            pool.append(c.false())
+        elif op == "not":
+            pool.append(c.not_(draw(st.sampled_from(pool))))
+        else:
+            kids = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+            pool.append(c.and_(kids) if op == "and" else c.or_(kids))
+    c.output = len(c) - 1
+    root = draw(st.sampled_from(pool))
+    assignment = draw(
+        st.dictionaries(st.sampled_from(WALKER_LABELS), st.booleans())
+    )
+    return c, root, assignment
+
+
+def _flag_sweep_cone(circuit, root=None):
+    """The sweep the walkers used before ``Circuit.cone``: flag every gate
+    of the whole circuit, then filter ``range(root + 1)``."""
+    if root is None:
+        root = circuit.output_gate()
+    flags = circuit.reachable(root)
+    return [gate for gate in range(root + 1) if flags[gate]]
+
+
+def _arrays(circuit):
+    return circuit._kinds, circuit._children, circuit._labels, circuit.output
+
+
+def _rooted_view(circuit, root):
+    """A copy of ``circuit`` whose output is ``root`` (whole arrays kept),
+    so whole-circuit walkers can be pointed at an inner gate."""
+    view = Circuit()
+    view._kinds = list(circuit._kinds)
+    view._children = list(circuit._children)
+    view._labels = list(circuit._labels)
+    view.output = root
+    return view
+
+
+def _walker_outputs(circuit, root, assignment):
+    return {
+        "reachable_vars": circuit.reachable_vars(root),
+        "gate_var_sets": circuit.gate_var_sets(root),
+        "structural_signature": circuit.structural_signature(root),
+        "condition": _arrays(circuit.condition(assignment, root=root)),
+        "flatten": _arrays(_rooted_view(circuit, root).flatten()),
+        "rename": _arrays(
+            _rooted_view(circuit, root).rename({"a": "A", "c": "b"})
+        ),
+        "to_payload": circuit.to_payload(root),
+        "to_dot": circuit.to_dot(root),
+    }
+
+
+class TestConeWalkers:
+    @given(shared_dags())
+    @settings(max_examples=150, deadline=None)
+    def test_cone_matches_flag_sweep(self, case):
+        c, root, _ = case
+        assert c.cone(root) == _flag_sweep_cone(c, root)
+        assert c.cone() == _flag_sweep_cone(c)
+
+    @given(shared_dags())
+    @settings(max_examples=150, deadline=None)
+    def test_walkers_match_flag_sweep(self, case):
+        c, root, assignment = case
+        cone_local = _walker_outputs(c, root, assignment)
+        with patch.object(Circuit, "cone", _flag_sweep_cone):
+            swept = _walker_outputs(c, root, assignment)
+        for walker, value in cone_local.items():
+            assert value == swept[walker], walker
+
+    @given(shared_dags())
+    @settings(max_examples=150, deadline=None)
+    def test_condition_root_matches_rooted_view(self, case):
+        c, root, assignment = case
+        extracted = c.condition(assignment, root=root)
+        assert _arrays(extracted) == _arrays(
+            _rooted_view(c, root).condition(assignment)
+        )
+        for mask in range(1 << len(WALKER_LABELS)):
+            chosen = {l for i, l in enumerate(WALKER_LABELS) if mask >> i & 1}
+            fixed = {l for l in chosen if l not in assignment}
+            fixed |= {l for l, v in assignment.items() if v}
+            assert extracted.evaluate(chosen) == c.evaluate(fixed, root=root)
+
+    def test_cone_skips_lower_unrelated_gates(self):
+        c = Circuit()
+        for i in range(50):
+            c.var(("pad", i))
+        x, y = c.var("x"), c.var("y")
+        not_y = c.not_(y)
+        root = c.and_((x, not_y))
+        assert c.cone(root) == [x, y, not_y, root]
