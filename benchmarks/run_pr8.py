@@ -10,7 +10,7 @@ Checks, in one run:
 2. **Batched/per-answer x kernel x transport matrix** — on a join
    workload, batched sessions on every kernel (python / int64 / auto)
    and every transport (thread / process / socket) return Fractions
-   byte-identical to the unbatched reference session.
+   byte-identical to explaining each answer's lineage alone.
 3. **Mixed-tier batch** — one batch spanning the float64 tier, the CRT
    tier, and a beyond-capacity fallback shape stays exact answer by
    answer (one machine-width sweep per eligible shape, the fallback
@@ -47,10 +47,12 @@ from repro.core.numerics import (  # noqa: E402
     compile_tape,
     plan_for,
 )
+from repro.core.pipeline import to_plan  # noqa: E402
 from repro.core.shapley import shapley_all_facts_batched  # noqa: E402
 from repro.db import (  # noqa: E402
     Database, RelationSchema, Schema, cq,
 )
+from repro.db.evaluate import lineage  # noqa: E402
 from repro.engine import (  # noqa: E402
     Coordinator, EngineOptions, ExplainSession, run_worker,
 )
@@ -189,13 +191,17 @@ def _join_database(n_answers: int, fanout: int) -> Database:
 
 
 def transport_matrix(quick: bool) -> dict:
-    """Batched sessions across kernels and transports vs the unbatched
+    """Batched sessions across kernels and transports vs the per-answer
     reference — the ``identical_fractions`` acceptance matrix."""
     db = _join_database(6 if quick else 10, 2)
-    reference = ExplainSession(
-        db, method="exact", options=EngineOptions(batch_execution=False),
-    ).explain_many(JOIN_QUERY)
-    expected = {answer: result.values for answer, result in reference.items()}
+    answers = lineage(to_plan(JOIN_QUERY, db), db, endogenous_only=True)
+    with ExplainSession(db, method="exact") as session:
+        expected = {}
+        for answer in answers.tuples():
+            circuit = answers.lineage_of(answer)
+            expected[answer] = session.explain_one(
+                circuit, sorted(circuit.reachable_vars())
+            ).values
     coordinator = Coordinator().start()
     with tempfile.TemporaryDirectory() as store_dir:
         ready = threading.Barrier(3, timeout=30)

@@ -268,9 +268,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             budget=CompilationBudget(max_seconds=args.timeout), timeout=None,
             numeric_backend=_numeric_backend(args),
             compile_jobs=args.compile_jobs,
-            batch_execution=not args.no_batch,
-            pipeline_execution=not args.no_pipeline,
-            pipeline_cost_scale=args.pipeline_cost_scale,
         ),
         cache=cache,
         max_workers=args.jobs,
@@ -324,7 +321,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "stats": stats,
             "store_artifacts": len(store) if store is not None else None,
             # Stable digest of every answer's exact Fractions: two runs
-            # (pipelined vs barrier, different transports) agree iff
+            # (different transports, kernels or hosts) agree iff
             # their digests match — what 'bench compare' checks.
             "fractions_digest": _fractions_digest(results),
         }
@@ -843,21 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "machine-width fast path, 'auto' the ladder "
                         "int64>numpy>python; NumPy-backed kernels fall "
                         "back to the reference when NumPy is missing)")
-    b.add_argument("--no-batch", action="store_true",
-                   help="disable same-shape group execution (one "
-                        "Algorithm-1 sweep per answer; results are "
-                        "identical either way)")
-    b.add_argument("--no-pipeline", action="store_true",
-                   help="disable pipelined cold-batch execution (run the "
-                        "classic warm-wave compile barrier instead; "
-                        "results are identical either way — the A/B "
-                        "switch for 'bench compare')")
-    b.add_argument("--pipeline-cost-scale", type=float, default=None,
-                   metavar="SECONDS_PER_UNIT",
-                   help="seed the compile cost model's seconds-per-unit "
-                        "scale instead of calibrating from the first "
-                        "batch's recorded compile timings (advanced; "
-                        "affects compile ordering only, never results)")
     b.add_argument("--repeats", type=_positive_int, default=1,
                    help="timed repetitions of the batch; > 1 adds one "
                         "explicit warm-up iteration first and reports "

@@ -10,9 +10,9 @@
 * :mod:`~repro.engine.store` — the disk-backed
   :class:`PersistentArtifactStore`, the cache's second tier sharing
   canonical artifacts across processes and runs;
-* :mod:`~repro.engine.scheduler` — pure placement logic: shape dedup,
-  warm-up planning (:func:`plan_batch`) and shard assignment with
-  shape affinity (:func:`assign_shards`);
+* :mod:`~repro.engine.scheduler` — pure planning logic: shape dedup,
+  one representative per shape and the batch's distinct component
+  compiles (:func:`plan_batch`);
 * :mod:`~repro.engine.service` — the transport layer executing batch
   plans: in-process threads, a persistent process pool, and the socket
   coordinator/worker pair behind ``repro serve`` / ``repro worker``;
@@ -34,7 +34,7 @@ from .base import (
 from .cache import ArtifactCache, CacheStats, CircuitArtifacts
 from .store import GcReport, PersistentArtifactStore, StoreEntry, StoreStats
 from .registry import available_engines, get_engine, register_engine
-from .scheduler import BatchPlan, Job, assign_shards, plan_batch
+from .scheduler import BatchPlan, Job, plan_batch
 from .service import (
     Backoff,
     Coordinator,
@@ -64,7 +64,7 @@ __all__ = [
     "ArtifactCache", "CacheStats", "CircuitArtifacts",
     "PersistentArtifactStore", "StoreStats", "StoreEntry", "GcReport",
     "available_engines", "get_engine", "register_engine",
-    "BatchPlan", "Job", "assign_shards", "plan_batch",
+    "BatchPlan", "Job", "plan_batch",
     "Transport", "TransportError", "FleetBusy", "FleetUnavailable",
     "InProcessTransport",
     "ProcessPoolTransport", "SocketTransport", "Coordinator", "run_worker",

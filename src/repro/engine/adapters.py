@@ -70,16 +70,12 @@ class ExactEngine(Engine):
         options (sessions hand every member of a shape group the same
         options, cache included); per-answer artifacts handles are
         honoured individually.  Falls back to the per-answer loop for
-        non-derivative modes, disabled batching, and singleton groups.
+        non-derivative modes and singleton groups.
         """
         if not requests:
             return []
         options = requests[0][2] or DEFAULT_OPTIONS
-        if (
-            options.mode != "derivative"
-            or not options.batch_execution
-            or len(requests) == 1
-        ):
+        if options.mode != "derivative" or len(requests) == 1:
             return super().explain_batch(requests)
         start = time.perf_counter()
         outcomes = run_exact_batch(

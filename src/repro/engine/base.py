@@ -82,23 +82,6 @@ class EngineOptions:
     #: serial).  Purely a wall-clock knob: stitching is deterministic,
     #: so the compiled circuit is byte-identical to the serial one.
     compile_jobs: int | None = None
-    #: Whether sessions may group same-shape answers so that they
-    #: share one Algorithm-1 sweep (the warm path).  Purely a
-    #: performance knob: batched and per-answer execution return
-    #: byte-identical Fractions.
-    batch_execution: bool = True
-    #: Whether sessions may replace the warm-wave barrier with the
-    #: pipelined cold-batch schedule (fleet-deduplicated one-pass
-    #: component compilation overlapped with stitch/group execution —
-    #: the PR 9 cold path).  Purely a performance knob: pipelined and
-    #: barrier execution return byte-identical Fractions.
-    pipeline_execution: bool = True
-    #: Initial seconds-per-unit scale of the compile cost model (see
-    #: :class:`~repro.engine.scheduler.CompileCostModel`); ``None``
-    #: starts uncalibrated and learns from the first recorded
-    #: component-compile timings.  Only the critical-path *ordering* of
-    #: compiles depends on it, never any result.
-    pipeline_cost_scale: float | None = None
     cache: "ArtifactCache | None" = field(default=None, repr=False)
     artifacts: "CircuitArtifacts | None" = field(default=None, repr=False)
 

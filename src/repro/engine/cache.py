@@ -103,14 +103,14 @@ class CacheStats:
     #: values flow into ``session.stats`` / socket ``remote_*``
     #: aggregates, flagging a poisoned store fleet-wide.
     verifier_violations: int = 0
-    #: Pipelined cold-batch execution (the PR 9 tentpole).
+    #: Batch-schedule counters.
     #: ``component_pass_compiles`` counts standalone compiles performed
     #: by the fleet-wide one-pass component phase (a subset of
     #: ``component_compilations``); ``stitch_jobs`` the per-shape stitch
     #: jobs dispatched once their components landed;
     #: ``pipeline_overlap_seconds`` the wall-clock during which compile
     #: and execute work genuinely overlapped (union-interval
-    #: intersection — the seconds the old warm-wave barrier wasted).
+    #: intersection).
     component_pass_compiles: int = 0
     stitch_jobs: int = 0
     pipeline_overlap_seconds: float = 0.0

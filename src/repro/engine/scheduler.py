@@ -1,38 +1,38 @@
-"""Pure scheduling and placement logic for batched explanation.
+"""Pure scheduling logic for batched explanation.
 
 Extracted from :class:`~repro.engine.session.ExplainSession` so that the
-decisions — which answers share a lineage shape, which job warms each
-shape, and which shard (worker) each job lands on — are plain data
-transformations, unit-testable without a database, an executor, or a
-socket.  The session builds :class:`Job` objects (binding an answer to
-its circuit, player list, and per-answer options), hands them to
-:func:`plan_batch`, and passes the resulting :class:`BatchPlan` to a
-transport (:mod:`repro.engine.service`); the socket coordinator reuses
-:func:`assign_shards` to place jobs on workers with shape affinity.
+decisions — which answers share a lineage shape, which job represents
+each shape, and which canonical components the batch must compile —
+are plain data transformations, unit-testable without a database, an
+executor, or a socket.  The session builds :class:`Job` objects
+(binding an answer to its circuit, player list, and per-answer
+options), hands them to :func:`plan_batch`, and passes the resulting
+:class:`BatchPlan` to a transport (:mod:`repro.engine.service`).
+
+Every transport runs one schedule over the plan's dependency DAG:
+distinct component compiles first, then each shape's representative
+once the components it needs have landed, then the shape's sibling
+groups once the representative has finished.
 
 Scheduling invariants
 ---------------------
-* **Warm-up planning** — for cache-using engines, exactly one job per
-  canonical shape (the batch's first occurrence) goes into the warm
-  wave; every other job of that shape is a guaranteed cache/store hit
-  once its representative has run.
-* **Shape affinity** — :func:`assign_shards` keeps all jobs of one
-  shape on one shard, so a worker that compiled a shape serves its
-  siblings from its own in-memory cache even without a shared store.
-* **Determinism** — both functions are pure: same jobs in, same plan
-  out, regardless of thread timing or worker arrival order.
+* **Representatives** — for cache-using engines, exactly one job per
+  canonical shape (the batch's first occurrence) is its
+  representative; every other job of that shape is a guaranteed
+  cache/store hit once its representative has run.
+* **One compile per component** — :func:`plan_pipeline` dedupes
+  canonical components across every cold shape of the batch.
+* **Determinism** — planning is pure: same jobs in, same plan out,
+  regardless of thread timing or worker arrival order.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 from .base import EngineOptions
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -74,7 +74,7 @@ class Job:
         )
 
     def affinity(self) -> str:
-        """The placement key: jobs with equal keys share a shard."""
+        """The shape key: jobs with equal keys share a representative."""
         if self.signature is None:
             return f"job:{self.index}"
         if isinstance(self.signature, str):
@@ -84,7 +84,7 @@ class Job:
         return signature_digest(self.signature)
 
 
-def estimate_compile_cost(key: Sequence, scale: float = 1.0) -> float:
+def estimate_compile_cost(key: Sequence) -> float:
     """A priori cost estimate for compiling one canonical component.
 
     ``key`` is a canonical clause set (tuple of literal tuples).  The
@@ -92,8 +92,7 @@ def estimate_compile_cost(key: Sequence, scale: float = 1.0) -> float:
     the worst case — but it only has to *rank* components: literal
     count times ``log2`` of the variable count tracks the branching
     work of the compiler's divide-and-conquer well enough to put big
-    components first.  ``scale`` converts the unitless raw score into
-    seconds once calibrated (see :class:`CompileCostModel`).
+    components first.
     """
     n_literals = 0
     variables: set[int] = set()
@@ -101,51 +100,7 @@ def estimate_compile_cost(key: Sequence, scale: float = 1.0) -> float:
         n_literals += len(clause)
         for lit in clause:
             variables.add(abs(lit))
-    raw = float(n_literals) * max(1.0, math.log2(len(variables) + 1))
-    return scale * raw
-
-
-class CompileCostModel:
-    """Calibrated compile-cost estimator for critical-path scheduling.
-
-    Starts from the structural score of :func:`estimate_compile_cost`
-    and learns a single seconds-per-unit ``scale`` from observed
-    component-compile timings (exponentially weighted, so the model
-    adapts within a few observations but never flaps on one outlier).
-    One instance lives on the session and persists across batches, so
-    the second cold batch is scheduled with calibrated estimates.
-
-    Thread-safe: transports report timings from worker threads.
-    """
-
-    #: EWMA weight of each new observation.
-    ALPHA = 0.3
-
-    def __init__(self, scale: float | None = None) -> None:
-        self._scale = float(scale) if scale is not None else 1.0
-        self._calibrated = scale is not None
-        self._lock = threading.Lock()
-
-    @property
-    def scale(self) -> float:
-        with self._lock:
-            return self._scale
-
-    def estimate(self, key: Sequence) -> float:
-        return estimate_compile_cost(key, self.scale)
-
-    def observe(self, key: Sequence, seconds: float) -> None:
-        """Fold one measured component compile into the scale."""
-        raw = estimate_compile_cost(key, 1.0)
-        if raw <= 0.0 or seconds < 0.0:
-            return
-        observed = seconds / raw
-        with self._lock:
-            if not self._calibrated:
-                self._scale = observed
-                self._calibrated = True
-            else:
-                self._scale += self.ALPHA * (observed - self._scale)
+    return float(n_literals) * max(1.0, math.log2(len(variables) + 1))
 
 
 @dataclass(frozen=True)
@@ -153,18 +108,17 @@ class ComponentJob:
     """One fleet-deduplicated component compile of the pipeline pass.
 
     ``key`` is the canonical clause set (the :mod:`compiler.knowledge`
-    memo key), ``cost`` the model's estimate, and ``shapes`` the
-    affinity digests of every shape in this batch that stitches it.
+    memo key) and ``shapes`` the affinity digests of every shape in
+    this batch that stitches it.
     """
 
     key: object
-    cost: float
     shapes: tuple[str, ...]
 
 
 @dataclass
 class PipelinePlan:
-    """The dependency DAG of a pipelined cold batch.
+    """The compile units of a batch's dependency DAG.
 
     ``components`` holds each distinct canonical component exactly once,
     in dispatch order (critical-path-first: components of the most
@@ -177,16 +131,6 @@ class PipelinePlan:
 
     components: list[ComponentJob]
     needs: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    #: The session's :class:`CompileCostModel`, threaded through so
-    #: transports can calibrate it with measured compile timings.
-    #: Process-local (never pickled — the wire payload carries only
-    #: components and needs).
-    cost_model: "CompileCostModel | None" = field(
-        default=None, repr=False, compare=False
-    )
-
-    def total_cost(self) -> float:
-        return sum(job.cost for job in self.components)
 
 
 def artifact_component_planner(kind: str = "tape") -> Callable[["Job"], object]:
@@ -198,8 +142,7 @@ def artifact_component_planner(kind: str = "tape") -> Callable[["Job"], object]:
     shapes — ``kind`` artifact already in memory or on disk — plan no
     compiles, cold shapes plan their distinct canonical components.
     Planning failures degrade to "no plan" rather than aborting the
-    batch: the shape then compiles inline in its stitch job, exactly as
-    the non-pipelined path would.
+    batch: the shape's representative then compiles inline.
     """
 
     def planner(job: "Job") -> object:
@@ -223,10 +166,8 @@ class BatchPlan:
     ``jobs`` is every job in answer order; ``warm_wave`` holds one
     representative per distinct shape (empty when ``deduplicated`` is
     false — sampling engines have nothing to warm), ``main_wave`` the
-    rest.  Transports honour the one barrier that matters: a shape's
-    main-wave jobs must not start before its warm representative has
-    finished (or before the whole warm wave, which is a coarser but
-    equally correct cut).
+    rest.  Transports honour one ordering constraint: a shape's
+    main-wave jobs start only after its representative has finished.
     """
 
     engine: str
@@ -242,21 +183,26 @@ class BatchPlan:
     #: Whether transports should execute ``groups`` as whole-shape
     #: batched calls instead of one call per main-wave job.
     batched: bool = False
-    #: The compile/execute pipeline DAG, or ``None`` for the classic
-    #: warm-wave-barrier schedule (warm batches, sampling engines, or
-    #: pipelining disabled).  When set, transports overlap the
-    #: component-compile pass with stitch and group execution.
+    #: The batch's component compiles and the shapes gated on them, or
+    #: ``None`` when the DAG has no compile units (warm batches,
+    #: sampling engines, shapes too small to memoize).
     pipeline: "PipelinePlan | None" = None
 
     def __post_init__(self) -> None:
         if self.groups is None:
             self.groups = [[job] for job in self.main_wave]
 
+    def compilation_budget(self):
+        """The budget of the batch's component compiles (the
+        representatives' options carry it)."""
+        if not self.warm_wave:
+            return None
+        return self.warm_wave[0].options.compilation_budget()
+
 
 def plan_pipeline(
     warm_wave: Sequence[Job],
     component_planner: Callable[[Job], object],
-    cost_model: CompileCostModel | None = None,
 ) -> PipelinePlan | None:
     """Plan the fleet-wide one-pass component compile for a batch.
 
@@ -267,8 +213,7 @@ def plan_pipeline(
     by the costliest shape go first (so the longest stitch chain starts
     as early as possible), ties broken by own cost descending, then by
     key — fully deterministic.  Returns ``None`` when no shape plans
-    any component: the batch should then run the classic schedule, with
-    zero pipeline overhead.
+    any component.
     """
     owners: dict[object, list[str]] = {}
     shape_keys: dict[str, list[object]] = {}
@@ -286,10 +231,7 @@ def plan_pipeline(
                 owned.append(affinity)
     if not owners:
         return None
-    estimate = (
-        cost_model.estimate if cost_model is not None else estimate_compile_cost
-    )
-    costs = {key: float(estimate(key)) for key in owners}
+    costs = {key: estimate_compile_cost(key) for key in owners}
     shape_cost = {
         affinity: sum(costs[key] for key in keys)
         for affinity, keys in shape_keys.items()
@@ -302,42 +244,37 @@ def plan_pipeline(
             key,
         ),
     )
-    components = [
-        ComponentJob(key, costs[key], tuple(owners[key])) for key in ordered
-    ]
+    components = [ComponentJob(key, tuple(owners[key])) for key in ordered]
     position = {job.key: index for index, job in enumerate(components)}
     needs = {
         affinity: tuple(sorted(position[key] for key in keys))
         for affinity, keys in shape_keys.items()
     }
-    return PipelinePlan(components, needs, cost_model=cost_model)
+    return PipelinePlan(components, needs)
 
 
 def plan_batch(
     engine: str, jobs: Sequence[Job], deduplicate: bool,
     batch: bool = False,
     component_planner: Callable[[Job], object] | None = None,
-    cost_model: CompileCostModel | None = None,
 ) -> BatchPlan:
-    """Group ``jobs`` by canonical shape and plan the warm-up wave.
+    """Group ``jobs`` by canonical shape and pick each representative.
 
     With ``deduplicate`` false (engines that never touch the cache)
-    every job is its own shape and the whole batch is one wave.  Jobs
-    whose ``signature`` is ``None`` never share a group even when
+    every job is its own shape, with no representative.  Jobs whose
+    ``signature`` is ``None`` never share a group even when
     deduplicating — an unknown shape must not alias another.
 
-    With ``batch`` true (engines whose ``supports_batch`` is set and
-    sessions that keep ``batch_execution`` on), the plan additionally
-    carries the main wave as same-shape *groups*: transports then
-    execute each group as one batched engine call.  The warm wave is
-    unchanged — each shape's representative still runs first and alone,
-    so compile-once/store invariants hold batched or not.
+    With ``batch`` true (engines whose ``supports_batch`` is set), the
+    plan additionally carries the main wave as same-shape *groups*:
+    transports then execute each group as one batched engine call.
+    Each shape's representative still runs first and alone, so
+    compile-once/store invariants hold batched or not.
 
     With a ``component_planner`` (see :func:`artifact_component_planner`
-    and :func:`plan_pipeline`), the plan also carries the compile/
-    execute pipeline DAG in :attr:`BatchPlan.pipeline` — ``None`` when
-    every shape turns out warm, in which case transports fall back to
-    the classic schedule at no cost.
+    and :func:`plan_pipeline`), the plan also carries the batch's
+    component compiles in :attr:`BatchPlan.pipeline` — ``None`` when
+    every shape turns out warm.
     """
     jobs = list(jobs)
     if not deduplicate:
@@ -350,7 +287,7 @@ def plan_batch(
     main_wave = [job for group in groups.values() for job in group[1:]]
     shape_groups = [group[1:] for group in groups.values() if group[1:]]
     pipeline = (
-        plan_pipeline(warm_wave, component_planner, cost_model)
+        plan_pipeline(warm_wave, component_planner)
         if component_planner is not None
         else None
     )
@@ -359,34 +296,3 @@ def plan_batch(
         groups=shape_groups if batch else None, batched=batch,
         pipeline=pipeline,
     )
-
-
-def assign_shards(
-    items: Sequence[T],
-    n_shards: int,
-    key: Callable[[T], str],
-) -> list[list[T]]:
-    """Partition ``items`` into at most ``n_shards`` affinity-preserving
-    shards of balanced size.
-
-    Items with equal ``key`` always land in the same shard, in their
-    input order (so a group's warm representative stays first).  Groups
-    are placed largest-first onto the least-loaded shard — the classic
-    greedy bound: no shard exceeds the ideal share by more than the
-    largest group.  Deterministic: ties break by group key, then shard
-    position.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    groups: dict[str, list[T]] = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
-    shards: list[list[T]] = [[] for _ in range(n_shards)]
-    loads = [0] * n_shards
-    for group_key, group in sorted(
-        groups.items(), key=lambda kv: (-len(kv[1]), kv[0])
-    ):
-        target = min(range(n_shards), key=lambda i: (loads[i], i))
-        shards[target].extend(group)
-        loads[target] += len(group)
-    return shards

@@ -10,12 +10,16 @@ Three interchangeable backends ship here:
   always meant);
 * :class:`ProcessPoolTransport` — a *persistent*
   :class:`~concurrent.futures.ProcessPoolExecutor` reused across
-  ``explain_many`` calls; the warm wave compiles in the parent so
-  workers reload artifacts from the shared persistent store;
+  ``explain_many`` calls; workers share artifacts through the
+  persistent store;
 * :class:`SocketTransport` — a client of the socket
-  :class:`Coordinator` (``repro serve``), which routes shape-affine
-  shards to long-lived ``repro worker`` processes sharing one
+  :class:`Coordinator` (``repro serve``), which hands the batch's
+  units to long-lived ``repro worker`` processes sharing one
   :class:`~repro.engine.store.PersistentArtifactStore` directory.
+
+All three run one schedule: the batch's distinct component compiles,
+then each shape's representative once its components have landed,
+then the shape's sibling groups.
 
 All three produce identical results for the same batch: exact engines
 return equal :class:`~fractions.Fraction` objects, sampling engines

@@ -42,9 +42,8 @@ class Transport(ABC):
     """Executes :class:`~repro.engine.scheduler.BatchPlan` objects.
 
     Implementations must honour the plan's one ordering constraint
-    (warm wave strictly before the main wave, or per-shape
-    representative-first, whichever the backend can guarantee) and must
-    stay usable after a failed batch: an exception from
+    (a shape's representative finishes before its siblings start) and
+    must stay usable after a failed batch: an exception from
     :meth:`run_batch` may abandon that batch's pending work but must
     not leak it — the next call starts clean.
     """

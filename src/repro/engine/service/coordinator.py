@@ -1,4 +1,4 @@
-"""The socket coordinator: routes batch shards to long-lived workers.
+"""The socket coordinator: hands batch units to long-lived workers.
 
 One :class:`Coordinator` listens on a TCP port.  Two kinds of peers
 connect (see :mod:`~repro.engine.service.protocol` for the wire format
@@ -14,12 +14,14 @@ and its trusted-network caveat):
   i.e. an ``ExplainSession`` with ``executor="socket"``) submit batches
   and read back one result per job.
 
-Placement uses :func:`~repro.engine.scheduler.assign_shards`: all jobs
-of one canonical shape go to one worker, representative first, so the
-shape compiles (or store-loads) once on that worker and its siblings
-are in-memory hits — no cross-worker barrier needed.  A worker that
-dies mid-shard has its unfinished jobs redistributed to the survivors;
-the batch only fails when no workers remain.
+Every batch runs one schedule, :meth:`Coordinator._run_pipelined`: each
+live worker pulls units from one shared work state — the batch's
+distinct component compiles first, then any shape representative
+whose components have landed, then the sibling groups of finished
+representatives.  Siblings therefore find their shape in the shared
+store whichever worker ran the representative.  A worker that dies
+mid-unit has that unit requeued for the survivors; the batch only
+fails when no workers remain.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import time
 from collections import OrderedDict, deque
 
 from ..base import EngineResult
-from ..scheduler import assign_shards
 from .faults import FaultPlan
 from .pipeline import deadline_for, interval_overlap
 from .protocol import ProtocolError, enable_keepalive, recv_msg, send_msg
@@ -106,22 +107,6 @@ def _budget_seconds(budget) -> float | None:
         return float(seconds) if seconds is not None else None
     except (TypeError, ValueError):
         return None
-
-
-def _affinity_runs(shard: list[dict]) -> list[list[dict]]:
-    """Split a shard into runs of consecutive equal-affinity tasks.
-
-    :func:`~repro.engine.scheduler.assign_shards` keeps each affinity
-    group contiguous and in input order, so one run is one same-shape
-    answer group (representative first) — the unit a worker can execute
-    as a single batched ``task_group`` call."""
-    runs: list[list[dict]] = []
-    for task in shard:
-        if runs and runs[-1][0].get("affinity") == task.get("affinity"):
-            runs[-1].append(task)
-        else:
-            runs.append([task])
-    return runs
 
 
 class Coordinator:
@@ -199,8 +184,8 @@ class Coordinator:
         #: How long a queued warm task waits for a worker to register
         #: before it is counted as failed.
         self.warm_worker_timeout = 30.0
-        #: Cumulative compile/execute overlap of every pipelined batch
-        #: this coordinator ran (seconds).  Reported to clients inside
+        #: Cumulative compile/execute overlap of every batch this
+        #: coordinator ran (seconds).  Reported to clients inside
         #: ``worker_stats`` so the session surfaces it under
         #: ``remote_pipeline_overlap_seconds``, cumulative like every
         #: other remote counter.
@@ -676,38 +661,17 @@ class Coordinator:
         min_workers = max(1, int(message.get("min_workers") or 1))
         wait_timeout = message.get("wait_timeout", 60.0)
         batched = bool(message.get("batched"))
-        pipeline = message.get("pipeline")
+        pipeline = message.get("pipeline") or {}
         budget = self._batch_budget(tasks)
-        component_timings: list[tuple[int, float]] = []
         with self._batch_lock:
             if self.wait_for_workers(min_workers, wait_timeout) < min_workers:
                 raise _BatchFailed(
                     f"{min_workers} worker(s) required, "
                     f"{self.n_workers} connected after {wait_timeout}s"
                 )
-            if pipeline:
-                results, component_timings = self._run_pipelined(
-                    engine, tasks, batched, pipeline, budget
-                )
-            else:
-                results = {}
-                pending = list(tasks)
-                # Redistribute until done or the fleet is gone:
-                # survivors absorb the shards of any worker that died
-                # mid-batch (they reload finished shapes from the
-                # shared store, or recompile without one).  Each
-                # failing round discards at least one dead worker, so
-                # this terminates.
-                while pending:
-                    with self._cond:
-                        workers = [w for w in self._workers if w.alive]
-                    if not workers:
-                        raise _BatchFailed(
-                            f"no live workers for {len(pending)} task(s)"
-                        )
-                    pending = self._dispatch(
-                        engine, pending, workers, results, batched, budget
-                    )
+            results = self._run_pipelined(
+                engine, tasks, batched, pipeline, budget
+            )
             worker_stats, n_reporting = self._collect_stats()
             # The overlap is a coordinator-side observation (workers
             # cannot see each other's concurrency); fold the cumulative
@@ -730,7 +694,6 @@ class Coordinator:
             "results": results,
             "worker_stats": worker_stats,
             "workers": n_reporting,
-            "component_timings": component_timings,
         }
 
     def _run_pipelined(
@@ -740,30 +703,26 @@ class Coordinator:
         batched: bool,
         pipeline: dict,
         batch_budget: float | None = None,
-    ) -> tuple[dict[int, EngineResult], list[tuple[int, float]]]:
-        """Execute one batch as a compile/execute pipeline.
+    ) -> dict[int, EngineResult]:
+        """Execute one batch as a compile/execute dependency loop.
 
-        Instead of the two-phase warm-then-main schedule, every worker
-        runs a pull loop over one shared work state: pending component
-        compiles (client's critical-path order) first, then whatever
-        stitch or sibling-group units became ready — so ``compile`` and
-        ``task``/``task_group`` ops interleave per worker and execution
-        streams while other shapes are still compiling.  A shape's
-        representative (its *stitch* job) is gated on its components;
-        its siblings are gated on the representative, exactly the
-        invariants of the barrier schedule, minus the barrier.
+        Every worker runs a pull loop over one shared work state:
+        pending component compiles (client's critical-path order)
+        first, then whatever representative or sibling-group units
+        became ready — so ``compile`` and ``task``/``task_group`` ops
+        interleave per worker and execution streams while other shapes
+        are still compiling.  A shape's representative (its *stitch*
+        job when it needs components) is gated on its components; its
+        siblings are gated on the representative.  An empty
+        ``pipeline`` means no compile units: every representative is
+        ready at once.
 
         Dead workers: the failing pull thread requeues its unit and
         exits; the outer loop respawns pull threads over the survivors
         while work remains and fails the batch only when no workers
         are left (each failing round discards at least one worker).
         Compile *failures* (budget) are not retried — the owning
-        shape's stitch job compiles inline and reports per answer,
-        like the barrier schedule.
-
-        Returns the results plus ``(component index, seconds)`` for
-        every compile actually performed, which the client feeds to
-        its cost model.
+        shape's stitch job compiles inline and reports per answer.
         """
         components = pipeline.get("components") or []
         needs = pipeline.get("needs") or {}
@@ -815,7 +774,6 @@ class Coordinator:
         results: dict[int, EngineResult] = {}
         compile_spans: list[tuple[float, float]] = []
         exec_spans: list[tuple[float, float]] = []
-        component_timings: list[tuple[int, float]] = []
         inflight = [0]  # units a pull thread holds outside the queues
         compiling = [0]  # of which, component compiles
         compile_cap = [1]  # rebound per round to live workers - 1
@@ -849,10 +807,6 @@ class Coordinator:
                     )
                 with state:
                     compile_spans.append((started, finished))
-                    if reply.get("compiled"):
-                        component_timings.append(
-                            (index, float(reply.get("seconds") or 0.0))
-                        )
                     for affinity in dependents.get(index, ()):
                         remaining = waiting.get(affinity)
                         if remaining is None:
@@ -987,102 +941,7 @@ class Coordinator:
         self._pipeline_overlap_total += interval_overlap(
             compile_spans, exec_spans
         )
-        return results, component_timings
-
-    def _dispatch(
-        self,
-        engine: str,
-        tasks: list[dict],
-        workers: list[_WorkerLink],
-        results: dict[int, EngineResult],
-        batched: bool = False,
-        budget: float | None = None,
-    ) -> list[dict]:
-        """Run one placement round; returns the tasks that failed on a
-        dead worker (distinct result keys make the shared dict safe)."""
-        shards = assign_shards(
-            tasks, len(workers), key=lambda task: task["affinity"]
-        )
-        failed: list[dict] = []
-        threads = []
-        for worker, shard in zip(workers, shards):
-            if not shard:
-                continue
-            thread = threading.Thread(
-                target=self._run_shard,
-                args=(engine, worker, shard, results, failed, batched,
-                      budget),
-                daemon=True,
-            )
-            thread.start()
-            threads.append(thread)
-        for thread in threads:
-            thread.join()
-        return failed
-
-    def _run_shard(
-        self,
-        engine: str,
-        worker: _WorkerLink,
-        shard: list[dict],
-        results: dict[int, EngineResult],
-        failed: list[dict],
-        batched: bool = False,
-        budget: float | None = None,
-    ) -> None:
-        # With a batched plan each consecutive same-affinity run ships
-        # as one task_group call (singletons stay plain tasks, keeping
-        # the wire compatible with pre-batching workers for them);
-        # otherwise every task is its own round-trip.  Dead-worker
-        # redistribution is unchanged: everything not yet answered goes
-        # back to the pending list.
-        groups = _affinity_runs(shard) if batched else [[t] for t in shard]
-        done = 0
-        for group in groups:
-            try:
-                if len(group) == 1:
-                    task = group[0]
-                    reply = worker.request({
-                        "op": "task",
-                        "id": task["id"],
-                        "engine": engine,
-                        "circuit": task["circuit"],
-                        "players": task["players"],
-                        "options": task["options"],
-                    }, timeout=deadline_for(self.op_timeout,
-                                            budget_seconds=budget))
-                    if (reply.get("op") != "result"
-                            or reply.get("id") != task["id"]):
-                        raise ConnectionError(
-                            f"worker {worker.peer} answered out of protocol"
-                        )
-                    results[task["id"]] = reply["result"]
-                else:
-                    reply = worker.request({
-                        "op": "task_group",
-                        "engine": engine,
-                        "tasks": [
-                            {key: task[key] for key in
-                             ("id", "circuit", "players", "options")}
-                            for task in group
-                        ],
-                    }, timeout=deadline_for(self.op_timeout,
-                                            budget_seconds=budget,
-                                            items=len(group)))
-                    replies = reply.get("results")
-                    if (reply.get("op") != "result_group"
-                            or not isinstance(replies, dict)
-                            or set(replies)
-                            != {task["id"] for task in group}):
-                        raise ConnectionError(
-                            f"worker {worker.peer} answered out of protocol"
-                        )
-                    results.update(replies)
-            except Exception:
-                self._discard_worker(worker)
-                failed.extend(shard[done:])
-                return
-            done += len(group)
+        return results
 
     def _collect_stats(self) -> tuple[dict[str, float], int]:
         """Sum every live worker's cache counters (best-effort).

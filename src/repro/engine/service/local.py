@@ -1,9 +1,13 @@
 """Local transports: a shared thread pool and a persistent process pool.
 
-Both keep their executor alive across batches (created lazily on the
-first batch, released by :meth:`close`), which removes the per-call
-pool start-up and — for processes — keeps each worker's per-process
-artifact cache warm between ``explain_many`` calls.
+Both run every batch through one schedule,
+:func:`~repro.engine.service.pipeline.run_pipelined`: component
+compiles, then each shape's representative once its components have
+landed, then the shape's sibling groups.  Both keep their executor
+alive across batches (created lazily on the first batch, released by
+:meth:`close`), which removes the per-call pool start-up and — for
+processes — keeps each worker's per-process artifact cache warm
+between ``explain_many`` calls.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ def _process_explain_group(
 def _process_compile_component(
     key, store_dir: str | None, budget
 ) -> tuple[bool, float]:
-    """Top-level body of one pipelined component-compile task.
+    """Top-level body of one component-compile task.
 
     Runs in a pool worker over the shared store: a published component
     lands in the ``.comp`` store tier, where every other worker's (and
@@ -108,41 +112,12 @@ def _plan_cache(plan: BatchPlan) -> ArtifactCache | None:
 
 def _record_pipeline(plan: BatchPlan, outcome: PipelineOutcome) -> None:
     cache = _plan_cache(plan)
-    if cache is not None:
+    if cache is not None and plan.pipeline is not None:
         cache.record_pipeline(
             overlap_seconds=outcome.overlap_seconds,
             compiles=outcome.compiles,
             stitches=outcome.stitches,
         )
-
-
-def _collect(
-    futures: dict[Future, Job], outcomes: dict[int, EngineResult]
-) -> None:
-    """Drain ``futures`` into ``outcomes``; on any failure cancel what
-    has not started so an aborted batch never leaks queued work."""
-    try:
-        for future, job in futures.items():
-            outcomes[job.index] = future.result()
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        raise
-
-
-def _collect_groups(
-    futures: dict[Future, list[Job]], outcomes: dict[int, EngineResult]
-) -> None:
-    """Group-wise :func:`_collect`: each future yields one result per
-    job of its group, in order."""
-    try:
-        for future, jobs in futures.items():
-            for job, result in zip(jobs, future.result()):
-                outcomes[job.index] = result
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        raise
 
 
 class InProcessTransport(Transport):
@@ -166,63 +141,28 @@ class InProcessTransport(Transport):
     def run_batch(self, plan: BatchPlan) -> dict[int, EngineResult]:
         engine = get_engine(plan.engine)
         pool = self._ensure_pool()
-        if plan.pipeline is not None:
-            cache = _plan_cache(plan)
-            if cache is not None:
-                memo = cache.component_memo()
-                budget = (
-                    plan.warm_wave[0].options.compilation_budget()
-                    if plan.warm_wave else None
-                )
-                outcome = run_pipelined(
-                    plan,
-                    submit_compile=lambda component: pool.submit(
-                        timed_compile,
-                        lambda key=component.key: compile_component(
-                            key, memo, budget=budget
-                        ),
-                    ),
-                    submit_job=lambda job: pool.submit(
-                        engine.explain_circuit,
-                        job.circuit, job.players, job.options,
-                    ),
-                    submit_group=lambda group: pool.submit(
-                        _explain_group, engine, group
-                    ),
-                    # Leave one pool slot for execution-ready work so
-                    # the compile backlog cannot monopolize the pool.
-                    max_inflight_compiles=pool._max_workers - 1,
-                )
-                _record_pipeline(plan, outcome)
-                return outcome.outcomes
-        outcomes: dict[int, EngineResult] = {}
-        # Warm wave first, then the rest: the barrier guarantees every
-        # shape's representative populated the cache before its
-        # siblings run as hits.
-        futures = {
-            pool.submit(
-                engine.explain_circuit, job.circuit, job.players, job.options
-            ): job
-            for job in plan.warm_wave
-        }
-        _collect(futures, outcomes)
-        if plan.batched:
-            # One pool task per shape group: the engine executes the
-            # whole group as a single batched pass.
-            group_futures = {
-                pool.submit(_explain_group, engine, group): group
-                for group in plan.groups
-            }
-            _collect_groups(group_futures, outcomes)
-            return outcomes
-        futures = {
-            pool.submit(
-                engine.explain_circuit, job.circuit, job.players, job.options
-            ): job
-            for job in plan.main_wave
-        }
-        _collect(futures, outcomes)
-        return outcomes
+        cache = _plan_cache(plan)
+        budget = plan.compilation_budget()
+        outcome = run_pipelined(
+            plan,
+            submit_compile=lambda component: pool.submit(
+                timed_compile,
+                lambda key=component.key: compile_component(
+                    key, cache.component_memo(), budget=budget
+                ),
+            ),
+            submit_job=lambda job: pool.submit(
+                engine.explain_circuit, job.circuit, job.players, job.options,
+            ),
+            submit_group=lambda group: pool.submit(
+                _explain_group, engine, group
+            ),
+            # Leave one pool slot for execution-ready work so the
+            # compile backlog cannot monopolize the pool.
+            max_inflight_compiles=pool._max_workers - 1,
+        )
+        _record_pipeline(plan, outcome)
+        return outcome.outcomes
 
     def close(self) -> None:
         pool, self._pool = self._pool, None
@@ -234,12 +174,12 @@ class ProcessPoolTransport(Transport):
     """Persistent :class:`ProcessPoolExecutor` workers over a shared
     persistent store.
 
-    The warm wave runs in the parent (with the session cache, so every
-    distinct shape compiles exactly once and — when a store is attached
-    — lands on disk before any worker asks for it); the main wave fans
-    out to long-lived pool workers that rebuild a cache over the same
-    store directory.  Without a store, workers compile independently —
-    the pool then only pays off through in-worker shape reuse.
+    Component compiles, representatives and sibling groups all run in
+    long-lived pool workers that rebuild a cache over the store
+    directory; the store is what carries a compiled component or shape
+    from one worker to another.  Without a store the session plans no
+    component compiles, and a sibling group that lands on another
+    worker than its representative recompiles the shape there.
     """
 
     kind = "process"
@@ -273,97 +213,44 @@ class ProcessPoolTransport(Transport):
             return self._run_batch_once(plan)
 
     def _run_batch_once(self, plan: BatchPlan) -> dict[int, EngineResult]:
-        engine = get_engine(plan.engine)
-        if plan.pipeline is not None and self.store_dir is not None:
-            # Pipelined cold batch: component compiles, stitches, and
-            # sibling groups all run in pool workers over the shared
-            # store (the store is what propagates compiled artifacts
-            # between workers, hence the store_dir guard above).
-            pool = self._ensure_pool()
-            budget = (
-                plan.warm_wave[0].options.compilation_budget()
-                if plan.warm_wave else None
-            )
-
-            def submit_job(job: Job) -> Future:
-                portable = job.portable()
-                return pool.submit(
-                    _process_explain, plan.engine, portable.circuit,
-                    portable.players, portable.options, self.store_dir,
-                )
-
-            def submit_group(group: list[Job]) -> Future:
-                portables = [job.portable() for job in group]
-                return pool.submit(
-                    _process_explain_group, plan.engine,
-                    [(p.circuit, p.players, p.options) for p in portables],
-                    self.store_dir,
-                )
-
-            try:
-                outcome = run_pipelined(
-                    plan,
-                    submit_compile=lambda component: pool.submit(
-                        _process_compile_component, component.key,
-                        self.store_dir, budget,
-                    ),
-                    submit_job=submit_job,
-                    submit_group=submit_group,
-                    # Leave one worker for execution-ready work so the
-                    # compile backlog cannot monopolize the pool.
-                    max_inflight_compiles=pool._max_workers - 1,
-                )
-            except BrokenProcessPool:
-                self._pool = None
-                raise
-            _record_pipeline(plan, outcome)
-            return outcome.outcomes
-        outcomes: dict[int, EngineResult] = {}
-        for job in plan.warm_wave:
-            outcomes[job.index] = engine.explain_circuit(
-                job.circuit, job.players, job.options
-            )
-        if not plan.main_wave:
-            return outcomes
         pool = self._ensure_pool()
+        budget = plan.compilation_budget()
+
+        def submit_job(job: Job) -> Future:
+            portable = job.portable()
+            return pool.submit(
+                _process_explain, plan.engine, portable.circuit,
+                portable.players, portable.options, self.store_dir,
+            )
+
+        def submit_group(group: list[Job]) -> Future:
+            portables = [job.portable() for job in group]
+            return pool.submit(
+                _process_explain_group, plan.engine,
+                [(p.circuit, p.players, p.options) for p in portables],
+                self.store_dir,
+            )
+
         try:
-            if plan.batched:
-                # One pool task per shape group: the worker process
-                # runs the group as a single batched engine call.
-                group_futures = {}
-                for group in plan.groups:
-                    portables = [job.portable() for job in group]
-                    group_futures[
-                        pool.submit(
-                            _process_explain_group,
-                            plan.engine,
-                            [(p.circuit, p.players, p.options)
-                             for p in portables],
-                            self.store_dir,
-                        )
-                    ] = group
-                _collect_groups(group_futures, outcomes)
-                return outcomes
-            futures = {}
-            for job in plan.main_wave:
-                portable = job.portable()
-                futures[
-                    pool.submit(
-                        _process_explain,
-                        plan.engine,
-                        portable.circuit,
-                        portable.players,
-                        portable.options,
-                        self.store_dir,
-                    )
-                ] = job
-            _collect(futures, outcomes)
+            outcome = run_pipelined(
+                plan,
+                submit_compile=lambda component: pool.submit(
+                    _process_compile_component, component.key,
+                    self.store_dir, budget,
+                ),
+                submit_job=submit_job,
+                submit_group=submit_group,
+                # Leave one worker for execution-ready work so the
+                # compile backlog cannot monopolize the pool.
+                max_inflight_compiles=pool._max_workers - 1,
+            )
         except BrokenProcessPool:
             # A dead worker poisons the whole executor; drop it so the
             # next batch gets a fresh pool instead of failing forever.
             self._pool = None
             raise
-        return outcomes
+        _record_pipeline(plan, outcome)
+        return outcome.outcomes
 
     def close(self) -> None:
         pool, self._pool = self._pool, None

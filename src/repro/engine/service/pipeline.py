@@ -1,18 +1,17 @@
-"""Completion-driven compile/execute pipelining for local transports.
+"""The one batch schedule of the local transports.
 
-The classic cold-batch schedule runs the warm wave *first and alone*:
-every answer waits behind a serial compile barrier even though the
-component memo already makes sub-circuits shareable.  This module
-replaces the barrier with a streaming schedule driven by a
-:class:`~repro.engine.scheduler.PipelinePlan`:
+:func:`run_pipelined` drives a :class:`~repro.engine.scheduler.BatchPlan`
+as a dependency loop:
 
-1. every fleet-deduplicated component compile is submitted up front, in
-   the plan's critical-path order;
-2. the moment the last component a shape needs lands, its *stitch* job
-   (the shape representative — now pure stitching plus tape lowering)
-   is submitted;
-3. the moment a stitch lands, the shape's sibling answers dispatch down
-   the batched path — while other shapes are still compiling.
+1. every fleet-deduplicated component compile of ``plan.pipeline`` is
+   submitted, in the plan's critical-path order;
+2. a shape's representative is submitted the moment the last component
+   it needs lands — at once when it needs none (warm shapes, shapes
+   too small to memoize, or ``plan.pipeline is None``);
+3. the moment a representative lands, the shape's sibling answers
+   dispatch down the batched path — while other shapes are still
+   compiling.  Groups of shapes without a representative (sampling
+   engines, which do not deduplicate) start at once.
 
 The harness is executor-agnostic: callers provide three submit
 callbacks (component compile, single job, job group) returning
@@ -21,25 +20,25 @@ One caller thread processes completions — there is no shared mutable
 state and therefore no locking (the REP004 lock-order graph gains no
 nodes here).
 
-Determinism: pipelining reorders *wall-clock* only.  Component
-compiles are byte-identical to the ones the stitching path would have
-performed (see :func:`~repro.compiler.knowledge.compile_component`),
-publishes are idempotent, and every shape still runs its
-representative before its siblings — so Fractions are byte-identical
-to the barrier schedule.
+Determinism: the loop orders *wall-clock* only.  Component compiles
+are byte-identical to the ones a representative would have performed
+inline (see :func:`~repro.compiler.knowledge.compile_component`),
+publishes are idempotent, and every shape runs its representative
+before its siblings — so Fractions are byte-identical to per-answer
+execution.
 
 Failure semantics: a failed component compile (budget, bug) is marked
-done anyway — the owning shape's stitch job then compiles the
-component inline and reports per-answer status exactly as the barrier
-schedule would.  A failed stitch or group future aborts the batch like
-:func:`repro.engine.service.local._collect` does: outstanding futures
+done anyway — the owning shape's representative then compiles the
+component inline and reports per-answer status.  A failed
+representative or group future aborts the batch: outstanding futures
 are cancelled and the error propagates.
 """
 
 from __future__ import annotations
 
+import queue
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -113,7 +112,8 @@ def deadline_for(
 
 def timed_compile(compile_fn: Callable[[], bool]) -> tuple[bool, float]:
     """Run one component compile and measure it: ``(compiled,
-    seconds)``.  The standard body of a pipeline compile task."""
+    seconds)``.  The standard body of a compile task; the seconds feed
+    ``pipeline_overlap_seconds``."""
     started = time.perf_counter()
     compiled = compile_fn()
     return compiled, time.perf_counter() - started
@@ -121,7 +121,7 @@ def timed_compile(compile_fn: Callable[[], bool]) -> tuple[bool, float]:
 
 @dataclass
 class PipelineOutcome:
-    """What one pipelined batch actually did, for the stats plumbing."""
+    """What one batch actually did, for the stats plumbing."""
 
     outcomes: dict[int, EngineResult] = field(default_factory=dict)
     #: Standalone compiles the component pass performed (memo/store
@@ -132,8 +132,6 @@ class PipelineOutcome:
     stitches: int = 0
     #: Union-interval intersection of compile and execute activity.
     overlap_seconds: float = 0.0
-    compile_seconds: float = 0.0
-    execute_seconds: float = 0.0
 
 
 def run_pipelined(
@@ -143,7 +141,7 @@ def run_pipelined(
     submit_group: Callable[[list[Job]], Future],
     max_inflight_compiles: int | None = None,
 ) -> PipelineOutcome:
-    """Drive one batch through the compile/execute pipeline.
+    """Drive one batch through the dependency loop.
 
     ``submit_compile(component)`` must return a future resolving to
     ``(compiled, seconds)`` (see :func:`timed_compile`);
@@ -160,7 +158,8 @@ def run_pipelined(
     ``None`` keeps the submit-everything behaviour.
     """
     pipeline = plan.pipeline
-    assert pipeline is not None, "run_pipelined needs plan.pipeline"
+    components = pipeline.components if pipeline is not None else []
+    needs = pipeline.needs if pipeline is not None else {}
     outcome = PipelineOutcome()
     compile_spans: list[Span] = []
     execute_spans: list[Span] = []
@@ -175,7 +174,7 @@ def run_pipelined(
         rep_for.setdefault(rep.affinity(), rep)
     for group in plan.groups:
         tails.setdefault(group[0].affinity(), []).append(group)
-    for affinity, indexes in pipeline.needs.items():
+    for affinity, indexes in needs.items():
         if affinity not in rep_for:
             continue
         remaining = set(indexes)
@@ -185,21 +184,28 @@ def run_pipelined(
         for index in indexes:
             dependents.setdefault(index, []).append(affinity)
 
+    # Completions arrive through a queue (futures' done-callbacks put
+    # themselves), so each one costs O(1) however many are in flight.
     pending: dict[Future, tuple] = {}
+    completed: queue.SimpleQueue[Future] = queue.SimpleQueue()
+
+    def track(future: Future, tag: tuple) -> None:
+        pending[future] = tag
+        future.add_done_callback(completed.put)
 
     def start_rep(affinity: str, gated: bool) -> None:
         rep = rep_for[affinity]
         if gated:
             outcome.stitches += 1
-        pending[submit_job(rep)] = ("rep", rep, affinity)
+        track(submit_job(rep), ("rep", rep, affinity))
 
     def start_tails(affinity: str) -> None:
         for group in tails.get(affinity, ()):
             if plan.batched:
-                pending[submit_group(group)] = ("group", group)
+                track(submit_group(group), ("group", group))
             else:
                 for job in group:
-                    pending[submit_job(job)] = ("job", job)
+                    track(submit_job(job), ("job", job))
 
     # Compiles are released in critical-path order through a bounded
     # window (see ``max_inflight_compiles``): the window fills first,
@@ -208,7 +214,7 @@ def run_pipelined(
     # ahead of the replacement compile in a FIFO executor's queue.
     compile_backlog = [
         (index, component)
-        for index, component in enumerate(pipeline.components)
+        for index, component in enumerate(components)
         if index in dependents
     ]
     compile_backlog.reverse()  # pop() yields critical-path order
@@ -221,78 +227,73 @@ def run_pipelined(
         while compile_backlog and inflight_compiles < window:
             index, component = compile_backlog.pop()
             inflight_compiles += 1
-            pending[submit_compile(component)] = ("compile", index, component)
+            track(submit_compile(component), ("compile", index))
 
     feed_compiles()
     for rep in plan.warm_wave:
         affinity = rep.affinity()
         if rep_for[affinity] is rep and affinity not in waiting:
             start_rep(affinity, gated=False)
+    for affinity in tails:
+        if affinity not in rep_for:
+            start_tails(affinity)
 
     try:
         while pending:
-            done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-            for future in done:
-                tag = pending.pop(future)
-                now = time.perf_counter()
-                if tag[0] == "compile":
-                    _, index, component = tag
-                    inflight_compiles -= 1
-                    try:
-                        compiled, seconds = future.result()
-                    except Exception:
-                        # The owning shapes' stitch jobs compile the
-                        # component inline and surface the real error
-                        # per answer, as the barrier schedule would.
-                        compiled, seconds = False, 0.0
-                    if compiled:
-                        outcome.compiles += 1
-                    if seconds > 0.0:
-                        compile_spans.append((now - seconds, now))
-                        cost_model = pipeline.cost_model
-                        if cost_model is not None and compiled:
-                            cost_model.observe(component.key, seconds)
-                    for affinity in dependents.get(index, ()):
-                        remaining = waiting.get(affinity)
-                        if remaining is None:
-                            continue
-                        remaining.discard(index)
-                        if not remaining:
-                            del waiting[affinity]
-                            start_rep(affinity, gated=True)
-                    feed_compiles()
-                elif tag[0] == "rep":
-                    _, rep, affinity = tag
-                    result = future.result()
-                    outcome.outcomes[rep.index] = result
-                    seconds = getattr(result, "seconds", 0.0) or 0.0
-                    if seconds > 0.0:
-                        execute_spans.append((now - seconds, now))
-                    start_tails(affinity)
-                elif tag[0] == "group":
-                    _, group = tag
-                    results = future.result()
-                    seconds = 0.0
-                    for job, result in zip(group, results):
-                        outcome.outcomes[job.index] = result
-                        seconds += getattr(result, "seconds", 0.0) or 0.0
-                    if seconds > 0.0:
-                        execute_spans.append((now - seconds, now))
-                else:  # "job"
-                    _, job = tag
-                    result = future.result()
+            future = completed.get()
+            tag = pending.pop(future)
+            now = time.perf_counter()
+            if tag[0] == "compile":
+                _, index = tag
+                inflight_compiles -= 1
+                try:
+                    compiled, seconds = future.result()
+                except Exception:
+                    # The owning shapes' representatives compile
+                    # the component inline and surface the real
+                    # error per answer.
+                    compiled, seconds = False, 0.0
+                if compiled:
+                    outcome.compiles += 1
+                if seconds > 0.0:
+                    compile_spans.append((now - seconds, now))
+                for affinity in dependents.get(index, ()):
+                    remaining = waiting.get(affinity)
+                    if remaining is None:
+                        continue
+                    remaining.discard(index)
+                    if not remaining:
+                        del waiting[affinity]
+                        start_rep(affinity, gated=True)
+                feed_compiles()
+            elif tag[0] == "rep":
+                _, rep, affinity = tag
+                result = future.result()
+                outcome.outcomes[rep.index] = result
+                seconds = getattr(result, "seconds", 0.0) or 0.0
+                if seconds > 0.0:
+                    execute_spans.append((now - seconds, now))
+                start_tails(affinity)
+            elif tag[0] == "group":
+                _, group = tag
+                results = future.result()
+                seconds = 0.0
+                for job, result in zip(group, results):
                     outcome.outcomes[job.index] = result
-                    seconds = getattr(result, "seconds", 0.0) or 0.0
-                    if seconds > 0.0:
-                        execute_spans.append((now - seconds, now))
+                    seconds += getattr(result, "seconds", 0.0) or 0.0
+                if seconds > 0.0:
+                    execute_spans.append((now - seconds, now))
+            else:  # "job"
+                _, job = tag
+                result = future.result()
+                outcome.outcomes[job.index] = result
+                seconds = getattr(result, "seconds", 0.0) or 0.0
+                if seconds > 0.0:
+                    execute_spans.append((now - seconds, now))
     except BaseException:
         for future in pending:
             future.cancel()
         raise
 
-    outcome.compile_seconds = sum(end - start for start, end in
-                                  merge_intervals(compile_spans))
-    outcome.execute_seconds = sum(end - start for start, end in
-                                  merge_intervals(execute_spans))
     outcome.overlap_seconds = interval_overlap(compile_spans, execute_spans)
     return outcome

@@ -55,29 +55,23 @@ def _task_payload(job: Job) -> dict:
 
 
 def _pipeline_payload(plan: BatchPlan) -> dict | None:
-    """The wire form of the compile/execute pipeline DAG, or ``None``
-    for the classic warm-wave-barrier schedule.  Only plain data
-    crosses the wire: canonical component keys (tuples of literal
-    tuples), cost estimates, and affinity digests — never the
-    process-local cost model."""
+    """The wire form of the plan's component compiles, or ``None`` when
+    the DAG has no compile units.  Only plain data crosses the wire:
+    canonical component keys (tuples of literal tuples) and affinity
+    digests."""
     pipeline = plan.pipeline
     if pipeline is None:
         return None
-    budget = (
-        plan.warm_wave[0].options.compilation_budget()
-        if plan.warm_wave else None
-    )
     return {
         "components": [
-            {"key": component.key, "cost": component.cost,
-             "shapes": list(component.shapes)}
+            {"key": component.key, "shapes": list(component.shapes)}
             for component in pipeline.components
         ],
         "needs": {
             affinity: list(indexes)
             for affinity, indexes in pipeline.needs.items()
         },
-        "budget": budget,
+        "budget": plan.compilation_budget(),
     }
 
 
@@ -210,9 +204,8 @@ class SocketTransport(Transport):
             # Batched plans let workers execute a same-shape run as one
             # task_group call instead of one round-trip per answer.
             "batched": plan.batched,
-            # Pipelined plans replace the coordinator's two-phase
-            # warm-then-main schedule with interleaved compile /
-            # stitch / task_group ops per worker.
+            # The component compiles the coordinator interleaves with
+            # representative and task_group ops.
             "pipeline": _pipeline_payload(plan),
             # Dedupe key: a resubmission after a lost reply is served
             # from the coordinator's cache instead of re-running.
@@ -246,16 +239,6 @@ class SocketTransport(Transport):
         # by design); the session surfaces them under remote_* keys.
         self.remote_stats = dict(reply.get("worker_stats", {}))
         self.remote_workers = int(reply.get("workers", 0))
-        # Calibrate the session's compile cost model with the fleet's
-        # measured component-compile timings, so the next cold batch is
-        # scheduled critical-path-first with learned estimates.
-        pipeline = plan.pipeline
-        if pipeline is not None and pipeline.cost_model is not None:
-            for index, seconds in reply.get("component_timings", ()):
-                if 0 <= index < len(pipeline.components):
-                    pipeline.cost_model.observe(
-                        pipeline.components[index].key, seconds
-                    )
         return dict(reply["results"])
 
     def _run_degraded(self, plan: BatchPlan) -> dict[int, EngineResult]:
@@ -294,18 +277,19 @@ class SocketTransport(Transport):
     # ------------------------------------------------------------------
 
     def warm_batch(self, plan: BatchPlan) -> int:
-        """Queue the plan's warm wave on the coordinator's compile-ahead
-        queue (one representative per distinct shape) and return the
-        number of tasks queued.  Fire-and-forget: workers compile the
+        """Queue the plan's representatives (one per distinct shape) on
+        the coordinator's compile-ahead queue and return the number of
+        tasks queued.  Fire-and-forget: workers compile the
         shapes into the fleet's shared store off the request path; poll
         :meth:`warm_status` or block on :meth:`wait_warm` to observe the
         drain.
 
-        A pipelined plan additionally queues its fleet-deduplicated
-        component compiles *ahead* of the representatives, so shared
-        components compile exactly once across the fleet instead of
-        redundantly inside every concurrently-warming representative;
-        the returned count still covers representatives only.
+        A plan with compile units additionally queues its
+        fleet-deduplicated component compiles *ahead* of the
+        representatives, so shared components compile exactly once
+        across the fleet instead of redundantly inside every
+        concurrently-warming representative; the returned count still
+        covers representatives only.
 
         Not retried: a duplicate enqueue would duplicate compile work,
         which is exactly what warming tries to avoid."""

@@ -23,7 +23,6 @@ dismissal: the worker exits without reconnecting.
 from __future__ import annotations
 
 import os
-import time
 from typing import Callable
 
 from ...compiler.knowledge import compile_component
@@ -149,13 +148,12 @@ def _serve(
                 }, faults=faults, role="worker")
                 executed += 1
             elif op == "compile":
-                compiled, seconds, ok = _compile(cache, message)
+                compiled, ok = _compile(cache, message)
                 send_msg(sock, {
                     "op": "compiled",
                     "id": message["id"],
                     "ok": ok,
                     "compiled": compiled,
-                    "seconds": seconds,
                 }, faults=faults, role="worker")
                 executed += 1
             elif op == "ping":
@@ -198,30 +196,28 @@ def _warm(cache: ArtifactCache, message: dict) -> bool:
         return False
 
 
-def _compile(cache: ArtifactCache, message: dict) -> tuple[bool, float, bool]:
-    """One pipelined component-compile op: ensure the canonical
+def _compile(cache: ArtifactCache, message: dict) -> tuple[bool, bool]:
+    """One component-compile op: ensure the canonical
     component ``message["key"]`` is in this worker's memo (and, with a
     shared store, in the fleet's ``.comp`` tier).
 
-    Returns ``(compiled, seconds, ok)``: ``compiled`` is ``False`` on a
+    Returns ``(compiled, ok)``: ``compiled`` is ``False`` on a
     memo/store hit — the fleet-wide compile-once case — and ``ok`` is
     ``False`` on a failure (budget, corrupt input), which never kills
     the worker: the owning shape's stitch job retries inline and
     reports the real error per answer.
     """
-    started = time.perf_counter()
     try:
         compiled = compile_component(
             message["key"],
             cache.component_memo(),
             budget=message.get("budget"),
         )
-        seconds = time.perf_counter() - started
         if compiled:
             cache.record_pipeline(compiles=1)
-        return compiled, seconds, True
+        return compiled, True
     except Exception:
-        return False, time.perf_counter() - started, False
+        return False, False
 
 
 def _execute_group(cache: ArtifactCache, message: dict) -> dict:
@@ -263,7 +259,7 @@ def _execute(cache: ArtifactCache, message: dict) -> EngineResult:
         engine = get_engine(engine_name)
         options = message["options"].with_(cache=cache)
         if message.get("stitch"):
-            # A pipelined shape representative: its components are
+            # A gated shape representative: its components are
             # already compiled, so this task is pure stitching.
             cache.record_pipeline(stitches=1)
         return engine.explain_circuit(

@@ -7,8 +7,12 @@ lineage once, opens each answer's circuit against the shared
 per answer, whose :class:`~repro.engine.cache.CircuitArtifacts` handle
 is threaded through to the engine), and hands the resulting jobs to the
 scheduler/service layer: :func:`~repro.engine.scheduler.plan_batch`
-groups answers by canonical shape and plans the warm-up wave, and a
-:class:`~repro.engine.service.Transport` executes the plan.  Per-tuple
+groups answers by canonical shape, picks one representative per shape
+and plans the batch's distinct component compiles, and a
+:class:`~repro.engine.service.Transport` executes the plan.  Every
+transport runs the same schedule: component compiles, then each
+representative once its components have landed, then its shape's
+sibling groups.  Per-tuple
 budget/timeout outcomes are preserved: each answer gets its own
 :class:`~repro.engine.base.EngineResult` with its own status, exactly
 as the per-answer path reports them.
@@ -21,14 +25,13 @@ session, reused across ``explain_many`` calls, released by
   :class:`~repro.engine.service.InProcessTransport`, a thread pool
   sharing the session's in-memory cache;
 * ``"process"`` — :class:`~repro.engine.service.ProcessPoolTransport`,
-  a *persistent* :class:`~concurrent.futures.ProcessPoolExecutor`.
-  The warm-up wave runs in the parent (populating the session's cache
-  and, when attached, its persistent store); the long-lived workers
-  rebuild caches over the same store directory and keep them warm
+  a *persistent* :class:`~concurrent.futures.ProcessPoolExecutor`
+  whose long-lived workers run every unit of the batch, rebuild
+  caches over the session store's directory and keep them warm
   between calls;
 * ``"socket"`` — :class:`~repro.engine.service.SocketTransport`, a
-  client of a ``repro serve`` coordinator routing shape-affine shards
-  to ``repro worker`` processes that share one store directory (pass
+  client of a ``repro serve`` coordinator handing the batch's units to
+  ``repro worker`` processes that share one store directory (pass
   ``coordinator="host:port"``).
 
 Determinism: exact results are independent of scheduling (Fractions
@@ -53,12 +56,7 @@ from ..compiler.knowledge import compile_component
 from .base import EngineOptions, EngineResult, derive_answer_seed
 from .cache import ArtifactCache
 from .registry import get_engine
-from .scheduler import (
-    CompileCostModel,
-    Job,
-    artifact_component_planner,
-    plan_batch,
-)
+from .scheduler import Job, artifact_component_planner, plan_batch
 from .service import (
     InProcessTransport,
     ProcessPoolTransport,
@@ -150,10 +148,6 @@ class ExplainSession:
         self.retries = retries
         self.degrade = degrade
         self.connect_retry_for = connect_retry_for
-        #: One calibrating compile cost model per session: the first
-        #: cold batch schedules with structural estimates, later ones
-        #: with scales learned from recorded compile timings.
-        self.cost_model = CompileCostModel(self.options.pipeline_cost_scale)
         self._transports: dict[str, Transport] = {}
         self._closed = False
         self._answers_explained = 0
@@ -264,10 +258,8 @@ class ExplainSession:
         jobs = self._build_jobs(query, answers)
         plan = plan_batch(
             self.engine.name, jobs, self.engine.uses_cache,
-            batch=(self.engine.supports_batch
-                   and self.options.batch_execution),
+            batch=self.engine.supports_batch,
             component_planner=self._component_planner(executor),
-            cost_model=self.cost_model,
         )
         transport = self._transport(executor)
         outcomes = transport.run_batch(plan)
@@ -294,7 +286,7 @@ class ExplainSession:
         """Compile the query's distinct lineage shapes ahead of demand.
 
         Plans the batch exactly like :meth:`explain_many` and then
-        compiles only the warm wave — one representative per canonical
+        compiles only the representatives — one per canonical
         shape — without running Algorithm 1.  With the ``"socket"``
         executor the representatives go to the coordinator's
         compile-ahead queue and workers build the artifacts into the
@@ -322,7 +314,6 @@ class ExplainSession:
         plan = plan_batch(
             self.engine.name, jobs, self.engine.uses_cache,
             component_planner=self._component_planner(executor),
-            cost_model=self.cost_model,
         )
         if not plan.deduplicated:
             # Sampling engines never compile: nothing to warm.
@@ -395,20 +386,17 @@ class ExplainSession:
                 "component_tasks": component_tasks}
 
     def _component_planner(self, executor: str):
-        """The pipeline's component planner, or ``None`` when this
-        batch must run the classic warm-wave-barrier schedule.
+        """The batch's component planner, or ``None`` when the batch
+        plans no component compiles.
 
-        Pipelining is on for cache-using engines unless the session
-        disabled it (``options.pipeline_execution``); the ``"process"``
-        executor additionally needs a persistent store — without one,
-        pool workers could not see the parent's compiled components.
+        Cache-using engines plan components; the ``"process"`` executor
+        additionally needs a persistent store — without one, a pool
+        worker could not see a component another worker compiled.
         Warm batches cost nothing extra: the planner probes each
         shape's artifacts and a batch with no cold shape gets
         ``plan.pipeline = None``.
         """
         if not self.engine.uses_cache:
-            return None
-        if not self.options.pipeline_execution:
             return None
         if executor == "process" and self.cache.store is None:
             return None

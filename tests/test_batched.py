@@ -41,7 +41,7 @@ from repro.engine import (
 from repro.engine.scheduler import Job, plan_batch
 
 from .test_numerics import _compile, _disjoint_monotone_cnf
-from .test_store import JOIN_QUERY, join_database
+from .test_store import JOIN_QUERY, explain_each_answer, join_database
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="NumPy required")
 
@@ -422,13 +422,9 @@ def fleet(tmp_path):
 class TestBatchedTransportParity:
     def test_identical_fractions_across_kernels_and_transports(self, fleet):
         # The acceptance matrix: grouped execution on three kernels x
-        # three transports == the unbatched reference, byte for byte.
+        # three transports == the per-answer reference, byte for byte.
         db = join_database(6, 2)
-        baseline = ExplainSession(
-            db, method="exact",
-            options=EngineOptions(batch_execution=False),
-        ).explain_many(JOIN_QUERY)
-        expected = {a: r.values for a, r in baseline.items()}
+        expected = explain_each_answer(db, JOIN_QUERY)
         for backend in ("python", "int64", "auto"):
             with ExplainSession(
                 db, method="exact", max_workers=2,
@@ -471,19 +467,6 @@ class TestBatchedTransportParity:
         assert all(r.ok for r in results.values())
         assert stats["remote_batched_groups"] >= 1
         assert stats["remote_batched_answers"] >= 5
-
-    def test_batch_execution_off_disables_grouping(self):
-        db = join_database(5, 2)
-        with ExplainSession(
-            db, method="exact",
-            options=EngineOptions(numeric_backend="auto",
-                                  batch_execution=False),
-        ) as session:
-            results = session.explain_many(JOIN_QUERY)
-            stats = session.stats
-        assert all(r.ok for r in results.values())
-        assert stats["batched_groups"] == 0
-        assert stats["batched_answers"] == 0
 
     def test_non_derivative_mode_skips_batching(self):
         db = join_database(4, 2)

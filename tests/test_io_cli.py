@@ -167,20 +167,6 @@ class TestCli:
         # cnf + dnnf + tape plus the shape's memoized .comp sub-circuits
         assert payload["store_artifacts"] >= 3
 
-    def test_bench_no_pipeline_matches_and_skips_the_pass(self, capsys):
-        import json
-
-        assert main(["bench", "--workload", "flights", "--json"]) == 0
-        piped = json.loads(capsys.readouterr().out)
-        assert main(["bench", "--workload", "flights", "--no-pipeline",
-                     "--json"]) == 0
-        barrier = json.loads(capsys.readouterr().out)
-        # identical Fractions either way; only the pipelined run
-        # performs the one-pass component phase
-        assert piped["fractions_digest"] == barrier["fractions_digest"]
-        assert barrier["stats"]["component_pass_compiles"] == 0
-        assert barrier["stats"]["stitch_jobs"] == 0
-
     def test_bench_profile_reports_pipeline_stages(self, capsys):
         assert main(["bench", "--workload", "flights", "--profile"]) == 0
         out = capsys.readouterr().out

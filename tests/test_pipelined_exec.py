@@ -1,27 +1,27 @@
-"""Tests for pipelined cold-batch execution (PR 9).
+"""Tests for the batch schedule: component compiles, then each shape's
+representative, then its sibling groups.
 
-Covers the scheduler's dependency-DAG mode (fleet-wide component
-dedupe, critical-path-first ordering), the calibrating compile cost
-model, the union-interval overlap measure behind
-``pipeline_overlap_seconds``, the streaming compile/execute harness on
-the thread and process transports (byte-identical Fractions vs the
-warm-wave-barrier schedule), the session-level knobs
-(``pipeline_execution``, ``pipeline_cost_scale``), and the one-pass
-component phase of ``warm_ahead``.
+Covers the scheduler's dependency DAG (fleet-wide component dedupe,
+critical-path-first ordering), the union-interval overlap measure
+behind ``pipeline_overlap_seconds``, the dependency loop on the thread
+and process transports (byte-identical Fractions vs per-answer
+``ExplainSession.explain_one``), the absence of any barrier between
+shapes, and the one-pass component phase of ``warm_ahead``.
 """
 
+import threading
 from fractions import Fraction
-
-import pytest
 
 from repro.engine import (
     ArtifactCache,
     EngineOptions,
+    EngineResult,
     ExplainSession,
     PersistentArtifactStore,
 )
+from repro.engine.base import Engine
+from repro.engine.registry import _INSTANCES, _REGISTRY, register_engine
 from repro.engine.scheduler import (
-    CompileCostModel,
     Job,
     artifact_component_planner,
     estimate_compile_cost,
@@ -32,7 +32,8 @@ from repro.engine.service.local import InProcessTransport, ProcessPoolTransport
 from repro.engine.service.pipeline import interval_overlap, merge_intervals
 from repro.workloads.synthetic import shared_block_circuits
 
-from .test_store import JOIN_QUERY, join_database
+from .test_service import mixed_fanout_database
+from .test_store import JOIN_QUERY, explain_each_answer, join_database
 
 #: Canonical-component-shaped keys (tuples of literal tuples) with
 #: strictly decreasing structural cost: BIG > MID > SMALL.
@@ -54,6 +55,19 @@ def _jobs_with_planner(spec):
 
 def values_of(results):
     return {key: result.values for key, result in results.items()}
+
+
+def explain_each_circuit(circuits):
+    """The per-answer reference for hand-built batches: each circuit
+    explained alone through ``ExplainSession.explain_one``, keyed by
+    its job index."""
+    with ExplainSession(join_database(1, 1), method="exact") as session:
+        return {
+            index: session.explain_one(
+                circuit, sorted(circuit.reachable_vars())
+            ).values
+            for index, circuit in enumerate(circuits)
+        }
 
 
 def build_jobs(circuits, cache, options=None):
@@ -126,44 +140,6 @@ class TestPlanPipeline:
         assert plan_batch("exact", jobs, True).pipeline is None
 
 
-class TestCompileCostModel:
-    def test_uncalibrated_estimate_is_the_raw_score(self):
-        model = CompileCostModel()
-        assert model.estimate(BIG) == estimate_compile_cost(BIG)
-
-    def test_first_observation_replaces_the_scale(self):
-        model = CompileCostModel()
-        raw = estimate_compile_cost(BIG)
-        model.observe(BIG, 2.0 * raw)
-        assert model.scale == pytest.approx(2.0)
-        assert model.estimate(MID) == pytest.approx(
-            2.0 * estimate_compile_cost(MID)
-        )
-
-    def test_later_observations_are_ewma_blended(self):
-        model = CompileCostModel()
-        raw = estimate_compile_cost(BIG)
-        model.observe(BIG, 1.0 * raw)
-        model.observe(BIG, 2.0 * raw)
-        expected = 1.0 + CompileCostModel.ALPHA * (2.0 - 1.0)
-        assert model.scale == pytest.approx(expected)
-
-    def test_explicit_scale_starts_calibrated(self):
-        model = CompileCostModel(scale=5.0)
-        assert model.scale == 5.0
-        raw = estimate_compile_cost(SMALL)
-        model.observe(SMALL, 1.0 * raw)
-        assert model.scale == pytest.approx(
-            5.0 + CompileCostModel.ALPHA * (1.0 - 5.0)
-        )
-
-    def test_degenerate_observations_are_ignored(self):
-        model = CompileCostModel()
-        model.observe((), 1.0)       # zero raw score
-        model.observe(BIG, -1.0)     # negative timing
-        assert model.scale == 1.0
-
-
 class TestIntervalOverlap:
     def test_merge_unions_and_drops_empty_spans(self):
         assert merge_intervals([(1.0, 3.0), (0.0, 2.0), (4.0, 4.0),
@@ -182,23 +158,13 @@ class TestIntervalOverlap:
 
 
 class TestThreadPipelinedExecution:
-    def test_shared_block_family_matches_the_barrier_schedule(self):
+    def test_shared_block_family_matches_explain_one(self):
         # The headline parity: the fig7-style shared-block family under
-        # the compile/execute pipeline returns Fractions byte-identical
-        # to the classic warm-wave barrier, while compiling each of the
+        # the dependency loop returns Fractions byte-identical to
+        # explaining each answer alone, while compiling each of the
         # family's distinct components exactly once fleet-wide.
         circuits = shared_block_circuits(4)
-
-        barrier_cache = ArtifactCache()
-        barrier_plan = plan_batch(
-            "exact", build_jobs(circuits, barrier_cache), True, batch=True,
-        )
-        assert barrier_plan.pipeline is None
-        transport = InProcessTransport(4)
-        try:
-            baseline = transport.run_batch(barrier_plan)
-        finally:
-            transport.close()
+        expected = explain_each_circuit(circuits)
 
         cache = ArtifactCache()
         plan = plan_batch(
@@ -216,7 +182,7 @@ class TestThreadPipelinedExecution:
         finally:
             transport.close()
 
-        assert values_of(results) == values_of(baseline)
+        assert values_of(results) == expected
         for result in results.values():
             assert result.ok
             assert all(type(v) is Fraction for v in result.values.values())
@@ -260,16 +226,7 @@ class TestThreadPipelinedExecution:
 class TestProcessPipelinedExecution:
     def test_parity_over_a_shared_store(self, tmp_path):
         circuits = shared_block_circuits(3, n_blocks=3)
-
-        barrier_cache = ArtifactCache()
-        barrier_plan = plan_batch(
-            "exact", build_jobs(circuits, barrier_cache), True, batch=True,
-        )
-        transport = InProcessTransport(3)
-        try:
-            baseline = transport.run_batch(barrier_plan)
-        finally:
-            transport.close()
+        expected = explain_each_circuit(circuits)
 
         store = PersistentArtifactStore(str(tmp_path / "store"))
         cache = ArtifactCache(store=store)
@@ -283,7 +240,7 @@ class TestProcessPipelinedExecution:
             results = transport.run_batch(plan)
         finally:
             transport.close()
-        assert values_of(results) == values_of(baseline)
+        assert values_of(results) == expected
         for result in results.values():
             assert all(type(v) is Fraction for v in result.values.values())
         # pool workers did the compiles; the parent records the pass
@@ -293,19 +250,11 @@ class TestProcessPipelinedExecution:
 
 
 class TestSessionPipelineKnobs:
-    def test_pipeline_off_matches_and_reports_no_pipeline_stats(self):
+    def test_session_matches_explain_one(self):
         db = join_database(6, 6)
-        baseline = ExplainSession(db, method="exact").explain_many(JOIN_QUERY)
-        with ExplainSession(
-            db, method="exact",
-            options=EngineOptions(pipeline_execution=False),
-        ) as session:
+        with ExplainSession(db, method="exact") as session:
             results = session.explain_many(JOIN_QUERY)
-            stats = session.stats
-        assert values_of(results) == values_of(baseline)
-        assert stats["component_pass_compiles"] == 0
-        assert stats["stitch_jobs"] == 0
-        assert stats["pipeline_overlap_seconds"] == 0.0
+        assert values_of(results) == explain_each_answer(db, JOIN_QUERY)
 
     def test_pipelined_session_reports_counters(self):
         db = join_database(6, 6)
@@ -318,20 +267,20 @@ class TestSessionPipelineKnobs:
         assert stats["stitch_jobs"] == 1
         assert stats["compile_calls"] == 1
 
-    def test_cost_scale_knob_seeds_the_model(self):
-        with ExplainSession(
-            join_database(2, 2), method="exact",
-            options=EngineOptions(pipeline_cost_scale=4.0),
-        ) as session:
-            assert session.cost_model.scale == 4.0
-
     def test_process_executor_without_store_falls_back(self):
-        # No shared store: pool workers could not see the parent's
-        # components, so the session must not plan a pipeline.
+        # No shared store: a pool worker could not see a component
+        # another worker compiled, so a process session plans no
+        # component compiles — and still matches the thread run.
         db = join_database(4, 6)
+        with ExplainSession(db, method="exact") as session:
+            thread = session.explain_many(JOIN_QUERY)
+            assert session.stats["component_pass_compiles"] == 1
         with ExplainSession(db, method="exact", max_workers=2) as session:
-            assert session._component_planner("process") is None
-            assert session._component_planner("thread") is not None
+            process = session.explain_many(JOIN_QUERY, executor="process")
+            stats = session.stats
+        assert values_of(process) == values_of(thread)
+        assert stats["component_pass_compiles"] == 0
+        assert stats["stitch_jobs"] == 0
 
     def test_second_batch_is_warm_and_unpipelined(self):
         db = join_database(6, 6)
@@ -346,6 +295,58 @@ class TestSessionPipelineKnobs:
         assert stats["stitch_jobs"] == 1
         assert stats["compile_calls"] == 1
         assert stats["tape_compilations"] == 1
+
+
+class TestNoBarrier:
+    def test_sibling_group_runs_while_another_representative_blocks(self):
+        # Two shapes too small to memoize, so the batch plans no
+        # component compiles.  Shape A's representative blocks until a
+        # sibling of shape B runs: only a schedule that starts B's
+        # siblings as soon as B's own representative finishes — not
+        # after every representative — lets it through.
+        release = threading.Event()
+        seen = {}
+        lock = threading.Lock()
+
+        class _BlockingEngine(Engine):
+            name = "_test_blocking"
+            exact = False
+            uses_cache = True
+
+            def explain_circuit(self, circuit, players, options=None):
+                shape = "A" if len(players) == 2 else "B"
+                with lock:
+                    call = seen.get(shape, 0)
+                    seen[shape] = call + 1
+                if shape == "A" and call == 0:
+                    status = "ok" if release.wait(5.0) else "timeout"
+                elif shape == "B" and call > 0:
+                    release.set()
+                    status = "ok"
+                else:
+                    status = "ok"
+                return EngineResult(
+                    self.name, {p: Fraction(0) for p in players}, False,
+                    status=status,
+                )
+
+        register_engine(_BlockingEngine)
+        try:
+            db = mixed_fanout_database(4, (1, 2))
+            with ExplainSession(
+                db, method="_test_blocking", max_workers=2,
+            ) as session:
+                results = session.explain_many(JOIN_QUERY)
+                stats = session.stats
+        finally:
+            _REGISTRY.pop("_test_blocking", None)
+            _INSTANCES.pop("_test_blocking", None)
+        assert stats["unique_shapes"] == 2
+        assert stats["component_pass_compiles"] == 0
+        assert seen == {"A": 2, "B": 2}
+        assert all(result.ok for result in results.values()), {
+            answer: result.status for answer, result in results.items()
+        }
 
 
 class TestWarmAheadOnePass:

@@ -1,11 +1,8 @@
-"""Tests for the pure scheduling layer: shape dedup / warm-up planning
-(:func:`plan_batch`), affinity-preserving shard assignment
-(:func:`assign_shards`), and job portability."""
-
-import pytest
+"""Tests for the pure scheduling layer: shape dedup and representative
+planning (:func:`plan_batch`), and job portability."""
 
 from repro.engine import ArtifactCache, EngineOptions
-from repro.engine.scheduler import Job, assign_shards, plan_batch
+from repro.engine.scheduler import Job, plan_batch
 from repro.engine.store import signature_digest
 from repro.workloads.synthetic import chained_dnf
 
@@ -50,47 +47,6 @@ class TestPlanBatch:
         plan = plan_batch("exact", [], deduplicate=True)
         assert plan.jobs == plan.warm_wave == plan.main_wave == []
         assert plan.n_shapes == 0
-
-
-class TestAssignShards:
-    def test_same_key_always_shares_a_shard(self):
-        jobs = [job(i, "AB"[i % 2]) for i in range(10)]
-        shards = assign_shards(jobs, 2, key=Job.affinity)
-        for shard in shards:
-            assert len({j.signature for j in shard}) <= 1
-
-    def test_group_order_is_preserved_inside_a_shard(self):
-        jobs = [job(0, "A"), job(1, "A"), job(2, "A")]
-        [shard] = [s for s in assign_shards(jobs, 3, key=Job.affinity) if s]
-        assert [j.index for j in shard] == [0, 1, 2]
-
-    def test_balances_by_group_size(self):
-        # groups of sizes 4, 3, 2, 1 over 2 shards -> loads 5 and 5
-        jobs = (
-            [job(i, "A") for i in range(4)]
-            + [job(10 + i, "B") for i in range(3)]
-            + [job(20 + i, "C") for i in range(2)]
-            + [job(30, "D")]
-        )
-        shards = assign_shards(jobs, 2, key=Job.affinity)
-        assert sorted(len(s) for s in shards) == [5, 5]
-
-    def test_deterministic(self):
-        jobs = [job(i, f"sig{i % 3}") for i in range(12)]
-        first = assign_shards(jobs, 4, key=Job.affinity)
-        second = assign_shards(jobs, 4, key=Job.affinity)
-        assert [[j.index for j in s] for s in first] == [
-            [j.index for j in s] for s in second
-        ]
-
-    def test_more_shards_than_groups_leaves_empties(self):
-        shards = assign_shards([job(0, "A")], 4, key=Job.affinity)
-        assert sum(bool(s) for s in shards) == 1
-        assert len(shards) == 4
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError, match="n_shards"):
-            assign_shards([], 0, key=Job.affinity)
 
 
 class TestJobPortability:

@@ -17,7 +17,9 @@ from repro.circuits.circuit import CircuitError
 from repro.circuits.cnf import Cnf, CnfError
 from repro.core import run_exact
 from repro.core.attribution import attribute
+from repro.core.pipeline import to_plan
 from repro.db import Database, RelationSchema, Schema, cq
+from repro.db.evaluate import lineage
 from repro.engine import (
     ArtifactCache,
     EngineOptions,
@@ -47,6 +49,20 @@ def join_database(n_answers: int = 6, fanout: int = 2) -> Database:
 
 
 JOIN_QUERY = cq(["a"], "R(a, b)", "S(b, c)")
+
+
+def explain_each_answer(db: Database, query) -> dict:
+    """The per-answer reference: every answer's lineage explained alone
+    through ``ExplainSession.explain_one``; values keyed by answer."""
+    result = lineage(to_plan(query, db), db, endogenous_only=True)
+    with ExplainSession(db, method="exact") as session:
+        values = {}
+        for answer in result.tuples():
+            circuit = result.lineage_of(answer)
+            values[answer] = session.explain_one(
+                circuit, sorted(circuit.reachable_vars())
+            ).values
+    return values
 
 
 class TestPayloadSerialization:
@@ -274,9 +290,9 @@ class TestProcessExecutor:
         assert {a: r.values for a, r in proc.items()} == {
             a: r.values for a, r in thread.items()
         }
-        # the warm-up wave compiled the single shape once, in-parent
-        assert session.stats["compile_calls"] == 1
-        assert session.stats["store_writes"] == 3
+        # the pool workers published the shape to the shared store
+        kinds = {entry.kind for entry in store.entries()}
+        assert {"cnf", "dnnf", "tape"} <= kinds
 
     def test_process_executor_without_store_still_correct(self):
         db = join_database(n_answers=4)
