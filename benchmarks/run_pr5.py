@@ -1,24 +1,26 @@
-"""PR 5 acceptance driver: writes BENCH_5.json at the repo root.
+"""Machine-width tier acceptance driver: writes BENCH_5.json at the
+repo root.
 
 Checks, in one run:
 
-1. **Warm-store machine-width smoke** — ``bench --json`` with the
-   ``int64`` backend over a persistent store twice: the warm run must
-   report 0 compilations, 0 tape lowerings, *and* ``fastpath_hits > 0``
-   (the level-scheduled tier actually ran).
-2. **Kernel/mode parity** — on the fig7 ground-truth pool, every
-   numeric kernel (python / numpy / int64) x all-facts mode
-   (conditioning / derivative) returns byte-identical exact
-   Fractions.
+1. **Warm-store machine-width smoke** — ``bench --json`` on TPC-H Q16
+   over a persistent store twice: the warm run must report 0
+   compilations, 0 tape lowerings, *and* ``fastpath_hits > 0`` (the
+   level-scheduled tier, the default path, actually ran) with every
+   fallback a shape too small for the tier to pay off.
+2. **Path/mode parity** — on the fig7 ground-truth pool, the default
+   path and the interpreted reference pass (the tier disabled) x
+   all-facts mode (conditioning / derivative) return byte-identical
+   exact Fractions.
 3. **Machine-width speedup** — on the largest fig7 instance, the
-   warm-tape derivative pass on the ``int64`` level-scheduled tier must
-   beat the PR 4 ``numpy`` object-dtype baseline by >= 3x (median over
-   warmed repeats), with identical Fractions.
-4. **Larger synthetic tier** — a 120-fact engineered instance (CRT
-   residue planes) timed the same way.
-5. **Overflow tier** — a ~150-bit instance beyond CRT capacity must
-   *fall back* (``fastpath_fallbacks > 0``) and still return exact
-   values identical to the reference kernel.
+   warm-tape derivative pass on the level-scheduled tier must beat
+   the interpreted reference pass by >= 3x (median over warmed
+   repeats), with identical Fractions.
+4. **Larger synthetic tier** — a 70-fact synthetic instance timed the
+   same way.
+5. **Wide and fallback tiers** — a ~141-bit instance takes six CRT
+   residue planes (no fallback), and with the tier disabled falls
+   back (``fastpath_fallbacks > 0``) to identical exact values.
 
 Run with ``PYTHONPATH=src python benchmarks/run_pr5.py``; pass
 ``--quick`` (the CI perf-smoke mode) to use the TPC-H half of the
@@ -33,11 +35,13 @@ import statistics
 import sys
 import tempfile
 import time
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+
+import repro.core.numerics.fixed as fixed  # noqa: E402
 
 from repro.bench import run_suite  # noqa: E402
 from repro.circuits import (  # noqa: E402
@@ -49,9 +53,7 @@ from repro.core import shapley_all_facts  # noqa: E402
 from repro.core.numerics import (  # noqa: E402
     HAS_NUMPY,
     FastpathStats,
-    available_kernels,
     compile_tape,
-    get_kernel,
     plan_for,
 )
 from repro.workloads import (  # noqa: E402
@@ -66,7 +68,20 @@ from repro.workloads.synthetic import random_monotone_cnf  # noqa: E402
 
 EXACT_BUDGET = CompilationBudget(max_nodes=400_000, max_seconds=2.5)
 MODES = ("conditioning", "derivative")
+PATHS = ("default", "interpreted")
 TIMING_REPEATS = 9
+
+
+@contextmanager
+def _path(name: str):
+    """Run Algorithm 1 on the default path, or with the machine-width
+    tier disabled (``"interpreted"``: the reference kernel's pass)."""
+    saved = fixed.HAS_NUMPY
+    fixed.HAS_NUMPY = saved and name == "default"
+    try:
+        yield
+    finally:
+        fixed.HAS_NUMPY = saved
 
 
 def _timed(fn, repeats=TIMING_REPEATS):
@@ -86,8 +101,8 @@ def _bench_json(store_dir: str) -> dict:
     buffer = io.StringIO()
     with redirect_stdout(buffer):
         code = cli_main([
-            "bench", "--workload", "flights",
-            "--cache-dir", store_dir, "--numeric-backend", "int64", "--json",
+            "bench", "--workload", "tpch", "--query", "Q16",
+            "--cache-dir", store_dir, "--json",
         ])
     assert code == 0, buffer.getvalue()
     return json.loads(buffer.getvalue())
@@ -101,7 +116,8 @@ def warm_store_fastpath_check() -> dict:
     assert warm["stats"]["compile_calls"] == 0, warm
     assert warm["stats"]["tape_compilations"] == 0, warm
     assert warm["stats"]["fastpath_hits"] > 0, warm
-    assert warm["stats"]["fastpath_fallbacks"] == 0, warm
+    assert warm["stats"]["fastpath_fallbacks"] == \
+        warm["stats"]["fastpath_small_fallbacks"], warm
     assert warm["ok"] == cold["ok"] == cold["outputs"], (cold, warm)
     return {
         "cold": {
@@ -113,6 +129,8 @@ def warm_store_fastpath_check() -> dict:
             "compile_calls": warm["stats"]["compile_calls"],
             "tape_compilations": warm["stats"]["tape_compilations"],
             "fastpath_hits": warm["stats"]["fastpath_hits"],
+            "fastpath_small_fallbacks":
+                warm["stats"]["fastpath_small_fallbacks"],
             "store_hits": warm["stats"]["store_hits"],
         },
     }
@@ -149,32 +167,39 @@ def _compiled(circuit: Circuit):
 
 
 def parity_check(records, n_records: int) -> dict:
-    kernels = [get_kernel(name) for name in available_kernels()]
-    fastpath = FastpathStats()
-    checked = 0
-    for record in records[:n_records]:
+    """Parity over the first ``n_records`` records plus the five
+    largest (most fig7 lineages are too small for the machine-width
+    tier to pay off, so the largest are the ones it serves)."""
+    largest = sorted(records, key=lambda r: r.n_facts)[-5:]
+    checked = records[:n_records] + [
+        r for r in largest if r not in records[:n_records]]
+    stats = {path: FastpathStats() for path in PATHS}
+    for record in checked:
         ddnnf, _ = _compiled(record.circuit)
         players = sorted(record.values)
         tape = compile_tape(ddnnf.condition({}))
-        for kernel in kernels:
+        for path in PATHS:
             for mode in MODES:
-                values = shapley_all_facts(
-                    ddnnf, players, method=mode, kernel=kernel,
-                    tape=tape if mode == "derivative" else None,
-                    fastpath_stats=fastpath,
-                )
-                assert values == record.values, (kernel.name, mode)
-        checked += 1
+                with _path(path):
+                    values = shapley_all_facts(
+                        ddnnf, players, method=mode,
+                        tape=tape if mode == "derivative" else None,
+                        fastpath_stats=stats[path],
+                    )
+                assert values == record.values, (path, mode)
     # The fig7-tier acceptance gate: the machine-width tier must have
-    # actually served these shapes, not silently fallen back.
-    assert fastpath.hits > 0, fastpath
+    # actually served these shapes, and declined only the small ones.
+    default = stats["default"]
+    assert default.hits > 0, default
+    assert default.fallbacks == default.small, default
+    assert stats["interpreted"].ineligible == len(checked), stats
     return {
-        "records_checked": checked,
-        "kernels": list(available_kernels()),
+        "records_checked": len(checked),
+        "paths": list(PATHS),
         "modes": list(MODES),
         "identical_fractions": True,
-        "fastpath_hits": fastpath.hits,
-        "fastpath_fallbacks": fastpath.fallbacks,
+        "fastpath_hits": default.hits,
+        "fastpath_small_fallbacks": default.small,
     }
 
 
@@ -189,21 +214,21 @@ def _tier_name(plan) -> str:
 
 
 def fastpath_speedup(ddnnf, players, label: str, quick: bool) -> dict:
-    """Warm-tape derivative pass: int64 level-scheduled vs the PR 4
-    numpy object-dtype baseline, min/median over warmed repeats."""
+    """Warm-tape derivative pass: the level-scheduled machine-width
+    tier vs the interpreted reference pass, min/median over warmed
+    repeats."""
     tape = compile_tape(ddnnf.condition({}))
     plan = plan_for(tape)
-    numpy_kernel = get_kernel("numpy")
-    int64_kernel = get_kernel("int64")
-    baseline_values = shapley_all_facts(
-        ddnnf, players, method="derivative", kernel=numpy_kernel, tape=tape)
-    fast_values = shapley_all_facts(
-        ddnnf, players, method="derivative", kernel=int64_kernel, tape=tape)
+
+    def run():
+        return shapley_all_facts(ddnnf, players, tape=tape)
+
+    with _path("interpreted"):
+        baseline_values = run()
+        base_min, base_median = _timed(run)
+    fast_values = run()
     assert baseline_values == fast_values, label
-    base_min, base_median = _timed(lambda: shapley_all_facts(
-        ddnnf, players, method="derivative", kernel=numpy_kernel, tape=tape))
-    fast_min, fast_median = _timed(lambda: shapley_all_facts(
-        ddnnf, players, method="derivative", kernel=int64_kernel, tape=tape))
+    fast_min, fast_median = _timed(run)
     speedup = round(base_median / fast_median, 3)
     if not quick:
         assert speedup >= 3.0, (label, speedup)
@@ -216,10 +241,10 @@ def fastpath_speedup(ddnnf, players, label: str, quick: bool) -> dict:
             "bound_bits": max(forward_bits, backward_bits, diff_bits),
             "tier": _tier_name(plan),
         },
-        "baseline_numpy_median_seconds": round(base_median, 6),
-        "baseline_numpy_min_seconds": round(base_min, 6),
-        "fastpath_int64_median_seconds": round(fast_median, 6),
-        "fastpath_int64_min_seconds": round(fast_min, 6),
+        "baseline_interpreted_median_seconds": round(base_median, 6),
+        "baseline_interpreted_min_seconds": round(base_min, 6),
+        "fastpath_median_seconds": round(fast_median, 6),
+        "fastpath_min_seconds": round(fast_min, 6),
         "speedup_median": speedup,
         "timing_repeats": TIMING_REPEATS,
         "warmup_iteration": True,
@@ -243,24 +268,27 @@ def _engineered_cnf(n_clauses: int, width: int, seed: int) -> Circuit:
 
 
 def overflow_tier_check() -> dict:
-    """Bounds beyond CRT capacity: the fast path must decline and the
-    interpreted pass must return the same exact values."""
+    """~141-bit bounds: the plane count follows the bounds (six CRT
+    planes, no fallback), and with the tier disabled the interpreted
+    fallback returns the same exact values."""
     ddnnf, players = _compiled(_engineered_cnf(50, 3, seed=4))
     tape = compile_tape(ddnnf.condition({}))
-    stats = FastpathStats()
+    fast_stats = FastpathStats()
     fast = shapley_all_facts(
-        ddnnf, players, method="derivative", kernel="int64",
-        tape=tape, fastpath_stats=stats,
-    )
-    reference = shapley_all_facts(
-        ddnnf, players, method="derivative", kernel="python", tape=tape)
-    assert stats.fallbacks > 0, stats
+        ddnnf, players, tape=tape, fastpath_stats=fast_stats)
+    fallback_stats = FastpathStats()
+    with _path("interpreted"):
+        reference = shapley_all_facts(
+            ddnnf, players, tape=tape, fastpath_stats=fallback_stats)
+    assert fast_stats.hits == 1 and fast_stats.fallbacks == 0, fast_stats
+    assert fallback_stats.fallbacks > 0, fallback_stats
     assert fast == reference
     forward_bits, backward_bits, diff_bits = tape.bound_bits()
     return {
         "n_facts": len(players),
         "bound_bits": max(forward_bits, backward_bits, diff_bits),
-        "fastpath_fallbacks": stats.fallbacks,
+        "tier": _tier_name(plan_for(tape)),
+        "fastpath_fallbacks": fallback_stats.fallbacks,
         "identical_fractions": True,
     }
 
@@ -278,7 +306,7 @@ def main(argv=None) -> int:
           f"({'TPC-H only' if quick else 'TPC-H + IMDB'}) ...", flush=True)
     records = ground_truth_records(quick)
     print(f"  {len(records)} ground-truth records", flush=True)
-    print("PR 5 acceptance: kernel/mode parity ...", flush=True)
+    print("PR 5 acceptance: path/mode parity ...", flush=True)
     parity = parity_check(records, 10 if quick else 30)
     biggest = max(records, key=lambda r: r.n_facts)
     ddnnf, _ = _compiled(biggest.circuit)
@@ -296,12 +324,12 @@ def main(argv=None) -> int:
         synthetic_ddnnf, synthetic_players, "synthetic", quick)
     print(f"  speedup {synthetic['speedup_median']}x "
           f"({synthetic['instance']['tier']})", flush=True)
-    print("PR 5 acceptance: overflow tier ...", flush=True)
+    print("PR 5 acceptance: wide and fallback tiers ...", flush=True)
     overflow = overflow_tier_check()
     payload = {
         "pr": 5,
-        "title": "Machine-width fast path: overflow-guarded int64/float64 "
-                 "kernels and level-scheduled tape execution",
+        "title": "Machine-width fast path: level-scheduled tape execution "
+                 "in float64, int64 or CRT residue planes",
         "numpy_available": HAS_NUMPY,
         "quick": quick,
         "warm_store_fastpath": warm,

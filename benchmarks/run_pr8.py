@@ -7,14 +7,15 @@ Checks, in one run:
    the group's single shared sweep plus per-answer Equation 3 must
    beat the per-answer machine-width loop by >= 2x (median over warmed
    repeats), with byte-identical Fractions.
-2. **Batched/per-answer x kernel x transport matrix** — on a join
-   workload, batched sessions on every kernel (python / int64 / auto)
-   and every transport (thread / process / socket) return Fractions
+2. **Batched/per-answer x path x transport matrix** — on a join
+   workload, batched sessions on the default path and on the
+   interpreted reference pass (the machine-width tier disabled) and
+   every transport (thread / process / socket) return Fractions
    byte-identical to explaining each answer's lineage alone.
 3. **Mixed-tier batch** — one batch spanning the float64 tier, the CRT
-   tier, and a beyond-capacity fallback shape stays exact answer by
-   answer (one machine-width sweep per eligible shape, the fallback
-   shape interpreted).
+   tier, and a six-plane CRT shape takes one machine-width sweep per
+   shape and stays exact answer by answer against the interpreted
+   per-answer fallback.
 
 Run with ``PYTHONPATH=src python benchmarks/run_pr8.py``; pass
 ``--quick`` (the CI perf-smoke mode) to shrink the pool, skip the
@@ -29,11 +30,14 @@ import sys
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+
+import repro.core.numerics.fixed as fixed  # noqa: E402
 
 from repro.bench import run_suite  # noqa: E402
 from repro.circuits import (  # noqa: E402
@@ -54,7 +58,7 @@ from repro.db import (  # noqa: E402
 )
 from repro.db.evaluate import lineage  # noqa: E402
 from repro.engine import (  # noqa: E402
-    Coordinator, EngineOptions, ExplainSession, run_worker,
+    Coordinator, ExplainSession, run_worker,
 )
 from repro.workloads import (  # noqa: E402
     TPCH_QUERIES, TpchConfig, generate_tpch,
@@ -138,13 +142,12 @@ def warm_batch_throughput(quick: bool) -> dict:
 
     def per_answer():
         return [
-            shapley_all_facts(None, facts, method="derivative",
-                              kernel="int64", tape=lane_tape)
+            shapley_all_facts(None, facts, tape=lane_tape)
             for lane_tape, facts in zip(tapes, endo)
         ]
 
     def batched():
-        return shapley_all_facts_batched(tapes, endo, kernel="int64")
+        return shapley_all_facts_batched(tapes, endo)
 
     reference = per_answer()
     values = batched()
@@ -190,8 +193,21 @@ def _join_database(n_answers: int, fanout: int) -> Database:
     return db
 
 
+@contextmanager
+def _path(name: str):
+    """Run Algorithm 1 on the default path, or with the machine-width
+    tier disabled (``"interpreted"``) in this process, its forked pool
+    children and in-thread socket workers."""
+    saved = fixed.HAS_NUMPY
+    fixed.HAS_NUMPY = saved and name == "default"
+    try:
+        yield
+    finally:
+        fixed.HAS_NUMPY = saved
+
+
 def transport_matrix(quick: bool) -> dict:
-    """Batched sessions across kernels and transports vs the per-answer
+    """Batched sessions across paths and transports vs the per-answer
     reference — the ``identical_fractions`` acceptance matrix."""
     db = _join_database(6 if quick else 10, 2)
     answers = lineage(to_plan(JOIN_QUERY, db), db, endogenous_only=True)
@@ -219,10 +235,9 @@ def transport_matrix(quick: bool) -> dict:
         coordinator.wait_for_workers(2, timeout=30)
         combos = []
         try:
-            for backend in ("python", "int64", "auto"):
-                with ExplainSession(
+            for backend in ("default", "interpreted"):
+                with _path(backend), ExplainSession(
                     db, method="exact", max_workers=2,
-                    options=EngineOptions(numeric_backend=backend),
                     coordinator=coordinator.address, min_workers=2,
                 ) as session:
                     for executor in ("thread", "process", "socket"):
@@ -248,8 +263,8 @@ def transport_matrix(quick: bool) -> dict:
 
 
 def mixed_tier_batch() -> dict:
-    """One batch spanning float64, CRT, and beyond-capacity lanes."""
-    shapes = [(12, 3, 0), (23, 3, 0), (50, 3, 4)]
+    """One batch spanning float64, CRT, and six-plane CRT lanes."""
+    shapes = [(18, 3, 0), (48, 3, 0), (50, 3, 4)]
     lanes = []
     for n_clauses, width, seed in shapes:
         ddnnf, players = _compiled(_engineered_cnf(n_clauses, width, seed))
@@ -260,18 +275,20 @@ def mixed_tier_batch() -> dict:
         tapes.append(tape.with_labels(mapping))
         endo.append([mapping[p] for p in players])
     stats = FastpathStats()
-    values = shapley_all_facts_batched(
-        tapes, endo, kernel="int64", fastpath_stats=stats)
+    values = shapley_all_facts_batched(tapes, endo, fastpath_stats=stats)
+    fallbacks = FastpathStats()
     for lane_tape, facts, got in zip(tapes, endo, values):
-        reference = shapley_all_facts(
-            None, facts, method="derivative", kernel="python",
-            tape=lane_tape)
+        with _path("interpreted"):
+            reference = shapley_all_facts(
+                None, facts, tape=lane_tape, fastpath_stats=fallbacks)
         assert got == reference
-    assert stats.hits == 4 and stats.ineligible == 2, stats
+    assert stats.hits == 6 and stats.fallbacks == 0, stats
+    assert sorted(set(stats.tiers.values())) == ["crt", "float64"], stats
+    assert fallbacks.ineligible == 6, fallbacks
     return {
         "lanes": len(tapes),
         "fastpath_hits": stats.hits,
-        "fastpath_ineligible_fallbacks": stats.ineligible,
+        "reference_fallbacks": fallbacks.fallbacks,
         "identical_fractions": True,
     }
 
@@ -290,7 +307,7 @@ def main(argv=None) -> int:
     print(f"  speedup {throughput['speedup_median']}x "
           f"({throughput['tier']}, batch {throughput['batch_size']})",
           flush=True)
-    print("PR 8 acceptance: kernel x transport matrix ...", flush=True)
+    print("PR 8 acceptance: path x transport matrix ...", flush=True)
     matrix = transport_matrix(quick)
     print(f"  {len(matrix['combinations'])} combinations identical",
           flush=True)

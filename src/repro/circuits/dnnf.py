@@ -175,9 +175,8 @@ def count_models_by_size(
     The traversal is lowered to a
     :class:`~repro.core.numerics.tape.GateTape` and the arithmetic runs
     on a numeric kernel (``kernel`` — a
-    :class:`~repro.core.numerics.base.Kernel`, a registered backend
-    name, or ``None`` for the exact big-int reference).  Every backend
-    returns identical exact counts.
+    :class:`~repro.core.numerics.base.Kernel`, a registered kernel
+    name, or ``None`` for the exact big-int reference).
 
     Returns ``(counts, num_vars)`` where ``counts[l] = #SAT_l`` and
     ``num_vars = |Vars(C)|``.  Determinism/decomposability are assumed

@@ -45,7 +45,6 @@ from pathlib import Path
 from .compiler import CompilationBudget
 from .core import to_plan
 from .core.attribution import attribute
-from .core.numerics import HAS_NUMPY, available_kernels
 from .db import lineage
 from .engine import (
     ArtifactCache,
@@ -173,18 +172,6 @@ def _address(text: str) -> tuple[str, int]:
         raise argparse.ArgumentTypeError(str(error))
 
 
-def _numeric_backend(args: argparse.Namespace) -> str | None:
-    """The requested numeric kernel, warning once when an explicit
-    ``numpy`` / ``int64`` request will fall back (the library is not
-    installed)."""
-    backend = getattr(args, "numeric_backend", None)
-    if backend in ("numpy", "int64") and not HAS_NUMPY:
-        print(f"warning: NumPy is not installed; "
-              f"--numeric-backend {backend} falls back to the reference "
-              f"kernel", file=sys.stderr)
-    return backend
-
-
 def _build_store(args: argparse.Namespace) -> PersistentArtifactStore | None:
     if not getattr(args, "cache_dir", None):
         return None
@@ -222,7 +209,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
             samples_per_fact=args.samples,
             seed=args.seed,
             cache=_build_cache(args),
-            numeric_backend=_numeric_backend(args),
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -266,7 +252,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         method="exact",
         options=EngineOptions(
             budget=CompilationBudget(max_seconds=args.timeout), timeout=None,
-            numeric_backend=_numeric_backend(args),
             compile_jobs=args.compile_jobs,
         ),
         cache=cache,
@@ -369,7 +354,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
               f"{stats['fastpath_fallbacks']} exact fallbacks "
               f"({stats['fastpath_overflow_fallbacks']} overflow, "
               f"{stats['fastpath_ineligible_fallbacks']} ineligible, "
-              f"{stats['fastpath_budget_fallbacks']} over budget)")
+              f"{stats['fastpath_budget_fallbacks']} over budget, "
+              f"{stats['fastpath_small_fallbacks']} too small)")
     if stats["batched_groups"]:
         print(f"batched: {stats['batched_answers']} answers in "
               f"{stats['batched_groups']} same-shape group passes")
@@ -512,7 +498,7 @@ def _stage_profile(results) -> dict[str, float]:
         stages["tape_lower_seconds"] += timings.get("tape_lower", 0.0)
         stages["kernel_exec_seconds"] += timings.get("shapley", 0.0)
         # Batched answers additionally report their share of the group
-        # pass and which machine-width tier the shape ran on.
+        # pass; every answer a machine-width sweep served names its tier.
         stages["batch_exec_seconds"] += timings.get("batch_exec", 0.0)
         for tier in ("float64", "int64", "crt"):
             stages[f"tier_{tier}_seconds"] += timings.get(
@@ -784,13 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--max-store-bytes", type=_byte_size, default=None,
                    help="byte budget of --cache-dir (suffixes k/m/g); "
                         "writes past it evict LRU artifacts")
-    e.add_argument("--numeric-backend",
-                   choices=(*available_kernels(), "auto"), default=None,
-                   help="numeric kernel of the exact counting passes "
-                        "(default: the big-int reference; 'int64' is the "
-                        "machine-width fast path, 'auto' the ladder "
-                        "int64>numpy>python; NumPy-backed kernels fall "
-                        "back to the reference when NumPy is missing)")
     e.set_defaults(func=cmd_explain)
 
     b = sub.add_parser("bench", help="quick exact-pipeline smoke benchmark")
@@ -833,13 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--max-store-bytes", type=_byte_size, default=None,
                    help="byte budget of --cache-dir (suffixes k/m/g); "
                         "writes past it evict LRU artifacts")
-    b.add_argument("--numeric-backend",
-                   choices=(*available_kernels(), "auto"), default=None,
-                   help="numeric kernel of the exact counting passes "
-                        "(default: the big-int reference; 'int64' is the "
-                        "machine-width fast path, 'auto' the ladder "
-                        "int64>numpy>python; NumPy-backed kernels fall "
-                        "back to the reference when NumPy is missing)")
     b.add_argument("--repeats", type=_positive_int, default=1,
                    help="timed repetitions of the batch; > 1 adds one "
                         "explicit warm-up iteration first and reports "

@@ -61,7 +61,6 @@ def attribute(
     samples_per_fact: int = 20,
     seed: int | None = None,
     cache: "ArtifactCache | None" = None,
-    numeric_backend: str | None = None,
 ) -> Attribution:
     """Compute fact contributions for one answer of ``query``.
 
@@ -99,11 +98,6 @@ def attribute(
         Optional shared :class:`~repro.engine.cache.ArtifactCache`; for
         many answers prefer
         :meth:`repro.engine.ExplainSession.explain_many`.
-    numeric_backend:
-        Numeric kernel for the exact counting passes (see
-        :mod:`repro.core.numerics`): ``None``/``"python"`` (reference),
-        ``"numpy"`` (vectorized, falls back when NumPy is missing), or
-        ``"auto"``.  Values are identical on every backend.
     """
     engine = get_engine(method)
     plan = to_plan(query, database)
@@ -126,7 +120,6 @@ def attribute(
         samples_per_fact=samples_per_fact,
         seed=derive_answer_seed(seed, answer) if seed is not None else None,
         cache=cache,
-        numeric_backend=numeric_backend,
     )
     outcome = engine.explain_circuit(circuit, endo, options)
     if not outcome.ok:

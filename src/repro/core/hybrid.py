@@ -55,7 +55,6 @@ def hybrid_shapley(
     method: str = "derivative",
     cache: "ArtifactCache | None" = None,
     artifacts: "CircuitArtifacts | None" = None,
-    numeric_backend: str | None = None,
 ) -> HybridResult:
     """Exact-within-timeout, else CNF Proxy (Section 6.3).
 
@@ -73,7 +72,7 @@ def hybrid_shapley(
     budget = CompilationBudget(max_nodes=max_nodes, max_seconds=timeout)
     outcome = run_exact(
         circuit, endo, budget=budget, method=method,
-        cache=cache, artifacts=artifacts, numeric_backend=numeric_backend,
+        cache=cache, artifacts=artifacts,
     )
     elapsed = time.perf_counter() - start
     if outcome.ok and outcome.values is not None:

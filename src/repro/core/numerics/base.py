@@ -7,26 +7,17 @@ shifted additions (OR gates), binomial completion over free variables
 combination of conditioned counts into a Shapley value.  A
 :class:`Kernel` bundles those primitives behind one interface so the
 traversal code (:mod:`repro.core.numerics.tape`,
-:mod:`repro.circuits.dnnf`, :mod:`repro.core.shapley`) is backend
-agnostic:
+:mod:`repro.circuits.dnnf`, :mod:`repro.core.shapley`) is written once.
 
-* ``"python"`` — the exact big-int reference implementation
-  (:mod:`~repro.core.numerics.exact`), always available;
-* ``"numpy"`` — a vectorized backend over object-dtype big-int arrays
-  (:mod:`~repro.core.numerics.vector`), used when NumPy is importable
-  and falling back to the reference kernel otherwise;
-* ``"int64"`` — the machine-width backend
-  (:mod:`~repro.core.numerics.fixed`): native-dtype arrays behind
-  per-call overflow guards, delegating any call it cannot prove safe
-  to the object/python kernels.  Also the key that unlocks the
-  level-scheduled tape fast path of the derivative pass.
-
-``"auto"`` resolves down the ladder int64 → numpy → python, picking
-the fastest backend the installed dependencies support.
-
-All kernels are *exact*: count vectors are Python ints of unbounded
-precision and every backend must return byte-identical
-:class:`~fractions.Fraction` values (asserted by the parity suite).
+The one registered kernel is the exact big-int reference
+(:mod:`~repro.core.numerics.exact`, ``"python"``): the interpreted
+pass of Algorithm 1 and the oracle every faster path is tested
+against.  The faster path is not a kernel: the machine-width tier
+(:mod:`~repro.core.numerics.fixed`) runs whole sweeps in float64,
+int64 or CRT residue planes, chosen per shape, and falls back to the
+interpreted pass on this kernel.  Count vectors are Python ints of
+unbounded precision, so every result is an exact
+:class:`~fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -254,42 +245,17 @@ def available_kernels() -> tuple[str, ...]:
     return tuple(seen)
 
 
-#: Registered backends that require NumPy; requested without it they
-#: fall back to the reference kernel (or raise under ``strict``).
-_NEEDS_NUMPY = ("numpy", "int64")
-
-
-def get_kernel(name: str | None = None, strict: bool = False) -> Kernel:
-    """The shared kernel instance registered under ``name``.
-
-    ``None`` resolves to the reference backend; ``"auto"`` walks the
-    ladder int64 → numpy → python, resolving to the machine-width
-    kernel when NumPy is importable and the reference kernel otherwise.
-    An *unavailable* backend (``"numpy"`` / ``"int64"`` without NumPy
-    installed) falls back to the reference kernel unless ``strict`` is
-    true — selection is a performance knob, never a correctness switch,
-    so a missing optional dependency must not fail a computation.
-    Unknown names always raise.
-    """
-    from .vector import HAS_NUMPY  # late: avoid import cycle at startup
-
+def get_kernel(name: str | None = None) -> Kernel:
+    """The shared kernel instance registered under ``name`` (``None``
+    is the reference backend).  Unknown names raise."""
     if name is None:
         name = "python"
-    elif name == "auto":
-        name = "int64" if HAS_NUMPY else "python"
     cls = _REGISTRY.get(name)
     if cls is None:
         raise ValueError(
             f"unknown numeric kernel {name!r}; "
             f"choose from {sorted(set(_REGISTRY))}"
         )
-    if cls.name in _NEEDS_NUMPY and not HAS_NUMPY:
-        if strict:
-            raise ValueError(
-                f"numeric kernel {cls.name!r} is unavailable "
-                "(NumPy not installed)"
-            )
-        return get_kernel("python")
     instance = _INSTANCES.get(cls.name)
     if instance is None:
         instance = _INSTANCES[cls.name] = cls()

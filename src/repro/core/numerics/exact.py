@@ -1,9 +1,10 @@
 """The reference numeric kernel: schoolbook big-int arithmetic.
 
-This is the kernel every other backend is parity-tested against.  It
+This is the kernel the machine-width tier is parity-tested against,
+and the one Algorithm 1's interpreted pass and Equation 3 run on.  It
 is deliberately plain Python — unbounded ints, nested loops with
 zero-skipping — because exactness and auditability matter more here
-than speed; the vectorized backends win on large vectors, this one on
+than speed; the machine-width tier wins on large shapes, this one on
 tiny ones (lineage counts are often single digits wide).
 """
 

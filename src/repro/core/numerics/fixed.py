@@ -1,76 +1,64 @@
-"""The machine-width execution tier: overflow-guarded int64/float64
-kernels and level-scheduled tape execution.
+"""The machine-width execution tier of Algorithm 1: level-scheduled
+tape execution in float64, int64, or CRT residue planes.
 
-The object-dtype NumPy backend (:mod:`~repro.core.numerics.vector`)
-keeps Algorithm 1 exact by keeping Python big ints as array elements —
-which means every multiply is still a Python-level operation and every
-gate still a Python-level dispatch.  This module makes the warm,
-post-compilation hot path *machine-cheap* instead, without ever giving
-up exactness:
+The reference kernel (:mod:`~repro.core.numerics.exact`) keeps
+Algorithm 1 exact with Python big ints, so every multiply is a
+Python-level operation and every gate a Python-level dispatch.  This
+module runs the same smoothing-free forward/backward sweeps of a
+:class:`~.tape.GateTape` as a handful of whole-level NumPy operations
+instead, without giving up exactness.
 
-Per-call guarded kernel (``"int64"``)
-    :class:`Int64Kernel` implements the generic :class:`~.base.Kernel`
-    protocol over native ``int64`` arrays.  Every call first derives an
-    a-priori product bound from its operands; if the result provably
-    fits, the convolution/accumulation runs in native dtype, otherwise
-    the call transparently delegates to the exact object/python kernels.
-    Selection is per call, so mixed workloads (tiny lineages next to
-    2^100-model monsters, ``Fraction`` expectation sums from the
-    SHAP-score path) always get exact answers.
+:func:`fastpath_diffs` groups the tape's instructions into topological
+levels (:meth:`~.tape.GateTape.level_schedule`), decomposes wide ANDs
+into balanced binary trees, and turns each level's convolutions into
+one batched ``matmul`` over sliding-window views of a contiguous
+``(slots, width)`` value buffer (OR gap completions are shifted adds or
+banded-matrix products).  The arithmetic is chosen per *shape* from the
+tape's exact magnitude bounds (:meth:`~.tape.GateTape.bound_bits`):
 
-Level-scheduled tape execution
-    :func:`fastpath_diffs` runs the smoothing-free forward/backward
-    sweeps of a :class:`~.tape.GateTape` as a handful of whole-level
-    array operations: the tape's instructions are grouped into
-    topological levels (:meth:`~.tape.GateTape.level_schedule`), wide
-    ANDs are decomposed into balanced binary trees, and each level's
-    convolutions become one batched ``matmul`` over sliding-window
-    views of a contiguous ``(planes, slots, width)`` SoA value buffer
-    (OR gap completions are banded-matrix products).  Arithmetic is
-    selected per *shape* from the tape's exact magnitude bounds
-    (:meth:`~.tape.GateTape.bound_bits`):
+* ``float64`` when every bound fits 52 bits (integers below 2^53 are
+  exact in IEEE-754 doubles, and the matmuls hit BLAS);
+* ``int64`` when every bound fits 62 bits;
+* CRT residue planes otherwise: the same sweep runs once per prime,
+  modulo that prime, over ``int32`` buffers, and the exact integers
+  are recovered by the Chinese Remainder Theorem.  The primes are
+  generated from the bounds (as many as ``2 * bound < prod(p)``
+  needs), so there is no capacity limit; planes run one at a time, so
+  only one plane's ``slots x width`` buffers are ever resident.
 
-    * ``float64`` when every bound fits 52 bits (integers below 2^53
-      are exact in IEEE-754 doubles, and the matmuls hit BLAS);
-    * ``int64`` when every bound fits 62 bits;
-    * CRT residue planes otherwise — the same schedule evaluated
-      modulo 2-5 machine-word primes with the exact integers recovered
-      by the Chinese Remainder Theorem (sound because the a-priori
-      bounds certify the values fit the prime product);
-    * beyond CRT capacity the shape *falls back* to the interpreted
-      per-gate pass over the exact object/python kernels.
-
-    Either way the returned difference vectors — and therefore the
-    final :class:`~fractions.Fraction` Shapley values — are
-    byte-identical to the reference kernel's (asserted by the parity
-    suite).  Runtime sentinels re-check the native tiers' magnitudes
-    after each sweep as defense in depth; a tripped sentinel discards
-    the run and falls back rather than trusting it.
-
-NumPy is optional: without it the ``"int64"`` kernel registers but
-resolves to the reference backend (same graceful-degradation contract
-as ``"numpy"``), and the fast path reports itself unavailable.
+A shape takes the interpreted per-gate pass on the reference kernel
+instead when NumPy is missing, when the tape is not a decomposable NNF
+circuit, when one plane's buffer would exceed
+:data:`MAX_BUFFER_ELEMENTS`, or when it is too small for the tier to
+pay off (:data:`LEVEL_COST`).  Either way the returned difference
+vectors, and so the final :class:`~fractions.Fraction` Shapley values,
+are byte-identical to the reference kernel's.  Runtime sentinels
+re-check the native tiers' magnitudes after each sweep as defense in
+depth; a tripped sentinel discards the run and falls back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from math import isqrt
 from typing import Any, Callable, Sequence
 
-from .base import Kernel, binomial_row, register_kernel
-from .exact import PythonKernel
+from .base import binomial_row
 from .tape import (
-    OP_AND, OP_FALSE, OP_NOT, OP_NVAR, OP_OR, OP_TRUE, OP_VAR,
+    OP_AND, OP_NOT, OP_NVAR, OP_OR, OP_TRUE, OP_VAR,
     GateTape,
 )
-from .vector import HAS_NUMPY, NumpyKernel
 
-if HAS_NUMPY:  # pragma: no branch - module-level optional import
+try:  # pragma: no cover - exercised by both CI tiers
     import numpy as _np
-    from numpy.lib.stride_tricks import sliding_window_view as _windows
-else:  # pragma: no cover - exercised by the without-NumPy CI tier
+    from numpy.lib.stride_tricks import as_strided as _as_strided
+except ImportError:  # pragma: no cover - the without-NumPy CI tier
     _np = None
-    _windows = None
+    _as_strided = None
+
+#: Whether the machine-width tier can run at all.
+HAS_NUMPY = _np is not None
 
 #: Magnitude budgets of the native tiers, in bits.  float64 keeps
 #: integer arithmetic exact strictly below 2^53; int64 wraps at 2^63.
@@ -78,33 +66,29 @@ else:  # pragma: no cover - exercised by the without-NumPy CI tier
 FLOAT64_BITS = 52
 INT64_BITS = 62
 
-#: CRT residue primes by bit width.  A plane's products must accumulate
-#: without wrapping int64: with operands reduced below a ``b``-bit
-#: prime, a length-``W`` convolution/matmul row sums ``W`` products of
-#: at most ``2^(2b)``, so ``b``-bit primes are safe while
-#: ``W * 2^(2b) < 2^63``.  Wider vectors step down to smaller primes.
-#: (All values verified prime; largest primes below each power of two.)
-_PRIME_TABLE = {
-    28: (268435399, 268435367, 268435361, 268435337, 268435331),
-    27: (134217689, 134217649, 134217617, 134217613, 134217593),
-    26: (67108859, 67108837, 67108819, 67108777, 67108763),
-    25: (33554393, 33554383, 33554371, 33554347, 33554341),
-}
-
-#: The maximum number of residue planes a shape may request; beyond
-#: this the fast path declines and the interpreted exact pass runs.
-MAX_PLANES = 5
-
-#: Ceiling on ``planes * slots * width`` of one value buffer (8M int64
-#: elements = 64 MiB).  Giant compiled shapes decline the fast path
-#: rather than risk swapping a serving process — the interpreted pass
-#: streams per gate and has no such footprint.
+#: Ceiling on ``slots * width`` of one plane's value buffer (8M
+#: elements: 64 MiB in the native tiers, 32 MiB of int32 residues).
+#: Giant compiled shapes decline the fast path rather than risk
+#: swapping a serving process; the interpreted pass streams per gate
+#: and has no such footprint.
 MAX_BUFFER_ELEMENTS = 1 << 23
+
+#: The per-shape cost choice: one execution level of both machine-width
+#: sweeps, per residue plane, costs about as much as this many
+#: multiply-adds of the interpreted pass (:func:`interpreted_cost`);
+#: smaller shapes run interpreted, because per-level NumPy dispatch
+#: outweighs their arithmetic.  On TPC-H lineage shapes on a 2-vCPU
+#: host the two passes break even near 70 in one thread; in a pool of
+#: 2-6 threads NumPy's interpreter-lock hand-offs next to interpreted
+#: sweeps move the break-even to about 150 (TPC-H Q16 at scale 0.0005
+#: is slower at 130 than with no fast path, faster at 160).
+LEVEL_COST = 160
 
 
 @dataclass
 class FastpathStats:
-    """Counts of machine-width hits and per-shape fallbacks.
+    """Counts of machine-width hits and fallbacks, and the tier that
+    served each answer.
 
     One instance travels through a single exact computation; the engine
     layer merges the counts into its cache stats so sessions and remote
@@ -112,10 +96,13 @@ class FastpathStats:
 
     ``fallbacks`` is the total; the per-reason counters split it:
     ``overflow`` (a runtime sentinel tripped mid-execution),
-    ``ineligible`` (the shape's magnitude bounds or structure rule the
-    fast path out a priori), and ``budget`` (the SoA value buffers
-    would exceed :data:`MAX_BUFFER_ELEMENTS`).  ``tier`` names the
-    arithmetic tier of the most recent hit (``None`` until one).
+    ``ineligible`` (no NumPy, or the tape's structure rules the fast
+    path out), ``budget`` (one plane's value buffer would exceed
+    :data:`MAX_BUFFER_ELEMENTS`), and ``small`` (the shape is too small
+    for the tier to pay off, see :data:`LEVEL_COST`).  ``tiers`` maps
+    the position of each answer a machine-width sweep served to that
+    sweep's tier (``"float64"``, ``"int64"`` or ``"crt"``); answers
+    that ran the interpreted pass, or no sweep at all, are absent.
     """
 
     hits: int = 0
@@ -123,132 +110,35 @@ class FastpathStats:
     overflow: int = 0
     ineligible: int = 0
     budget: int = 0
-    tier: str | None = None
+    small: int = 0
+    tiers: dict[int, str] = field(default_factory=dict)
+
+    def count_hit(self, tier: str, answers: Sequence[int]) -> None:
+        """Record one sweep in ``tier`` serving ``answers``."""
+        self.hits += len(answers)
+        for answer in answers:
+            self.tiers[answer] = tier
 
     def count_fallback(self, reason: str, n: int = 1) -> None:
         """Record ``n`` fallbacks attributed to ``reason`` (one of
-        ``"overflow"`` / ``"ineligible"`` / ``"budget"``)."""
+        ``"overflow"`` / ``"ineligible"`` / ``"budget"`` / ``"small"``)."""
         self.fallbacks += n
         if reason == "overflow":
             self.overflow += n
         elif reason == "budget":
             self.budget += n
+        elif reason == "small":
+            self.small += n
         else:
             self.ineligible += n
 
-
-# ----------------------------------------------------------------------
-# Per-call guarded kernel
-# ----------------------------------------------------------------------
-
-def _int_magnitude(values: Sequence) -> int | None:
-    """Largest absolute value if every element is a plain ``int``,
-    ``None`` otherwise (Fractions, bools, and anything else must take
-    the exact delegate path)."""
-    bound = 0
-    for value in values:
-        if type(value) is not int:
-            return None
-        if value < 0:
-            value = -value
-        if value > bound:
-            bound = value
-    return bound
-
-
-class Int64Kernel(Kernel):
-    """Overflow-guarded native-``int64`` backend (optional dependency).
-
-    Exactness contract: identical to the reference kernel on every
-    input.  Each primitive proves, from its operands alone, that the
-    result and all intermediate accumulations fit ``int64``; calls that
-    cannot be proven safe delegate to the object-dtype NumPy kernel
-    (or the reference kernel without NumPy).
-    """
-
-    name = "int64"
-
-    def __init__(self) -> None:
-        self._delegate = NumpyKernel() if HAS_NUMPY else PythonKernel()
-
-    def poly_mul(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        if not HAS_NUMPY or min(len(a), len(b)) < 2:
-            return self._delegate.poly_mul(a, b)
-        bound_a = _int_magnitude(a)
-        bound_b = _int_magnitude(b)
-        if (
-            bound_a is None or bound_b is None
-            or bound_a * bound_b * min(len(a), len(b)) >> INT64_BITS
-        ):
-            return self._delegate.poly_mul(a, b)
-        product = _np.convolve(
-            _np.array(a, dtype=_np.int64), _np.array(b, dtype=_np.int64)
-        )
-        return product.tolist()
-
-    def poly_add(
-        self, acc: list[int] | None, poly: Sequence[int]
-    ) -> list[int]:
-        if not HAS_NUMPY or acc is None or len(poly) < 16:
-            return super().poly_add(acc, poly)
-        bound_acc = _int_magnitude(acc)
-        bound_poly = _int_magnitude(poly)
-        if (
-            bound_acc is None or bound_poly is None
-            or (bound_acc + bound_poly) >> INT64_BITS
-        ):
-            return super().poly_add(acc, poly)
-        if len(acc) < len(poly):
-            acc.extend([0] * (len(poly) - len(acc)))
-        head = _np.array(acc[: len(poly)], dtype=_np.int64)
-        head += _np.array(poly, dtype=_np.int64)
-        acc[: len(poly)] = head.tolist()
-        return acc
-
-    def or_accumulate(
-        self,
-        nvars: int,
-        child_vals: Sequence[Sequence[int]],
-        gaps: Sequence[int],
-    ) -> list[int]:
-        if not HAS_NUMPY or nvars < 2:
-            return self._delegate.or_accumulate(nvars, child_vals, gaps)
-        # Bound the accumulated result: each child contributes its own
-        # magnitude times its largest completion binomial, summed.
-        total = 0
-        for vals, gap in zip(child_vals, gaps):
-            bound = _int_magnitude(vals)
-            if bound is None:
-                total = None
-                break
-            width = min(len(vals), gap + 1)
-            total += bound * binomial_row(gap)[gap // 2] * max(width, 1)
-        if total is None or total >> INT64_BITS:
-            return self._delegate.or_accumulate(nvars, child_vals, gaps)
-        acc = _np.zeros(nvars + 1, dtype=_np.int64)
-        for vals, gap in zip(child_vals, gaps):
-            arr = _np.array(vals, dtype=_np.int64)
-            if gap:
-                arr = _np.convolve(
-                    arr, _np.array(binomial_row(gap), dtype=_np.int64)
-                )
-            acc[: len(arr)] += arr
-        return acc.tolist()
-
-
-register_kernel(Int64Kernel, aliases=("fixed",))
-
-
-# ----------------------------------------------------------------------
-# Level-scheduled execution
-# ----------------------------------------------------------------------
 
 class _Ineligible(Exception):
     """Internal: this shape cannot take the machine-width fast path.
 
     ``reason`` attributes the refusal for the per-reason fallback
-    counters: ``"ineligible"`` (magnitude bounds / structure) or
-    ``"budget"`` (SoA buffers exceed :data:`MAX_BUFFER_ELEMENTS`).
+    counters: ``"ineligible"`` (structure) or ``"budget"`` (one plane's
+    buffer exceeds :data:`MAX_BUFFER_ELEMENTS`).
     """
 
     def __init__(self, message: str, reason: str = "ineligible") -> None:
@@ -256,32 +146,88 @@ class _Ineligible(Exception):
         self.reason = reason
 
 
-def _select_arithmetic(bits: int, width: int) -> tuple[Any, tuple[int, ...] | None]:
-    """Pick the cheapest sound arithmetic for a shape whose magnitudes
-    fit ``bits`` bits and whose vectors are ``width`` long.
+# ----------------------------------------------------------------------
+# CRT residue primes
+# ----------------------------------------------------------------------
 
-    Returns ``(dtype, moduli)`` — ``moduli`` is ``None`` for the native
-    tiers and the CRT prime tuple otherwise.  Raises :class:`_Ineligible`
-    when even the largest prime set cannot certify the bounds.
-    """
-    if bits <= FLOAT64_BITS:
-        return _np.float64, None
-    if bits <= INT64_BITS:
-        return _np.int64, None
-    for prime_bits in sorted(_PRIME_TABLE, reverse=True):
-        primes = _PRIME_TABLE[prime_bits]
-        if width * primes[0] * primes[0] < (1 << 63):
-            capacity = 1
-            chosen = []
-            for prime in primes[:MAX_PLANES]:
-                chosen.append(prime)
-                capacity *= prime
-                # Sign recovery needs 2 * bound < product of primes.
-                if capacity >> (bits + 1):
-                    return _np.int64, tuple(chosen)
-            raise _Ineligible(f"bounds of {bits} bits exceed CRT capacity")
-    raise _Ineligible(f"vectors of width {width} exceed CRT plane safety")
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller–Rabin; bases 2, 3, 5, 7 decide every
+    ``n < 3,215,031,751``, which covers all primes below 2^31."""
+    if n < 2:
+        return False
+    for base in (2, 3, 5, 7):
+        if n % base == 0:
+            return n == base
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
+
+def _prime_limit(width: int) -> int:
+    """Exclusive upper bound on a residue prime for vectors ``width``
+    long.  A convolution row sums at most ``width`` products of two
+    residues, so ``width * p^2`` must stay below 2^63; residues must
+    also fit ``int32`` storage, so ``p < 2^31``."""
+    return min(1 << 31, isqrt(((1 << 63) - 1) // width))
+
+
+@lru_cache(maxsize=4096)
+def _prime_below(n: int) -> int:
+    """The largest prime below ``n``."""
+    candidate = n - 1
+    while not _is_prime(candidate):
+        candidate -= 1
+    return candidate
+
+
+def crt_moduli(bits: int, width: int) -> tuple[int, ...]:
+    """The largest primes below :func:`_prime_limit` of ``width``,
+    as many as it takes for their product to exceed ``2^(bits + 1)``:
+    twice any magnitude of ``bits`` bits, so signed values are
+    recoverable."""
+    primes: list[int] = []
+    product = 1
+    prime = _prime_limit(width)
+    while not product >> (bits + 1):
+        prime = _prime_below(prime)
+        primes.append(prime)
+        product *= prime
+    return tuple(primes)
+
+
+def interpreted_cost(tape: GateTape) -> int:
+    """Big-int multiply-adds of one interpreted forward sweep of
+    ``tape``: AND products grow one child at a time, OR children are
+    completed over their gaps.  The backward sweep mirrors it, so this
+    ranks shapes by the cost of the whole interpreted pass."""
+    cost = 0
+    for i, op in enumerate(tape.ops):
+        if op == OP_AND:
+            width = 1
+            for child in tape.args[i]:
+                cost += width * (tape.nvars[child] + 1)
+                width += tape.nvars[child]
+        elif op == OP_OR:
+            for child, gap in zip(tape.args[i], tape.gaps[i]):
+                cost += (tape.nvars[child] + 1) * (gap + 1)
+    return cost
+
+
+# ----------------------------------------------------------------------
+# Level-scheduled execution
+# ----------------------------------------------------------------------
 
 class LevelPlan:
     """One tape shape compiled to whole-level array operations.
@@ -291,17 +237,15 @@ class LevelPlan:
     partial-product slots, drops OR edges from unsatisfiable children,
     and precomputes per-level gather/scatter index arrays plus the
     arithmetic tier.  Execution then touches only NumPy: a contiguous
-    ``(planes, slots, width)`` value buffer, one batched sliding-window
-    ``matmul`` per level of AND convolutions (both sweeps), and one
-    banded-matrix product per distinct OR gap per level.
+    ``(slots, width)`` value buffer per sweep, one batched
+    sliding-window ``matmul`` per level of AND convolutions (both
+    sweeps), and one completion per distinct OR gap per level.
 
     Plans are label-agnostic and cached on the tape's shared analysis
     box, so isomorphic warm hits across a session build the plan once.
     """
 
     def __init__(self, tape: GateTape) -> None:
-        if not HAS_NUMPY:
-            raise _Ineligible("NumPy is not available")
         ops = tape.ops
         if any(op == OP_NOT for op in ops):
             # The derivative pass requires NNF; the interpreted pass
@@ -420,13 +364,13 @@ class LevelPlan:
 
         def scatter(rows: Sequence[int]) -> tuple:
             """A precompiled scatter-add plan for target ``rows``:
-            ``(targets, None)`` when they are distinct (fancy ``+=``
-            suffices), else ``(unique_targets, order, starts)`` for a
-            sort + ``add.reduceat`` + fancy ``+=`` (ufunc.at is an
-            order of magnitude slower than either)."""
+            ``(targets, None, None)`` when they are distinct (fancy
+            ``+=`` suffices), else ``(unique_targets, order, starts)``
+            for a sort + ``add.reduceat`` + fancy ``+=`` (ufunc.at is
+            an order of magnitude slower than either)."""
             arr = index(rows)
             if len(set(rows)) == len(rows):
-                return (arr, None)
+                return (arr, None, None)
             order = _np.argsort(arr, kind="stable")
             sorted_targets = arr[order]
             firsts = _np.ones(len(rows), dtype=bool)
@@ -462,12 +406,6 @@ class LevelPlan:
                     scatter(parents), scatter(children),
                 ))
             self.or_groups.append(groups)
-        self.scatter_levels = [
-            _np.unique(_np.concatenate(
-                [grp[1] for grp in self.or_groups[lv]]))
-            if self.or_groups[lv] else None
-            for lv in range(self.n_levels)
-        ]
         self.var_scatter = scatter(
             [tape.args[i][0] for i in self.var_rows])
         self.nvar_scatter = scatter(
@@ -476,17 +414,22 @@ class LevelPlan:
         # --- arithmetic tier -----------------------------------------
         forward_bits, backward_bits, diff_bits = tape.bound_bits()
         self.bound_bits = max(forward_bits, backward_bits, diff_bits)
-        self.dtype, self.moduli = _select_arithmetic(self.bound_bits, width)
-        if self.n_planes * self.n_slots * width > MAX_BUFFER_ELEMENTS:
+        if self.bound_bits <= FLOAT64_BITS:
+            self.dtype, self.moduli = _np.float64, None
+        elif self.bound_bits <= INT64_BITS:
+            self.dtype, self.moduli = _np.int64, None
+        else:
+            self.dtype = _np.int32
+            self.moduli = crt_moduli(self.bound_bits, width)
+        if self.n_slots * width > MAX_BUFFER_ELEMENTS:
             raise _Ineligible(
-                "value buffers exceed MAX_BUFFER_ELEMENTS", reason="budget")
-        self._gap_matrices: dict[tuple, object] = {}
-
-    # -- execution helpers ---------------------------------------------
-
-    @property
-    def n_planes(self) -> int:
-        return len(self.moduli) if self.moduli else 1
+                "value buffer exceeds MAX_BUFFER_ELEMENTS", reason="budget")
+        #: Whether the machine-width sweeps are estimated cheaper than
+        #: the interpreted pass on this shape (:data:`LEVEL_COST`).
+        planes = len(self.moduli) if self.moduli else 1
+        self.pays_off = (
+            interpreted_cost(tape) > LEVEL_COST * self.n_levels * planes)
+        self._gap_cache: dict[tuple, Any] = {}
 
     @property
     def tier_name(self) -> str:
@@ -498,77 +441,85 @@ class LevelPlan:
             return "float64"
         return "int64"
 
-    def _moduli_column(self) -> Any:
-        if self.moduli is None:
-            return None
-        return _np.array(self.moduli, dtype=_np.int64)[:, None, None]
+    # -- execution helpers ---------------------------------------------
 
-    def _gap_matrix(self, gap: int, plane: int) -> Any:
-        """The banded completion matrix ``M[i, i+j] = C(gap, j)`` (one
-        per residue plane in CRT mode), cached on the plan."""
-        modulus = self.moduli[plane] if self.moduli else None
-        key = (gap, modulus)
-        matrix = self._gap_matrices.get(key)
+    def _gap_matrix(self, gap: int, modulus: int | None) -> Any:
+        """The banded completion matrix ``M[i, i+j] = C(gap, j)``
+        (reduced modulo ``modulus`` in CRT mode), cached on the plan."""
+        key = ("matrix", gap, modulus)
+        matrix = self._gap_cache.get(key)
         if matrix is None:
-            row = binomial_row(gap)
+            coeffs = self._gap_coefficients(gap, modulus)
             width = self.width
-            matrix = _np.zeros((width, width), dtype=self.dtype)
-            for i in range(width):
-                for j in range(min(len(row), width - i)):
-                    entry = row[j] if modulus is None else row[j] % modulus
-                    matrix[i, i + j] = entry
-            self._gap_matrices[key] = matrix
+            matrix = _np.zeros((width, width), dtype=coeffs.dtype)
+            for j, entry in enumerate(coeffs):
+                rows = _np.arange(width - j)
+                matrix[rows, rows + j] = entry
+            self._gap_cache[key] = matrix
         return matrix
 
+    def _gap_coefficients(self, gap: int, modulus: int | None) -> Any:
+        """The first ``width`` entries of the Pascal row of ``gap``
+        (reduced modulo ``modulus`` in CRT mode), cached."""
+        key = ("row", gap, modulus)
+        coeffs = self._gap_cache.get(key)
+        if coeffs is None:
+            row = binomial_row(gap)[: self.width]
+            if modulus is None:
+                coeffs = _np.array(row, dtype=self.dtype)
+            else:
+                coeffs = _np.array(
+                    [value % modulus for value in row], dtype=_np.int64)
+            self._gap_cache[key] = coeffs
+        return coeffs
+
     @staticmethod
-    def _scatter_add(buffer: Any, plan: tuple, contribution: Any) -> None:
-        """``buffer[:, targets] += contribution`` under a scatter plan
-        from ``__init__``: plain fancy add for distinct targets, sort +
-        ``add.reduceat`` for duplicated ones."""
-        if plan[1] is None:
-            buffer[:, plan[0]] += contribution
-            return
+    def _gather(buffer: Any, rows: Any) -> Any:
+        """``buffer[rows]``, upcast from int32 residue storage to int64
+        so products of two residues cannot wrap."""
+        gathered = buffer[rows]
+        if gathered.dtype == _np.int32:
+            return gathered.astype(_np.int64)
+        return gathered
+
+    @staticmethod
+    def _scatter_add(
+        buffer: Any, plan: tuple, contribution: Any, modulus: int | None,
+    ) -> None:
+        """``buffer[targets] += contribution`` under a scatter plan from
+        ``__init__``, duplicates summed by ``add.reduceat``.  In CRT
+        mode the sum is reduced modulo the prime before it is written
+        back, so an int32 slot never holds an unreduced value."""
         targets, order, starts = plan
-        reduced = _np.add.reduceat(contribution[:, order], starts, axis=1)
-        buffer[:, targets] += reduced
+        if order is not None:
+            contribution = _np.add.reduceat(
+                contribution[order], starts, axis=0)
+        if modulus is None:
+            buffer[targets] += contribution
+        else:
+            buffer[targets] = (buffer[targets] + contribution) % modulus
 
     @staticmethod
     def _conv(short: Any, long: Any, n_terms: int) -> Any:
         """Batched truncated convolution along the last axis, summing
         over ``short``'s first ``n_terms`` coefficients: one matmul
         over a sliding-window view of the zero-padded ``long``."""
-        planes, rows, width = long.shape
-        padded = _np.zeros(
-            (planes, rows, width + n_terms - 1), dtype=long.dtype)
-        padded[:, :, n_terms - 1:] = long
-        wins = _windows(padded, width, axis=2)        # (P, E, n_terms, W)
-        coeffs = short[:, :, n_terms - 1::-1]          # reversed prefix
-        return _np.matmul(coeffs[:, :, None, :], wins)[:, :, 0, :]
+        rows, width = long.shape
+        padded = _np.zeros((rows, width + n_terms - 1), dtype=long.dtype)
+        padded[:, n_terms - 1:] = long
+        # wins[e, k, w] = padded[e, k + w]: a read-only sliding window
+        row_stride, step = padded.strides
+        wins = _as_strided(padded, (rows, n_terms, width),
+                           (row_stride, step, step), writeable=False)
+        coeffs = short[:, n_terms - 1::-1]             # reversed prefix
+        return _np.matmul(coeffs[:, None, :], wins)[:, 0, :]
 
-    def _gap_coefficients(self, gap: int) -> Any:
-        """Pascal row of ``gap`` as a ``(planes, 1, 1, n_terms)``-able
-        array (reduced per residue plane in CRT mode), cached."""
-        key = ("row", gap)
-        coeffs = self._gap_matrices.get(key)
-        if coeffs is None:
-            row = binomial_row(gap)[: self.width]
-            if self.moduli is None:
-                coeffs = _np.array(row, dtype=self.dtype)
-            else:
-                coeffs = _np.array(
-                    [[value % modulus for value in row]
-                     for modulus in self.moduli],
-                    dtype=_np.int64,
-                )
-            self._gap_matrices[key] = coeffs
-        return coeffs
+    def _completed(self, gathered: Any, gap: int, modulus: int | None) -> Any:
+        """``gathered`` convolved with the Pascal row of ``gap``
+        (identity when ``gap == 0``), reduced modulo ``modulus``.
 
-    def _completed(self, gathered: Any, gap: int) -> Any:
-        """``gathered`` convolved with the Pascal row of ``gap``, per
-        plane (identity when ``gap == 0``).
-
-        Small gaps — the common case, since a gap counts variables an
-        OR child misses — run as ``gap + 1`` whole-level shifted adds;
+        Small gaps (the common case, since a gap counts variables an
+        OR child misses) run as ``gap + 1`` whole-level shifted adds;
         wide gaps use the banded completion matrix (one matmul), whose
         dense product only pays off once the band covers a decent
         fraction of the width.
@@ -578,60 +529,56 @@ class LevelPlan:
         width = self.width
         n_terms = min(gap + 1, width)
         if n_terms * 4 > width:
-            if self.moduli is None:
-                return gathered @ self._gap_matrix(gap, 0)
-            out = _np.empty_like(gathered)
-            for plane in range(self.n_planes):
-                out[plane] = gathered[plane] @ self._gap_matrix(gap, plane)
-            out %= self._moduli_column()
-            return out
-        coeffs = self._gap_coefficients(gap)
-        out = _np.zeros_like(gathered)
-        if self.moduli is None:
+            out = gathered @ self._gap_matrix(gap, modulus)
+        else:
+            coeffs = self._gap_coefficients(gap, modulus)
+            out = _np.zeros_like(gathered)
             for j in range(n_terms):
-                out[:, :, j:] += coeffs[j] * gathered[:, :, :width - j]
-            return out
-        for j in range(n_terms):
-            out[:, :, j:] += (
-                coeffs[:, j, None, None] * gathered[:, :, :width - j])
-        out %= self._moduli_column()
+                out[:, j:] += coeffs[j] * gathered[:, :width - j]
+        if modulus is not None:
+            out %= modulus
         return out
 
-    def forward(self, check: Callable[[], None] | None = None) -> Any:
-        """The level-scheduled ``ComputeAll#SATk`` sweep: one value
-        buffer, a handful of array ops per level."""
-        width = self.width
-        vals = _np.zeros((self.n_planes, self.n_slots, width),
-                         dtype=self.dtype)
+    def forward(
+        self,
+        modulus: int | None = None,
+        check: Callable[[], None] | None = None,
+    ) -> Any:
+        """The level-scheduled ``ComputeAll#SATk`` sweep: one
+        ``(slots, width)`` value buffer, a handful of array ops per
+        level; residues modulo ``modulus`` in CRT mode."""
+        vals = _np.zeros((self.n_slots, self.width), dtype=self.dtype)
         if len(self.var_rows):
-            vals[:, self.var_rows, 1] = 1
-        if len(self.nvar_rows):
-            vals[:, self.nvar_rows, 0] = 1
-        vals[:, self.true_rows, 0] = 1
-        moduli = self._moduli_column()
+            vals[self.var_rows, 1] = 1
+        vals[self.nvar_rows, 0] = 1
+        vals[self.true_rows, 0] = 1
         for lv in range(1, self.n_levels):
             if check is not None:
                 check()
             group = self.and_groups[lv]
             if group is not None:
                 out, left, right, max_left = group[:4]
-                product = self._conv(vals[:, left], vals[:, right], max_left)
-                if moduli is not None:
-                    product %= moduli
-                vals[:, out] = product
-            for gap, parents, children, p_plan, _ in self.or_groups[lv]:
-                completed = self._completed(vals[:, children], gap)
-                self._scatter_add(vals, p_plan, completed)
-            if moduli is not None and self.scatter_levels[lv] is not None:
-                vals[:, self.scatter_levels[lv]] %= moduli
+                product = self._conv(
+                    self._gather(vals, left), self._gather(vals, right),
+                    max_left)
+                if modulus is not None:
+                    product %= modulus
+                vals[out] = product
+            for gap, _, children, p_plan, _ in self.or_groups[lv]:
+                completed = self._completed(
+                    self._gather(vals, children), gap, modulus)
+                self._scatter_add(vals, p_plan, completed, modulus)
         return vals
 
-    def backward(self, vals: Any, check: Callable[[], None] | None = None) -> Any:
+    def backward(
+        self,
+        vals: Any,
+        modulus: int | None = None,
+        check: Callable[[], None] | None = None,
+    ) -> Any:
         """The level-scheduled derivative sweep over ``vals``."""
-        width = self.width
         ders = _np.zeros_like(vals)
-        ders[:, self.n_instructions - 1, 0] = 1
-        moduli = self._moduli_column()
+        ders[self.n_instructions - 1, 0] = 1
         for lv in range(self.n_levels - 1, 0, -1):
             if check is not None:
                 check()
@@ -639,9 +586,7 @@ class LevelPlan:
             if group is not None:
                 (out, left, right, max_left, max_right, max_der,
                  left_plan, right_plan) = group
-                derivative = ders[:, out]
-                if moduli is not None:
-                    derivative %= moduli
+                derivative = self._gather(ders, out)
                 # The contribution to each child convolves the parent's
                 # derivative with the *other* child's value polynomial;
                 # each direction loops over its narrower operand.
@@ -649,69 +594,88 @@ class LevelPlan:
                     (right, left_plan, max_right),
                     (left, right_plan, max_left),
                 ):
-                    siblings = vals[:, sources]
+                    siblings = self._gather(vals, sources)
                     if max_der < max_sib:
                         contribution = self._conv(
                             derivative, siblings, max_der)
                     else:
                         contribution = self._conv(
                             siblings, derivative, max_sib)
-                    if moduli is not None:
-                        contribution %= moduli
-                    self._scatter_add(ders, tgt_plan, contribution)
-            for gap, parents, children, _, c_plan in self.or_groups[lv]:
-                derivative = ders[:, parents]
-                if moduli is not None:
-                    derivative %= moduli
-                contribution = self._completed(derivative, gap)
-                self._scatter_add(ders, c_plan, contribution)
+                    if modulus is not None:
+                        contribution %= modulus
+                    self._scatter_add(ders, tgt_plan, contribution, modulus)
+            for gap, parents, _, _, c_plan in self.or_groups[lv]:
+                contribution = self._completed(
+                    self._gather(ders, parents), gap, modulus)
+                self._scatter_add(ders, c_plan, contribution, modulus)
         return ders
 
-    def diffs(self, ders: Any) -> dict[int, list[int]]:
-        """Per-variable difference vectors from the leaf derivatives,
-        as exact Python ints (CRT-reconstructed in residue mode)."""
-        width = self.width
-        positive = _np.zeros(
-            (self.n_planes, self.n_var_slots, width), dtype=self.dtype)
-        negative = _np.zeros_like(positive)
+    def _leaf_differences(self, ders: Any, modulus: int | None) -> Any:
+        """Per-variable-slot difference rows (positive-literal minus
+        negated-literal derivatives); int32 residues in CRT mode."""
+        rows = _np.zeros((self.n_var_slots, self.width), dtype=self.dtype)
         if len(self.var_rows):
-            self._scatter_add(positive, self.var_scatter,
-                              ders[:, self.var_rows])
+            self._scatter_add(rows, self.var_scatter,
+                              self._gather(ders, self.var_rows), modulus)
         if len(self.nvar_rows):
-            self._scatter_add(negative, self.nvar_scatter,
-                              ders[:, self.nvar_rows])
+            self._scatter_add(rows, self.nvar_scatter,
+                              -self._gather(ders, self.nvar_rows), modulus)
+        return rows
+
+    def _sweep(
+        self, modulus: int | None, check: Callable[[], None] | None,
+    ) -> Any | None:
+        """Both sweeps in one arithmetic; the leaf difference rows, or
+        ``None`` when a native tier's runtime sentinel trips.  Only this
+        call's two buffers are live, and they are freed on return."""
+        vals = self.forward(modulus, check)
+        if modulus is None and not self._sentinel_ok(vals):
+            return None
+        ders = self.backward(vals, modulus, check)
+        del vals
+        if modulus is None and not self._sentinel_ok(ders):
+            return None
+        return self._leaf_differences(ders, modulus)
+
+    def diffs(self, planes: Sequence[Any]) -> dict[int, list[int]]:
+        """Per-variable difference vectors as exact Python ints: the
+        single native sweep's rows, or the CRT reconstruction of one
+        residue row set per prime in :attr:`moduli`."""
         if self.moduli is None:
-            combined = (positive - negative)[0]
+            combined = planes[0]
             if self.dtype == _np.float64:
                 combined = _np.rint(combined).astype(_np.int64)
-            rows = combined.tolist()
             return {
-                slot: [int(value) for value in row]
-                for slot, row in enumerate(rows)
+                slot: row
+                for slot, row in enumerate(combined.tolist())
                 if any(row)
             }
-        residues = (positive - negative) % self._moduli_column()
+        # Garner's algorithm: mixed-radix digits d_i < p_i in int64
+        # arithmetic, so that x = d_0 + p_0 (d_1 + p_1 (d_2 + ...)).
+        moduli = self.moduli
+        digits: list[Any] = []
+        for residues, prime in zip(planes, moduli):
+            digit = residues.astype(_np.int64)
+            for previous, previous_prime in zip(digits, moduli):
+                digit -= previous
+                digit %= prime
+                digit *= pow(previous_prime, -1, prime)
+                digit %= prime
+            digits.append(digit)
+        value = digits.pop().astype(object)
+        for digit, prime in zip(reversed(digits), reversed(moduli[:-1])):
+            value *= prime
+            value += digit
         product = 1
-        for prime in self.moduli:
+        for prime in moduli:
             product *= prime
-        reconstructed = None
-        for plane, prime in enumerate(self.moduli):
-            quotient = product // prime
-            factor = quotient * pow(quotient, -1, prime)
-            term = residues[plane].astype(object) * factor
-            reconstructed = (
-                term if reconstructed is None else reconstructed + term)
-        reconstructed %= product
-        half = product >> 1
-        diffs: dict[int, list[int]] = {}
-        for slot in range(self.n_var_slots):
-            row = [
-                int(value) if value <= half else int(value) - product
-                for value in reconstructed[slot]
-            ]
-            if any(row):
-                diffs[slot] = row
-        return diffs
+        # Residues of a negative x read as x + product.
+        value[value > product >> 1] -= product
+        return {
+            slot: row
+            for slot, row in enumerate(value.tolist())
+            if any(row)
+        }
 
     def _sentinel_ok(self, array: Any) -> bool:
         """Runtime overflow sentinel for the native tiers: magnitudes
@@ -725,15 +689,13 @@ class LevelPlan:
     def execute(
         self, check: Callable[[], None] | None = None
     ) -> dict[int, list[int]] | None:
-        """Both sweeps plus diff extraction; ``None`` when a runtime
-        sentinel trips (callers fall back to the interpreted pass)."""
-        vals = self.forward(check)
-        if self.moduli is None and not self._sentinel_ok(vals):
-            return None
-        ders = self.backward(vals, check)
-        if self.moduli is None and not self._sentinel_ok(ders):
-            return None
-        return self.diffs(ders)
+        """Both sweeps plus diff extraction, one residue plane at a time
+        in CRT mode; ``None`` when a runtime sentinel trips (callers
+        fall back to the interpreted pass)."""
+        if self.moduli is None:
+            rows = self._sweep(None, check)
+            return None if rows is None else self.diffs([rows])
+        return self.diffs([self._sweep(prime, check) for prime in self.moduli])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tier = (
@@ -753,10 +715,13 @@ def plan_with_reason(
     reason (``None`` on success, ``"ineligible"`` / ``"budget"``
     otherwise).
 
-    The result — including the negative one — is cached on the tape's
+    The result, including the negative one, is cached on the tape's
     shared analysis box, so isomorphic re-targets of a warm shape never
-    re-plan.
+    re-plan.  Without NumPy every shape is ineligible (and nothing is
+    cached).
     """
+    if not HAS_NUMPY:
+        return None, "ineligible"
     cached = tape._analysis.get("plan", False)
     if cached is not False:
         return cached
@@ -770,8 +735,8 @@ def plan_with_reason(
 
 def plan_for(tape: GateTape) -> LevelPlan | None:
     """The cached :class:`LevelPlan` of a tape shape, or ``None`` when
-    the shape is ineligible (no NumPy, general negation, bounds beyond
-    CRT capacity, non-decomposable AND, buffers over
+    the shape must take the interpreted pass (no NumPy, general
+    negation, non-decomposable AND, one plane's buffer over
     :data:`MAX_BUFFER_ELEMENTS`).
     """
     return plan_with_reason(tape)[0]
@@ -781,24 +746,28 @@ def fastpath_diffs(
     tape: GateTape,
     stats: FastpathStats | None = None,
     check: Callable[[], None] | None = None,
-    answers: int = 1,
+    answers: Sequence[int] = (0,),
 ) -> dict[int, list[int]] | None:
     """Machine-width difference vectors of ``tape``, or ``None`` when
-    the shape must take the interpreted exact path.
+    the shape takes the interpreted exact pass: the plan refuses it,
+    or the shape is too small for the tier to pay off
+    (``plan.pays_off``).
 
     A non-``None`` result is byte-identical to
     :meth:`GateTape.backward_diffs` over the reference kernel (up to
-    trailing zeros, which Equation 3 ignores).  ``answers`` is the
-    number of answers sharing this sweep; ``stats`` receives that many
-    hits or fallbacks (attributed per reason).
+    trailing zeros, which Equation 3 ignores).  ``answers`` are the
+    positions of the answers sharing this sweep; ``stats`` records a
+    hit in the plan's tier for each, or one fallback each (attributed
+    per reason).
     """
     plan, reason = plan_with_reason(tape)
+    if plan is not None and not plan.pays_off:
+        plan, reason = None, "small"
     diffs = plan.execute(check) if plan is not None else None
     if stats is not None:
         if diffs is None:
             stats.count_fallback(
-                "overflow" if plan is not None else reason, answers)
+                "overflow" if plan is not None else reason, len(answers))
         else:
-            stats.hits += answers
-            stats.tier = plan.tier_name
+            stats.count_hit(plan.tier_name, answers)
     return diffs

@@ -101,7 +101,6 @@ def exact_shapley_of_circuit(
     budget: CompilationBudget | None = None,
     method: str = "derivative",
     cache: "ArtifactCache | None" = None,
-    numeric_backend: str | None = None,
 ) -> dict[Hashable, Fraction]:
     """Exact Shapley values of an endogenous-lineage circuit.
 
@@ -111,7 +110,6 @@ def exact_shapley_of_circuit(
     """
     outcome = run_exact(
         circuit, endogenous_facts, budget=budget, method=method, cache=cache,
-        numeric_backend=numeric_backend,
     )
     if not outcome.ok:
         if outcome.status == "budget":
@@ -150,7 +148,6 @@ def run_exact(
     method: str = "derivative",
     cache: "ArtifactCache | None" = None,
     artifacts: "CircuitArtifacts | None" = None,
-    numeric_backend: str | None = None,
     compile_jobs: int | None = None,
 ) -> ExactOutcome:
     """Run the knowledge-compilation pipeline on one lineage circuit,
@@ -171,9 +168,9 @@ def run_exact(
     :class:`~repro.core.numerics.tape.GateTape`, so a warm shape runs
     Algorithm 1 without touching a single circuit gate.
 
-    ``numeric_backend`` names the numeric kernel of the counting passes
-    (see :mod:`repro.core.numerics`); every backend returns identical
-    exact Fractions.
+    A derivative-mode answer served by the machine-width tier gets a
+    ``tier_<float64|int64|crt>`` timing naming the tier that ran
+    (:func:`_label_tiers`).
 
     ``compile_jobs`` > 1 compiles independent top-level CNF components
     concurrently; stitching stays deterministic, so results are
@@ -248,7 +245,7 @@ def run_exact(
     try:
         values = shapley_all_facts(
             ddnnf, endo, method=method, deadline=deadline,
-            kernel=numeric_backend, tape=tape, fastpath_stats=fastpath,
+            tape=tape, fastpath_stats=fastpath,
         )
     except ShapleyTimeout as exc:
         timings["shapley"] = time.perf_counter() - t0
@@ -259,7 +256,23 @@ def run_exact(
         if recorder is not None:
             recorder.record_fastpath(fastpath)
     timings["shapley"] = time.perf_counter() - t0
+    _label_tiers([timings], fastpath)
     return ExactOutcome("ok", values, stats, timings)
+
+
+def _label_tiers(
+    timings_list: list[dict[str, float]], fastpath: FastpathStats,
+) -> None:
+    """Add ``tier_<name>`` to the timings of every answer a
+    machine-width sweep served, mirroring its ``shapley`` time.
+
+    ``timings_list[i]`` belongs to the answer at position ``i`` of the
+    Algorithm-1 call that filled ``fastpath``; answers that ran the
+    interpreted pass get no tier.
+    """
+    for position, tier in fastpath.tiers.items():
+        timings = timings_list[position]
+        timings[f"tier_{tier}"] = timings["shapley"]
 
 
 def _prepare_tape(
@@ -339,7 +352,6 @@ def run_exact_batch(
     method: str = "derivative",
     cache: "ArtifactCache | None" = None,
     artifacts_list=None,
-    numeric_backend: str | None = None,
     compile_jobs: int | None = None,
 ) -> list[ExactOutcome]:
     """Run the exact pipeline over a *same-shape answer group*.
@@ -356,8 +368,8 @@ def run_exact_batch(
     Timing attribution: each answer's ``shapley`` stage receives an
     equal share of the group pass, mirrored as ``batch_exec``, plus a
     ``tier_<float64|int64|crt>`` entry naming the arithmetic tier of
-    the group's machine-width sweep (absent when no such sweep ran:
-    the kernel has no fast path or the shape fell back).
+    the machine-width sweep that served *that* answer's shape (absent
+    when its shape ran the interpreted pass).
     """
     n_answers = len(circuits)
     endo_lists = [list(endo) for endo in endo_lists]
@@ -367,8 +379,7 @@ def run_exact_batch(
         return [
             run_exact(
                 circuit, endo, budget=budget, method=method, cache=cache,
-                artifacts=artifacts, numeric_backend=numeric_backend,
-                compile_jobs=compile_jobs,
+                artifacts=artifacts, compile_jobs=compile_jobs,
             )
             for circuit, endo, artifacts
             in zip(circuits, endo_lists, artifacts_list)
@@ -402,8 +413,7 @@ def run_exact_batch(
     t0 = time.perf_counter()
     try:
         values_list = shapley_all_facts_batched(
-            tapes, group_endo, deadline=deadline, kernel=numeric_backend,
-            fastpath_stats=fastpath,
+            tapes, group_endo, deadline=deadline, fastpath_stats=fastpath,
         )
     except ShapleyTimeout as exc:
         elapsed = time.perf_counter() - t0
@@ -430,9 +440,8 @@ def run_exact_batch(
     for (i, tape, stats, timings), values in zip(prepared, values_list):
         timings["shapley"] = share
         timings["batch_exec"] = share
-        if fastpath.tier is not None:
-            timings[f"tier_{fastpath.tier}"] = share
         outcomes[i] = ExactOutcome("ok", values, stats, timings)
+    _label_tiers([entry[3] for entry in prepared], fastpath)
     return outcomes
 
 

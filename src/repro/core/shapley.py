@@ -24,9 +24,12 @@ Two computation modes are provided:
   compiled :class:`~repro.core.numerics.tape.GateTape` so repeated
   circuit shapes pay no gate-level walk at all.
 
-Both modes agree exactly (asserted by the parity suite), on every
-numeric kernel (:mod:`repro.core.numerics`).  All arithmetic is exact
-(`int` counts, `Fraction` values).
+Both modes agree exactly (asserted by the parity suite).  The
+derivative sweeps run on the machine-width tier
+(:mod:`repro.core.numerics.fixed`) whenever NumPy is importable and
+the shape's plan accepts it, and otherwise interpreted on the
+reference kernel; all arithmetic is exact (`int` counts, `Fraction`
+values) either way.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from ..circuits.circuit import FALSE, TRUE, Circuit, CircuitError
 from ..circuits.dnnf import count_models_by_size
 from .numerics import GateTape, compile_tape
 from .numerics.base import Kernel, get_kernel, shapley_coefficients
-from .numerics.fixed import FastpathStats, Int64Kernel, fastpath_diffs
+from .numerics.fixed import FastpathStats, fastpath_diffs
 
 __all__ = [
     "ShapleyTimeout",
@@ -160,12 +163,11 @@ def shapley_all_facts(
 
     ``method`` is ``"derivative"`` (one shared smoothing-free pass,
     default) or ``"conditioning"`` (the paper's per-fact loop).
-    ``kernel`` selects the numeric backend (instance, name, or
-    ``None`` for the reference; ``"int64"``/``"auto"`` additionally arm
-    the machine-width level-scheduled fast path of the derivative mode,
-    which falls back per shape to the interpreted exact pass whenever
-    its a-priori magnitude bounds cannot certify native arithmetic —
-    hits and fallbacks are counted into ``fastpath_stats`` when given).
+    ``kernel`` is the kernel of the interpreted passes and of Equation
+    3 (instance, name, or ``None`` for the reference).  The derivative
+    mode runs its sweeps on the machine-width tier when it can (see
+    :func:`shapley_all_facts_batched`); hits and fallbacks are counted
+    into ``fastpath_stats`` when given.
     ``tape`` optionally supplies a prebuilt
     :class:`~repro.core.numerics.tape.GateTape` of *this* circuit
     (derivative mode only) — the engine layer threads cached tapes
@@ -246,12 +248,15 @@ def shapley_all_facts_batched(
     (:meth:`~.numerics.tape.GateTape.same_shape`) and every answer of
     that shape reuses the slot-indexed difference vectors; only
     Equation 3 runs per answer, over its own labels and player count.
-    With the ``"int64"`` kernel selected (directly or via ``"auto"``)
-    a sweep runs level-scheduled and machine-width when the tape's
-    magnitude bounds allow (:func:`~.numerics.fixed.fastpath_diffs`),
-    and otherwise as the per-gate interpreted pass, so the returned
-    Fractions are identical either way.  ``fastpath_stats`` counts one
-    hit or fallback per answer.
+    Every sweep first tries the machine-width tier
+    (:func:`~.numerics.fixed.fastpath_diffs`: float64, int64 or CRT
+    residue planes, chosen from the tape's magnitude bounds); without
+    NumPy, when the shape's plan refuses, or when the shape is too
+    small for the tier to pay off, it runs as the per-gate interpreted
+    pass on ``kernel``, so the returned Fractions are identical either
+    way.  ``fastpath_stats`` counts one hit or
+    fallback per answer and records the tier that served each answer
+    by its position in ``tapes``.
     """
     if len(tapes) != len(endo_lists):
         raise ValueError("tapes and endo_lists must have equal length")
@@ -259,9 +264,10 @@ def shapley_all_facts_batched(
     check = (lambda: _check_time(deadline)) if deadline is not None else None
     zero = Fraction(0)
     outputs: list[dict[Hashable, Fraction]] = []
-    # (representative tape, [(values, tape, n), ...]) per distinct shape
+    # (representative tape, [(position, values, tape, n), ...]) per
+    # distinct shape
     shapes: list[tuple[GateTape, list]] = []
-    for tape, endo_facts in zip(tapes, endo_lists):
+    for position, (tape, endo_facts) in enumerate(zip(tapes, endo_lists)):
         endo = list(endo_facts)
         values: dict[Hashable, Fraction] = {fact: zero for fact in endo}
         outputs.append(values)
@@ -271,7 +277,7 @@ def shapley_all_facts_batched(
         endo_set = set(endo)
         if not present <= endo_set:
             raise _foreign_vars_error(present, endo_set)
-        lane = (values, tape, len(endo))
+        lane = (position, values, tape, len(endo))
         for representative, lanes in shapes:
             if tape.same_shape(representative):
                 lanes.append(lane)
@@ -281,14 +287,13 @@ def shapley_all_facts_batched(
 
     for tape, lanes in shapes:
         _check_time(deadline)
-        diffs = None
-        if isinstance(resolved, Int64Kernel):
-            diffs = fastpath_diffs(tape, fastpath_stats, check, len(lanes))
+        diffs = fastpath_diffs(
+            tape, fastpath_stats, check, [lane[0] for lane in lanes])
         if diffs is None:
             vals = tape.forward(resolved, check)
             _check_time(deadline)
             diffs = tape.backward_diffs(resolved, vals, check)
-        for values, lane_tape, n in lanes:
+        for _, values, lane_tape, n in lanes:
             _check_time(deadline)
             _combine_diffs(values, lane_tape, diffs, resolved, n)
     return outputs

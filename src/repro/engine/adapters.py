@@ -50,7 +50,6 @@ class ExactEngine(Engine):
             method=options.mode,
             cache=options.cache,
             artifacts=options.artifacts,
-            numeric_backend=options.numeric_backend,
             compile_jobs=options.compile_jobs,
         )
         seconds = time.perf_counter() - start
@@ -66,7 +65,7 @@ class ExactEngine(Engine):
     ) -> list[EngineResult]:
         """One batched pass over a same-shape answer group.
 
-        Budget/timeout/backend knobs come from the first request's
+        Budget/timeout knobs come from the first request's
         options (sessions hand every member of a shape group the same
         options, cache included); per-answer artifacts handles are
         honoured individually.  Falls back to the per-answer loop for
@@ -88,7 +87,6 @@ class ExactEngine(Engine):
                 (request[2] or DEFAULT_OPTIONS).artifacts
                 for request in requests
             ],
-            numeric_backend=options.numeric_backend,
             compile_jobs=options.compile_jobs,
         )
         seconds = (time.perf_counter() - start) / len(requests)
@@ -125,7 +123,6 @@ class HybridEngine(Engine):
             method=options.mode,
             cache=options.cache,
             artifacts=options.artifacts,
-            numeric_backend=options.numeric_backend,
         )
         return EngineResult(
             self.name, result.values, result.is_exact, "ok",

@@ -55,20 +55,6 @@ class EngineOptions:
     answers by signature) thread the handle through so the
     canonicalization pass runs exactly once per answer; engines that
     compile read it in preference to re-opening ``cache``.
-
-    ``numeric_backend`` selects the exact-arithmetic kernel of the
-    counting passes (:mod:`repro.core.numerics`): ``None``/``"python"``
-    is the big-int reference, ``"numpy"`` the vectorized object-dtype
-    backend, ``"int64"`` the overflow-guarded machine-width backend
-    (native-dtype level-scheduled tape execution where its a-priori
-    bounds allow, exact fallback elsewhere; ``fastpath_hits`` /
-    ``fastpath_fallbacks`` in the session stats count which), and
-    ``"auto"`` walks the ladder int64 → numpy → python by what is
-    installed.  Whatever the backend, a same-shape answer group runs
-    one forward/backward sweep and Equation 3 per answer.  Every
-    backend returns byte-identical Fractions; this is purely a
-    performance knob, and it travels with the options through every
-    transport so remote workers compute on the requested backend too.
     """
 
     budget: CompilationBudget | None = None
@@ -76,7 +62,6 @@ class EngineOptions:
     samples_per_fact: int = 20
     seed: int | None = None
     mode: str = "derivative"
-    numeric_backend: str | None = None
     #: Worker threads for top-level component compilation inside
     #: :func:`~repro.compiler.knowledge.compile_cnf` (``None``/``1`` =
     #: serial).  Purely a wall-clock knob: stitching is deterministic,

@@ -72,18 +72,20 @@ class CacheStats:
     #: traversal was skipped entirely.
     tape_compilations: int = 0
     evictions: int = 0
-    #: Machine-width derivative passes (level-scheduled int64/float64/
-    #: CRT execution) vs. per-shape falls back to the interpreted exact
-    #: kernels — the acceptance counters of the PR 5 fast path.
-    #: ``fastpath_fallbacks`` is the total; the three reason counters
-    #: split it: a runtime overflow sentinel tripped, the shape's
-    #: bounds/structure were ineligible a priori, or the SoA value
-    #: buffers exceeded the fast path's size ceiling.
+    #: Answers served by the machine-width tier (level-scheduled
+    #: float64/int64/CRT execution) vs. answers whose shape fell back
+    #: to the interpreted reference pass.  ``fastpath_fallbacks`` is
+    #: the total; the four reason counters split it: a runtime
+    #: overflow sentinel tripped, the tier was ineligible (no NumPy, or
+    #: the tape's structure), one plane's value buffer exceeded the
+    #: fast path's size ceiling, or the shape was too small for the
+    #: tier to pay off.
     fastpath_hits: int = 0
     fastpath_fallbacks: int = 0
     fastpath_overflow_fallbacks: int = 0
     fastpath_ineligible_fallbacks: int = 0
     fastpath_budget_fallbacks: int = 0
+    fastpath_small_fallbacks: int = 0
     #: Same-shape answer groups that shared one Algorithm-1 sweep per
     #: shape, and the answers they covered.
     batched_groups: int = 0
@@ -141,6 +143,7 @@ class CacheStats:
             "fastpath_ineligible_fallbacks":
                 self.fastpath_ineligible_fallbacks,
             "fastpath_budget_fallbacks": self.fastpath_budget_fallbacks,
+            "fastpath_small_fallbacks": self.fastpath_small_fallbacks,
             "batched_groups": self.batched_groups,
             "batched_answers": self.batched_answers,
             "component_hits": self.component_hits,
@@ -670,6 +673,7 @@ class ArtifactCache:
                 self.stats.fastpath_ineligible_fallbacks += (
                     fastpath.ineligible)
                 self.stats.fastpath_budget_fallbacks += fastpath.budget
+                self.stats.fastpath_small_fallbacks += fastpath.small
 
     def record_batch(self, groups: int, answers: int) -> None:
         """Count one same-shape group pass covering ``answers``

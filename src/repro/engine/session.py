@@ -454,11 +454,13 @@ class ExplainSession:
 
         ``compile_calls`` vs ``answers_explained`` is the headline
         number: with repeated lineage shapes it is strictly smaller.
-        ``fastpath_hits`` / ``fastpath_fallbacks`` count machine-width
-        derivative passes vs. per-shape exact fallbacks (int64/auto
-        backends), with the fallbacks split by reason under
-        ``fastpath_overflow_fallbacks`` (runtime sentinel tripped),
-        ``fastpath_ineligible_fallbacks`` (bounds/structure) and
+        ``fastpath_hits`` / ``fastpath_fallbacks`` count answers served
+        by the machine-width tier vs. answers whose shape ran the
+        interpreted reference pass, with the fallbacks split by reason
+        under ``fastpath_overflow_fallbacks`` (runtime sentinel
+        tripped), ``fastpath_ineligible_fallbacks`` (no NumPy, or the
+        tape's structure), ``fastpath_small_fallbacks`` (shapes too
+        small for the tier to pay off) and
         ``fastpath_budget_fallbacks`` (value buffers over the fast
         path's size ceiling); ``batched_groups`` / ``batched_answers``
         count same-shape groups that shared one Algorithm-1 sweep per

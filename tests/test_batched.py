@@ -2,17 +2,20 @@
 
 Covers :func:`~repro.core.shapley.shapley_all_facts_batched`: one
 forward/backward sweep per distinct tape shape (the level-scheduled
-fast path on the ``int64`` kernel, the interpreted pass otherwise),
-Equation 3 per answer, Fraction parity with the per-answer path across
-all three machine-width tiers and the ineligible fallback, mixed-shape
-inputs, per-answer fast-path counters including refusals over the
-buffer ceiling, :func:`~repro.core.pipeline.run_exact_batch` and its
-tier attribution, shape-group scheduling, and the headline property:
-grouped and per-answer execution return byte-identical Fractions
-across kernels and all three transports.
+machine-width tier by default, the interpreted pass without NumPy or
+when a shape's plan refuses), Equation 3 per answer, Fraction parity
+with the interpreted per-answer reference across all three
+machine-width tiers and the fallback, mixed-shape inputs, per-answer
+fast-path counters including refusals over the buffer ceiling,
+:func:`~repro.core.pipeline.run_exact_batch` and its per-answer tier
+labels, shape-group scheduling, and the headline property: grouped and
+per-answer execution return byte-identical Fractions on the
+machine-width tier and the reference pass, across all three
+transports.
 """
 
 import threading
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -46,17 +49,22 @@ from .test_store import JOIN_QUERY, explain_each_answer, join_database
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="NumPy required")
 
 #: (n_clauses, width, seed) per machine-width tier (see
-#: test_numerics.TestMachineWidthFastpath for the boundary derivation).
-FLOAT64_SHAPE = (12, 3, 0)
+#: test_numerics.TestMachineWidthFastpath for the boundary derivation),
+#: each large enough for the tier to pay off (``fixed.LEVEL_COST``).
+FLOAT64_SHAPE = (18, 3, 0)
 INT64_SHAPE = (20, 3, 0)
-CRT_SHAPE = (23, 3, 0)
-#: ~141 bits: beyond every tier, the whole shape declines the fast path.
-FALLBACK_SHAPE = (50, 3, 4)
-SHAPES = [FLOAT64_SHAPE, INT64_SHAPE, CRT_SHAPE, FALLBACK_SHAPE]
+CRT_SHAPE = (48, 3, 0)
+#: ~141 bits: six residue planes.
+WIDE_CRT_SHAPE = (50, 3, 4)
+#: The wide shape with its plan refused (see :func:`_refused`).
+INELIGIBLE_SHAPE = ("refused", WIDE_CRT_SHAPE)
+SHAPES = [FLOAT64_SHAPE, INT64_SHAPE, CRT_SHAPE, INELIGIBLE_SHAPE]
 SHAPE_IDS = ["float64", "int64", "crt", "ineligible"]
 
 
 def _tape(shape):
+    if shape is INELIGIBLE_SHAPE:
+        return _refused(_tape(shape[1]))
     n_clauses, width, seed = shape
     return compile_tape(_compile(_disjoint_monotone_cnf(
         n_clauses, width, seed)))
@@ -75,12 +83,38 @@ def _players(tape):
     return list(tape.var_labels)
 
 
+@contextmanager
+def _numpy_as(available):
+    """Sweeps inside see NumPy as ``available`` (patched in-process)."""
+    saved = fixed.HAS_NUMPY
+    fixed.HAS_NUMPY = available
+    try:
+        yield
+    finally:
+        fixed.HAS_NUMPY = saved
+
+
+def _without_numpy():
+    """Every sweep inside runs the interpreted reference pass."""
+    return _numpy_as(False)
+
+
 def _per_answer(tapes):
-    """Each tape's values from the per-answer reference pass."""
-    return [
-        shapley_all_facts(None, _players(tape), tape=tape, kernel="python")
-        for tape in tapes
-    ]
+    """Each tape's values from the interpreted per-answer reference."""
+    with _without_numpy():
+        return [
+            shapley_all_facts(None, _players(tape), tape=tape)
+            for tape in tapes
+        ]
+
+
+def _refused(tape):
+    """A fresh handle of ``tape``'s shape whose plan is refused, as an
+    ineligible shape's would be (the shape still computes exactly on
+    the interpreted pass)."""
+    handle = GateTape.from_payload(tape.to_payload())
+    handle._analysis["plan"] = (None, "ineligible")
+    return handle
 
 
 def _assert_identical(got, expected):
@@ -111,18 +145,20 @@ def sweeps(monkeypatch):
     return counts
 
 
-def _run(tapes, kernel, stats=None):
+def _run(tapes, stats=None):
     return shapley_all_facts_batched(
-        tapes, [_players(tape) for tape in tapes], kernel=kernel,
-        fastpath_stats=stats)
+        tapes, [_players(tape) for tape in tapes], fastpath_stats=stats)
 
 
 class TestOneSweepPerShape:
     @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
     def test_python_group_runs_one_interpreted_sweep(self, shape, sweeps):
         tapes = _group(_tape(shape), 5)
-        got = _run(tapes, "python")
+        stats = FastpathStats()
+        with _without_numpy():
+            got = _run(tapes, stats)
         assert sweeps == {"forward": 1, "execute": 0}
+        assert stats.ineligible == 5 and stats.hits == 0
         _assert_identical(got, _per_answer(tapes))
 
     @needs_numpy
@@ -130,10 +166,11 @@ class TestOneSweepPerShape:
     def test_int64_group_runs_one_sweep(self, shape, sweeps):
         tapes = _group(_tape(shape), 5)
         stats = FastpathStats()
-        got = _run(tapes, "int64", stats)
-        if shape is FALLBACK_SHAPE:
+        got = _run(tapes, stats)
+        if shape is INELIGIBLE_SHAPE:
             assert sweeps == {"forward": 1, "execute": 0}
             assert stats.ineligible == 5 and stats.hits == 0
+            assert stats.tiers == {}
         else:
             assert sweeps == {"forward": 0, "execute": 1}
             assert stats.hits == 5 and stats.fallbacks == 0
@@ -148,9 +185,10 @@ class TestBatchedFastpathParity:
     def test_batched_matches_per_answer_across_tiers(self, shape):
         tapes = _group(_tape(shape), 4)
         stats = FastpathStats()
-        got = _run(tapes, "int64", stats)
+        got = _run(tapes, stats)
         assert stats.hits == 4 and stats.fallbacks == 0
-        assert stats.tier == plan_for(tapes[0]).tier_name
+        tier = plan_for(tapes[0]).tier_name
+        assert stats.tiers == {i: tier for i in range(4)}
         _assert_identical(got, _per_answer(tapes))
 
     @needs_numpy
@@ -160,7 +198,7 @@ class TestBatchedFastpathParity:
         a = _tape(FLOAT64_SHAPE)
         b = _tape(FLOAT64_SHAPE)
         assert a._analysis is not b._analysis
-        got = _run([a, b], "int64")
+        got = _run([a, b])
         assert sweeps == {"forward": 0, "execute": 1}
         _assert_identical(got, _per_answer([a, b]))
 
@@ -170,33 +208,36 @@ class TestBatchedFastpathParity:
         b = _group(_tape(CRT_SHAPE), 2)
         tapes = [a[0], b[0], a[1], b[1]]
         stats = FastpathStats()
-        got = _run(tapes, "int64", stats)
+        got = _run(tapes, stats)
         assert stats.hits == 4
+        assert stats.tiers == {0: "float64", 1: "crt", 2: "float64",
+                               3: "crt"}
         assert sweeps == {"forward": 0, "execute": 2}
         _assert_identical(got, _per_answer(tapes))
 
     @needs_numpy
     def test_mixed_tier_batch_with_an_ineligible_shape(self):
         # One group spanning the float64 tier, the CRT tier, and a
-        # shape beyond every tier: the eligible answers take the
-        # machine-width sweep, the ineligible one the interpreted pass,
-        # and the fallback is counted by reason.
+        # refused shape: the eligible answers take the machine-width
+        # sweep, the refused one the interpreted pass, and the
+        # fallback is counted by reason.
         eligible = _group(_tape(FLOAT64_SHAPE), 2) + [_tape(CRT_SHAPE)]
-        fallback = _tape(FALLBACK_SHAPE)
+        fallback = _tape(INELIGIBLE_SHAPE)
         assert plan_for(fallback) is None
         tapes = [eligible[0], fallback, eligible[1], eligible[2]]
         stats = FastpathStats()
-        got = _run(tapes, "int64", stats)
+        got = _run(tapes, stats)
         assert stats.hits == 3
         assert stats.ineligible == 1 and stats.fallbacks == 1
+        assert stats.tiers == {0: "float64", 2: "float64", 3: "crt"}
         _assert_identical(got, _per_answer(tapes))
 
     @needs_numpy
     def test_whole_group_ineligible_returns_none(self):
-        tapes = _group(_tape(FALLBACK_SHAPE), 3)
+        tapes = _group(_tape(INELIGIBLE_SHAPE), 3)
         assert fastpath_diffs(tapes[0]) is None
         stats = FastpathStats()
-        got = _run(tapes, "int64", stats)
+        got = _run(tapes, stats)
         assert stats.ineligible == 3 and stats.fallbacks == 3
         _assert_identical(got, _per_answer(tapes))
 
@@ -209,7 +250,7 @@ class TestBatchedFastpathParity:
             ("or", ("and", "a", ("not", "b")), ("and", ("not", "a"), "b"))
         )
         tapes = _group(compile_tape(_compile(circuit)), 3)
-        _assert_identical(_run(tapes, "int64"), _per_answer(tapes))
+        _assert_identical(_run(tapes), _per_answer(tapes))
 
 
 class TestFastpathBudget:
@@ -222,7 +263,7 @@ class TestFastpathBudget:
         monkeypatch.setattr(fixed, "MAX_BUFFER_ELEMENTS", 16)
         tapes = _group(_tape(FLOAT64_SHAPE), 3)
         stats = FastpathStats()
-        got = _run(tapes, "int64", stats)
+        got = _run(tapes, stats)
         assert stats.budget == 3 and stats.fallbacks == 3
         assert stats.hits == 0 and stats.overflow == 0
         _assert_identical(got, _per_answer(tapes))
@@ -232,26 +273,19 @@ class TestFastpathBudget:
         monkeypatch.setattr(fixed, "MAX_BUFFER_ELEMENTS", 16)
         single = FastpathStats()
         tape = _tape(INT64_SHAPE)
-        shapley_all_facts(None, _players(tape), tape=tape, kernel="int64",
+        shapley_all_facts(None, _players(tape), tape=tape,
                           fastpath_stats=single)
         grouped = FastpathStats()
-        _run(_group(_tape(INT64_SHAPE), 3), "int64", grouped)
+        _run(_group(_tape(INT64_SHAPE), 3), grouped)
         assert single.budget == 1 and single.hits == 0
         assert grouped.budget == 3 and grouped.hits == 0
 
     @needs_numpy
     def test_session_budget_knob_counts_and_stays_exact(self, monkeypatch):
         db = join_database(4, 2)
-        baseline = {
-            a: r.values
-            for a, r in ExplainSession(db, method="exact")
-            .explain_many(JOIN_QUERY).items()
-        }
+        baseline = explain_each_answer(db, JOIN_QUERY)
         monkeypatch.setattr(fixed, "MAX_BUFFER_ELEMENTS", 1)
-        with ExplainSession(
-            db, method="exact",
-            options=EngineOptions(numeric_backend="auto"),
-        ) as session:
+        with ExplainSession(db, method="exact") as session:
             results = session.explain_many(JOIN_QUERY)
             stats = session.stats
         assert stats["fastpath_budget_fallbacks"] == len(results)
@@ -260,34 +294,34 @@ class TestFastpathBudget:
 
 
 class TestShapleyAllFactsBatched:
-    @pytest.mark.parametrize("kernel", ["python", "auto", "int64"])
-    def test_group_fractions_identical_to_per_answer(self, kernel):
+    def test_group_fractions_identical_to_per_answer(self):
         tapes = _group(_tape(FLOAT64_SHAPE), 3)
-        _assert_identical(_run(tapes, kernel), _per_answer(tapes))
+        _assert_identical(_run(tapes), _per_answer(tapes))
 
     @needs_numpy
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("kernel", ["int64", "auto"])
-    def test_randomized_mixed_tier_batch_parity(self, seed, kernel):
-        # A group mixing answers from every tier (float64 / CRT /
-        # beyond-capacity fallback) in a seeded shuffled order returns
-        # byte-identical Fractions to the interpreted per-answer pass.
+    def test_randomized_mixed_tier_batch_parity(self, seed):
+        # A group mixing answers from every tier (float64 / CRT / six
+        # CRT planes) and a refused shape in a seeded shuffled order
+        # returns byte-identical Fractions to the interpreted
+        # per-answer pass.
         import random
 
         rng = random.Random(seed)
-        shapes = [FLOAT64_SHAPE, CRT_SHAPE, FALLBACK_SHAPE]
+        bases = [_tape(FLOAT64_SHAPE), _tape(CRT_SHAPE),
+                 _tape(WIDE_CRT_SHAPE), _refused(_tape(INT64_SHAPE))]
         lanes = []
-        for shape in shapes:
-            lanes.extend([_tape(shape)] * rng.randint(1, 3))
+        for base in bases:
+            lanes.extend([base] * rng.randint(1, 3))
         rng.shuffle(lanes)
         tapes = [
             base.with_labels({label: (label, i) for label in base.var_labels})
             for i, base in enumerate(lanes)
         ]
         stats = FastpathStats()
-        got = _run(tapes, kernel, stats)
+        got = _run(tapes, stats)
         assert stats.hits + stats.fallbacks == len(tapes)
-        assert stats.ineligible > 0  # the fallback shape was present
+        assert stats.ineligible > 0  # the refused shape was present
         _assert_identical(got, _per_answer(tapes))
 
     def test_length_mismatch_rejected(self):
@@ -305,7 +339,7 @@ class TestShapleyAllFactsBatched:
 
 class TestRunExactBatch:
     def _answers(self, size):
-        circuit = _disjoint_monotone_cnf(4, 2, seed=1)
+        circuit = _disjoint_monotone_cnf(*FLOAT64_SHAPE)
         circuits, endo = [], []
         for i in range(size):
             renamed = circuit.rename(
@@ -317,8 +351,7 @@ class TestRunExactBatch:
     def test_parity_with_the_per_answer_loop(self):
         circuits, endo = self._answers(5)
         cache = ArtifactCache()
-        outcomes = run_exact_batch(circuits, endo, cache=cache,
-                                   numeric_backend="auto")
+        outcomes = run_exact_batch(circuits, endo, cache=cache)
         for circuit, players, outcome in zip(circuits, endo, outcomes):
             reference = run_exact(circuit, players)
             assert outcome.ok and outcome.values == reference.values
@@ -327,8 +360,7 @@ class TestRunExactBatch:
 
     def test_batched_timings_report_the_group_pass(self):
         circuits, endo = self._answers(3)
-        outcomes = run_exact_batch(circuits, endo, cache=ArtifactCache(),
-                                   numeric_backend="auto")
+        outcomes = run_exact_batch(circuits, endo, cache=ArtifactCache())
         for outcome in outcomes:
             if not HAS_NUMPY:
                 break
@@ -337,23 +369,67 @@ class TestRunExactBatch:
 
     @needs_numpy
     def test_tier_timing_comes_from_the_sweep_that_ran(self):
-        # The reference kernel has no machine-width sweep: no tier is
-        # reported and no level plan is built; int64 reports its tier.
+        # Without NumPy there is no machine-width sweep: no tier is
+        # reported and no level plan is built; by default the tier of
+        # the sweep is.
         circuits, endo = self._answers(3)
         python_cache = ArtifactCache()
-        for outcome in run_exact_batch(circuits, endo, cache=python_cache):
+        with _without_numpy():
+            outcomes = run_exact_batch(circuits, endo, cache=python_cache)
+        for outcome in outcomes:
             assert outcome.ok
             assert not any(key.startswith("tier_") for key in outcome.timings)
         tape = python_cache.open(circuits[0].condition({})).tape()
         assert "plan" not in tape._analysis
 
-        int64_cache = ArtifactCache()
-        outcomes = run_exact_batch(circuits, endo, cache=int64_cache,
-                                   numeric_backend="int64")
-        tape = int64_cache.open(circuits[0].condition({})).tape()
+        cache = ArtifactCache()
+        outcomes = run_exact_batch(circuits, endo, cache=cache)
+        tape = cache.open(circuits[0].condition({})).tape()
         tier = plan_for(tape).tier_name
         for outcome in outcomes:
             assert f"tier_{tier}" in outcome.timings
+
+    @staticmethod
+    def _lineage(shape, tag):
+        circuit = _disjoint_monotone_cnf(*shape)
+        renamed = circuit.rename(
+            {label: (label, tag) for label in circuit.reachable_vars()})
+        return renamed, sorted(renamed.reachable_vars(), key=repr)
+
+    @needs_numpy
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_singleton_answer_reports_its_tier(self, cached):
+        circuit, players = self._lineage(CRT_SHAPE, 0)
+        cache = ArtifactCache() if cached else None
+        outcome = run_exact(circuit, players, cache=cache)
+        assert outcome.ok
+        tiers = [key for key in outcome.timings if key.startswith("tier_")]
+        assert tiers == ["tier_crt"]
+        assert outcome.timings["tier_crt"] == outcome.timings["shapley"]
+
+    @needs_numpy
+    def test_mixed_group_labels_each_answer_by_its_own_shape(self):
+        # A CRT shape and a refused shape in one group: the CRT answers
+        # are labelled crt, the refused answer (interpreted pass) gets
+        # no label, whatever the order of the sweeps.
+        crt = [self._lineage(CRT_SHAPE, i) for i in range(2)]
+        refused = self._lineage(FLOAT64_SHAPE, 2)
+        cache = ArtifactCache()
+        tape = cache.open(refused[0].condition({})).tape()
+        tape._analysis["plan"] = (None, "ineligible")
+        answers = [crt[0], refused, crt[1]]
+        outcomes = run_exact_batch(
+            [a[0] for a in answers], [a[1] for a in answers], cache=cache)
+        labels = [
+            [key for key in outcome.timings if key.startswith("tier_")]
+            for outcome in outcomes
+        ]
+        assert labels == [["tier_crt"], [], ["tier_crt"]]
+        assert cache.stats.fastpath_ineligible_fallbacks == 1
+        for (circuit, players), outcome in zip(answers, outcomes):
+            with _without_numpy():
+                reference = run_exact(circuit, players)
+            assert outcome.values == reference.values
 
     def test_singleton_delegates_to_run_exact(self):
         circuits, endo = self._answers(1)
@@ -421,14 +497,17 @@ def fleet(tmp_path):
 
 class TestBatchedTransportParity:
     def test_identical_fractions_across_kernels_and_transports(self, fleet):
-        # The acceptance matrix: grouped execution on three kernels x
-        # three transports == the per-answer reference, byte for byte.
+        # The acceptance matrix: grouped execution on the machine-width
+        # tier and on the interpreted reference pass (NumPy patched away
+        # for this process, its forked pool children and the in-thread
+        # fleet workers) x three transports == the per-answer
+        # reference, byte for byte.
         db = join_database(6, 2)
         expected = explain_each_answer(db, JOIN_QUERY)
-        for backend in ("python", "int64", "auto"):
-            with ExplainSession(
+        for backend in ("machine-width", "reference"):
+            numpy = fixed.HAS_NUMPY and backend == "machine-width"
+            with _numpy_as(numpy), ExplainSession(
                 db, method="exact", max_workers=2,
-                options=EngineOptions(numeric_backend=backend),
                 coordinator=fleet.address, min_workers=2,
             ) as session:
                 for executor in ("thread", "process", "socket"):
@@ -443,10 +522,7 @@ class TestBatchedTransportParity:
 
     def test_thread_session_reports_batched_counters(self):
         db = join_database(6, 2)
-        with ExplainSession(
-            db, method="exact",
-            options=EngineOptions(numeric_backend="auto"),
-        ) as session:
+        with ExplainSession(db, method="exact") as session:
             results = session.explain_many(JOIN_QUERY)
             stats = session.stats
         assert all(r.ok for r in results.values())
@@ -459,7 +535,6 @@ class TestBatchedTransportParity:
         db = join_database(6, 2)
         with ExplainSession(
             db, method="exact", executor="socket",
-            options=EngineOptions(numeric_backend="auto"),
             coordinator=fleet.address, min_workers=2,
         ) as session:
             results = session.explain_many(JOIN_QUERY)

@@ -1,22 +1,30 @@
-"""Tests for the numeric-kernel subsystem (PR 4).
+"""Tests for the numerics of Algorithm 1.
 
-Covers the kernel registry and its optional-dependency fallback, the
-primitive-level parity of every backend against the big-int reference,
-the compiled gate tape (lowering, execution, serialization, the tape
-artifact kind of the persistent store), the incremental
-``shapley_coefficients`` recurrence, the unified Equation-3
-combination's bounds handling, and the headline randomized parity
-suite: on seeded small monotone CNFs, conditioning mode == derivative
-(smoothing-free) mode == naive permutation enumeration, with
-byte-identical Fractions across both kernels and all three transports.
+Covers the kernel registry, the reference kernel's primitives against
+their textbook definitions, the compiled gate tape (lowering,
+execution, serialization, the tape artifact kind of the persistent
+store), the incremental ``shapley_coefficients`` recurrence, the
+unified Equation-3 combination's bounds handling, the machine-width
+tier (tier selection, CRT residue planes generated from the bounds,
+one plane resident at a time, fallback without NumPy), and the
+headline randomized parity suite: on seeded small monotone CNFs,
+conditioning mode == derivative (smoothing-free) mode == naive
+permutation enumeration, with byte-identical Fractions on the
+machine-width tier and the interpreted reference pass, across all
+three transports.
 """
 
 import random
 import threading
+import tracemalloc
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import repro.core.numerics.fixed as fixed
 
 from repro.circuits import (
     Circuit,
@@ -34,9 +42,6 @@ from repro.core.numerics import (
     HAS_NUMPY,
     FastpathStats,
     GateTape,
-    Int64Kernel,
-    NumpyKernel,
-    PythonKernel,
     TapeError,
     available_kernels,
     binomial_row,
@@ -47,7 +52,8 @@ from repro.core.numerics import (
     plan_for,
     shapley_coefficients,
 )
-from repro.core.shapley import shapley_from_counts
+from repro.core.numerics.tape import OP_AND, OP_NVAR, OP_OR, OP_VAR
+from repro.core.shapley import _resolve_kernel, shapley_from_counts
 from repro.engine import (
     ArtifactCache,
     Coordinator,
@@ -61,8 +67,12 @@ from repro.workloads.synthetic import random_monotone_cnf, random_monotone_dnf
 from .test_store import JOIN_QUERY, join_database
 
 PYTHON = get_kernel("python")
-NUMPY = get_kernel("numpy")  # falls back to PYTHON when NumPy is absent
-INT64 = get_kernel("int64")  # falls back to PYTHON when NumPy is absent
+#: Every accepted spelling of a ``kernel`` argument: the instance, its
+#: registered name, and ``None`` for the reference.
+KERNEL_ARGS = [PYTHON, "python", None]
+KERNEL_IDS = [f"kernel{i}" for i in range(len(KERNEL_ARGS))]
+
+needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="NumPy required")
 
 #: (n_vars, n_clauses, width, seed) grid of the randomized parity suite.
 PARITY_CASES = [
@@ -88,10 +98,7 @@ def _counts_by_enumeration(circuit: Circuit) -> list[int]:
 
 class TestRegistry:
     def test_available_kernels(self):
-        names = available_kernels()
-        assert names[0] == "python"
-        assert "numpy" in names
-        assert "int64" in names
+        assert available_kernels() == ("python",)
 
     def test_aliases_resolve_to_the_reference(self):
         assert get_kernel("exact") is PYTHON
@@ -101,27 +108,21 @@ class TestRegistry:
         assert get_kernel(None) is PYTHON
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown numeric kernel"):
-            get_kernel("cuda")
+        # The machine-width tier is not a kernel: the names of the
+        # deleted kernel ladder are unknown too.
+        for name in ("cuda", "auto", "numpy", "int64", "fixed"):
+            with pytest.raises(ValueError, match="unknown numeric kernel"):
+                get_kernel(name)
 
     def test_numpy_falls_back_gracefully_when_missing(self, monkeypatch):
-        import repro.core.numerics.vector as vector
-
-        monkeypatch.setattr(vector, "HAS_NUMPY", False)
-        assert get_kernel("numpy") is PYTHON
-        assert get_kernel("int64") is PYTHON
-        assert get_kernel("fixed") is PYTHON
-        assert get_kernel("auto") is PYTHON
-        with pytest.raises(ValueError, match="unavailable"):
-            get_kernel("numpy", strict=True)
-        with pytest.raises(ValueError, match="unavailable"):
-            get_kernel("int64", strict=True)
-
-    def test_auto_walks_the_machine_width_ladder(self):
-        if HAS_NUMPY:
-            assert isinstance(get_kernel("auto"), Int64Kernel)
-        else:
-            assert get_kernel("auto") is PYTHON
+        monkeypatch.setattr(fixed, "HAS_NUMPY", False)
+        circuit = random_monotone_cnf(5, 4, 2, seed=3)
+        players = [f"x{i}" for i in range(5)]
+        stats = FastpathStats()
+        values = shapley_all_facts(
+            _compile(circuit), players, fastpath_stats=stats)
+        assert values == shapley_naive(game_from_circuit(circuit), players)
+        assert stats.hits == 0 and stats.ineligible == 1
 
     def test_instances_are_shared(self):
         assert get_kernel("python") is get_kernel("python")
@@ -153,9 +154,18 @@ class TestCoefficients:
             binomial_row(-1)
 
 
+def _convolve(a, b):
+    """Textbook polynomial product, independent of any kernel."""
+    return [
+        sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+        for k in range(len(a) + len(b) - 1)
+    ]
+
+
 class TestKernelPrimitiveParity:
-    """Every backend must agree with the reference, element for element,
-    on big-int inputs (beyond float precision by construction)."""
+    """The reference kernel's primitives agree with their textbook
+    definitions, element for element, on big-int inputs (beyond float
+    precision by construction)."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_poly_mul(self, seed):
@@ -163,26 +173,28 @@ class TestKernelPrimitiveParity:
         for la, lb in ((1, 1), (3, 40), (40, 3), (25, 30)):
             a = [rng.randrange(10**25) for _ in range(la)]
             b = [rng.randrange(10**25) for _ in range(lb)]
-            expected = PYTHON.poly_mul(a, b)
-            assert NUMPY.poly_mul(a, b) == expected
-            assert all(isinstance(x, int) for x in NUMPY.poly_mul(a, b))
+            product = PYTHON.poly_mul(a, b)
+            assert product == _convolve(a, b)
+            assert all(isinstance(x, int) for x in product)
 
     def test_complete(self):
         rng = random.Random(7)
         counts = [rng.randrange(10**30) for _ in range(20)]
         for extra in (0, 1, 5, 40):
-            assert NUMPY.complete(counts, extra) == PYTHON.complete(
-                counts, extra
-            )
+            assert PYTHON.complete(counts, extra) == _convolve(
+                counts, [comb(extra, j) for j in range(extra + 1)])
         with pytest.raises(ValueError):
-            NUMPY.complete(counts, -1)
+            PYTHON.complete(counts, -1)
 
     def test_poly_add(self):
         rng = random.Random(9)
-        acc_a = [rng.randrange(10**25) for _ in range(8)]
-        acc_b = list(acc_a)
+        acc = [rng.randrange(10**25) for _ in range(8)]
         poly = [rng.randrange(10**25) for _ in range(30)]
-        assert PYTHON.poly_add(acc_a, poly) == NUMPY.poly_add(acc_b, poly)
+        expected = [
+            (acc[i] if i < len(acc) else 0) + poly[i]
+            for i in range(len(poly))
+        ]
+        assert PYTHON.poly_add(list(acc), poly) == expected
         assert PYTHON.poly_add(None, poly) == list(poly)
 
     def test_or_accumulate(self):
@@ -192,21 +204,26 @@ class TestKernelPrimitiveParity:
             for width in (3, 17, 25)
         ]
         gaps = [22, 8, 0]
-        assert NUMPY.or_accumulate(24, children, gaps) == \
-            PYTHON.or_accumulate(24, children, gaps)
+        expected = [0] * 25
+        for vals, gap in zip(children, gaps):
+            for k, count in enumerate(_convolve(
+                    vals, [comb(gap, j) for j in range(gap + 1)])):
+                expected[k] += count
+        assert PYTHON.or_accumulate(24, children, gaps) == expected
 
     def test_equation3(self):
         rng = random.Random(13)
         pos = [rng.randrange(10**20) for _ in range(12)]
         neg = [rng.randrange(10**20) for _ in range(12)]
-        assert NUMPY.equation3(pos, neg, 12) == PYTHON.equation3(pos, neg, 12)
+        assert PYTHON.equation3(pos, neg, 12) == \
+            TestEquation3Bounds._reference(pos, neg, 12)
 
 
 class TestEquation3Bounds:
     """Regression for the once-duplicated Equation-3 combination:
     shapley_from_counts and the derivative tail now share one kernel
     implementation, exercised here with count vectors shorter and
-    longer than ``n`` on both kernels."""
+    longer than ``n``, for every spelling of the kernel argument."""
 
     @staticmethod
     def _reference(pos, neg, n):
@@ -220,20 +237,20 @@ class TestEquation3Bounds:
             ) * (p - m)
         return total
 
-    @pytest.mark.parametrize("kernel", [PYTHON, NUMPY, INT64])
+    @pytest.mark.parametrize("kernel", KERNEL_ARGS, ids=KERNEL_IDS)
     def test_shorter_than_n_zero_pads(self, kernel):
         pos, neg, n = [1], [0], 3
         expected = self._reference(pos, neg, n)
         assert shapley_from_counts(pos, neg, n, kernel=kernel) == expected
         assert expected == Fraction(2, 6)
 
-    @pytest.mark.parametrize("kernel", [PYTHON, NUMPY, INT64])
+    @pytest.mark.parametrize("kernel", KERNEL_ARGS, ids=KERNEL_IDS)
     def test_mismatched_lengths(self, kernel):
         pos, neg, n = [2, 5, 1], [1], 4
         assert shapley_from_counts(pos, neg, n, kernel=kernel) == \
             self._reference(pos, neg, n)
 
-    @pytest.mark.parametrize("kernel", [PYTHON, NUMPY, INT64])
+    @pytest.mark.parametrize("kernel", KERNEL_ARGS, ids=KERNEL_IDS)
     def test_longer_than_n_ignores_tail(self, kernel):
         # An over-completed vector must not index coefficients past n-1
         # (the legacy derivative tail would have raised IndexError or,
@@ -242,10 +259,11 @@ class TestEquation3Bounds:
         assert shapley_from_counts(pos, neg, n, kernel=kernel) == \
             self._reference(pos, neg, n)
 
-    @pytest.mark.parametrize("kernel", [PYTHON, NUMPY, INT64])
+    @pytest.mark.parametrize("kernel", KERNEL_ARGS, ids=KERNEL_IDS)
     def test_difference_form_agrees(self, kernel):
         pos, neg, n = [3, 7, 2], [1, 2, 8], 3
         diff = [p - m for p, m in zip(pos, neg)]
+        kernel = _resolve_kernel(kernel)
         assert kernel.equation3(diff, None, n) == \
             kernel.equation3(pos, neg, n)
 
@@ -266,10 +284,16 @@ class TestGateTape:
             assert counts == _counts_by_enumeration(ddnnf)
             assert nvars == len(ddnnf.reachable_vars())
 
+    @needs_numpy
     def test_forward_on_both_kernels(self):
+        # The interpreted reference and the machine-width forward sweep
+        # agree on the root's counts.
         ddnnf = _compile(random_monotone_cnf(6, 5, 3, seed=42))
-        assert count_models_by_size(ddnnf, kernel=PYTHON) == \
-            count_models_by_size(ddnnf, kernel=NUMPY)
+        counts, nvars = count_models_by_size(ddnnf, kernel=PYTHON)
+        tape = compile_tape(ddnnf.condition({}))
+        plan = plan_for(tape)
+        root = plan.forward()[len(tape) - 1]
+        assert [int(value) for value in root] == counts
 
     def test_general_negation_forward(self):
         # NOT above a non-variable gate: complement counting still works
@@ -294,7 +318,7 @@ class TestGateTape:
     def test_complete_counts_delegates_to_kernel(self):
         assert complete_counts([1], 3) == [1, 3, 3, 1]
         assert complete_counts([0, 2, 1], 0) == [0, 2, 1]
-        assert complete_counts([1, 1], 2, kernel=NUMPY) == [1, 3, 3, 1]
+        assert complete_counts([1, 1], 2, kernel=PYTHON) == [1, 3, 3, 1]
 
     def test_payload_round_trip(self):
         tape = compile_tape(
@@ -344,23 +368,24 @@ class TestGateTape:
 
 class TestParitySuite:
     """The headline acceptance check: on seeded small monotone CNFs,
-    all three all-facts modes and the naive permutation definition
-    return byte-identical Fractions, on both kernels."""
+    both all-facts modes and the naive permutation definition return
+    byte-identical Fractions, with and without the machine-width
+    tier."""
 
     @pytest.mark.parametrize("n_vars,n_clauses,width,seed", PARITY_CASES)
     def test_modes_kernels_and_naive_agree(
-        self, n_vars, n_clauses, width, seed
+        self, n_vars, n_clauses, width, seed, monkeypatch
     ):
         circuit = random_monotone_cnf(n_vars, n_clauses, width, seed)
         players = [f"x{i}" for i in range(n_vars)]
         ddnnf = _compile(circuit)
         naive = shapley_naive(game_from_circuit(circuit), players)
         results = {}
-        for kernel in (PYTHON, NUMPY, INT64):
+        for numpy in (HAS_NUMPY, False):
+            monkeypatch.setattr(fixed, "HAS_NUMPY", numpy)
             for mode in ("conditioning", "derivative"):
-                results[(kernel.name, mode)] = shapley_all_facts(
-                    ddnnf, players, method=mode, kernel=kernel
-                )
+                results[(numpy, mode)] = shapley_all_facts(
+                    ddnnf, players, method=mode)
         for key, values in results.items():
             assert values == naive, key
             for fact in players:
@@ -493,15 +518,20 @@ def fleet(tmp_path):
 
 class TestTransportKernelParity:
     def test_identical_fractions_across_transports_and_kernels(
-        self, fleet
+        self, fleet, monkeypatch
     ):
+        # The machine-width tier and the interpreted reference pass
+        # (NumPy patched away for this process, its forked pool
+        # children and the in-thread fleet workers) on every transport.
         db = join_database(6, 2)
+        monkeypatch.setattr(fixed, "HAS_NUMPY", False)
         baseline = ExplainSession(db, method="exact").explain_many(JOIN_QUERY)
         expected = {a: r.values for a, r in baseline.items()}
-        for backend in ("python", "numpy", "int64"):
+        for backend in ("reference", "machine-width"):
+            if backend == "machine-width":
+                monkeypatch.undo()
             with ExplainSession(
                 db, method="exact", max_workers=2,
-                options=EngineOptions(numeric_backend=backend),
                 coordinator=fleet.address, min_workers=2,
             ) as session:
                 for executor in ("thread", "process", "socket"):
@@ -533,7 +563,59 @@ def _disjoint_monotone_cnf(n_clauses: int, width: int, seed: int) -> Circuit:
     return circuit
 
 
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="NumPy required")
+def _random_decomposable_tape(
+    rng: random.Random, n_vars: int, extra_bits: int
+) -> GateTape:
+    """A random decomposable NNF tape over ``n_vars`` variables.
+
+    ANDs split their variables among disjoint children; ORs either
+    split them too (every child then has a gap) or repeat one child
+    over the same variables (non-deterministic, which multiplies the
+    magnitude bounds without adding variables).  The root is topped by
+    a chain of repeat-ORs adding at least ``extra_bits`` bits, so the
+    bounds reach as many residue planes as a test asks for while the
+    interpreted reference stays cheap.
+    """
+    ops: list[int] = []
+    args: list[tuple[int, ...]] = []
+    gaps: list[tuple[int, ...] | None] = []
+    nvars: list[int] = []
+
+    def emit(op, arg, gap, nv):
+        ops.append(op)
+        args.append(tuple(arg))
+        gaps.append(gap)
+        nvars.append(nv)
+        return len(ops) - 1
+
+    def repeat(child, nv):
+        copies = rng.randint(2, 16)
+        return emit(OP_OR, [child] * copies, (0,) * copies, nv), copies
+
+    def build(slots):
+        if len(slots) == 1 and rng.random() < 0.6:
+            op = OP_NVAR if rng.random() < 0.3 else OP_VAR
+            return emit(op, (slots[0],), None, 1)
+        kind = rng.random()
+        if len(slots) == 1 or kind < 0.2:
+            return repeat(build(slots), len(slots))[0]
+        k = rng.randint(2, min(4, len(slots)))
+        cuts = sorted(rng.sample(range(1, len(slots)), k - 1))
+        parts = [slots[a:b] for a, b in zip((0, *cuts), (*cuts, len(slots)))]
+        children = [build(part) for part in parts]
+        if kind < 0.6:
+            return emit(OP_AND, children, None, len(slots))
+        return emit(OP_OR, children,
+                    tuple(len(slots) - len(part) for part in parts),
+                    len(slots))
+
+    root = build(list(range(n_vars)))
+    added = 0
+    while added < extra_bits:
+        root, copies = repeat(root, n_vars)
+        added += copies.bit_length() - 1
+    return GateTape(ops, args, gaps, nvars,
+                    [f"x{i}" for i in range(n_vars)], len(ops))
 
 
 class TestTapePayloadV2:
@@ -622,60 +704,10 @@ class TestTapePayloadV2:
         assert renamed.bound_bits() == tape.bound_bits()
 
 
-class TestInt64KernelGuards:
-    """The per-call overflow guards of the generic int64 kernel: calls
-    that fit run native, calls that straddle 2^63 (or carry Fractions)
-    delegate — byte-identical to the reference either way."""
-
-    @pytest.mark.parametrize("magnitude", [10**3, 10**17, 10**25, 10**40])
-    def test_poly_mul_across_the_boundary(self, magnitude):
-        rng = random.Random(magnitude)
-        a = [rng.randrange(magnitude) for _ in range(20)]
-        b = [rng.randrange(magnitude) for _ in range(15)]
-        result = INT64.poly_mul(a, b)
-        assert result == PYTHON.poly_mul(a, b)
-        assert all(type(value) is int for value in result)
-
-    def test_negative_values(self):
-        a = [-(10**8), 10**8, -7]
-        b = [3, -(10**9), 11]
-        assert INT64.poly_mul(a, b) == PYTHON.poly_mul(a, b)
-
-    def test_fraction_elements_delegate(self):
-        a = [Fraction(1, 3), Fraction(2, 7)]
-        b = [Fraction(5, 11), Fraction(1, 2), Fraction(3)]
-        assert INT64.poly_mul(a, b) == PYTHON.poly_mul(a, b)
-        assert INT64.or_accumulate(3, [a, [Fraction(1)]], [1, 3]) == \
-            PYTHON.or_accumulate(3, [a, [Fraction(1)]], [1, 3])
-
-    def test_poly_add_and_or_accumulate_across_the_boundary(self):
-        rng = random.Random(5)
-        for magnitude in (10**6, 10**18, 10**30):
-            acc_a = [rng.randrange(magnitude) for _ in range(25)]
-            acc_b = list(acc_a)
-            poly = [rng.randrange(magnitude) for _ in range(30)]
-            assert INT64.poly_add(acc_a, poly) == \
-                PYTHON.poly_add(acc_b, poly)
-            children = [
-                [rng.randrange(magnitude) for _ in range(width)]
-                for width in (3, 9, 14)
-            ]
-            gaps = [11, 5, 0]
-            assert INT64.or_accumulate(14, children, gaps) == \
-                PYTHON.or_accumulate(14, children, gaps)
-
-    def test_counting_a_straddling_circuit_matches(self):
-        # Intermediate model counts cross 2^63: the per-call guards must
-        # route the big convolutions to the exact delegate.
-        ddnnf = _compile(_disjoint_monotone_cnf(23, 3, seed=2))
-        assert count_models_by_size(ddnnf, kernel=INT64) == \
-            count_models_by_size(ddnnf, kernel=PYTHON)
-
-
 class TestMachineWidthFastpath:
     """The level-scheduled tape execution tier: arithmetic selection by
-    a-priori bounds (float64 / int64 / CRT residue planes), per-shape
-    fallback beyond capacity, and byte-identical Fractions throughout."""
+    a-priori bounds (float64 / int64 / CRT residue planes, as many as
+    the bounds need), and byte-identical Fractions throughout."""
 
     @staticmethod
     def _reference_diffs(tape):
@@ -710,6 +742,7 @@ class TestMachineWidthFastpath:
         wide = plan_for(compile_tape(
             _compile(_disjoint_monotone_cnf(23, 3, seed=0))))
         assert wide is not None and wide.moduli is not None
+        assert wide.dtype == np.int32
         assert wide.bound_bits > 63
         product = 1
         for prime in wide.moduli:
@@ -727,10 +760,47 @@ class TestMachineWidthFastpath:
     ):
         tape = compile_tape(
             _compile(_disjoint_monotone_cnf(n_clauses, width, seed)))
-        stats = FastpathStats()
-        fast = fastpath_diffs(tape, stats)
-        assert stats.hits == 1 and stats.fallbacks == 0
-        self._assert_same_diffs(fast, self._reference_diffs(tape))
+        self._assert_same_diffs(
+            plan_for(tape).execute(), self._reference_diffs(tape))
+
+    @needs_numpy
+    @pytest.mark.parametrize("extra_bits", [0, 40, 90, 120, 150, 200])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_vars=st.integers(1, 24))
+    @example(seed=0, n_vars=1)
+    def test_random_tapes_match_the_reference_on_every_plane_count(
+        self, extra_bits, seed, n_vars
+    ):
+        # From one native sweep up to seven residue planes: the
+        # machine-width diffs equal the interpreted reference's.
+        tape = _random_decomposable_tape(
+            random.Random(seed), n_vars, extra_bits)
+        plan = plan_for(tape)
+        planes = len(plan.moduli) if plan.moduli else 1
+        if extra_bits == 0 and n_vars == 1:
+            assert planes == 1
+        if extra_bits == 200:
+            assert planes >= 6
+        self._assert_same_diffs(plan.execute(), self._reference_diffs(tape))
+
+    @needs_numpy
+    def test_crt_planes_stream_through_one_int32_buffer(self):
+        # A 5-plane shape: the sweeps hold one plane's int32 vals and
+        # ders at a time (the residue planes used to be stacked in
+        # int64: 10 int64 buffers, 20x one int32 buffer, resident).
+        tape = compile_tape(_compile(_disjoint_monotone_cnf(45, 3, seed=0)))
+        plan = plan_for(tape)
+        assert plan.tier_name == "crt" and len(plan.moduli) == 5
+        reference = plan.execute()  # warm the plan's coefficient cache
+        buffer_bytes = plan.n_slots * plan.width * 4
+        tracemalloc.start()
+        try:
+            diffs = plan.execute()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert diffs == reference
+        assert peak < 10 * buffer_bytes
 
     @needs_numpy
     def test_negated_lineage_on_the_fastpath(self):
@@ -739,52 +809,57 @@ class TestMachineWidthFastpath:
         )
         tape = compile_tape(_compile(circuit))
         self._assert_same_diffs(
-            fastpath_diffs(tape), self._reference_diffs(tape))
+            plan_for(tape).execute(), self._reference_diffs(tape))
 
     @needs_numpy
-    def test_beyond_crt_capacity_falls_back_exactly(self):
-        # ~141 bits of magnitude: no prime set can certify it, so the
-        # shape must decline the fast path and the interpreted pass
-        # must produce the same exact Fractions.
+    def test_wide_bounds_take_more_residue_planes(self, monkeypatch):
+        # ~141 bits of magnitude: beyond five 28-bit primes, so the
+        # bounds ask for a sixth plane instead of a fallback, and the
+        # Fractions match the interpreted pass.
         circuit = _disjoint_monotone_cnf(50, 3, seed=4)
         ddnnf = _compile(circuit)
         players = sorted(ddnnf.reachable_vars(), key=repr)
         tape = compile_tape(ddnnf)
-        assert plan_for(tape) is None
+        plan = plan_for(tape)
+        assert plan.tier_name == "crt" and len(plan.moduli) == 6
         stats = FastpathStats()
         fast = shapley_all_facts(
-            ddnnf, players, method="derivative", kernel="int64",
-            tape=tape, fastpath_stats=stats,
-        )
-        assert stats.fallbacks == 1 and stats.hits == 0
-        reference = shapley_all_facts(
-            ddnnf, players, method="derivative", kernel="python", tape=tape,
-        )
+            ddnnf, players, tape=tape, fastpath_stats=stats)
+        assert stats.hits == 1 and stats.fallbacks == 0
+        monkeypatch.setattr(fixed, "HAS_NUMPY", False)
+        reference = shapley_all_facts(ddnnf, players, tape=tape)
         assert fast == reference
         for value in fast.values():
             assert type(value) is Fraction
 
+    def test_crt_moduli_cover_twice_the_bound(self):
+        for bits, width in ((63, 3), (141, 3), (200, 117), (1000, 40)):
+            primes = fixed.crt_moduli(bits, width)
+            assert len(set(primes)) == len(primes)
+            product = 1
+            for prime in primes:
+                # residues fit int32, and a width-long row of residue
+                # products cannot wrap int64
+                assert prime < 1 << 31
+                assert width * (prime - 1) ** 2 < 1 << 63
+                assert prime % 2 and all(
+                    prime % d for d in range(3, isqrt(prime) + 1, 2))
+                product *= prime
+            assert product >> (bits + 1)
+            # minimal: one plane fewer would not certify the bound
+            assert not (product // primes[-1]) >> (bits + 1)
+        assert fixed.crt_moduli(141, 3) == fixed.crt_moduli(141, 3)
+
     @needs_numpy
     @pytest.mark.parametrize("n_clauses,seed", [(23, 0), (23, 5), (24, 1)])
     def test_straddling_2_63_stays_byte_identical(self, n_clauses, seed):
-        circuit = _disjoint_monotone_cnf(n_clauses, 3, seed)
-        ddnnf = _compile(circuit)
-        players = sorted(ddnnf.reachable_vars(), key=repr)
-        tape = compile_tape(ddnnf)
+        tape = compile_tape(
+            _compile(_disjoint_monotone_cnf(n_clauses, 3, seed)))
         forward_bits, _, _ = tape.bound_bits()
         assert forward_bits > 63  # engineered to straddle int64
-        stats = FastpathStats()
-        fast = shapley_all_facts(
-            ddnnf, players, method="derivative", kernel="int64",
-            tape=tape, fastpath_stats=stats,
-        )
-        assert stats.hits == 1
-        reference = shapley_all_facts(
-            ddnnf, players, method="derivative", kernel="python", tape=tape,
-        )
-        for fact in players:
-            assert fast[fact].numerator == reference[fact].numerator
-            assert fast[fact].denominator == reference[fact].denominator
+        plan = plan_for(tape)
+        assert plan.tier_name == "crt"
+        self._assert_same_diffs(plan.execute(), self._reference_diffs(tape))
 
     def test_general_negation_is_ineligible(self):
         circuit = Circuit()
@@ -794,8 +869,6 @@ class TestMachineWidthFastpath:
         assert plan_for(tape) is None
 
     def test_unavailable_without_numpy(self, monkeypatch):
-        import repro.core.numerics.fixed as fixed
-
         monkeypatch.setattr(fixed, "HAS_NUMPY", False)
         tape = compile_tape(_compile(random_monotone_cnf(5, 4, 2, seed=1)))
         stats = FastpathStats()
@@ -811,22 +884,51 @@ class TestMachineWidthFastpath:
         assert plan_for(renamed) is plan
 
     @needs_numpy
-    def test_session_reports_fastpath_counters(self):
-        db = join_database(4, 2)
-        with ExplainSession(
-            db, method="exact",
-            options=EngineOptions(numeric_backend="int64"),
-        ) as session:
+    def test_small_shapes_run_interpreted(self):
+        # Per-level NumPy dispatch outweighs a tiny shape's arithmetic:
+        # the plan exists but declines, and the decline is counted.
+        tape = compile_tape(_compile(_disjoint_monotone_cnf(4, 2, seed=1)))
+        plan = plan_for(tape)
+        assert plan is not None and not plan.pays_off
+        stats = FastpathStats()
+        assert fastpath_diffs(tape, stats) is None
+        assert stats.small == 1 and stats.fallbacks == 1
+        assert stats.hits == 0 and stats.tiers == {}
+        big = compile_tape(_compile(_disjoint_monotone_cnf(20, 3, seed=0)))
+        assert plan_for(big).pays_off
+
+    @needs_numpy
+    def test_session_reports_fastpath_counters(self, monkeypatch):
+        db = join_database(4, 16)
+        with ExplainSession(db, method="exact") as session:
             results = session.explain_many(JOIN_QUERY)
             stats = session.stats
-        assert stats["fastpath_hits"] > 0
-        assert stats["fastpath_hits"] + stats["fastpath_fallbacks"] == \
-            len(results)
+        assert stats["fastpath_hits"] == len(results)
+        assert stats["fastpath_fallbacks"] == 0
+        monkeypatch.setattr(fixed, "HAS_NUMPY", False)
         with ExplainSession(db, method="exact") as baseline_session:
             baseline = baseline_session.explain_many(JOIN_QUERY)
             assert baseline_session.stats["fastpath_hits"] == 0
         assert {a: r.values for a, r in results.items()} == \
             {a: r.values for a, r in baseline.items()}
+
+
+class TestWithoutNumpy:
+    def test_default_explain_many_matches_and_counts_every_fallback(
+        self, monkeypatch
+    ):
+        db = join_database(4, 2)
+        with ExplainSession(db, method="exact") as session:
+            default = session.explain_many(JOIN_QUERY)
+        monkeypatch.setattr(fixed, "HAS_NUMPY", False)
+        with ExplainSession(db, method="exact") as session:
+            results = session.explain_many(JOIN_QUERY)
+            stats = session.stats
+        assert {a: r.values for a, r in results.items()} == \
+            {a: r.values for a, r in default.items()}
+        assert stats["fastpath_hits"] == 0
+        assert stats["fastpath_fallbacks"] == len(results)
+        assert stats["fastpath_ineligible_fallbacks"] == len(results)
 
 
 class TestCoefficientsCacheInfo:
@@ -852,9 +954,8 @@ class TestFastpathRobustness:
         # A (buggy or foreign) writer understating `bounds` must not be
         # able to select a tier the shape overflows: the plan re-derives
         # its certificate from the instruction arrays.
-        ddnnf = _compile(_disjoint_monotone_cnf(23, 3, seed=3))
-        players = sorted(ddnnf.reachable_vars(), key=repr)
-        honest_tape = compile_tape(ddnnf)
+        honest_tape = compile_tape(
+            _compile(_disjoint_monotone_cnf(23, 3, seed=3)))
         payload = honest_tape.to_payload()
         payload["bounds"] = {
             "forward_bits": 8, "backward_bits": 8, "diff_bits": 8,
@@ -864,15 +965,9 @@ class TestFastpathRobustness:
         assert plan is not None
         assert plan.bound_bits == max(honest_tape.bound_bits())
         assert plan.bound_bits > 63  # not fooled into a native tier
-        fast = shapley_all_facts(
-            ddnnf, players, method="derivative", kernel="int64",
-            tape=lying_tape.with_labels({}),
-        )
-        reference = shapley_all_facts(
-            ddnnf, players, method="derivative", kernel="python",
-            tape=honest_tape,
-        )
-        assert fast == reference
+        TestMachineWidthFastpath._assert_same_diffs(
+            plan.execute(),
+            TestMachineWidthFastpath._reference_diffs(honest_tape))
 
     @needs_numpy
     def test_loaded_v2_schedule_is_consumed_and_exact(self):
@@ -880,8 +975,8 @@ class TestFastpathRobustness:
         fresh = compile_tape(ddnnf)
         loaded = GateTape.from_payload(fresh.to_payload())
         assert loaded._analysis["levels"] == fresh.level_schedule()
-        fast = fastpath_diffs(loaded)
-        reference = fastpath_diffs(fresh)
+        fast = plan_for(loaded).execute()
+        reference = plan_for(fresh).execute()
         assert fast == reference
         assert fast is not None
 
@@ -901,8 +996,6 @@ class TestFastpathRobustness:
 
     @needs_numpy
     def test_oversized_buffers_decline_the_fast_path(self, monkeypatch):
-        import repro.core.numerics.fixed as fixed
-
         monkeypatch.setattr(fixed, "MAX_BUFFER_ELEMENTS", 16)
         tape = compile_tape(_compile(random_monotone_cnf(6, 5, 3, seed=6)))
         stats = FastpathStats()
