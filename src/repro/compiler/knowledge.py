@@ -14,6 +14,22 @@ Branching on a variable ``v`` produces the gate
 construction.  The output is therefore a d-DNNF — exactly the circuit
 class required by Algorithm 1 of the paper.
 
+The search works on bitsets, never on rebuilt clauses.  Each
+compilation scope indexes its clauses once (:class:`_Index`): clause
+ids in input order, variable ids ranked by value, per variable the
+masks of the clauses it occurs in positively and negatively, per clause
+the masks of its variables and of its positive ones.  A *residual* —
+what is left to compile at a search node — is then a pair of Python
+ints, ``(clause mask, variable mask)``: the clauses not yet satisfied
+and the variables not yet assigned.  Assigning a literal clears the
+clauses it satisfies with one AND-NOT and visits only the active
+clauses holding the falsified literal; the popcount of a visited
+clause's free variables tells a conflict (0) from a unit (1), and units
+are propagated in FIFO order.  Connected components grow from the
+lowest active clause id by alternating clause and variable masks, and
+the residual cache is keyed on a component's ``(clause mask, variable
+mask)`` pair, as sharpSAT keys its component cache.
+
 On top of the run-local residual cache, *top-level* components are
 memoized **across** compilations: every connected component of the
 unit-propagated input with at least :data:`MEMO_MIN_COMPONENT_VARS`
@@ -41,8 +57,9 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ..circuits.circuit import AND, FALSE, NOT, TRUE, VAR, Circuit
 from ..circuits.cnf import Cnf
@@ -59,7 +76,7 @@ MEMO_MIN_COMPONENT_VARS = 8
 #: the compiler that alters the *structure* of compiled components must
 #: bump this so stale ``.comp`` artifacts become clean misses instead of
 #: breaking cross-run signature parity.
-COMPONENT_SCHEME = 1
+COMPONENT_SCHEME = 2
 
 #: Color-refinement rounds for :func:`canonical_component`.  Refinement
 #: also stops early once the variable partition is discrete or stable.
@@ -153,70 +170,215 @@ class _DictMemo(ComponentMemo):
         self._entries[key] = circuit
 
 
-def _select_widest(clauses: ClauseSet) -> int:
-    """Branch on a variable of the widest clause.
+def _ids(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
-    Crucial for lineage-shaped CNFs: a projected answer yields one wide
-    disjunction clause over per-derivation auxiliaries.  Branching
-    inside that clause either satisfies it (decomposing the residual
-    into independent derivation blocks) or shrinks it deterministically,
-    keeping the number of distinct cached residuals linear.  Generic
-    SAT heuristics (MOMS & co.) branch elsewhere and generate
-    exponentially many long-clause remnants.
 
-    Among the widest clause's variables, the globally most frequent one
-    is chosen (stable on ties), which also favours decomposition.
+class _Index:
+    """Bitset index of one compilation scope's clauses, built once.
+
+    Clause ids follow input order and variable ids rank the variables
+    by value, so "lowest id" agrees with "first clause" and "smallest
+    variable".  Per variable id it holds the masks of the clauses the
+    variable occurs in positively (:attr:`pos`), negatively
+    (:attr:`neg`) and either way (:attr:`occ`); per clause id the mask
+    of its variables (:attr:`clause_vars`) and of those occurring
+    positively (:attr:`clause_pos`).  Repeated literals are merged and
+    tautologies dropped, so a clause's width under an assignment is the
+    popcount of its free variables.
     """
-    widest = max(clauses, key=len)
-    if len(widest) <= 2:
-        return _select_moms(clauses)
-    frequency: dict[int, int] = {}
-    for clause in clauses:
-        for lit in clause:
-            var = abs(lit)
-            frequency[var] = frequency.get(var, 0) + 1
-    return max((abs(lit) for lit in widest), key=lambda v: (frequency[v], -v))
 
+    __slots__ = (
+        "variables", "pos", "neg", "occ", "clause_vars", "clause_pos",
+        "all_clauses", "all_vars",
+    )
 
-def _select_moms(clauses: ClauseSet) -> int:
-    """MOMS heuristic: most occurrences in minimum-size clauses."""
-    min_len = min(len(c) for c in clauses)
-    scores: dict[int, int] = {}
-    for clause in clauses:
-        if len(clause) == min_len:
+    def __init__(self, clauses: Iterable[Clause]) -> None:
+        kept: list[Clause] = []
+        for clause in clauses:
+            lits = tuple(dict.fromkeys(clause))
+            if not any(-lit in lits for lit in lits):
+                kept.append(lits)
+        self.variables = sorted({abs(lit) for clause in kept for lit in clause})
+        var_id = {var: i for i, var in enumerate(self.variables)}
+        self.pos = pos = [0] * len(var_id)
+        self.neg = neg = [0] * len(var_id)
+        self.clause_vars: list[int] = []
+        self.clause_pos: list[int] = []
+        for c, clause in enumerate(kept):
+            here = 1 << c
+            variables = positive = 0
             for lit in clause:
-                var = abs(lit)
-                scores[var] = scores.get(var, 0) + 1
-    return max(scores.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+                i = var_id[abs(lit)]
+                variables |= 1 << i
+                if lit > 0:
+                    positive |= 1 << i
+                    pos[i] |= here
+                else:
+                    neg[i] |= here
+            self.clause_vars.append(variables)
+            self.clause_pos.append(positive)
+        self.occ = [p | n for p, n in zip(pos, neg)]
+        self.all_clauses = (1 << len(kept)) - 1
+        self.all_vars = (1 << len(var_id)) - 1
+
+    def assign(self, clauses: int, free: int, var: int, value: bool,
+               trail: list[tuple[int, bool]]) -> tuple[int, int] | None:
+        """Assign ``var`` and unit-propagate in FIFO order.
+
+        Every literal assigned is appended to ``trail`` as ``(variable
+        id, value)``.  Returns the residual ``(clauses, free)`` or
+        ``None`` on a conflict.  Only the active clauses containing a
+        falsified literal are visited: with no free variable left such
+        a clause is a conflict, with one it is a unit.
+        """
+        pos, neg = self.pos, self.neg
+        clause_vars, clause_pos = self.clause_vars, self.clause_pos
+        clauses &= ~(pos[var] if value else neg[var])
+        free &= ~(1 << var)
+        head = len(trail)
+        trail.append((var, value))
+        while head < len(trail):
+            var, value = trail[head]
+            head += 1
+            touched = (neg[var] if value else pos[var]) & clauses
+            while touched:
+                low = touched & -touched
+                touched ^= low
+                if not clauses & low:
+                    continue  # satisfied by a unit found meanwhile
+                rest = clause_vars[low.bit_length() - 1] & free
+                if not rest:
+                    return None
+                if not rest & (rest - 1):
+                    unit = rest.bit_length() - 1
+                    positive = bool(clause_pos[low.bit_length() - 1] & rest)
+                    clauses &= ~(pos[unit] if positive else neg[unit])
+                    free ^= rest
+                    trail.append((unit, positive))
+        return clauses, free
+
+    def components(self, clauses: int, free: int) -> list[tuple[int, int]]:
+        """Split a residual into connected ``(clauses, free)`` components.
+
+        Each component grows from the lowest remaining clause id,
+        alternately by the clauses its new variables occur in and the
+        free variables of its new clauses, so components come out in
+        order of their first clause.
+        """
+        occ, clause_vars = self.occ, self.clause_vars
+        found = []
+        remaining = clauses
+        while remaining:
+            seed = remaining & -remaining
+            remaining ^= seed
+            comp_clauses = seed
+            comp_vars = frontier = clause_vars[seed.bit_length() - 1] & free
+            while frontier:
+                grown = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    grown |= occ[low.bit_length() - 1]
+                grown &= remaining
+                remaining ^= grown
+                comp_clauses |= grown
+                reached = 0
+                while grown:
+                    low = grown & -grown
+                    grown ^= low
+                    reached |= clause_vars[low.bit_length() - 1]
+                frontier = reached & free & ~comp_vars
+                comp_vars |= frontier
+            found.append((comp_clauses, comp_vars))
+        return found
+
+    def select(self, clauses: int, free: int) -> int:
+        """Branch on a variable of the widest clause.
+
+        Crucial for lineage-shaped CNFs: a projected answer yields one
+        wide disjunction clause over per-derivation auxiliaries.
+        Branching inside that clause either satisfies it (decomposing
+        the residual into independent derivation blocks) or shrinks it
+        deterministically, keeping the number of distinct cached
+        residuals linear.  Generic SAT heuristics branch elsewhere and
+        generate exponentially many long-clause remnants.
+
+        Among the first widest clause's variables, the one occurring in
+        the most active clauses is chosen, the smallest on ties; this
+        also favours decomposition.  Residuals are unit-free, so when no
+        clause is wider than two all of them are binary and MOMS (most
+        occurrences in minimum-width clauses) picks the most frequent
+        free variable instead, again the smallest on ties.
+        """
+        clause_vars = self.clause_vars
+        best = 0
+        rest = clauses
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            width = (clause_vars[low.bit_length() - 1] & free).bit_count()
+            if width > best:
+                best, widest = width, low.bit_length() - 1
+        candidates = clause_vars[widest] & free if best > 2 else free
+        occ = self.occ
+        return max(
+            _ids(candidates), key=lambda v: ((occ[v] & clauses).bit_count(), -v)
+        )
+
+    def residual(self, clauses: int, free: int) -> ClauseSet:
+        """A residual as clause tuples over its free variables, sorted
+        into the form :func:`canonical_component` consumes."""
+        variables, clause_pos = self.variables, self.clause_pos
+        return _canonical(tuple(
+            tuple(variables[i] if clause_pos[c] >> i & 1 else -variables[i]
+                  for i in _ids(self.clause_vars[c] & free))
+            for c in _ids(clauses)
+        ))
 
 
-def _select_freq(clauses: ClauseSet) -> int:
-    """Most frequent variable overall."""
-    scores: dict[int, int] = {}
-    for clause in clauses:
-        for lit in clause:
-            var = abs(lit)
-            scores[var] = scores.get(var, 0) + 1
-    return max(scores.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+def _top_level_split(
+    index: _Index, min_vars: int | None
+) -> tuple[list[tuple[int, bool]], list[tuple[int, int, tuple | None]]] | None:
+    """Unit-propagate a whole clause list and split what is left.
 
-
-def _select_jw(clauses: ClauseSet) -> int:
-    """Two-sided Jeroslow-Wang: weight 2^-|clause| per occurrence."""
-    scores: dict[int, float] = {}
-    for clause in clauses:
-        weight = 2.0 ** -len(clause)
-        for lit in clause:
-            var = abs(lit)
-            scores[var] = scores.get(var, 0.0) + weight
-    return max(scores.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-
-
-HEURISTICS: dict[str, Callable[[ClauseSet], int]] = {
-    "widest": _select_widest,
-    "moms": _select_moms,
-    "freq": _select_freq,
-    "jw": _select_jw,
-}
+    Returns ``None`` on a conflict, else ``(trail, components)``: the
+    forced literals, and per connected component (in order of its first
+    clause) its ``(clauses, free, form)``.  ``form`` is the
+    :func:`canonical_component` of the component when it has at least
+    ``min_vars`` variables, else (and always when ``min_vars`` is
+    ``None``) ``None``.  :meth:`_Compiler.run` and
+    :func:`plan_components` both split through here, so a plan names
+    exactly the components a compile will look up.
+    """
+    clauses, free = index.all_clauses, index.all_vars
+    trail: list[tuple[int, bool]] = []
+    for c, variables in enumerate(index.clause_vars):
+        if variables & (variables - 1) or not clauses >> c & 1:
+            continue  # wider than one literal, or satisfied already
+        rest = variables & free
+        if not rest:
+            return None
+        state = index.assign(
+            clauses, free, rest.bit_length() - 1,
+            bool(index.clause_pos[c]), trail,
+        )
+        if state is None:
+            return None
+        clauses, free = state
+    components = []
+    for comp_clauses, comp_vars in index.components(clauses, free):
+        form = None
+        if min_vars is not None and comp_vars.bit_count() >= min_vars:
+            form = canonical_component(index.residual(comp_clauses, comp_vars))
+        components.append((comp_clauses, comp_vars, form))
+    return trail, components
 
 
 class _IdentityLabels:
@@ -233,9 +395,9 @@ _IDENTITY_LABELS = _IdentityLabels()
 class _RunContext:
     """State shared by every (possibly nested) compiler of one run.
 
-    Budget, deadline, branching heuristic, memo, and stats are all
-    per-*run*: a canonical component compile spawned three levels deep
-    still counts against the same node budget and reports into the same
+    Budget, deadline, memo, and stats are all per-*run*: a canonical
+    component compile spawned three levels deep still counts against the
+    same node budget and reports into the same
     :class:`CompilationStats`.  All hot counters are plain int bumps
     (GIL-atomic enough for diagnostics); the counters that feed CI
     assertions (``component_*``) are guarded by :attr:`lock`.
@@ -244,18 +406,11 @@ class _RunContext:
     def __init__(
         self,
         budget: CompilationBudget | None,
-        heuristic: str,
         memo: ComponentMemo | None,
         memoize: bool,
         min_vars: int,
     ) -> None:
         self.budget = budget or CompilationBudget()
-        try:
-            self.select = HEURISTICS[heuristic]
-        except KeyError:
-            raise ValueError(
-                f"unknown heuristic {heuristic!r}; choose from {sorted(HEURISTICS)}"
-            ) from None
         self.memo = memo if memo is not None else _DictMemo()
         self.memoize = memoize
         self.min_vars = min_vars
@@ -301,8 +456,8 @@ class _Compiler:
     """One compilation scope (internal).
 
     The user-facing run and every canonical component compile each get
-    their own ``_Compiler`` (own circuit, own residual cache) over a
-    shared :class:`_RunContext`.
+    their own ``_Compiler`` (own clause index, circuit and residual
+    cache) over a shared :class:`_RunContext`.
     """
 
     def __init__(
@@ -311,17 +466,17 @@ class _Compiler:
         labels,
         context: _RunContext,
     ) -> None:
-        self.clauses = clauses
+        self.index = _Index(clauses)
         self.labels = labels
         self.context = context
-        self.select = context.select
         self.stats = context.stats
         self.circuit = Circuit()
-        self.cache: dict[ClauseSet, int] = {}
+        #: (clause mask, variable mask) of a residual -> its gate.
+        self.cache: dict[tuple[int, int], int] = {}
+        #: (variable id, value) -> literal gate.
+        self._literals: dict[tuple[int, bool], int] = {}
         #: canonical key -> circuit, filled by the parallel pre-pass.
         self._prebuilt: dict[ClauseSet, Circuit] = {}
-        #: _canonical key -> (canonical clauses, variable order).
-        self._canon_forms: dict[ClauseSet, tuple[ClauseSet, tuple[int, ...]]] = {}
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -341,62 +496,69 @@ class _Compiler:
                     f"time budget exceeded ({budget.max_seconds}s)"
                 )
 
-    def _lit_gate(self, lit: int) -> int:
-        label = self.labels.get(abs(lit), ("z", abs(lit)))
-        return self.circuit.literal(label, lit > 0)
+    def _lit_gate(self, var: int, value: bool) -> int:
+        gate = self._literals.get((var, value))
+        if gate is None:
+            var_label = self.index.variables[var]
+            label = self.labels.get(var_label, ("z", var_label))
+            gate = self._literals[var, value] = self.circuit.literal(label, value)
+        return gate
 
     # -- core recursion ------------------------------------------------
 
     def run(self, jobs: int = 1) -> int:
-        forced, residual, conflict = _propagate(tuple(self.clauses), {})
-        if conflict:
+        ctx = self.context
+        split = _top_level_split(
+            self.index, ctx.min_vars if ctx.memoize else None
+        )
+        if split is None:
             return self.circuit.false()
-        gates = [self._lit_gate(v if val else -v) for v, val in forced.items()]
-        if residual:
-            comps = _connected_components(residual)
-            if len(comps) > 1:
-                self.stats.components_split += 1
-            if jobs > 1 and len(comps) > 1:
-                self._precompile(comps, jobs)
-            gates.extend(
-                self._compile_component(comp, top=True) for comp in comps
-            )
-        return self.circuit.and_(gates)
-
-    def _components(self, clauses: ClauseSet) -> list[int]:
-        """Split into connected components and compile each."""
-        comps = _connected_components(clauses)
+        trail, comps = split
+        gates = [self._lit_gate(var, value) for var, value in trail]
         if len(comps) > 1:
             self.stats.components_split += 1
-        return [self._compile_component(comp) for comp in comps]
+            if jobs > 1:
+                self._precompile([form for _, _, form in comps], jobs)
+        gates.extend(
+            self._compile_component(clauses, free, form)
+            for clauses, free, form in comps
+        )
+        return self.circuit.and_(gates)
 
-    def _compile_component(self, clauses: ClauseSet, top: bool = False) -> int:
+    def _compile_component(self, clauses: int, free: int, form=None) -> int:
+        """The gate of one connected residual; a top-level component
+        with a canonical ``form`` is stitched from the memo."""
         self._check_budget()
-        key = _canonical(clauses)
+        key = (clauses, free)
         cached = self.cache.get(key)
         if cached is not None:
             self.stats.cache_hits += 1
             return cached
-        if top and self._memoizable(clauses):
-            gate = self._stitch(key)
+        if form is not None:
+            gate = self._stitch(*form)
         else:
-            gate = self._branch(clauses)
+            gate = self._branch(clauses, free)
         self.cache[key] = gate
         self.stats.cache_entries += 1
         return gate
 
-    def _branch(self, clauses: ClauseSet) -> int:
-        var = self.select(clauses)
+    def _branch(self, clauses: int, free: int) -> int:
+        index = self.index
+        var = index.select(clauses, free)
         self.stats.decisions += 1
         branches = []
         for value in (True, False):
-            forced, residual, conflict = _propagate(clauses, {var: value})
-            if conflict:
+            trail: list[tuple[int, bool]] = []
+            residual = index.assign(clauses, free, var, value, trail)
+            if residual is None:
                 continue
-            gates = [self._lit_gate(v if val else -v) for v, val in forced.items()]
-            gates.append(self._lit_gate(var if value else -var))
-            if residual:
-                gates.extend(self._components(residual))
+            gates = [self._lit_gate(v, val) for v, val in trail]
+            if residual[0]:
+                comps = index.components(*residual)
+                if len(comps) > 1:
+                    self.stats.components_split += 1
+                for comp in comps:
+                    gates.append(self._compile_component(*comp))
             branches.append(self.circuit.and_(gates))
         # A branch gate always conjoins its decision literal, so it is
         # never constant-TRUE; or_ only strips impossible (FALSE)
@@ -405,30 +567,10 @@ class _Compiler:
 
     # -- cross-run memoization -----------------------------------------
 
-    def _memoizable(self, clauses: ClauseSet) -> bool:
-        """Whether a *top-level* component goes through the cross-run
-        memo.  Must be a deterministic function of the clause set (plus
-        the fixed knobs): warm and cold compiles of the same CNF have to
-        take the same canonical-vs-inline path for byte parity."""
-        ctx = self.context
-        if not ctx.memoize:
-            return False
-        variables = {abs(lit) for clause in clauses for lit in clause}
-        return len(variables) >= ctx.min_vars
-
-    def _canonical_form(
-        self, key: ClauseSet
-    ) -> tuple[ClauseSet, tuple[int, ...]]:
-        form = self._canon_forms.get(key)
-        if form is None:
-            form = canonical_component(key)
-            self._canon_forms[key] = form
-        return form
-
-    def _stitch(self, key: ClauseSet) -> int:
-        """Compile (or fetch) the component in canonical form and import
-        the resulting sub-circuit, renaming canonical variables back."""
-        canon, order = self._canonical_form(key)
+    def _stitch(self, canon: ClauseSet, order: tuple[int, ...]) -> int:
+        """Compile (or fetch) a component's canonical form ``canon`` and
+        import the resulting sub-circuit, renaming canonical variables
+        back through ``order``."""
         sub = self._prebuilt.pop(canon, None)
         if sub is None:
             sub = self._lookup_or_compile(canon)
@@ -489,7 +631,7 @@ class _Compiler:
                 )
         return mapping[root]
 
-    def _precompile(self, comps: list[ClauseSet], jobs: int) -> None:
+    def _precompile(self, forms: list[tuple | None], jobs: int) -> None:
         """Compile the distinct memoizable top-level components
         concurrently, then let the serial sweep stitch them in order.
 
@@ -499,16 +641,7 @@ class _Compiler:
         """
         from concurrent.futures import ThreadPoolExecutor
 
-        pending: list[ClauseSet] = []
-        seen: set[ClauseSet] = set()
-        for comp in comps:
-            if not self._memoizable(comp):
-                continue
-            canon, _ = self._canonical_form(_canonical(comp))
-            if canon in seen:
-                continue
-            seen.add(canon)
-            pending.append(canon)
+        pending = list(dict.fromkeys(form[0] for form in forms if form))
         if len(pending) < 2:
             return
         with ThreadPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
@@ -539,7 +672,8 @@ def _compile_canonical(canon: ClauseSet, context: _RunContext) -> Circuit:
     started = time.perf_counter()
     try:
         sub = _Compiler(canon, _IDENTITY_LABELS, context)
-        sub.circuit.output = sub._branch(canon)
+        index = sub.index
+        sub.circuit.output = sub._branch(index.all_clauses, index.all_vars)
         context.add_foreign(len(sub.circuit))
     finally:
         elapsed = time.perf_counter() - started
@@ -558,35 +692,23 @@ def plan_components(
     """The distinct canonical top-level components a compile of ``cnf``
     will request from its :class:`ComponentMemo`.
 
-    Mirrors :meth:`_Compiler.run` exactly — unit propagation, connected
-    components, the ``min_vars`` memoizability cut, then
-    :func:`canonical_component` — so a *component pass* that compiles
-    every returned key into a shared memo guarantees the later full
-    compile of ``cnf`` is pure stitching (every memo lookup hits).
-    Keys are returned deduplicated, in first-occurrence order.  An
-    unsatisfiable or fully unit-propagated CNF has no components.
+    Splits ``cnf`` through the same helper as :meth:`_Compiler.run`, so
+    a *component pass* that compiles every returned key into a shared
+    memo guarantees the later full compile of ``cnf`` is pure stitching
+    (every memo lookup hits).  Keys are returned deduplicated, in
+    first-occurrence order.  An unsatisfiable or fully unit-propagated
+    CNF has no components.
     """
-    _, residual, conflict = _propagate(tuple(cnf.clauses), {})
-    if conflict or not residual:
+    split = _top_level_split(_Index(cnf.clauses), min_vars)
+    if split is None:
         return []
-    keys: list[ClauseSet] = []
-    seen: set[ClauseSet] = set()
-    for component in _connected_components(residual):
-        variables = {abs(lit) for clause in component for lit in clause}
-        if len(variables) < min_vars:
-            continue
-        canon, _ = canonical_component(_canonical(component))
-        if canon not in seen:
-            seen.add(canon)
-            keys.append(canon)
-    return keys
+    return list(dict.fromkeys(form[0] for _, _, form in split[1] if form))
 
 
 def compile_component(
     canon: ClauseSet,
     memo: ComponentMemo,
     budget: CompilationBudget | None = None,
-    heuristic: str = "widest",
 ) -> bool:
     """Ensure one canonical component is available in ``memo``.
 
@@ -602,10 +724,10 @@ def compile_component(
     """
     if memo.lookup(canon) is not None:
         return False
-    context = _RunContext(
-        budget, heuristic, memo, True, MEMO_MIN_COMPONENT_VARS
-    )
-    _compile_canonical(canon, context)
+    context = _RunContext(budget, memo, True, MEMO_MIN_COMPONENT_VARS)
+    num_vars = max((abs(lit) for clause in canon for lit in clause), default=0)
+    with _recursion_headroom(num_vars):
+        _compile_canonical(canon, context)
     return True
 
 
@@ -666,107 +788,43 @@ def canonical_component(clauses: ClauseSet) -> tuple[ClauseSet, tuple[int, ...]]
     return _canonical(renamed), order
 
 
-def _propagate(
-    clauses: Iterable[Clause], assignment: dict[int, bool]
-) -> tuple[dict[int, bool], ClauseSet, bool]:
-    """Unit-propagate ``clauses`` under ``assignment``.
-
-    Returns ``(newly_forced, residual, conflict)``.  The decision
-    variables in ``assignment`` are *not* included in ``newly_forced``.
-    """
-    forced: dict[int, bool] = {}
-
-    def value(var: int) -> bool | None:
-        if var in assignment:
-            return assignment[var]
-        return forced.get(var)
-
-    work = list(clauses)
-    while True:
-        changed = False
-        residual: list[Clause] = []
-        for clause in work:
-            kept: list[int] = []
-            satisfied = False
-            for lit in clause:
-                val = value(abs(lit))
-                if val is None:
-                    kept.append(lit)
-                elif val == (lit > 0):
-                    satisfied = True
-                    break
-            if satisfied:
-                changed = True
-                continue
-            if not kept:
-                return forced, (), True
-            if len(kept) == 1:
-                lit = kept[0]
-                var, val = abs(lit), lit > 0
-                existing = value(var)
-                if existing is None:
-                    forced[var] = val
-                    changed = True
-                    continue
-                if existing != val:
-                    return forced, (), True
-                changed = True
-                continue
-            if len(kept) != len(clause):
-                changed = True
-            residual.append(tuple(kept))
-        work = residual
-        if not changed:
-            return forced, tuple(work), False
-
-
-def _connected_components(clauses: ClauseSet) -> list[ClauseSet]:
-    """Partition clauses into variable-connected components."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for clause in clauses:
-        first = abs(clause[0])
-        for lit in clause:
-            var = abs(lit)
-            if var not in parent:
-                parent[var] = var
-        if first not in parent:
-            parent[first] = first
-        for lit in clause[1:]:
-            union(first, abs(lit))
-
-    groups: dict[int, list[Clause]] = {}
-    for clause in clauses:
-        root = find(abs(clause[0]))
-        groups.setdefault(root, []).append(clause)
-    # Insertion-ordered by first appearance in the (already canonical)
-    # clause list, so this is deterministic; sorting would reorder
-    # components and break byte-parity with previously stored circuits.
-    return [tuple(group) for group in groups.values()]  # repro: allow=REP002 insertion-ordered
-
-
 def _canonical(clauses: ClauseSet) -> ClauseSet:
     """Canonical cache key: sorted clauses of sorted literals."""
     return tuple(sorted(tuple(sorted(c, key=abs)) for c in clauses))
 
 
+_headroom_lock = threading.Lock()
+_headroom_users = 0
+_headroom_saved = 0
+
+
+@contextmanager
+def _recursion_headroom(num_vars: int):
+    """Raise the recursion limit for a compile over ``num_vars``
+    variables.  The limit is process-global and compiles run in pool
+    threads, so entries are reference-counted: the limit only grows
+    while any compile is inside, and the one found by the first compile
+    in is restored when the last one leaves."""
+    global _headroom_users, _headroom_saved
+    limit = max(10_000, 8 * num_vars + 1000)
+    with _headroom_lock:
+        if _headroom_users == 0:
+            _headroom_saved = sys.getrecursionlimit()
+        _headroom_users += 1
+        if sys.getrecursionlimit() < limit:
+            sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        with _headroom_lock:
+            _headroom_users -= 1
+            if _headroom_users == 0:
+                sys.setrecursionlimit(_headroom_saved)
+
+
 def compile_cnf(
     cnf: Cnf,
     budget: CompilationBudget | None = None,
-    heuristic: str = "widest",
     *,
     memo: ComponentMemo | None = None,
     jobs: int | None = None,
@@ -783,9 +841,6 @@ def compile_cnf(
     budget:
         Optional :class:`CompilationBudget`; raises
         :class:`BudgetExceeded` when exhausted.
-    heuristic:
-        Branching heuristic: ``"widest"`` (default; see
-        :func:`_select_widest`), ``"moms"``, ``"freq"`` or ``"jw"``.
     memo:
         Cross-run :class:`ComponentMemo`.  ``None`` uses a run-local
         dict, which still dedupes isomorphic components *within* this
@@ -806,28 +861,20 @@ def compile_cnf(
     Returns a :class:`CompilationResult` whose circuit is deterministic
     and decomposable by construction.
     """
-    limit = max(10_000, 8 * cnf.num_vars + 1000)
-    old_limit = sys.getrecursionlimit()
-    if old_limit < limit:
-        sys.setrecursionlimit(limit)
-    try:
+    with _recursion_headroom(cnf.num_vars):
         context = _RunContext(
-            budget, heuristic, memo, memoize_components, component_min_vars
+            budget, memo, memoize_components, component_min_vars
         )
-        run = _Compiler(tuple(cnf.clauses), cnf.labels, context)
+        run = _Compiler(cnf.clauses, cnf.labels, context)
         run.circuit.output = run.run(jobs=max(1, int(jobs or 1)))
         context.stats.seconds = time.perf_counter() - context.start
         context.stats.nodes = len(run.circuit)
         return CompilationResult(run.circuit, context.stats)
-    finally:
-        if old_limit < limit:
-            sys.setrecursionlimit(old_limit)
 
 
 def compile_circuit(
     circuit: Circuit,
     budget: CompilationBudget | None = None,
-    heuristic: str = "widest",
     *,
     memo: ComponentMemo | None = None,
     jobs: int | None = None,
@@ -843,7 +890,7 @@ def compile_circuit(
     from ..circuits.tseytin import tseytin_transform
 
     cnf = tseytin_transform(circuit)
-    result = compile_cnf(cnf, budget=budget, heuristic=heuristic, memo=memo, jobs=jobs)
+    result = compile_cnf(cnf, budget=budget, memo=memo, jobs=jobs)
     keep = set(cnf.labels.values())
     cleaned = eliminate_auxiliary(result.circuit, keep)
     result_stats = result.stats

@@ -160,10 +160,12 @@ class CacheStats:
 class _Entry:
     """Canonical artifacts of one lineage shape (labels = 0..k-1)."""
 
-    __slots__ = ("cnf", "ddnnf", "tape")
+    __slots__ = ("cnf", "plan", "ddnnf", "tape")
 
     def __init__(self) -> None:
         self.cnf: Cnf | None = None
+        #: :func:`plan_components` of ``cnf``, a pure function of it.
+        self.plan: list | None = None
         self.ddnnf: Circuit | None = None
         self.tape: GateTape | None = None
 
@@ -526,10 +528,14 @@ class CircuitArtifacts:
         batch's fleet-wide component-compile pass (see
         :func:`~repro.compiler.knowledge.plan_components`).  Computes
         (and caches/stores) the canonical CNF as a side effect, which a
-        cold shape pays anyway.
+        cold shape pays anyway.  The plan is kept on the cache entry (a
+        racing second caller merely computes the same list again).
         """
-        canonical, _ = self._canonical_cnf()
-        return plan_components(canonical)
+        plan = self._entry.plan
+        if plan is None:
+            plan = plan_components(self._canonical_cnf()[0])
+            self._entry.plan = plan
+        return plan
 
 
 class ArtifactCache:

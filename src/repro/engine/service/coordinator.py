@@ -221,6 +221,12 @@ class Coordinator:
         self._stop.set()
         self._warm_event.set()  # unblock the warmer so it can exit
         try:
+            # close() alone does not wake accept() on Linux; without
+            # this the accept thread keeps the coordinator alive.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass

@@ -21,12 +21,10 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.cnf import Cnf
 from repro.compiler.knowledge import (
     COMPONENT_SCHEME,
-    MEMO_MIN_COMPONENT_VARS,
     _canonical,
-    _connected_components,
-    _propagate,
     canonical_component,
     compile_cnf,
+    plan_components,
 )
 from repro.core import shapley_all_facts
 from repro.engine import ArtifactCache, PersistentArtifactStore
@@ -58,15 +56,10 @@ def compile_shape(circuit, **kwargs):
 def top_level_component_keys(circuit):
     """Canonical digests of the memo-eligible top-level components of a
     circuit's Tseytin CNF — the keys the cross-run memo would use."""
-    cnf = tseytin_transform(circuit)
-    _, residual, conflict = _propagate(tuple(cnf.clauses), {})
-    assert not conflict
-    keys = set()
-    for comp in _connected_components(residual):
-        variables = {abs(lit) for clause in comp for lit in clause}
-        if len(variables) >= MEMO_MIN_COMPONENT_VARS:
-            keys.add(signature_digest(canonical_component(comp)[0]))
-    return keys
+    return {
+        signature_digest(canon)
+        for canon in plan_components(tseytin_transform(circuit))
+    }
 
 
 class TestCanonicalComponent:
@@ -116,9 +109,7 @@ _SEED_SCRIPT = """
 import json, sys
 sys.path.insert(0, {src!r})
 from repro.circuits import tseytin_transform
-from repro.compiler.knowledge import (
-    _connected_components, _propagate, canonical_component, compile_cnf,
-)
+from repro.compiler.knowledge import compile_cnf, plan_components
 from repro.engine.store import signature_digest
 from repro.workloads.synthetic import shared_block_circuits
 
@@ -128,10 +119,8 @@ circuit = shared_block_circuits(
 cnf = tseytin_transform(circuit)
 serial = compile_cnf(cnf)
 parallel = compile_cnf(cnf, jobs=4)
-_, residual, _ = _propagate(tuple(cnf.clauses), {{}})
 keys = sorted(
-    signature_digest(canonical_component(comp)[0])
-    for comp in _connected_components(residual)
+    signature_digest(canon) for canon in plan_components(cnf, min_vars=1)
 )
 print(json.dumps({{
     "serial": signature_digest(serial.circuit.structural_signature()[0]),

@@ -140,6 +140,32 @@ class TestTransportParity:
         assert stats["remote_pipeline_overlap_seconds"] >= 0.0
         assert stats["compile_calls"] == 0  # the client never compiles
 
+    def test_second_socket_batch_plans_no_shape_again(
+        self, fleet, monkeypatch
+    ):
+        # The client's cache never holds the fleet's d-DNNFs, so every
+        # socket batch asks each shape for its component plan; the plan
+        # is computed once per shape and then served from the entry.
+        import repro.engine.cache as cache_module
+
+        calls = []
+        plan = cache_module.plan_components
+        monkeypatch.setattr(
+            cache_module, "plan_components",
+            lambda cnf: calls.append(cnf) or plan(cnf),
+        )
+        db = mixed_fanout_database(6, (6, 7))
+        with ExplainSession(
+            db, method="exact", executor="socket",
+            coordinator=fleet.address, min_workers=2,
+        ) as session:
+            first = session.explain_many(JOIN_QUERY)
+            planned = len(calls)
+            second = session.explain_many(JOIN_QUERY)
+        assert planned == 2  # one plan per shape
+        assert len(calls) == planned
+        assert values_of(second) == values_of(first)
+
 
 class TestSessionLifecycle:
     def test_context_manager_closes_transports(self):
@@ -227,6 +253,13 @@ class TestCoordinator:
     def test_ping_reports_worker_count(self, fleet):
         transport = SocketTransport(fleet.address)
         assert transport.ping() == 2
+
+    def test_shutdown_stops_the_accept_thread(self, fleet):
+        # The accept loop must exit, or its thread keeps the stopped
+        # coordinator (and the batch replies it kept) alive.
+        fleet.shutdown()
+        fleet._accept_thread.join(10)
+        assert not fleet._accept_thread.is_alive()
 
     def test_unreachable_coordinator_is_a_transport_error(self):
         db = join_database(1, 1)
