@@ -475,25 +475,78 @@ class Circuit:
         recovers the flat DNF/CNF shape assumed by the paper's worked
         examples and shrinks the Tseytin CNF.
         """
+        flat, _ = self._flatten(self.output_gate())
+        # Flattening leaves the superseded nested gates behind; prune
+        # them so downstream passes (e.g. Tseytin) never see them.
+        return flat.prune()
+
+    def conditioned_flatten(self) -> tuple["Circuit", int]:
+        """``condition({}).flatten()`` and the size of ``condition({})``,
+        in one walk of the output's cone when the cone is already
+        constant-propagated.
+
+        Returns ``(flat, size)``.  ``flat`` keeps the nested gates that
+        flattening superseded; they are unreachable from its output, so
+        every cone walker (signatures, Tseytin, payloads) skips them.
+        ``size`` is ``len(self.condition({}))``.  A cone built through
+        the simplifying constructors (any lineage, any ``condition``
+        output) already is what ``condition({})`` would copy, so it is
+        flattened directly and ``size`` is the cone's size; any other
+        cone is conditioned first.
+        """
+        flat, size = self._flatten(self.output_gate())
+        if size is None:
+            conditioned = self.condition({})
+            flat, _ = conditioned._flatten(conditioned.output_gate())
+            size = len(conditioned)
+        return flat, size
+
+    def _flatten(self, root: int) -> tuple["Circuit", int | None]:
+        """Flatten ``root``'s cone without pruning.
+
+        Also returns the cone's size if ``condition({})`` would copy the
+        cone gate for gate -- every gate distinct, no constant below the
+        root, every AND/OR with two or more distinct children, no double
+        negation -- and ``None`` otherwise.
+        """
+        kinds, childs, labels = self._kinds, self._children, self._labels
+        cache, var_gates = self._cache, self._var_gates
         result = Circuit()
-        root = self.output_gate()
+        result_kinds, result_children = result._kinds, result._children
         mapping: dict[int, int] = {}
-        for gate in self.cone(root):
-            kind = self._kinds[gate]
+        cone = self.cone(root)
+        normal = True
+        for gate in cone:
+            kind = kinds[gate]
             if kind == VAR:
-                mapping[gate] = result.var(self._labels[gate])
+                label = labels[gate]
+                normal = normal and var_gates.get(label) == gate
+                mapping[gate] = result.var(label)
             elif kind == TRUE:
+                normal = normal and gate == root
                 mapping[gate] = result.true()
             elif kind == FALSE:
+                normal = normal and gate == root
                 mapping[gate] = result.false()
             elif kind == NOT:
-                mapping[gate] = result.not_(mapping[self._children[gate][0]])
+                children = childs[gate]
+                normal = (
+                    normal and kinds[children[0]] != NOT
+                    and cache.get((kind, children, None)) == gate
+                )
+                mapping[gate] = result.not_(mapping[children[0]])
             else:
+                children = childs[gate]
+                normal = (
+                    normal and len(children) > 1
+                    and cache.get((kind, children, None)) == gate
+                    and len(set(children)) == len(children)
+                )
                 merged: list[int] = []
-                for child in self._children[gate]:
+                for child in children:
                     mapped = mapping[child]
-                    if result._kinds[mapped] == kind:
-                        merged.extend(result._children[mapped])
+                    if result_kinds[mapped] == kind:
+                        merged.extend(result_children[mapped])
                     else:
                         merged.append(mapped)
                 if kind == AND:
@@ -501,9 +554,7 @@ class Circuit:
                 else:
                     mapping[gate] = result.or_(merged)
         result.output = mapping[root]
-        # Flattening leaves the superseded nested gates behind; prune
-        # them so downstream passes (e.g. Tseytin) never see them.
-        return result.prune()
+        return result, (len(cone) if normal else None)
 
     def rename(self, mapping: Mapping[Hashable, Hashable]) -> "Circuit":
         """Return a copy with variable labels renamed through ``mapping``.

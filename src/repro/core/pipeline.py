@@ -198,10 +198,12 @@ def run_exact(
             artifacts = cache.open(simplified)
 
     t0 = time.perf_counter()
-    cnf = artifacts.cnf() if artifacts is not None else tseytin_transform(simplified)
+    if artifacts is not None:
+        stats.cnf_vars, stats.cnf_clauses = artifacts.cnf_size()
+    else:
+        cnf = tseytin_transform(simplified)
+        stats.cnf_vars, stats.cnf_clauses = cnf.num_vars, cnf.num_clauses
     timings["tseytin"] = time.perf_counter() - t0
-    stats.cnf_vars = cnf.num_vars
-    stats.cnf_clauses = cnf.num_clauses
 
     tape = None
     stage = "compile"
@@ -306,13 +308,12 @@ def _prepare_tape(
             artifacts = cache.open(simplified)
 
     t0 = time.perf_counter()
-    cnf = (
-        artifacts.cnf() if artifacts is not None
-        else tseytin_transform(simplified)
-    )
+    if artifacts is not None:
+        stats.cnf_vars, stats.cnf_clauses = artifacts.cnf_size()
+    else:
+        cnf = tseytin_transform(simplified)
+        stats.cnf_vars, stats.cnf_clauses = cnf.num_vars, cnf.num_clauses
     timings["tseytin"] = time.perf_counter() - t0
-    stats.cnf_vars = cnf.num_vars
-    stats.cnf_clauses = cnf.num_clauses
 
     stage = "compile"
     compile_stats = None

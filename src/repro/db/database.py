@@ -154,6 +154,13 @@ class Database:
         """The set ``Dx``, in stable order."""
         return [f for f in self.facts() if f not in self._endogenous]
 
+    def exogenous_in(self, relation: str) -> set[Fact]:
+        """The exogenous facts of one relation, unordered."""
+        # set() over the relation's dict reuses the hashes stored in it,
+        # so this costs no Fact.__hash__ call per fact.
+        facts = self._relations[self.schema.relation(relation).name]
+        return set(facts) - self._endogenous
+
     # ------------------------------------------------------------------
     # Sub-databases
     # ------------------------------------------------------------------

@@ -304,6 +304,8 @@ class CircuitArtifacts:
         self._entry = entry
         self.signature = signature
         self.labels = labels
+        #: the flattened circuit; superseded nested gates stay in it,
+        #: unreachable from its output
         self._flat = flat
         #: gate count of the constant-propagated (pre-flatten) circuit,
         #: mirroring what the uncached pipeline reports as circuit_size
@@ -357,8 +359,8 @@ class CircuitArtifacts:
                 self._entry.cnf = canonical
             return self._entry.cnf
 
-    def cnf(self) -> Cnf:
-        """The Tseytin CNF of the circuit, labelled with its facts."""
+    def _counted_cnf(self) -> Cnf:
+        """The canonical CNF, counted as one CNF hit or miss."""
         canonical, hit = self._canonical_cnf()
         stats = self._cache.stats
         with self._cache._lock:
@@ -366,7 +368,18 @@ class CircuitArtifacts:
                 stats.cnf_hits += 1
             else:
                 stats.cnf_misses += 1
-        return _relabel_cnf(canonical, self._to_actual())
+        return canonical
+
+    def cnf(self) -> Cnf:
+        """The Tseytin CNF of the circuit, labelled with its facts."""
+        return _relabel_cnf(self._counted_cnf(), self._to_actual())
+
+    def cnf_size(self) -> tuple[int, int]:
+        """``(num_vars, num_clauses)`` of :meth:`cnf`, read from the
+        canonical CNF without relabelling a copy; counted like
+        :meth:`cnf`."""
+        canonical = self._counted_cnf()
+        return canonical.num_vars, canonical.num_clauses
 
     def ddnnf(
         self,
@@ -598,11 +611,14 @@ class ArtifactCache:
             return len(self._entries)
 
     def open(self, circuit: Circuit) -> CircuitArtifacts:
-        """Bind ``circuit`` to its cache slot and return the handle."""
-        conditioned = circuit.condition({})
-        flat = conditioned.flatten()
+        """Bind ``circuit`` to its cache slot and return the handle.
+
+        Two walks of the circuit's cone: one flattens it
+        (:meth:`~repro.circuits.circuit.Circuit.conditioned_flatten`),
+        one takes the flat circuit's signature.
+        """
+        flat, source_size = circuit.conditioned_flatten()
         signature, labels = flat.structural_signature()
-        source_size = len(conditioned)
         if self.max_entries == 0:
             # Storage disabled: hand out an unstored slot instead of
             # inserting and immediately evicting it, so ``evictions``

@@ -3,14 +3,17 @@
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.circuits import Circuit
+from repro.circuits import Circuit, GateKind
 
 from repro.db import (
     AlgebraError,
     And,
     Between,
     BooleanSemiring,
+    CircuitSemiring,
     Col,
     Comparison,
     Const,
@@ -301,6 +304,99 @@ class TestConeLocalExtraction:
         ratio = (_extraction_seconds(padded, row)
                  / _extraction_seconds(plain, row))
         assert ratio < 5, f"padded extraction {ratio:.1f}x the unpadded one"
+
+
+SURVIVOR_SCHEMA = Schema.of(
+    RelationSchema.of("R", "a", "b"),
+    RelationSchema.of("S", "b", "c"),
+)
+
+R_JOIN_S = Join(Scan("R"), Scan("S"), (("R.b", "S.b"),))
+
+#: Every operator the survivor pass pushes rows through, and plans in
+#: which the unreduced evaluation builds one gate first for a row that
+#: reaches no answer and again for one that does.
+SURVIVOR_PLANS = {
+    "select_scan": Select(Scan("R"), Comparison("<>", Col("R.a"), Const(1))),
+    "residual_select": Project(
+        Select(R_JOIN_S, Comparison("<", Col("R.a"), Col("S.c"))), ("R.a",)),
+    "rename": Project(Rename(R_JOIN_S, (("R.a", "x"),)), ("x",)),
+    "union": Union((
+        Project(R_JOIN_S, ("S.c",)),
+        Project(Select(Scan("S"), Comparison(">", Col("S.b"), Const(1))),
+                ("S.c",)),
+    )),
+    "self_join": Project(
+        Join(Scan("R", "r1"), Scan("R", "r2"), (("r1.b", "r2.a"),)),
+        ("r1.a", "r2.b"),
+    ),
+    "cross_product": Project(
+        Join(Select(Scan("R"), Comparison("=", Col("R.a"), Const(2))),
+             Scan("S")),
+        ("S.c",),
+    ),
+    "union_of_shared_join": Union((
+        Project(Select(R_JOIN_S, Comparison("<", Col("R.a"), Col("S.c"))),
+                ("R.a",)),
+        Project(Scan("S"), ("S.b",)),
+        Project(Select(R_JOIN_S, Comparison("=", Col("R.a"), Col("S.c"))),
+                ("R.a",)),
+    )),
+    "three_way_self_join": Project(
+        Select(
+            Join(Scan("S", "s1"),
+                 Join(Scan("S", "s2"), Scan("S", "s3"), (("s2.c", "s3.b"),)),
+                 (("s1.c", "s2.b"),)),
+            Comparison("<>", Col("s1.b"), Col("s3.c")),
+        ),
+        ("s1.b",),
+    ),
+}
+
+SMALL = st.integers(1, 3)
+
+
+@st.composite
+def survivor_databases(draw):
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from("RS"), SMALL, SMALL),
+        min_size=1, max_size=16, unique=True,
+    ))
+    db = Database(SURVIVOR_SCHEMA)
+    for relation, x, y in rows:
+        db.add(relation, x, y, endogenous=draw(st.booleans()))
+    return db
+
+
+class TestSurvivorPass:
+    """``lineage`` annotates only facts that reach an answer, and agrees
+    with the unreduced ``evaluate`` on everything else."""
+
+    @given(survivor_databases(), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_unreduced_evaluation(self, db, endogenous_only):
+        for name, plan in SURVIVOR_PLANS.items():
+            result = lineage(plan, db, endogenous_only=endogenous_only)
+            semiring = CircuitSemiring(
+                database=db, endogenous_only=endogenous_only)
+            reference = evaluate(plan, db, semiring)
+            assert list(result.relation.rows) == list(reference.rows), name
+            for answer, gate in reference.rows.items():
+                got = result.circuit.structural_signature(
+                    result.relation.rows[answer])
+                assert got == semiring.circuit.structural_signature(gate), (
+                    name, answer)
+            if not endogenous_only:
+                # With every fact a variable nothing absorbs a gate, so
+                # the gates built are exactly the answers' facts.
+                circuit = result.circuit
+                labels = {
+                    circuit.label(g) for g in circuit.gates()
+                    if circuit.kind(g) == GateKind.VAR
+                }
+                reached = set().union(
+                    *(result.facts_of(a) for a in result.tuples()))
+                assert labels == reached, name
 
 
 class TestCounters:

@@ -373,3 +373,65 @@ class TestConeWalkers:
         not_y = c.not_(y)
         root = c.and_((x, not_y))
         assert c.cone(root) == [x, y, not_y, root]
+
+
+@st.composite
+def raw_dags(draw):
+    """A random DAG that mixes the simplifying constructors with
+    ``raw_and`` / ``raw_or``, whose children may repeat or be constants,
+    and may carry gates no simplifying constructor would build."""
+    c = Circuit()
+    pool = [c.var(draw(st.sampled_from(WALKER_LABELS)))]
+    for _ in range(draw(st.integers(1, 20))):
+        op = draw(st.sampled_from(
+            ["var", "true", "false", "not", "and", "or", "raw_and", "raw_or"]))
+        if op == "var":
+            pool.append(c.var(draw(st.sampled_from(WALKER_LABELS))))
+        elif op == "true":
+            pool.append(c.true())
+        elif op == "false":
+            pool.append(c.false())
+        elif op == "not":
+            pool.append(c.not_(draw(st.sampled_from(pool))))
+        else:
+            kids = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+            build = {"and": c.and_, "or": c.or_, "raw_and": c.raw_and,
+                     "raw_or": c.raw_or}[op]
+            pool.append(build(tuple(kids)))
+    c.output = draw(st.sampled_from(pool))
+    return c
+
+
+class TestConditionedFlatten:
+    @given(raw_dags())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_condition_then_flatten(self, c):
+        flat, size = c.conditioned_flatten()
+        conditioned = c.condition({})
+        assert size == len(conditioned)
+        assert (flat.structural_signature()
+                == conditioned.flatten().structural_signature())
+
+    @given(shared_dags())
+    @settings(max_examples=100, deadline=None)
+    def test_constant_propagated_cone_is_walked_once(self, case):
+        c, root, _ = case
+        lineage = c.condition({}, root=root)
+        flat, size = lineage._flatten(lineage.output_gate())
+        assert size == len(lineage)
+        assert (flat.structural_signature()
+                == lineage.flatten().structural_signature())
+
+    def test_duplicate_payload_gates_are_conditioned_first(self):
+        # and(or(a, b), or(a, b)) with the OR stored twice: condition({})
+        # merges the copies and collapses the AND onto them.
+        dup = Circuit.from_payload({
+            "kinds": [int(GateKind.VAR), int(GateKind.VAR), int(GateKind.OR),
+                      int(GateKind.OR), int(GateKind.AND)],
+            "children": [[], [], [0, 1], [0, 1], [2, 3]],
+            "labels": ["a", "b", None, None, None],
+            "output": 4,
+        })
+        flat, size = dup.conditioned_flatten()
+        assert size == len(dup.condition({})) == 3
+        assert flat.to_nested() == ("or", "a", "b")

@@ -315,6 +315,31 @@ class TestExplainMany:
         assert stats["tape_compilations"] == 1
         assert stats["tape_hits"] == 7
 
+    def test_warm_batch_reads_cnf_sizes_without_relabelling(self, monkeypatch):
+        import repro.engine.cache as cache_module
+
+        db = join_database(n_answers=6)
+        with ExplainSession(db, method="exact") as session:
+            cold = session.explain_many(JOIN_QUERY)
+            before = session.stats
+            relabels = []
+            relabel = cache_module._relabel_cnf
+
+            def counting(*args):
+                relabels.append(args)
+                return relabel(*args)
+
+            monkeypatch.setattr(cache_module, "_relabel_cnf", counting)
+            warm = session.explain_many(JOIN_QUERY)
+            after = session.stats
+        assert relabels == []
+        assert {a: r.detail.stats for a, r in warm.items()} == {
+            a: r.detail.stats for a, r in cold.items()
+        }
+        # Every warm answer still counts one CNF request, as a hit.
+        assert after["cnf_hits"] - before["cnf_hits"] == len(warm)
+        assert after["cnf_misses"] == before["cnf_misses"]
+
     def test_explainer_explain_many_parity(self):
         db = join_database(n_answers=5)
         explainer = ShapleyExplainer(db)

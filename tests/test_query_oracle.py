@@ -1,9 +1,10 @@
 """Whole-query differential test: ``ExplainSession.explain_many`` against
 Equation 1 evaluated on the database.
 
-Random small databases over a 3-relation schema run through three fixed
-query templates (join + projection, a self-join as in TPC-H Q7, and a
-union).  For each answer ``t`` the oracle is the naive Shapley value of
+Random small databases over a 3-relation schema run through five fixed
+query templates (join + projection, a self-join as in TPC-H Q7, a
+union, a selection over a scan, and a residual non-equality selection
+over a join, as in IMDB's cyclic plans).  For each answer ``t`` the oracle is the naive Shapley value of
 the game ``E ↦ [t ∈ q(Dx ∪ E)]``, so lineage extraction, exogenous
 elimination, canonical-signature relabelling, batching and the thread
 transport are all checked end to end, on a cold and then a warm pass of
@@ -17,12 +18,16 @@ from repro import ExplainSession
 from repro.core import shapley_naive
 from repro.db import (
     BooleanSemiring,
+    Col,
+    Comparison,
+    Const,
     Database,
     Join,
     Project,
     RelationSchema,
     Scan,
     Schema,
+    Select,
     Union,
     evaluate,
 )
@@ -52,6 +57,25 @@ TEMPLATES = {
         Project(Join(Scan("R"), Scan("S"), (("R.a", "S.a"),)), ("S.b",)),
         Project(Scan("T"), ("T.b",)),
     )),
+    "select_scan": Project(
+        Join(
+            Select(Scan("S"), Comparison("<>", Col("S.a"), Const(2))),
+            Scan("T"),
+            (("S.b", "T.b"),),
+        ),
+        ("S.a",),
+    ),
+    "residual_select": Project(
+        Select(
+            Join(
+                Join(Scan("R"), Scan("S"), (("R.a", "S.a"),)),
+                Scan("T"),
+                (("S.b", "T.b"),),
+            ),
+            Comparison("<>", Col("R.a"), Col("T.b")),
+        ),
+        ("S.b",),
+    ),
 }
 
 VALUES = st.integers(1, 3)

@@ -104,6 +104,7 @@ class TestDatabase:
         x = db.add("R", 2, "y", endogenous=False)
         assert db.endogenous_facts() == [e]
         assert db.exogenous_facts() == [x]
+        assert db.exogenous_in("R") == {x}
 
     def test_mark_relation(self):
         db = Database(simple_schema())
