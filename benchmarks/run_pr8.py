@@ -58,7 +58,7 @@ from repro.db import (  # noqa: E402
 )
 from repro.db.evaluate import lineage  # noqa: E402
 from repro.engine import (  # noqa: E402
-    Coordinator, ExplainSession, run_worker,
+    ArtifactCache, Coordinator, ExplainSession, run_worker,
 )
 from repro.workloads import (  # noqa: E402
     TPCH_QUERIES, TpchConfig, generate_tpch,
@@ -206,55 +206,74 @@ def _path(name: str):
         fixed.HAS_NUMPY = saved
 
 
+@contextmanager
+def _fleet(store_dir: str):
+    """A coordinator with two in-thread socket workers sharing a store."""
+    coordinator = Coordinator().start()
+    ready = threading.Barrier(3, timeout=30)
+    threads = [
+        threading.Thread(
+            target=run_worker, args=(coordinator.address,),
+            kwargs={"cache_dir": store_dir, "on_ready": ready.wait},
+            daemon=True,
+        )
+        for _ in range(2)
+    ]
+    for thread in threads:
+        thread.start()
+    ready.wait()
+    coordinator.wait_for_workers(2, timeout=30)
+    try:
+        yield coordinator
+    finally:
+        coordinator.shutdown()
+        for thread in threads:
+            thread.join(timeout=10)
+
+
 def transport_matrix(quick: bool) -> dict:
     """Batched sessions across paths and transports vs the per-answer
-    reference — the ``identical_fractions`` acceptance matrix."""
+    reference — the ``identical_fractions`` acceptance matrix.
+
+    The reference cache stores nothing, so each answer is compiled and
+    swept alone.  Each path gets a fresh fleet: socket workers keep
+    their caches across sessions, and Shapley values the first path
+    published would otherwise serve the second."""
     db = _join_database(6 if quick else 10, 2)
     answers = lineage(to_plan(JOIN_QUERY, db), db, endogenous_only=True)
-    with ExplainSession(db, method="exact") as session:
+    with ExplainSession(
+        db, method="exact", cache=ArtifactCache(max_entries=0)
+    ) as session:
         expected = {}
         for answer in answers.tuples():
             circuit = answers.lineage_of(answer)
             expected[answer] = session.explain_one(
                 circuit, sorted(circuit.reachable_vars())
             ).values
-    coordinator = Coordinator().start()
-    with tempfile.TemporaryDirectory() as store_dir:
-        ready = threading.Barrier(3, timeout=30)
-        threads = [
-            threading.Thread(
-                target=run_worker, args=(coordinator.address,),
-                kwargs={"cache_dir": store_dir, "on_ready": ready.wait},
-                daemon=True,
-            )
-            for _ in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        ready.wait()
-        coordinator.wait_for_workers(2, timeout=30)
-        combos = []
-        try:
-            for backend in ("default", "interpreted"):
-                with _path(backend), ExplainSession(
-                    db, method="exact", max_workers=2,
-                    coordinator=coordinator.address, min_workers=2,
-                ) as session:
-                    for executor in ("thread", "process", "socket"):
-                        results = session.explain_many(
-                            JOIN_QUERY, executor=executor)
-                        got = {a: r.values for a, r in results.items()}
-                        assert got == expected, (backend, executor)
-                        assert all(
-                            type(v) is Fraction
-                            for values in got.values()
-                            for v in values.values()
-                        ), (backend, executor)
-                        combos.append(f"{backend}/{executor}")
-        finally:
-            coordinator.shutdown()
-            for thread in threads:
-                thread.join(timeout=10)
+    combos = []
+    with tempfile.TemporaryDirectory() as store_root:
+        for backend in ("default", "interpreted"):
+            with _path(backend), _fleet(
+                str(Path(store_root) / backend)
+            ) as coordinator, ExplainSession(
+                db, method="exact", max_workers=2,
+                coordinator=coordinator.address, min_workers=2,
+            ) as session:
+                for executor in ("thread", "process", "socket"):
+                    results = session.explain_many(
+                        JOIN_QUERY, executor=executor)
+                    got = {a: r.values for a, r in results.items()}
+                    assert got == expected, (backend, executor)
+                    assert all(
+                        type(v) is Fraction
+                        for values in got.values()
+                        for v in values.values()
+                    ), (backend, executor)
+                    combos.append(f"{backend}/{executor}")
+                stats = session.stats
+                assert stats["shapley_reuse_hits"] == 0, (backend, stats)
+                assert stats["remote_shapley_reuse_hits"] == 0, \
+                    (backend, stats)
     return {
         "answers": len(expected),
         "combinations": combos,

@@ -197,6 +197,17 @@ class Circuit:
         """Return the :class:`GateKind` of ``gate``."""
         return GateKind(self._kinds[gate])
 
+    def kind_codes(self) -> list[int]:
+        """Every gate's kind code, indexed by gate id, as stored.
+
+        Hot walkers index this list instead of calling :meth:`kind`,
+        which builds a :class:`GateKind` per call.  A code is an int or
+        a :class:`GateKind` member; either compares equal to ``VAR``,
+        ``AND`` and the other members.  The list is the circuit's own:
+        read it, never mutate it.
+        """
+        return self._kinds
+
     def children(self, gate: int) -> tuple[int, ...]:
         """Return the child gate ids of ``gate``."""
         return self._children[gate]

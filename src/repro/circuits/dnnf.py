@@ -329,6 +329,7 @@ def eliminate_auxiliary(
         root = circuit.output_gate()
     keep = set(keep_labels)
     flags = circuit.reachable(root)
+    kinds = circuit.kind_codes()
 
     # Bottom-up satisfiability of each gate.  In NNF, literals are always
     # satisfiable, so only the constants and the gate structure matter.
@@ -336,14 +337,14 @@ def eliminate_auxiliary(
     for gate in range(root + 1):
         if not flags[gate]:
             continue
-        kind = circuit.kind(gate)
+        kind = kinds[gate]
         if kind == VAR or kind == TRUE:
             sat[gate] = True
         elif kind == FALSE:
             sat[gate] = False
         elif kind == NOT:
             child = circuit.children(gate)[0]
-            child_kind = circuit.kind(child)
+            child_kind = kinds[child]
             if child_kind == VAR:
                 sat[gate] = True
             elif child_kind == TRUE:
@@ -364,7 +365,7 @@ def eliminate_auxiliary(
     for gate in range(root + 1):
         if not flags[gate]:
             continue
-        kind = circuit.kind(gate)
+        kind = kinds[gate]
         if kind == VAR:
             lbl = circuit.label(gate)
             new_gate[gate] = result.var(lbl) if lbl in keep else result.true()
@@ -374,7 +375,7 @@ def eliminate_auxiliary(
             new_gate[gate] = result.false()
         elif kind == NOT:
             child = circuit.children(gate)[0]
-            if circuit.kind(child) == VAR and circuit.label(child) not in keep:
+            if kinds[child] == VAR and circuit.label(child) not in keep:
                 new_gate[gate] = result.true()
             else:
                 new_gate[gate] = result.not_(new_gate[child])

@@ -54,12 +54,13 @@ def tseytin_transform(circuit: Circuit, root: int | None = None) -> Cnf:
 
     # Literal (signed CNF variable) representing each reachable gate.
     cone = simplified.cone(out)
+    kinds = simplified.kind_codes()
     lit: dict[int, int] = {}
     for gate in cone:
-        if simplified.kind(gate) == VAR:
+        if kinds[gate] == VAR:
             lit[gate] = cnf.new_var(simplified.label(gate))
     for gate in cone:
-        gkind = simplified.kind(gate)
+        gkind = kinds[gate]
         if gkind == VAR:
             continue
         if gkind == NOT:

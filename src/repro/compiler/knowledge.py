@@ -607,11 +607,12 @@ class _Compiler:
         labels = self.labels
         root = sub.output_gate()
         flags = sub.reachable(root)
+        kinds = sub.kind_codes()
         mapping: dict[int, int] = {}
         for gate in range(root + 1):
             if not flags[gate]:
                 continue
-            kind = sub.kind(gate)
+            kind = kinds[gate]
             if kind == VAR:
                 var = order[sub.label(gate) - 1]
                 mapping[gate] = circuit.var(labels.get(var, ("z", var)))

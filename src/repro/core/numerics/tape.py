@@ -604,8 +604,9 @@ def compile_tape(circuit: Circuit, root: int | None = None) -> GateTape:
         nvars.append(nv)
         return len(ops) - 1
 
+    kinds = circuit.kind_codes()
     for gate in sorted(var_sets):
-        kind = circuit.kind(gate)
+        kind = kinds[gate]
         vset = var_sets[gate]
         if kind == VAR:
             label = circuit.label(gate)
@@ -620,7 +621,7 @@ def compile_tape(circuit: Circuit, root: int | None = None) -> GateTape:
             index[gate] = emit(OP_FALSE, (), None, 0)
         elif kind == NOT:
             child = circuit.children(gate)[0]
-            if circuit.kind(child) == VAR:
+            if kinds[child] == VAR:
                 label = circuit.label(child)
                 slot = slot_of.get(label)
                 if slot is None:

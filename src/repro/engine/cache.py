@@ -22,16 +22,21 @@ With a :class:`~repro.engine.store.PersistentArtifactStore` attached,
 the cache becomes the first tier of a two-tier hierarchy: in-memory
 misses consult the disk store before compiling, and fresh compilations
 are written back, extending compile-once across processes and runs.
+
+Each entry also keeps, in memory only, its shape's Shapley values per
+player count, published by the exact pipeline after a sweep: a later
+batch relabels them instead of running Algorithm 1 again (see
+:meth:`CircuitArtifacts.shapley_values`).
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Hashable, Mapping
-
-import time
 
 from ..circuits.circuit import VAR, Circuit
 from ..circuits.cnf import Cnf
@@ -46,7 +51,7 @@ from ..compiler.knowledge import (
     plan_components,
 )
 from ..core.numerics.tape import GateTape, compile_tape
-from .store import PersistentArtifactStore
+from .store import PersistentArtifactStore, signature_digest
 
 
 @dataclass
@@ -90,6 +95,12 @@ class CacheStats:
     #: shape, and the answers they covered.
     batched_groups: int = 0
     batched_answers: int = 0
+    #: Answers served from their shape's published canonical Shapley
+    #: values (a relabel: no sweep, no Equation 3).  Every
+    #: derivative-mode answer with a non-constant lineage counts once
+    #: in exactly one of ``fastpath_hits``, ``fastpath_fallbacks`` and
+    #: this counter.
+    shapley_reuse_hits: int = 0
     #: Cross-shape sub-circuit memoization (the PR 6 cold-path tier):
     #: connected components looked up by canonical clause-set signature.
     #: ``component_hits`` were stitched from memory or disk instead of
@@ -146,6 +157,7 @@ class CacheStats:
             "fastpath_small_fallbacks": self.fastpath_small_fallbacks,
             "batched_groups": self.batched_groups,
             "batched_answers": self.batched_answers,
+            "shapley_reuse_hits": self.shapley_reuse_hits,
             "component_hits": self.component_hits,
             "component_misses": self.component_misses,
             "component_compilations": self.component_compilations,
@@ -160,7 +172,7 @@ class CacheStats:
 class _Entry:
     """Canonical artifacts of one lineage shape (labels = 0..k-1)."""
 
-    __slots__ = ("cnf", "plan", "ddnnf", "tape")
+    __slots__ = ("cnf", "plan", "ddnnf", "tape", "values")
 
     def __init__(self) -> None:
         self.cnf: Cnf | None = None
@@ -168,6 +180,15 @@ class _Entry:
         self.plan: list | None = None
         self.ddnnf: Circuit | None = None
         self.tape: GateTape | None = None
+        #: The shape's Shapley values per player count ``n``, indexed by
+        #: canonical label, each with its publication stamp (see
+        #: :meth:`CircuitArtifacts.shapley_values`).  Equation 3
+        #: completes every difference vector over the ``n - |vars|``
+        #: players outside the circuit; by the null-player axiom the
+        #: result is the same for every ``n``, but keying by ``n`` keeps
+        #: each reuse a replay of the very computation it replaces.
+        #: Memory only, never stored on disk.
+        self.values: dict[int, tuple[int, tuple[Fraction, ...]]] = {}
 
 
 def _relabel_cnf(cnf: Cnf, mapping: Mapping[Hashable, Hashable]) -> Cnf:
@@ -288,7 +309,7 @@ class CircuitArtifacts:
 
     __slots__ = (
         "_cache", "_entry", "signature", "labels", "_flat", "source_size",
-        "compile_stats", "tape_lower_seconds",
+        "compile_stats", "tape_lower_seconds", "_digest", "_horizon",
     )
 
     def __init__(
@@ -299,6 +320,7 @@ class CircuitArtifacts:
         labels: tuple,
         flat: Circuit,
         source_size: int,
+        horizon: int = 0,
     ) -> None:
         self._cache = cache
         self._entry = entry
@@ -316,12 +338,53 @@ class CircuitArtifacts:
         self.compile_stats: CompilationStats | None = None
         #: Wall-clock of the tape lowering this handle performed.
         self.tape_lower_seconds: float = 0.0
+        self._digest: str | None = None
+        #: Shapley values stamped below this were published before the
+        #: handle's batch began and may be reused by it.
+        self._horizon = horizon
 
     @property
     def cache(self) -> "ArtifactCache":
         """The cache this handle is bound to (the exact pipeline
         reports its fast-path counters through it)."""
         return self._cache
+
+    @property
+    def digest(self) -> str:
+        """The store digest of :attr:`signature`, hashed once per handle
+        however many store files the handle reads, writes or probes."""
+        if self._digest is None:
+            self._digest = signature_digest(self.signature)
+        return self._digest
+
+    def shapley_values(self, n: int) -> tuple[Fraction, ...] | None:
+        """The Shapley values an earlier batch published for this shape
+        over ``n`` players — entry ``k`` is the value of ``labels[k]``
+        — or ``None``.
+
+        Values published after this handle's batch began are not
+        returned, so the answers of one batch never serve each other
+        (see :meth:`ArtifactCache.enter_batch`).
+        """
+        with self._cache._lock:
+            published = self._entry.values.get(n)
+        if published is None or published[0] >= self._horizon:
+            return None
+        return published[1]
+
+    def publish_shapley_values(
+        self, n: int, values: Mapping[Hashable, Fraction]
+    ) -> None:
+        """Record one answer's Shapley values over ``n`` players (keyed
+        by this handle's labels; absent labels count as 0) as the
+        shape's canonical values; the first publish for ``n`` wins."""
+        zero = Fraction(0)
+        canonical = tuple(values.get(label, zero) for label in self.labels)
+        cache = self._cache
+        with cache._lock:
+            if n not in self._entry.values:
+                self._entry.values[n] = (cache._publications, canonical)
+                cache._publications += 1
 
     def _to_canonical(self) -> dict[Hashable, int]:
         return {label: index for index, label in enumerate(self.labels)}
@@ -337,7 +400,7 @@ class CircuitArtifacts:
             return canonical, True
         store = self._cache.store
         if store is not None:
-            canonical = store.load_cnf(self.signature)
+            canonical = store.load_cnf(self.signature, self.digest)
             if canonical is not None:
                 return self._publish_cnf(canonical), False
         # Tseytin numbers CNF variables by gate order, which is
@@ -349,7 +412,7 @@ class CircuitArtifacts:
             _relabel_cnf(real, self._to_canonical())
         )
         if store is not None:
-            store.store_cnf(self.signature, canonical)
+            store.store_cnf(self.signature, canonical, self.digest)
         return canonical, False
 
     def _publish_cnf(self, canonical: Cnf) -> Cnf:
@@ -447,7 +510,7 @@ class CircuitArtifacts:
         cache = self._cache
         store = cache.store
         if store is not None:
-            loaded = store.load_tape(self.signature)
+            loaded = store.load_tape(self.signature, self.digest)
             if loaded is not None and cache.verify_loaded("tape", loaded):
                 with cache._lock:
                     if self._entry.tape is None:
@@ -467,7 +530,7 @@ class CircuitArtifacts:
                 tape = self._entry.tape
             cache.stats.tape_misses += 1
         if store is not None:
-            store.store_tape(self.signature, tape)
+            store.store_tape(self.signature, tape, self.digest)
         return tape
 
     def _miss_ddnnf(
@@ -479,7 +542,7 @@ class CircuitArtifacts:
         cache = self._cache
         store = cache.store
         if store is not None:
-            loaded = store.load_ddnnf(self.signature)
+            loaded = store.load_ddnnf(self.signature, self.digest)
             if loaded is not None and cache.verify_loaded("dnnf", loaded):
                 with cache._lock:
                     if self._entry.ddnnf is None:
@@ -509,7 +572,7 @@ class CircuitArtifacts:
                 canonical = self._entry.ddnnf
             cache.stats.ddnnf_misses += 1
         if store is not None:
-            store.store_ddnnf(self.signature, canonical)
+            store.store_ddnnf(self.signature, canonical, self.digest)
         return canonical
 
     def is_warm(self, kind: str = "tape") -> bool:
@@ -529,10 +592,10 @@ class CircuitArtifacts:
         store = self._cache.store
         if store is None:
             return False
-        if store.path_for(self.signature, "dnnf").exists():
+        if store.path_for(self.signature, "dnnf", self.digest).exists():
             return True
         return kind == "tape" and store.path_for(
-            self.signature, "tape"
+            self.signature, "tape", self.digest
         ).exists()
 
     def component_plan(self) -> list:
@@ -605,6 +668,11 @@ class ArtifactCache:
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
         self._memo = _CacheComponentMemo(self)
         self._lock = threading.RLock()
+        #: Shapley-value publications so far (each one's stamp), and the
+        #: count when the current batch began (``None`` outside one).
+        self._publications = 0
+        self._horizon: int | None = None
+        self._batch_token: Hashable = None
 
     def __len__(self) -> int:
         with self._lock:
@@ -628,6 +696,8 @@ class ArtifactCache:
                 self, _Entry(), signature, labels, flat, source_size
             )
         with self._lock:
+            horizon = (self._publications if self._horizon is None
+                       else self._horizon)
             entry = self._entries.get(signature)
             if entry is None:
                 entry = _Entry()
@@ -638,7 +708,26 @@ class ArtifactCache:
                         self.stats.evictions += 1
             else:
                 self._entries.move_to_end(signature)
-        return CircuitArtifacts(self, entry, signature, labels, flat, source_size)
+        return CircuitArtifacts(
+            self, entry, signature, labels, flat, source_size, horizon
+        )
+
+    def enter_batch(self, token: Hashable) -> None:
+        """Mark every handle opened from now on as part of batch
+        ``token``: they reuse only the Shapley values published before
+        the batch began.  Repeated calls with the same token are no-ops.
+
+        Without a batch, a handle reuses everything published before it
+        was opened — which already scopes a session batch, whose handles
+        are all opened before any answer runs.  Pool and socket workers
+        open handles as tasks arrive, so they enter each batch by the
+        token their tasks carry; this keeps a shape's sibling answers
+        from reusing their own batch's representative.
+        """
+        with self._lock:
+            if token != self._batch_token:
+                self._batch_token = token
+                self._horizon = self._publications
 
     def cnf_for(self, circuit: Circuit) -> Cnf:
         """Tseytin CNF of ``circuit``, served from the cache."""
@@ -696,6 +785,13 @@ class ArtifactCache:
                     fastpath.ineligible)
                 self.stats.fastpath_budget_fallbacks += fastpath.budget
                 self.stats.fastpath_small_fallbacks += fastpath.small
+
+    def record_reuse(self, answers: int) -> None:
+        """Count ``answers`` answers served from published Shapley
+        values (thread-safe)."""
+        if answers:
+            with self._lock:
+                self.stats.shapley_reuse_hits += answers
 
     def record_batch(self, groups: int, answers: int) -> None:
         """Count one same-shape group pass covering ``answers``

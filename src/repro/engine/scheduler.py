@@ -60,12 +60,10 @@ class Job:
         attach their own cache — and the signature is replaced by its
         stable hex digest, which is all placement needs.
         """
-        from .store import signature_digest  # local import: avoid cycle
-
         signature = (
             self.signature
             if self.signature is None or isinstance(self.signature, str)
-            else signature_digest(self.signature)
+            else self._digest()
         )
         return replace(
             self,
@@ -79,6 +77,14 @@ class Job:
             return f"job:{self.index}"
         if isinstance(self.signature, str):
             return self.signature
+        return self._digest()
+
+    def _digest(self) -> str:
+        """The signature's digest, hashed once by the job's handle (the
+        same one its store files are named by) when it has one."""
+        handle = self.options.artifacts
+        if handle is not None:
+            return handle.digest
         from .store import signature_digest  # local import: avoid cycle
 
         return signature_digest(self.signature)

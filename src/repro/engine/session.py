@@ -464,7 +464,12 @@ class ExplainSession:
         ``fastpath_budget_fallbacks`` (value buffers over the fast
         path's size ceiling); ``batched_groups`` / ``batched_answers``
         count same-shape groups that shared one Algorithm-1 sweep per
-        shape and the answers they covered.  The ``shapley_coefficients_cache_*``
+        shape and the answers they covered; ``shapley_reuse_hits``
+        counts answers relabelled from the Shapley values an earlier
+        batch published for their shape and player count (no sweep,
+        no Equation 3), so each derivative-mode answer with a
+        non-constant lineage counts once in ``fastpath_hits``,
+        ``fastpath_fallbacks`` or ``shapley_reuse_hits``.  The ``shapley_coefficients_cache_*``
         keys expose the bounded Equation-3 weight cache.  With a persistent store
         attached, ``store_*`` counters report the disk tier.  Pool
         workers of the ``"process"`` executor keep

@@ -250,12 +250,21 @@ class PersistentArtifactStore:
         """Every artifact kind the store knows about."""
         return _KINDS
 
-    def path_for(self, signature: tuple, kind: str) -> Path:
+    def path_for(
+        self, signature: tuple, kind: str, digest: str | None = None
+    ) -> Path:
         """The on-disk path of one artifact (``kind``: cnf / dnnf /
-        tape)."""
+        tape / comp).
+
+        ``digest``, when given, must be ``signature_digest(signature)``;
+        callers that touch one signature repeatedly pass it to skip
+        re-hashing the signature on every load, store and probe.
+        """
         if kind not in _KINDS:
             raise ValueError(f"unknown artifact kind {kind!r}")
-        return self.directory / f"{signature_digest(signature)}.{kind}"
+        if digest is None:
+            digest = signature_digest(signature)
+        return self.directory / f"{digest}.{kind}"
 
     def __len__(self) -> int:
         """Number of artifact files currently in the directory."""
@@ -333,40 +342,49 @@ class PersistentArtifactStore:
     # Loads
     # ------------------------------------------------------------------
 
-    def load_cnf(self, signature: tuple) -> Cnf | None:
+    def load_cnf(
+        self, signature: tuple, digest: str | None = None
+    ) -> Cnf | None:
         """The stored canonical CNF of ``signature``, or ``None``."""
-        payload = self._load(signature, "cnf")
+        path = self.path_for(signature, "cnf", digest)
+        payload = self._load(path, "cnf")
         if payload is None:
             return None
         try:
             cnf = Cnf.from_payload(payload)
         except CnfError:
-            return self._corrupt(self.path_for(signature, "cnf"))
-        self._hit(self.path_for(signature, "cnf"))
+            return self._corrupt(path)
+        self._hit(path)
         return cnf
 
-    def load_ddnnf(self, signature: tuple) -> Circuit | None:
+    def load_ddnnf(
+        self, signature: tuple, digest: str | None = None
+    ) -> Circuit | None:
         """The stored canonical d-DNNF of ``signature``, or ``None``."""
-        payload = self._load(signature, "dnnf")
+        path = self.path_for(signature, "dnnf", digest)
+        payload = self._load(path, "dnnf")
         if payload is None:
             return None
         try:
             circuit = Circuit.from_payload(payload)
         except CircuitError:
-            return self._corrupt(self.path_for(signature, "dnnf"))
-        self._hit(self.path_for(signature, "dnnf"))
+            return self._corrupt(path)
+        self._hit(path)
         return circuit
 
-    def load_tape(self, signature: tuple) -> GateTape | None:
+    def load_tape(
+        self, signature: tuple, digest: str | None = None
+    ) -> GateTape | None:
         """The stored canonical gate tape of ``signature``, or ``None``."""
-        payload = self._load(signature, "tape")
+        path = self.path_for(signature, "tape", digest)
+        payload = self._load(path, "tape")
         if payload is None:
             return None
         try:
             tape = GateTape.from_payload(payload)
         except TapeError:
-            return self._corrupt(self.path_for(signature, "tape"))
-        self._hit(self.path_for(signature, "tape"))
+            return self._corrupt(path)
+        self._hit(path)
         return tape
 
     def load_component(self, key: tuple) -> Circuit | None:
@@ -378,10 +396,10 @@ class PersistentArtifactStore:
         for the compiler that wrote it, but stitching it in could break
         byte-identical signature parity with fresh compiles.
         """
-        payload = self._load(key, "comp")
+        path = self.path_for(key, "comp")
+        payload = self._load(path, "comp")
         if payload is None:
             return None
-        path = self.path_for(key, "comp")
         if not isinstance(payload, dict) or payload.get("scheme") != COMPONENT_SCHEME:
             with self._lock:
                 self.stats.misses += 1
@@ -538,18 +556,27 @@ class PersistentArtifactStore:
     # Stores
     # ------------------------------------------------------------------
 
-    def store_cnf(self, signature: tuple, cnf: Cnf) -> None:
+    def store_cnf(
+        self, signature: tuple, cnf: Cnf, digest: str | None = None
+    ) -> None:
         """Persist the canonical CNF of ``signature`` (atomic)."""
-        self._store(signature, "cnf", cnf.to_payload())
+        self._store(self.path_for(signature, "cnf", digest), "cnf",
+                    cnf.to_payload())
 
-    def store_ddnnf(self, signature: tuple, circuit: Circuit) -> None:
+    def store_ddnnf(
+        self, signature: tuple, circuit: Circuit, digest: str | None = None
+    ) -> None:
         """Persist the canonical d-DNNF of ``signature`` (atomic)."""
-        self._store(signature, "dnnf", circuit.to_payload())
+        self._store(self.path_for(signature, "dnnf", digest), "dnnf",
+                    circuit.to_payload())
 
-    def store_tape(self, signature: tuple, tape: GateTape) -> None:
+    def store_tape(
+        self, signature: tuple, tape: GateTape, digest: str | None = None
+    ) -> None:
         """Persist the canonical compiled gate tape of ``signature``
         (atomic)."""
-        self._store(signature, "tape", tape.to_payload())
+        self._store(self.path_for(signature, "tape", digest), "tape",
+                    tape.to_payload())
 
     def store_component(self, key: tuple, circuit: Circuit) -> None:
         """Persist a memoized component d-DNNF keyed by its canonical
@@ -560,7 +587,7 @@ class PersistentArtifactStore:
         re-derived and audited offline; loaders ignore the extra field.
         """
         self._store(
-            key,
+            self.path_for(key, "comp"),
             "comp",
             {
                 "scheme": COMPONENT_SCHEME,
@@ -594,8 +621,7 @@ class PersistentArtifactStore:
             pass
         return None
 
-    def _load(self, signature: tuple, kind: str) -> dict | None:
-        path = self.path_for(signature, kind)
+    def _load(self, path: Path, kind: str) -> dict | None:
         try:
             blob = path.read_bytes()
         except FileNotFoundError:
@@ -624,8 +650,7 @@ class PersistentArtifactStore:
         except ValueError:
             return self._corrupt(path)
 
-    def _store(self, signature: tuple, kind: str, payload_dict: dict) -> None:
-        path = self.path_for(signature, kind)
+    def _store(self, path: Path, kind: str, payload_dict: dict) -> None:
         payload = json.dumps(payload_dict, separators=(",", ":")).encode("utf-8")
         header = (
             f"{_MAGIC} {FORMAT_VERSION} {kind} "

@@ -470,11 +470,10 @@ class TestShapeGroupScheduling:
         assert len(plan.warm_wave) == 3
 
 
-@pytest.fixture
-def fleet(tmp_path):
+@contextmanager
+def _fleet(store_dir: str):
     """A live coordinator with two in-thread workers sharing a store."""
     coordinator = Coordinator().start()
-    store_dir = str(tmp_path / "fleet-store")
     ready = threading.Barrier(3, timeout=10)
     threads = [
         threading.Thread(
@@ -489,24 +488,38 @@ def fleet(tmp_path):
         thread.start()
     ready.wait()
     coordinator.wait_for_workers(2, timeout=10)
-    yield coordinator
-    coordinator.shutdown()
-    for thread in threads:
-        thread.join(timeout=10)
+    try:
+        yield coordinator
+    finally:
+        coordinator.shutdown()
+        for thread in threads:
+            thread.join(timeout=10)
+
+
+@pytest.fixture
+def fleet(tmp_path):
+    with _fleet(str(tmp_path / "fleet-store")) as coordinator:
+        yield coordinator
 
 
 class TestBatchedTransportParity:
-    def test_identical_fractions_across_kernels_and_transports(self, fleet):
+    def test_identical_fractions_across_kernels_and_transports(
+        self, tmp_path
+    ):
         # The acceptance matrix: grouped execution on the machine-width
         # tier and on the interpreted reference pass (NumPy patched away
         # for this process, its forked pool children and the in-thread
         # fleet workers) x three transports == the per-answer
-        # reference, byte for byte.
+        # reference, byte for byte.  Each backend gets a fresh fleet:
+        # workers keep their caches across sessions, and values the
+        # first backend published would otherwise serve the second.
         db = join_database(6, 2)
         expected = explain_each_answer(db, JOIN_QUERY)
         for backend in ("machine-width", "reference"):
             numpy = fixed.HAS_NUMPY and backend == "machine-width"
-            with _numpy_as(numpy), ExplainSession(
+            with _numpy_as(numpy), _fleet(
+                str(tmp_path / backend)
+            ) as fleet, ExplainSession(
                 db, method="exact", max_workers=2,
                 coordinator=fleet.address, min_workers=2,
             ) as session:
@@ -519,6 +532,10 @@ class TestBatchedTransportParity:
                         assert all(type(v) is Fraction
                                    for v in values.values()), \
                             (backend, executor)
+                # every transport swept: nothing was relabelled
+                stats = session.stats
+                assert stats["shapley_reuse_hits"] == 0, backend
+                assert stats["remote_shapley_reuse_hits"] == 0, backend
 
     def test_thread_session_reports_batched_counters(self):
         db = join_database(6, 2)

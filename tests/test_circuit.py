@@ -78,6 +78,13 @@ class TestConstruction:
         assert counts[GateKind.OR] == 1
         assert counts[GateKind.NOT] == 1
 
+    def test_kind_codes_match_kind(self):
+        c = build_example()
+        codes = c.kind_codes()
+        assert len(codes) == len(c)
+        for gate in c.gates():
+            assert codes[gate] == c.kind(gate)
+
     def test_edge_count(self):
         c = build_example()
         assert c.edge_count == 2 + 2 + 2 + 1

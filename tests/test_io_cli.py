@@ -323,9 +323,22 @@ class TestCliValidation:
             "stitch_jobs",
         }
         assert all(value >= 0 for value in profile.values())
-        # warm repeats serve the tape from cache: lowering stays cheaper
-        # than the kernel execution it feeds
+        # warm repeats relabel the values the warm-up published: their
+        # kernel stage is the relabel time, with no sweep behind it
         assert profile["kernel_exec_seconds"] > 0
+        stats = payload["stats"]
+        assert stats["shapley_reuse_hits"] == 2 * payload["outputs"]
+        assert stats["fastpath_hits"] + stats["fastpath_fallbacks"] == \
+            payload["outputs"]
+        # without the cache every repeat sweeps again
+        assert main(["bench", "--workload", "flights", "--no-cache",
+                     "--repeats", "2", "--profile", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        stats = payload["stats"]
+        assert payload["profile"]["kernel_exec_seconds"] > 0
+        assert stats["shapley_reuse_hits"] == 0
+        assert stats["fastpath_hits"] + stats["fastpath_fallbacks"] == \
+            3 * payload["outputs"]
         assert main(["bench", "--workload", "flights", "--profile"]) == 0
         assert "tape-lower" in capsys.readouterr().out
 

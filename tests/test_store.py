@@ -53,9 +53,14 @@ JOIN_QUERY = cq(["a"], "R(a, b)", "S(b, c)")
 
 def explain_each_answer(db: Database, query) -> dict:
     """The per-answer reference: every answer's lineage explained alone
-    through ``ExplainSession.explain_one``; values keyed by answer."""
+    through ``ExplainSession.explain_one``; values keyed by answer.  The
+    cache stores nothing, so every answer compiles and sweeps its own
+    lineage instead of reusing an isomorphic answer's artifacts or
+    Shapley values."""
     result = lineage(to_plan(query, db), db, endogenous_only=True)
-    with ExplainSession(db, method="exact") as session:
+    with ExplainSession(
+        db, method="exact", cache=ArtifactCache(max_entries=0)
+    ) as session:
         values = {}
         for answer in result.tuples():
             circuit = result.lineage_of(answer)
