@@ -152,15 +152,7 @@ def run_suite(
     max_outputs: int | None = None,
     cache: ArtifactCache | None = None,
 ) -> list[QueryRun]:
-    """Run a whole query suite (one dataset column of Table 1).
-
-    A shared ``cache`` compiles isomorphic outputs once, but the suite
-    runs as one cache batch (``ArtifactCache.enter_batch``): every
-    output's Algorithm-1 time is a real sweep, never a relabel of
-    values another output of the suite published.
-    """
-    if cache is not None:
-        cache.enter_batch(object())
+    """Run a whole query suite (one dataset column of Table 1)."""
     return [
         run_query(
             database, spec, dataset, budget,

@@ -30,8 +30,7 @@ from ..db.evaluate import LineageResult, lineage
 from ..db.sql import plan_sql
 from .numerics.fixed import FastpathStats
 from .shapley import (
-    ShapleyTimeout, _check_time, _foreign_vars_error, shapley_all_facts,
-    shapley_all_facts_batched,
+    ShapleyTimeout, shapley_all_facts, shapley_all_facts_batched,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports this module
@@ -171,10 +170,7 @@ def run_exact(
 
     A derivative-mode answer served by the machine-width tier gets a
     ``tier_<float64|int64|crt>`` timing naming the tier that ran
-    (:func:`_label_tiers`).  With a cache, a derivative-mode answer
-    whose shape an earlier batch published Shapley values for, over
-    the same player count, skips Algorithm 1 and is relabelled from
-    them (:func:`_reused_values`); it gets no tier.
+    (:func:`_label_tiers`).
 
     ``compile_jobs`` > 1 compiles independent top-level CNF components
     concurrently; stitching stays deterministic, so results are
@@ -247,19 +243,12 @@ def run_exact(
     stats.ddnnf_size = tape.source_gates if tape is not None else len(ddnnf)
 
     fastpath = FastpathStats()
-    reused = False
     t0 = time.perf_counter()
     try:
-        values = (
-            _reused_values(artifacts, tape, endo, deadline)
-            if tape is not None else None
+        values = shapley_all_facts(
+            ddnnf, endo, method=method, deadline=deadline,
+            tape=tape, fastpath_stats=fastpath,
         )
-        reused = values is not None
-        if not reused:
-            values = shapley_all_facts(
-                ddnnf, endo, method=method, deadline=deadline,
-                tape=tape, fastpath_stats=fastpath,
-            )
     except ShapleyTimeout as exc:
         timings["shapley"] = time.perf_counter() - t0
         return ExactOutcome("timeout", None, stats, timings, str(exc))
@@ -268,65 +257,9 @@ def run_exact(
             artifacts.cache if artifacts is not None else None)
         if recorder is not None:
             recorder.record_fastpath(fastpath)
-            recorder.record_reuse(int(reused))
     timings["shapley"] = time.perf_counter() - t0
-    if not reused:
-        if tape is not None:
-            _publish_values(artifacts, tape, endo, values)
-        _label_tiers([timings], fastpath)
+    _label_tiers([timings], fastpath)
     return ExactOutcome("ok", values, stats, timings)
-
-
-def _reusable(artifacts, tape, endo: list) -> bool:
-    """Whether a derivative-mode answer takes part in value reuse: it
-    needs a cache slot and a sweep to share (no players or a constant
-    lineage cost nothing and are not counted)."""
-    return artifacts is not None and bool(endo) and not tape.is_constant
-
-
-def _reused_values(
-    artifacts: "CircuitArtifacts | None",
-    tape,
-    endo: list,
-    deadline: float | None,
-) -> dict[Hashable, Fraction] | None:
-    """One answer's Shapley values relabelled from those its shape
-    published for ``len(endo)`` players, or ``None`` on a miss.
-
-    Algorithm 1 and Equation 3 read only the shape's tape and the
-    player count ``n``, so a hit is exact: the Fractions equal what
-    they would return.  A hit keeps the sweep's contract: players that miss
-    one of the circuit's facts raise ``CircuitError``, and a deadline
-    already past raises :class:`ShapleyTimeout`.
-    """
-    if not _reusable(artifacts, tape, endo):
-        return None
-    published = artifacts.shapley_values(len(endo))
-    if published is None:
-        return None
-    present = tape.labels()
-    endo_set = set(endo)
-    if not present <= endo_set:
-        raise _foreign_vars_error(present, endo_set)
-    _check_time(deadline)
-    zero = Fraction(0)
-    values = {fact: zero for fact in endo}
-    for label, value in zip(artifacts.labels, published):
-        # a non-zero value belongs to a circuit fact, hence a player
-        if value:
-            values[label] = value
-    return values
-
-
-def _publish_values(
-    artifacts: "CircuitArtifacts | None",
-    tape,
-    endo: list,
-    values: Mapping[Hashable, Fraction],
-) -> None:
-    """Publish a swept answer's values for later same-shape answers."""
-    if _reusable(artifacts, tape, endo):
-        artifacts.publish_shapley_values(len(endo), values)
 
 
 def _label_tiers(
@@ -359,11 +292,9 @@ def _prepare_tape(
     :func:`run_exact_batch` can run them per answer before the shared
     batched sweep.
 
-    Returns ``(tape, artifacts, failure)``: ``artifacts`` is the
-    handle used (``None`` without a cache); exactly one of ``tape`` and
-    ``failure`` is ``None``, ``failure`` being the budget
-    :class:`ExactOutcome` when compilation blew its budget (timings
-    already recorded).
+    Returns ``(tape, failure)``: exactly one is ``None``; ``failure``
+    is the budget :class:`ExactOutcome` when compilation blew its
+    budget (timings already recorded).
     """
     if artifacts is not None:
         stats.n_facts = len(artifacts.labels)
@@ -408,12 +339,11 @@ def _prepare_tape(
             tape_lower = time.perf_counter() - t1
     except BudgetExceeded as exc:
         timings[stage] = time.perf_counter() - t0
-        failure = ExactOutcome("budget", None, stats, timings, str(exc))
-        return None, artifacts, failure
+        return None, ExactOutcome("budget", None, stats, timings, str(exc))
     timings[stage] = time.perf_counter() - t0
     _split_compile_timings(timings, compile_stats, tape_lower)
     stats.ddnnf_size = tape.source_gates
-    return tape, artifacts, None
+    return tape, None
 
 
 def run_exact_batch(
@@ -436,17 +366,11 @@ def run_exact_batch(
     every answer's Fractions are identical to a :func:`run_exact` loop.
     Other modes (and singleton groups) *are* that loop.
 
-    Answers whose shape an earlier batch published Shapley values for
-    are relabelled from them (:func:`_reused_values`) and skip the
-    pass; the rest share it and publish their values afterwards, so
-    lanes of one call never serve each other.
-
-    Timing attribution: each swept answer's ``shapley`` stage receives
-    an equal share of the group pass, mirrored as ``batch_exec``, plus
-    a ``tier_<float64|int64|crt>`` entry naming the arithmetic tier of
+    Timing attribution: each answer's ``shapley`` stage receives an
+    equal share of the group pass, mirrored as ``batch_exec``, plus a
+    ``tier_<float64|int64|crt>`` entry naming the arithmetic tier of
     the machine-width sweep that served *that* answer's shape (absent
-    when its shape ran the interpreted pass); a relabelled answer's
-    ``shapley`` stage is its own relabel time.
+    when its shape ran the interpreted pass).
     """
     n_answers = len(circuits)
     endo_lists = [list(endo) for endo in endo_lists]
@@ -470,38 +394,17 @@ def run_exact_batch(
     )
     outcomes: list[ExactOutcome | None] = [None] * n_answers
     prepared: list[tuple[int, object, ProvenanceStats, dict]] = []
-    handles = list(artifacts_list)
-    reused = 0
     for i in range(n_answers):
         stats = ProvenanceStats()
         timings: dict[str, float] = {}
-        tape, handles[i], failure = _prepare_tape(
+        tape, failure = _prepare_tape(
             circuits[i], budget, cache, artifacts_list[i], compile_jobs,
             stats, timings,
         )
         if failure is not None:
             outcomes[i] = failure
-            continue
-        t0 = time.perf_counter()
-        try:
-            values = _reused_values(handles[i], tape, endo_lists[i], deadline)
-        except ShapleyTimeout as exc:
-            timings["shapley"] = time.perf_counter() - t0
-            outcomes[i] = ExactOutcome(
-                "timeout", None, stats, timings, str(exc))
-            continue
-        if values is None:
-            prepared.append((i, tape, stats, timings))
         else:
-            timings["shapley"] = time.perf_counter() - t0
-            outcomes[i] = ExactOutcome("ok", values, stats, timings)
-            reused += 1
-    recorder = cache
-    if recorder is None:
-        recorder = next(
-            (a.cache for a in handles if a is not None), None)
-    if recorder is not None:
-        recorder.record_reuse(reused)
+            prepared.append((i, tape, stats, timings))
     if not prepared:
         return outcomes
 
@@ -522,6 +425,11 @@ def run_exact_batch(
                 "timeout", None, stats, timings, str(exc))
         values_list = None
     finally:
+        recorder = cache
+        if recorder is None:
+            recorder = next(
+                (a.cache for a in artifacts_list
+                 if a is not None and a.cache is not None), None)
         if recorder is not None:
             recorder.record_fastpath(fastpath)
             recorder.record_batch(1, len(prepared))
@@ -534,7 +442,6 @@ def run_exact_batch(
         timings["shapley"] = share
         timings["batch_exec"] = share
         outcomes[i] = ExactOutcome("ok", values, stats, timings)
-        _publish_values(handles[i], tape, endo_lists[i], values)
     _label_tiers([entry[3] for entry in prepared], fastpath)
     return outcomes
 

@@ -46,14 +46,17 @@ class Fact:
         # A stable order for deterministic iteration in reports/tests.
         if not isinstance(other, Fact):
             return NotImplemented
-        return (self.relation, _sort_key(self.values)) < (
-            other.relation,
-            _sort_key(other.values),
-        )
-
-
-def _sort_key(values: tuple) -> tuple:
-    return tuple((type(v).__name__, repr(v)) for v in values)
+        # The order of ``(relation, ((type name, repr) of each value))``,
+        # keying one value pair at a time, stopping at the first
+        # difference; a prefix sorts first.
+        if self.relation != other.relation:
+            return self.relation < other.relation
+        for mine, theirs in zip(self.values, other.values):
+            key = (type(mine).__name__, repr(mine))
+            other_key = (type(theirs).__name__, repr(theirs))
+            if key != other_key:
+                return key < other_key
+        return len(self.values) < len(other.values)
 
 
 class Database:

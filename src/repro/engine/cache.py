@@ -23,10 +23,10 @@ the cache becomes the first tier of a two-tier hierarchy: in-memory
 misses consult the disk store before compiling, and fresh compilations
 are written back, extending compile-once across processes and runs.
 
-Each entry also keeps, in memory only, its shape's Shapley values per
-player count, published by the exact pipeline after a sweep: a later
-batch relabels them instead of running Algorithm 1 again (see
-:meth:`CircuitArtifacts.shapley_values`).
+Each entry also keeps, in memory only, its shape's Shapley values,
+published by :class:`~repro.engine.session.ExplainSession` after a
+batch: a later batch relabels them instead of dispatching the shape
+again (see :meth:`CircuitArtifacts.shapley_values`).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Mapping
+from typing import TYPE_CHECKING, Hashable, Mapping
 
 from ..circuits.circuit import VAR, Circuit
 from ..circuits.cnf import Cnf
@@ -51,7 +51,11 @@ from ..compiler.knowledge import (
     plan_components,
 )
 from ..core.numerics.tape import GateTape, compile_tape
+from ..core.shapley import efficiency_gap
 from .store import PersistentArtifactStore, signature_digest
+
+if TYPE_CHECKING:  # pragma: no cover - the pipeline imports this module
+    from ..core.pipeline import ProvenanceStats
 
 
 @dataclass
@@ -95,12 +99,12 @@ class CacheStats:
     #: shape, and the answers they covered.
     batched_groups: int = 0
     batched_answers: int = 0
-    #: Answers served from their shape's published canonical Shapley
-    #: values (a relabel: no sweep, no Equation 3).  Every
-    #: derivative-mode answer with a non-constant lineage counts once
-    #: in exactly one of ``fastpath_hits``, ``fastpath_fallbacks`` and
-    #: this counter.
+    #: Answers a session served from their shape's published canonical
+    #: Shapley values (a relabel on the client: no dispatch, no sweep).
     shapley_reuse_hits: int = 0
+    #: Shapley values refused at publication because they break the
+    #: efficiency axiom (``sum == q(D) - q(Dx)``); never reused.
+    invariant_violations: int = 0
     #: Cross-shape sub-circuit memoization (the PR 6 cold-path tier):
     #: connected components looked up by canonical clause-set signature.
     #: ``component_hits`` were stitched from memory or disk instead of
@@ -158,6 +162,7 @@ class CacheStats:
             "batched_groups": self.batched_groups,
             "batched_answers": self.batched_answers,
             "shapley_reuse_hits": self.shapley_reuse_hits,
+            "invariant_violations": self.invariant_violations,
             "component_hits": self.component_hits,
             "component_misses": self.component_misses,
             "component_compilations": self.component_compilations,
@@ -180,15 +185,11 @@ class _Entry:
         self.plan: list | None = None
         self.ddnnf: Circuit | None = None
         self.tape: GateTape | None = None
-        #: The shape's Shapley values per player count ``n``, indexed by
-        #: canonical label, each with its publication stamp (see
-        #: :meth:`CircuitArtifacts.shapley_values`).  Equation 3
-        #: completes every difference vector over the ``n - |vars|``
-        #: players outside the circuit; by the null-player axiom the
-        #: result is the same for every ``n``, but keying by ``n`` keeps
-        #: each reuse a replay of the very computation it replaces.
-        #: Memory only, never stored on disk.
-        self.values: dict[int, tuple[int, tuple[Fraction, ...]]] = {}
+        #: The shape's Shapley values indexed by canonical label, with
+        #: the sizes of the answer that published them (see
+        #: :meth:`CircuitArtifacts.shapley_values`).  Memory only, never
+        #: stored on disk.
+        self.values: tuple[tuple[Fraction, ...], ProvenanceStats] | None = None
 
 
 def _relabel_cnf(cnf: Cnf, mapping: Mapping[Hashable, Hashable]) -> Cnf:
@@ -309,7 +310,7 @@ class CircuitArtifacts:
 
     __slots__ = (
         "_cache", "_entry", "signature", "labels", "_flat", "source_size",
-        "compile_stats", "tape_lower_seconds", "_digest", "_horizon",
+        "compile_stats", "tape_lower_seconds", "_digest",
     )
 
     def __init__(
@@ -320,7 +321,6 @@ class CircuitArtifacts:
         labels: tuple,
         flat: Circuit,
         source_size: int,
-        horizon: int = 0,
     ) -> None:
         self._cache = cache
         self._entry = entry
@@ -339,9 +339,6 @@ class CircuitArtifacts:
         #: Wall-clock of the tape lowering this handle performed.
         self.tape_lower_seconds: float = 0.0
         self._digest: str | None = None
-        #: Shapley values stamped below this were published before the
-        #: handle's batch began and may be reused by it.
-        self._horizon = horizon
 
     @property
     def cache(self) -> "ArtifactCache":
@@ -357,34 +354,41 @@ class CircuitArtifacts:
             self._digest = signature_digest(self.signature)
         return self._digest
 
-    def shapley_values(self, n: int) -> tuple[Fraction, ...] | None:
-        """The Shapley values an earlier batch published for this shape
-        over ``n`` players — entry ``k`` is the value of ``labels[k]``
-        — or ``None``.
+    def shapley_values(
+        self,
+    ) -> tuple[tuple[Fraction, ...], ProvenanceStats] | None:
+        """The Shapley values published for this shape — entry ``k`` is
+        the value of ``labels[k]`` — with the publishing answer's
+        sizes, or ``None``.
 
-        Values published after this handle's batch began are not
-        returned, so the answers of one batch never serve each other
-        (see :meth:`ArtifactCache.enter_batch`).
+        By the null-player axiom a circuit's facts have the same values
+        whatever players lie outside it, so the shape alone keys them.
         """
-        with self._cache._lock:
-            published = self._entry.values.get(n)
-        if published is None or published[0] >= self._horizon:
-            return None
-        return published[1]
+        return self._entry.values
 
     def publish_shapley_values(
-        self, n: int, values: Mapping[Hashable, Fraction]
+        self, values: Mapping[Hashable, Fraction], stats: ProvenanceStats
     ) -> None:
-        """Record one answer's Shapley values over ``n`` players (keyed
-        by this handle's labels; absent labels count as 0) as the
-        shape's canonical values; the first publish for ``n`` wins."""
-        zero = Fraction(0)
-        canonical = tuple(values.get(label, zero) for label in self.labels)
+        """Record one answer's Shapley values (keyed by this handle's
+        labels) as the shape's canonical values; the first publish
+        wins.
+
+        Values that break the efficiency axiom on the handle's circuit
+        are refused and counted in ``invariant_violations``; a cache
+        that stores nothing (``max_entries=0``) keeps no values.
+        """
+        entry = self._entry
         cache = self._cache
+        if entry.values is not None or cache.max_entries == 0:
+            return
+        if efficiency_gap(values, self._flat, self.labels):
+            with cache._lock:
+                cache.stats.invariant_violations += 1
+            return
+        canonical = tuple(values[label] for label in self.labels)
         with cache._lock:
-            if n not in self._entry.values:
-                self._entry.values[n] = (cache._publications, canonical)
-                cache._publications += 1
+            if entry.values is None:
+                entry.values = (canonical, stats)
 
     def _to_canonical(self) -> dict[Hashable, int]:
         return {label: index for index, label in enumerate(self.labels)}
@@ -668,11 +672,6 @@ class ArtifactCache:
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
         self._memo = _CacheComponentMemo(self)
         self._lock = threading.RLock()
-        #: Shapley-value publications so far (each one's stamp), and the
-        #: count when the current batch began (``None`` outside one).
-        self._publications = 0
-        self._horizon: int | None = None
-        self._batch_token: Hashable = None
 
     def __len__(self) -> int:
         with self._lock:
@@ -696,8 +695,6 @@ class ArtifactCache:
                 self, _Entry(), signature, labels, flat, source_size
             )
         with self._lock:
-            horizon = (self._publications if self._horizon is None
-                       else self._horizon)
             entry = self._entries.get(signature)
             if entry is None:
                 entry = _Entry()
@@ -708,26 +705,7 @@ class ArtifactCache:
                         self.stats.evictions += 1
             else:
                 self._entries.move_to_end(signature)
-        return CircuitArtifacts(
-            self, entry, signature, labels, flat, source_size, horizon
-        )
-
-    def enter_batch(self, token: Hashable) -> None:
-        """Mark every handle opened from now on as part of batch
-        ``token``: they reuse only the Shapley values published before
-        the batch began.  Repeated calls with the same token are no-ops.
-
-        Without a batch, a handle reuses everything published before it
-        was opened — which already scopes a session batch, whose handles
-        are all opened before any answer runs.  Pool and socket workers
-        open handles as tasks arrive, so they enter each batch by the
-        token their tasks carry; this keeps a shape's sibling answers
-        from reusing their own batch's representative.
-        """
-        with self._lock:
-            if token != self._batch_token:
-                self._batch_token = token
-                self._horizon = self._publications
+        return CircuitArtifacts(self, entry, signature, labels, flat, source_size)
 
     def cnf_for(self, circuit: Circuit) -> Cnf:
         """Tseytin CNF of ``circuit``, served from the cache."""

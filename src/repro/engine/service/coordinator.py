@@ -26,8 +26,6 @@ fails when no workers remain.
 
 from __future__ import annotations
 
-import itertools
-import os
 import select
 import socket
 import threading
@@ -38,10 +36,6 @@ from ..base import EngineResult
 from .faults import FaultPlan
 from .pipeline import deadline_for, interval_overlap
 from .protocol import ProtocolError, enable_keepalive, recv_msg, send_msg
-
-#: Batch numbers of this process; ``task`` / ``task_group`` ops carry
-#: ``"<pid>-<number>"`` so workers can tell one batch from the next.
-_BATCH_NUMBERS = itertools.count(1)
 
 
 def _idle_link_dead(sock: socket.socket) -> bool:
@@ -682,8 +676,7 @@ class Coordinator:
                     f"{self.n_workers} connected after {wait_timeout}s"
                 )
             results = self._run_pipelined(
-                engine, tasks, batched, pipeline, budget,
-                batch=f"{os.getpid()}-{next(_BATCH_NUMBERS)}",
+                engine, tasks, batched, pipeline, budget
             )
             worker_stats, n_reporting = self._collect_stats()
             # The overlap is a coordinator-side observation (workers
@@ -716,7 +709,6 @@ class Coordinator:
         batched: bool,
         pipeline: dict,
         batch_budget: float | None = None,
-        batch: str | None = None,
     ) -> dict[int, EngineResult]:
         """Execute one batch as a compile/execute dependency loop.
 
@@ -737,10 +729,6 @@ class Coordinator:
         are left (each failing round discards at least one worker).
         Compile *failures* (budget) are not retried — the owning
         shape's stitch job compiles inline and reports per answer.
-
-        ``batch`` rides on every ``task`` / ``task_group`` op: a worker
-        reuses only Shapley values published before the batch began
-        (:meth:`~repro.engine.cache.ArtifactCache.enter_batch`).
         """
         components = pipeline.get("components") or []
         needs = pipeline.get("needs") or {}
@@ -844,7 +832,6 @@ class Coordinator:
                     "circuit": task["circuit"],
                     "players": task["players"],
                     "options": task["options"],
-                    "batch": batch,
                 }
                 if gated:
                     request["stitch"] = True
@@ -866,7 +853,6 @@ class Coordinator:
             reply = worker.request({
                 "op": "task_group",
                 "engine": engine,
-                "batch": batch,
                 "tasks": [
                     {key: task[key] for key in
                      ("id", "circuit", "players", "options")}

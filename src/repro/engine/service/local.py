@@ -12,7 +12,6 @@ between ``explain_many`` calls.
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -32,23 +31,12 @@ from .pipeline import PipelineOutcome, run_pipelined, timed_compile
 _WORKER_CACHES: dict[str | None, ArtifactCache] = {}
 
 
-#: Batch numbers of this process, handed to pool tasks so a worker's
-#: cache can tell one batch from the next.
-_BATCH_NUMBERS = itertools.count(1)
-
-
-def _worker_cache(
-    store_dir: str | None, batch: int | None = None
-) -> ArtifactCache:
-    """The pool worker's cache for ``store_dir``, entered into ``batch``
-    (see :meth:`~repro.engine.cache.ArtifactCache.enter_batch`)."""
+def _worker_cache(store_dir: str | None) -> ArtifactCache:
     cache = _WORKER_CACHES.get(store_dir)
     if cache is None:
         store = PersistentArtifactStore(store_dir) if store_dir else None
         cache = ArtifactCache(store=store)
         _WORKER_CACHES[store_dir] = cache
-    if batch is not None:
-        cache.enter_batch(batch)
     return cache
 
 
@@ -58,7 +46,6 @@ def _process_explain(
     players: list,
     options: EngineOptions,
     store_dir: str | None,
-    batch: int | None = None,
 ) -> EngineResult:
     """Top-level body of one :class:`ProcessPoolTransport` task.
 
@@ -66,7 +53,7 @@ def _process_explain(
     store directory (cache handles are not picklable, so the parent
     ships only the directory path) and dispatches through the registry.
     """
-    cache = _worker_cache(store_dir, batch)
+    cache = _worker_cache(store_dir)
     options = options.with_(cache=cache)
     return get_engine(engine_name).explain_circuit(circuit, players, options)
 
@@ -75,14 +62,13 @@ def _process_explain_group(
     engine_name: str,
     requests: list[tuple[Circuit, list, EngineOptions]],
     store_dir: str | None,
-    batch: int | None = None,
 ) -> list[EngineResult]:
     """Top-level body of one batched :class:`ProcessPoolTransport` task.
 
     The whole same-shape group runs in one pool worker through the
     engine's ``explain_batch`` — one shared sweep and one task
     round-trip instead of one per answer."""
-    cache = _worker_cache(store_dir, batch)
+    cache = _worker_cache(store_dir)
     prepared = [
         (circuit, players, options.with_(cache=cache))
         for circuit, players, options in requests
@@ -229,13 +215,12 @@ class ProcessPoolTransport(Transport):
     def _run_batch_once(self, plan: BatchPlan) -> dict[int, EngineResult]:
         pool = self._ensure_pool()
         budget = plan.compilation_budget()
-        batch = next(_BATCH_NUMBERS)
 
         def submit_job(job: Job) -> Future:
             portable = job.portable()
             return pool.submit(
                 _process_explain, plan.engine, portable.circuit,
-                portable.players, portable.options, self.store_dir, batch,
+                portable.players, portable.options, self.store_dir,
             )
 
         def submit_group(group: list[Job]) -> Future:
@@ -243,7 +228,7 @@ class ProcessPoolTransport(Transport):
             return pool.submit(
                 _process_explain_group, plan.engine,
                 [(p.circuit, p.players, p.options) for p in portables],
-                self.store_dir, batch,
+                self.store_dir,
             )
 
         try:

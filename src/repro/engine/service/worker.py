@@ -231,7 +231,6 @@ def _execute_group(cache: ArtifactCache, message: dict) -> dict:
     engine_name = message["engine"]
     tasks = message["tasks"]
     try:
-        _enter_batch(cache, message)
         engine = get_engine(engine_name)
         requests = [
             (task["circuit"], task["players"],
@@ -254,17 +253,9 @@ def _execute_group(cache: ArtifactCache, message: dict) -> dict:
         }
 
 
-def _enter_batch(cache: ArtifactCache, message: dict) -> None:
-    """Scope Shapley-value reuse to the batch the task belongs to."""
-    batch = message.get("batch")
-    if batch is not None:
-        cache.enter_batch(batch)
-
-
 def _execute(cache: ArtifactCache, message: dict) -> EngineResult:
     engine_name = message["engine"]
     try:
-        _enter_batch(cache, message)
         engine = get_engine(engine_name)
         options = message["options"].with_(cache=cache)
         if message.get("stitch"):

@@ -5,14 +5,18 @@
 lineage once, opens each answer's circuit against the shared
 :class:`~repro.engine.cache.ArtifactCache` (one canonicalization pass
 per answer, whose :class:`~repro.engine.cache.CircuitArtifacts` handle
-is threaded through to the engine), and hands the resulting jobs to the
+is threaded through to the engine), answers on the client every
+exact derivative-mode job whose shape an earlier batch published
+Shapley values for, and hands the remaining jobs to the
 scheduler/service layer: :func:`~repro.engine.scheduler.plan_batch`
 groups answers by canonical shape, picks one representative per shape
 and plans the batch's distinct component compiles, and a
 :class:`~repro.engine.service.Transport` executes the plan.  Every
 transport runs the same schedule: component compiles, then each
 representative once its components have landed, then its shape's
-sibling groups.  Per-tuple
+sibling groups.  After the batch, each swept shape's values are
+published on its cache entry once, so reuse is scoped to later batches
+without any per-batch bookkeeping in the transports.  Per-tuple
 budget/timeout outcomes are preserved: each answer gets its own
 :class:`~repro.engine.base.EngineResult` with its own status, exactly
 as the per-answer path reports them.
@@ -44,12 +48,14 @@ and agree with the single-answer path at the same seed.
 
 from __future__ import annotations
 
+import time
+from dataclasses import replace
 from typing import Hashable, Sequence
 
 from ..circuits.circuit import Circuit
 
 from ..core.numerics import coefficients_cache_info
-from ..core.pipeline import QueryLike, to_plan
+from ..core.pipeline import ExactOutcome, QueryLike, to_plan
 from ..db.database import Database
 from ..db.evaluate import lineage
 from ..compiler.knowledge import compile_component
@@ -256,24 +262,81 @@ class ExplainSession:
                 f"unknown executor {executor!r}; choose from {EXECUTORS}"
             )
         jobs = self._build_jobs(query, answers)
-        plan = plan_batch(
-            self.engine.name, jobs, self.engine.uses_cache,
-            batch=self.engine.supports_batch,
-            component_planner=self._component_planner(executor),
-        )
-        transport = self._transport(executor)
-        outcomes = transport.run_batch(plan)
-        if transport.kind == "socket":
-            # Cumulative per worker lifetime, latest snapshot wins (no
-            # summing across batches — that would double count).  An
-            # empty snapshot is still a snapshot: it replaces stale
-            # numbers from an earlier batch rather than keeping them.
-            self._socket_batches = True
-            self._remote_stats = dict(transport.remote_stats)
-            self._remote_workers = getattr(transport, "remote_workers", 0)
+        reuse = (self.engine.name == "exact"
+                 and self.options.mode == "derivative")
+        outcomes = self._serve_published(jobs) if reuse else {}
+        pending = [job for job in jobs if job.index not in outcomes]
+        if pending:
+            plan = plan_batch(
+                self.engine.name, pending, self.engine.uses_cache,
+                batch=self.engine.supports_batch,
+                component_planner=self._component_planner(executor),
+            )
+            transport = self._transport(executor)
+            outcomes.update(transport.run_batch(plan))
+            if transport.kind == "socket":
+                # Cumulative per worker lifetime, latest snapshot wins
+                # (no summing across batches — that would double
+                # count).  An empty snapshot is still a snapshot: it
+                # replaces stale numbers from an earlier batch rather
+                # than keeping them.
+                self._socket_batches = True
+                self._remote_stats = dict(transport.remote_stats)
+                self._remote_workers = getattr(transport, "remote_workers", 0)
+            self._unique_shapes += plan.n_shapes
+            if reuse:
+                self._publish(pending, outcomes)
         self._answers_explained += len(jobs)
-        self._unique_shapes += plan.n_shapes
-        return {job.answer: outcomes[job.index] for job in plan.jobs}
+        return {job.answer: outcomes[job.index] for job in jobs}
+
+    def _serve_published(self, jobs: list[Job]) -> dict[int, EngineResult]:
+        """Results of the jobs whose shape has published Shapley values,
+        relabelled on the client (keyed by job index): they are never
+        planned or dispatched.
+
+        Algorithm 1 and Equation 3 read only the shape's tape, so a
+        relabel returns the very Fractions a sweep would.  The outcome
+        carries the publishing answer's sizes (with this answer's
+        source circuit size) and the relabel time as its ``shapley``
+        stage.
+        """
+        served: dict[int, EngineResult] = {}
+        for job in jobs:
+            handle = job.options.artifacts
+            start = time.perf_counter()
+            published = handle.shapley_values()
+            if published is None:
+                continue
+            canonical, stats = published
+            by_label = dict(zip(handle.labels, canonical))
+            values = {player: by_label[player] for player in job.players}
+            seconds = time.perf_counter() - start
+            outcome = ExactOutcome(
+                "ok", values,
+                replace(stats, circuit_size=handle.source_size),
+                {"shapley": seconds},
+            )
+            served[job.index] = EngineResult(
+                self.engine.name, values, True, "ok", seconds, detail=outcome,
+            )
+        self.cache.record_reuse(len(served))
+        return served
+
+    @staticmethod
+    def _publish(
+        jobs: list[Job], outcomes: dict[int, EngineResult]
+    ) -> None:
+        """Publish each swept shape's values once, for later batches.
+
+        The handle checks whether its shape is already published before
+        it builds the canonical tuple, so siblings cost one lookup.
+        """
+        for job in jobs:
+            result = outcomes[job.index]
+            detail = result.detail
+            if result.ok and isinstance(detail, ExactOutcome):
+                job.options.artifacts.publish_shapley_values(
+                    result.values, detail.stats)
 
     def warm_ahead(
         self,
@@ -465,13 +528,15 @@ class ExplainSession:
         path's size ceiling); ``batched_groups`` / ``batched_answers``
         count same-shape groups that shared one Algorithm-1 sweep per
         shape and the answers they covered; ``shapley_reuse_hits``
-        counts answers relabelled from the Shapley values an earlier
-        batch published for their shape and player count (no sweep,
-        no Equation 3), so each derivative-mode answer with a
-        non-constant lineage counts once in ``fastpath_hits``,
-        ``fastpath_fallbacks`` or ``shapley_reuse_hits``.  The ``shapley_coefficients_cache_*``
-        keys expose the bounded Equation-3 weight cache.  With a persistent store
-        attached, ``store_*`` counters report the disk tier.  Pool
+        counts answers this session relabelled from the Shapley values
+        an earlier batch published for their shape, before dispatch —
+        so it is a local counter on every executor, socket included,
+        and a relabelled answer moves no ``fastpath_*`` or
+        ``remote_*`` counter; ``invariant_violations`` counts values
+        refused at publication for breaking the efficiency axiom.  The
+        ``shapley_coefficients_cache_*`` keys expose the bounded
+        Equation-3 weight cache.  With a persistent store attached,
+        ``store_*`` counters report the disk tier.  Pool
         workers of the ``"process"`` executor keep
         their own local counters (only their artifact *files* are
         shared); socket workers *do* report back — the coordinator's

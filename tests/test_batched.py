@@ -504,38 +504,32 @@ def fleet(tmp_path):
 
 class TestBatchedTransportParity:
     def test_identical_fractions_across_kernels_and_transports(
-        self, tmp_path
+        self, fleet
     ):
         # The acceptance matrix: grouped execution on the machine-width
         # tier and on the interpreted reference pass (NumPy patched away
         # for this process, its forked pool children and the in-thread
         # fleet workers) x three transports == the per-answer
-        # reference, byte for byte.  Each backend gets a fresh fleet:
-        # workers keep their caches across sessions, and values the
-        # first backend published would otherwise serve the second.
+        # reference, byte for byte.  Each transport gets a fresh
+        # session: a session relabels the values an earlier batch
+        # published, so a shared one would sweep on the first only.
         db = join_database(6, 2)
         expected = explain_each_answer(db, JOIN_QUERY)
         for backend in ("machine-width", "reference"):
             numpy = fixed.HAS_NUMPY and backend == "machine-width"
-            with _numpy_as(numpy), _fleet(
-                str(tmp_path / backend)
-            ) as fleet, ExplainSession(
-                db, method="exact", max_workers=2,
-                coordinator=fleet.address, min_workers=2,
-            ) as session:
-                for executor in ("thread", "process", "socket"):
-                    results = session.explain_many(
-                        JOIN_QUERY, executor=executor)
-                    got = {a: r.values for a, r in results.items()}
-                    assert got == expected, (backend, executor)
-                    for values in got.values():
-                        assert all(type(v) is Fraction
-                                   for v in values.values()), \
-                            (backend, executor)
-                # every transport swept: nothing was relabelled
-                stats = session.stats
-                assert stats["shapley_reuse_hits"] == 0, backend
-                assert stats["remote_shapley_reuse_hits"] == 0, backend
+            for executor in ("thread", "process", "socket"):
+                with _numpy_as(numpy), ExplainSession(
+                    db, method="exact", max_workers=2, executor=executor,
+                    coordinator=fleet.address, min_workers=2,
+                ) as session:
+                    results = session.explain_many(JOIN_QUERY)
+                    assert session.stats["shapley_reuse_hits"] == 0
+                got = {a: r.values for a, r in results.items()}
+                assert got == expected, (backend, executor)
+                for values in got.values():
+                    assert all(type(v) is Fraction
+                               for v in values.values()), \
+                        (backend, executor)
 
     def test_thread_session_reports_batched_counters(self):
         db = join_database(6, 2)

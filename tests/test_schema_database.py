@@ -1,6 +1,8 @@
 """Tests for schemas, facts, and databases."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db import Database, Fact, RelationSchema, Schema, SchemaError
 from repro.db.schema import Attribute
@@ -72,6 +74,26 @@ class TestFact:
     def test_mixed_type_ordering(self):
         # must not raise even with incomparable value types
         sorted([Fact("R", (1,)), Fact("R", ("a",))])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_order_matches_whole_key_order(self, data):
+        # ``<`` keys one value pair at a time; the order must be the one
+        # of the whole ``(relation, ((type name, repr), ...))`` key.
+        value = st.one_of(
+            st.integers(-3, 3), st.text("ab", max_size=2), st.none(),
+            st.booleans(), st.floats(allow_nan=True, width=16),
+        )
+        fact = st.builds(
+            Fact, st.sampled_from("RS"), st.lists(value, max_size=3))
+        a, b = data.draw(fact), data.draw(fact)
+
+        def key(f):
+            return (f.relation,
+                    tuple((type(v).__name__, repr(v)) for v in f.values))
+
+        assert (a < b) == (key(a) < key(b))
+        assert (b < a) == (key(b) < key(a))
 
 
 class TestDatabase:

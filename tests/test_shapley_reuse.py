@@ -1,37 +1,42 @@
-"""Tests for Shapley-value reuse across batches.
+"""Tests for Shapley-value reuse across batches of one session.
 
-A cache entry keeps its shape's canonical Shapley values per player
-count, so a later batch relabels a known shape instead of rerunning
-Algorithm 1 and Equation 3.  Covered here: byte-identical Fractions and
-honest counters on a warm session pass (thread and socket transports),
-batch scoping (a shape's siblings never reuse their own batch's
-representative), the player-count key, the foreign-player check and
-deadlines on a reused shape, disabled storage, eviction and
-``clear()``, Algorithm 1 staying a pure function, and the store digest
-being computed once per handle.
+After a batch returns, ``ExplainSession.explain_many`` publishes each
+exact derivative-mode shape's canonical Shapley values on its cache
+entry; a later batch answers every job whose shape is published by a
+relabel on the client, before planning or dispatch.  Covered here:
+byte-identical Fractions and honest counters on a repeated batch over
+the thread, process and socket transports (the socket repeat sends no
+task at all), shapes shared across queries, batches mixing hits and
+misses, the efficiency check at publication, disabled storage,
+eviction and ``clear()``, direct calls that always sweep, Algorithm 1
+staying a pure function, and the store digest being computed once per
+handle.
 """
 
 from fractions import Fraction
 
-import pytest
-
+import repro.core.pipeline as pipeline_module
 import repro.engine.cache as cache_module
+import repro.engine.service.coordinator as coordinator_module
 import repro.engine.store as store_module
 from repro.circuits import eliminate_auxiliary, tseytin_transform
-from repro.circuits.circuit import CircuitError
-from repro.compiler import CompilationBudget, compile_cnf
+from repro.compiler import compile_cnf
 from repro.core import run_exact, shapley_all_facts
 from repro.core.numerics import FastpathStats, compile_tape
-from repro.core.pipeline import run_exact_batch
 from repro.core.shapley import shapley_all_facts_batched
-from repro.db import Database, RelationSchema, Schema
+from repro.db import Database, RelationSchema, Schema, cq
 from repro.engine import ArtifactCache, ExplainSession, PersistentArtifactStore
-from repro.workloads.synthetic import bipartite_join_dnf, chained_dnf
+from repro.workloads.flights import flights_database, flights_query
+from repro.workloads.synthetic import chained_dnf
 
 from .test_batched import _fleet
 from .test_store import JOIN_QUERY
 
 SWEEP_KEYS = ("fastpath_hits", "fastpath_fallbacks")
+
+#: Answers by ``b``: each ``y_i`` has one R row, so every answer's
+#: lineage has the shape of the JOIN_QUERY answer ``x_i``.
+JOIN_BY_B = cq(["b"], "R(a, b)", "S(b, c)")
 
 
 def mixed_join_database() -> Database:
@@ -48,8 +53,13 @@ def mixed_join_database() -> Database:
     return db
 
 
-def values_of(results) -> dict:
-    return {answer: result.values for answer, result in results.items()}
+def items_of(results) -> dict:
+    """Every answer's values as an ordered item list: equal lists mean
+    the same Fractions in the same player order."""
+    return {
+        answer: list(result.values.items())
+        for answer, result in results.items()
+    }
 
 
 def sweeps(stats) -> int:
@@ -64,6 +74,14 @@ def reference(circuit, players) -> dict:
     return shapley_all_facts(ddnnf, players)
 
 
+def uncached(db, query) -> dict:
+    """The query's results on a session that stores nothing."""
+    with ExplainSession(
+        db, method="exact", cache=ArtifactCache(max_entries=0)
+    ) as session:
+        return session.explain_many(query)
+
+
 class TestSessionReuse:
     def test_second_batch_relabels_every_answer(self):
         db = mixed_join_database()
@@ -72,44 +90,24 @@ class TestSessionReuse:
             first = session.stats
             warm = session.explain_many(JOIN_QUERY)
             second = session.stats
-        assert values_of(warm) == values_of(cold)
-        for values in values_of(warm).values():
-            assert all(type(v) is Fraction for v in values.values())
+        assert items_of(warm) == items_of(cold)
+        for result in warm.values():
+            assert all(type(v) is Fraction for v in result.values.values())
         # one batch: every answer swept, siblings included
         assert sweeps(first) == len(cold)
         assert first["shapley_reuse_hits"] == 0
-        # the next batch: no sweep at all, every answer relabelled
-        for key in SWEEP_KEYS:
+        # the next batch: nothing dispatched, every answer relabelled
+        for key in (*SWEEP_KEYS, "batched_answers", "cnf_hits", "tape_hits"):
             assert second[key] == first[key], key
-        assert second["batched_answers"] == first["batched_answers"]
         assert second["shapley_reuse_hits"] == len(warm)
-        for result in warm.values():
-            timings = result.detail.timings
-            assert not any(key.startswith("tier_") for key in timings)
-            assert "batch_exec" not in timings
-            assert timings["shapley"] >= 0.0
-
-    def test_socket_workers_reuse_only_across_batches(self, tmp_path):
-        db = mixed_join_database()
-        with _fleet(str(tmp_path / "store")) as coordinator, ExplainSession(
-            db, method="exact", executor="socket",
-            coordinator=coordinator.address, min_workers=2,
-        ) as session:
-            cold = session.explain_many(JOIN_QUERY)
-            first = session.stats
-            warm = session.explain_many(JOIN_QUERY)
-            second = session.stats
-        assert values_of(warm) == values_of(cold)
-        remote = [f"remote_{key}" for key in SWEEP_KEYS]
-        swept = [sum(stats[key] for key in remote) for stats in (first, second)]
-        reused = second["remote_shapley_reuse_hits"]
-        # one batch: every answer swept on some worker, none reused
-        assert swept[0] == len(cold)
-        assert first["remote_shapley_reuse_hits"] == 0
-        # each worker keeps its own cache: an answer reuses when it
-        # lands on a worker that already published its shape
-        assert reused > 0
-        assert swept[1] - swept[0] + reused == len(warm)
+        assert second["unique_shapes"] == first["unique_shapes"]
+        assert second["answers_explained"] == 2 * len(cold)
+        for answer, result in warm.items():
+            assert result.ok and result.exact and result.status == "ok"
+            outcome = result.detail
+            assert outcome.stats == cold[answer].detail.stats
+            assert set(outcome.timings) == {"shapley"}
+            assert outcome.timings["shapley"] >= 0.0
 
     def test_process_pool_keeps_fractions_across_batches(self):
         db = mixed_join_database()
@@ -118,108 +116,169 @@ class TestSessionReuse:
         ) as session:
             cold = session.explain_many(JOIN_QUERY)
             warm = session.explain_many(JOIN_QUERY)
-        assert values_of(warm) == values_of(cold)
+            stats = session.stats
+        assert items_of(warm) == items_of(cold)
+        assert stats["shapley_reuse_hits"] == len(warm)
+
+    def test_socket_workers_reuse_only_across_batches(
+        self, tmp_path, monkeypatch
+    ):
+        db = mixed_join_database()
+        sent = []
+        send = coordinator_module.send_msg
+
+        def recording(sock, message, *args, **kwargs):
+            sent.append(message.get("op"))
+            return send(sock, message, *args, **kwargs)
+
+        monkeypatch.setattr(coordinator_module, "send_msg", recording)
+        with _fleet(str(tmp_path / "store")) as coordinator, ExplainSession(
+            db, method="exact", executor="socket",
+            coordinator=coordinator.address, min_workers=2,
+        ) as session:
+            cold = session.explain_many(JOIN_QUERY)
+            first = session.stats
+            cold_ops = list(sent)
+            warm = session.explain_many(JOIN_QUERY)
+            second = session.stats
+            warm_ops = sent[len(cold_ops):]
+        assert items_of(warm) == items_of(cold)
+        # the batch: every answer swept on some worker, none reused
+        remote = [f"remote_{key}" for key in SWEEP_KEYS]
+        assert sum(first[key] for key in remote) == len(cold)
+        assert first["shapley_reuse_hits"] == 0
+        assert {"task", "task_group"} & set(cold_ops)
+        # the repeat: relabelled on the client, so no task reaches the
+        # fleet and no worker counter moves
+        assert second["shapley_reuse_hits"] == len(warm)
+        assert "task" not in warm_ops and "task_group" not in warm_ops
+        for key in first:
+            if key.startswith("remote_fastpath_"):
+                assert second[key] == first[key], key
+
+    def test_queries_sharing_a_shape_hit_across_queries(self):
+        db = mixed_join_database()
+        with ExplainSession(db, method="exact") as session:
+            session.explain_many(JOIN_QUERY)
+            before = session.stats
+            by_b = session.explain_many(JOIN_BY_B)
+            after = session.stats
+        assert len(by_b) == 6
+        assert after["shapley_reuse_hits"] == len(by_b)
+        assert sweeps(after) == sweeps(before)
+        assert items_of(by_b) == items_of(uncached(db, JOIN_BY_B))
+
+    def test_mixed_hits_and_misses_keep_answer_order(self):
+        db = mixed_join_database()
+        expected = uncached(db, JOIN_QUERY)
+        with ExplainSession(db, method="exact") as session:
+            # publishes the fan-out-1 shape only (answers x0 and x3)
+            session.explain_many(JOIN_QUERY, answers=[("x0",)])
+            before = session.stats
+            results = session.explain_many(JOIN_QUERY)
+            after = session.stats
+        assert list(results) == list(expected)
+        assert items_of(results) == items_of(expected)
+        assert after["shapley_reuse_hits"] == 2
+        assert sweeps(after) - sweeps(before) == len(results) - 2
+
+    def test_values_breaking_efficiency_are_not_published(self, monkeypatch):
+        db = flights_database()
+        query = flights_query()
+        real = pipeline_module.shapley_all_facts
+
+        def inflated(*args, **kwargs):
+            values = real(*args, **kwargs)
+            first = next(iter(values))
+            values[first] += 1
+            return values
+
+        with ExplainSession(db, method="exact") as session:
+            monkeypatch.setattr(
+                pipeline_module, "shapley_all_facts", inflated)
+            session.explain_many(query)
+            monkeypatch.undo()
+            refused = session.stats
+            swept = session.explain_many(query)
+            again = session.stats
+            reused = session.explain_many(query)
+            last = session.stats
+        assert refused["invariant_violations"] == 1
+        # the refused shape sweeps again, then publishes and reuses
+        assert again["shapley_reuse_hits"] == 0
+        assert sweeps(again) == sweeps(refused) + len(swept)
+        assert last["shapley_reuse_hits"] == len(reused)
+        assert last["invariant_violations"] == 1
+        assert items_of(reused) == items_of(swept)
+        assert items_of(swept) == items_of(uncached(db, query))
 
 
 class TestDirectCalls:
-    def test_values_are_keyed_by_player_count(self):
-        circuit = chained_dnf(4)
-        facts = sorted(circuit.reachable_vars())
-        padded = facts + ["outside-1", "outside-2"]
-        cache = ArtifactCache()
-        for players in (padded, facts, padded, facts):
-            outcome = run_exact(circuit, players, cache=cache)
-            assert outcome.values == reference(circuit, players)
-        # a new player count is a miss that sweeps; a known one reuses
-        assert sweeps(cache.stats.as_dict()) == 2
-        assert cache.stats.shapley_reuse_hits == 2
-
     def test_isomorphic_lineage_is_relabelled(self):
         circuit = chained_dnf(5)
         facts = sorted(circuit.reachable_vars())
         cache = ArtifactCache()
-        run_exact(circuit, facts, cache=cache)
+        outcome = run_exact(circuit, facts, cache=cache)
+        cache.open(circuit).publish_shapley_values(
+            outcome.values, outcome.stats)
         mapping = {fact: ("copy", fact) for fact in facts}
-        twin = circuit.rename(mapping)
+        twin = cache.open(circuit.rename(mapping))
+        canonical, stats = twin.shapley_values()
+        relabelled = dict(zip(twin.labels, canonical))
         players = [mapping[fact] for fact in facts]
-        outcome = run_exact(twin, players, cache=cache)
-        assert outcome.values == reference(twin, players)
-        assert cache.stats.shapley_reuse_hits == 1
-        assert outcome.stats.n_facts == len(facts)
-        assert outcome.stats.ddnnf_size > 0
+        assert relabelled == reference(circuit.rename(mapping), players)
+        assert stats == outcome.stats
+        # the first publication wins, even over values that would pass
+        # the efficiency check
+        swapped = canonical[1:] + canonical[:1]
+        assert swapped != canonical
+        twin.publish_shapley_values(dict(zip(twin.labels, swapped)), stats)
+        assert twin.shapley_values()[0] == canonical
+        assert cache.stats.invariant_violations == 0
 
-    def test_players_missing_a_circuit_fact_raise_on_reuse(self):
+    def test_run_exact_always_sweeps(self):
         circuit = chained_dnf(4)
         facts = sorted(circuit.reachable_vars())
         cache = ArtifactCache()
-        run_exact(circuit, facts, cache=cache)
-        # same player count, so the published values are found
-        wrong = facts[1:] + ["outsider"]
-        with pytest.raises(CircuitError):
-            run_exact(circuit, wrong, cache=cache)
-        with pytest.raises(CircuitError):
-            run_exact_batch(
-                [circuit, circuit], [facts, wrong], cache=cache)
+        outcome = run_exact(circuit, facts, cache=cache)
+        cache.open(circuit).publish_shapley_values(
+            outcome.values, outcome.stats)
+        for _ in range(2):
+            assert run_exact(circuit, facts, cache=cache).values == \
+                outcome.values
+        assert sweeps(cache.stats.as_dict()) == 3
         assert cache.stats.shapley_reuse_hits == 0
-
-    def test_past_deadline_times_out_on_reuse(self):
-        circuit = chained_dnf(4)
-        facts = sorted(circuit.reachable_vars())
-        cache = ArtifactCache()
-        run_exact(circuit, facts, cache=cache)
-        outcome = run_exact(
-            circuit, facts, cache=cache,
-            budget=CompilationBudget(max_seconds=0.0),
-        )
-        assert outcome.status == "timeout"
-        assert cache.stats.shapley_reuse_hits == 0
-
-    def test_batch_lanes_of_one_call_share_a_sweep(self):
-        circuit = chained_dnf(4)
-        facts = sorted(circuit.reachable_vars())
-        mapping = {fact: ("copy", fact) for fact in facts}
-        circuits = [circuit, circuit.rename(mapping)]
-        players = [facts, [mapping[fact] for fact in facts]]
-        cache = ArtifactCache()
-        first = run_exact_batch(circuits, players, cache=cache)
-        assert sweeps(cache.stats.as_dict()) == 2
-        assert cache.stats.shapley_reuse_hits == 0
-        second = run_exact_batch(circuits, players, cache=cache)
-        assert [o.values for o in second] == [o.values for o in first]
-        assert sweeps(cache.stats.as_dict()) == 2
-        assert cache.stats.shapley_reuse_hits == 2
-        assert cache.stats.batched_answers == 2
 
 
 class TestCacheLifetime:
-    def _run(self, cache, *circuits):
-        for circuit in circuits:
-            run_exact(circuit, sorted(circuit.reachable_vars()), cache=cache)
+    def _hits(self, cache, batches: int, clear: bool = False) -> int:
+        """Reuse hits over ``batches`` batches of JOIN_QUERY (6 answers,
+        3 shapes), clearing the cache before each when ``clear``."""
+        db = mixed_join_database()
+        with ExplainSession(db, method="exact", cache=cache) as session:
+            for _ in range(batches):
+                if clear:
+                    cache.clear()
+                session.explain_many(JOIN_QUERY)
+            return session.stats["shapley_reuse_hits"]
 
     def test_disabled_storage_never_reuses(self):
         cache = ArtifactCache(max_entries=0)
-        circuit = chained_dnf(4)
-        self._run(cache, circuit, circuit, circuit)
-        assert cache.stats.shapley_reuse_hits == 0
-        assert sweeps(cache.stats.as_dict()) == 3
+        assert self._hits(cache, 3) == 0
+        assert sweeps(cache.stats.as_dict()) == 3 * 6
 
     def test_eviction_drops_the_values(self):
-        a, b = chained_dnf(4), bipartite_join_dnf(2, 3)
-        evicting = ArtifactCache(max_entries=1)
-        self._run(evicting, a, b, a)
-        assert evicting.stats.evictions >= 1
-        assert evicting.stats.shapley_reuse_hits == 0
-        roomy = ArtifactCache(max_entries=2)
-        self._run(roomy, a, b, a)
-        assert roomy.stats.shapley_reuse_hits == 1
+        # three shapes through two slots: every open evicts the shape
+        # the next answer needs
+        evicting = ArtifactCache(max_entries=2)
+        assert self._hits(evicting, 2) == 0
+        assert evicting.stats.evictions > 0
+        assert self._hits(ArtifactCache(max_entries=3), 2) == 6
 
     def test_clear_drops_the_values(self):
         cache = ArtifactCache()
-        circuit = chained_dnf(4)
-        self._run(cache, circuit)
-        cache.clear()
-        self._run(cache, circuit)
-        assert cache.stats.shapley_reuse_hits == 0
+        assert self._hits(cache, 2, clear=True) == 0
+        assert sweeps(cache.stats.as_dict()) == 2 * 6
 
 
 class TestAlgorithmOneStaysPure:
