@@ -119,26 +119,11 @@ def exact_shapley_of_circuit(
     return outcome.values
 
 
-def _split_compile_timings(
-    timings: dict[str, float],
-    compile_stats,
-    tape_lower_seconds: float,
-) -> None:
-    """Break the compile/tape stage into its cold-path sub-stages.
-
-    ``component_compile`` is time spent compiling memoizable connected
-    components from scratch, ``stitch`` the time importing (memoized or
-    freshly built) component d-DNNFs into the parent circuit, and
-    ``tape_lower`` the d-DNNF → gate-tape lowering.  All three are zero
-    on a fully warm shape, which is exactly the point of the profile.
-    """
-    timings["component_compile"] = (
-        compile_stats.component_seconds if compile_stats is not None else 0.0
-    )
-    timings["stitch"] = (
-        compile_stats.stitch_seconds if compile_stats is not None else 0.0
-    )
-    timings["tape_lower"] = tape_lower_seconds
+def _deadline(budget: CompilationBudget | None) -> float | None:
+    """The wall-clock deadline ``budget`` sets from now, if any."""
+    if budget is None or budget.max_seconds is None:
+        return None
+    return time.perf_counter() + budget.max_seconds
 
 
 def run_exact(
@@ -179,68 +164,15 @@ def run_exact(
     endo = list(endogenous_facts)
     stats = ProvenanceStats()
     timings: dict[str, float] = {}
-    start = time.perf_counter()
-    deadline = (
-        start + budget.max_seconds
-        if budget is not None and budget.max_seconds is not None
-        else None
-    )
+    deadline = _deadline(budget)
 
-    if artifacts is not None:
-        stats.n_facts = len(artifacts.labels)
-        stats.circuit_size = artifacts.source_size
-        simplified = None
-    else:
-        simplified = circuit.condition({})
-        stats.n_facts = len(simplified.reachable_vars())
-        stats.circuit_size = len(simplified)
-        if cache is not None:
-            artifacts = cache.open(simplified)
-
-    t0 = time.perf_counter()
-    if artifacts is not None:
-        stats.cnf_vars, stats.cnf_clauses = artifacts.cnf_size()
-    else:
-        cnf = tseytin_transform(simplified)
-        stats.cnf_vars, stats.cnf_clauses = cnf.num_vars, cnf.num_clauses
-    timings["tseytin"] = time.perf_counter() - t0
-
-    tape = None
-    stage = "compile"
-    compile_stats = None
-    t0 = time.perf_counter()
-    try:
-        if artifacts is not None:
-            stats_before = artifacts.compile_stats
-            lower_before = artifacts.tape_lower_seconds
-            if method == "derivative":
-                # The tape is the only artifact the derivative pass
-                # needs; on a warm shape this is a pure lookup + O(#vars)
-                # re-targeting (no d-DNNF rename, no gate traversal).
-                # Timed as its own stage: on a warm run this is the
-                # entire tape-lower cost (a cold run folds the d-DNNF
-                # compilation it triggers into the same stage).
-                stage = "tape"
-                tape = artifacts.tape(budget=budget, jobs=compile_jobs)
-                ddnnf = None
-            else:
-                ddnnf = artifacts.ddnnf(budget=budget, jobs=compile_jobs)
-            # Only attribute sub-stage time this call actually spent
-            # (the handle may be warm or shared across answers).
-            if artifacts.compile_stats is not stats_before:
-                compile_stats = artifacts.compile_stats
-            tape_lower = artifacts.tape_lower_seconds - lower_before
-        else:
-            compiled = compile_cnf(cnf, budget=budget, jobs=compile_jobs)
-            ddnnf = eliminate_auxiliary(compiled.circuit, set(cnf.labels.values()))
-            compile_stats = compiled.stats
-            tape_lower = 0.0
-    except BudgetExceeded as exc:
-        timings[stage] = time.perf_counter() - t0
-        return ExactOutcome("budget", None, stats, timings, str(exc))
-    timings[stage] = time.perf_counter() - t0
-    _split_compile_timings(timings, compile_stats, tape_lower)
-    stats.ddnnf_size = tape.source_gates if tape is not None else len(ddnnf)
+    prepared, failure = _prepare(
+        circuit, budget, cache, artifacts, compile_jobs, stats, timings,
+        method)
+    if failure is not None:
+        return failure
+    tape = prepared if method == "derivative" else None
+    ddnnf = None if tape is not None else prepared
 
     fastpath = FastpathStats()
     t0 = time.perf_counter()
@@ -277,7 +209,7 @@ def _label_tiers(
         timings[f"tier_{tier}"] = timings["shapley"]
 
 
-def _prepare_tape(
+def _prepare(
     circuit: Circuit,
     budget: CompilationBudget | None,
     cache: "ArtifactCache | None",
@@ -285,16 +217,17 @@ def _prepare_tape(
     compile_jobs: int | None,
     stats: ProvenanceStats,
     timings: dict[str, float],
+    method: str = "derivative",
 ):
-    """The pre-Algorithm-1 stages of one derivative-mode answer:
-    artifact acquisition, Tseytin/CNF, and the gate-tape stage — the
-    same bookkeeping as :func:`run_exact`, factored out so
-    :func:`run_exact_batch` can run them per answer before the shared
-    batched sweep.
+    """The pre-Algorithm-1 stages of one answer: artifact acquisition,
+    Tseytin/CNF, and the compile stage — the gate tape in
+    ``"derivative"`` mode, the d-DNNF otherwise.  Shared by
+    :func:`run_exact` and by :func:`run_exact_batch`, which runs them
+    per answer before the shared batched sweep.
 
-    Returns ``(tape, failure)``: exactly one is ``None``; ``failure``
-    is the budget :class:`ExactOutcome` when compilation blew its
-    budget (timings already recorded).
+    Returns ``(artifact, failure)``: exactly one is ``None``;
+    ``failure`` is the budget :class:`ExactOutcome` when compilation
+    blew its budget (timings already recorded).
     """
     if artifacts is not None:
         stats.n_facts = len(artifacts.labels)
@@ -315,35 +248,52 @@ def _prepare_tape(
         stats.cnf_vars, stats.cnf_clauses = cnf.num_vars, cnf.num_clauses
     timings["tseytin"] = time.perf_counter() - t0
 
-    stage = "compile"
+    derivative = method == "derivative"
+    stage = "tape" if derivative and artifacts is not None else "compile"
     compile_stats = None
+    tape_lower = 0.0
     t0 = time.perf_counter()
     try:
         if artifacts is not None:
             stats_before = artifacts.compile_stats
             lower_before = artifacts.tape_lower_seconds
-            stage = "tape"
-            tape = artifacts.tape(budget=budget, jobs=compile_jobs)
+            # The tape is the only artifact the derivative pass needs;
+            # on a warm shape this is a pure lookup + O(#vars)
+            # re-targeting (no d-DNNF rename, no gate traversal).
+            serve = artifacts.tape if derivative else artifacts.ddnnf
+            artifact = serve(budget=budget, jobs=compile_jobs)
+            # Only attribute sub-stage time this call actually spent
+            # (the handle may be warm or shared across answers).
             if artifacts.compile_stats is not stats_before:
                 compile_stats = artifacts.compile_stats
             tape_lower = artifacts.tape_lower_seconds - lower_before
         else:
-            from .numerics import compile_tape
-
             compiled = compile_cnf(cnf, budget=budget, jobs=compile_jobs)
-            ddnnf = eliminate_auxiliary(
+            artifact = eliminate_auxiliary(
                 compiled.circuit, set(cnf.labels.values()))
             compile_stats = compiled.stats
-            t1 = time.perf_counter()
-            tape = compile_tape(ddnnf.condition({}))
-            tape_lower = time.perf_counter() - t1
+            if derivative:
+                from .numerics import compile_tape
+
+                t1 = time.perf_counter()
+                artifact = compile_tape(artifact.condition({}))
+                tape_lower = time.perf_counter() - t1
     except BudgetExceeded as exc:
         timings[stage] = time.perf_counter() - t0
         return None, ExactOutcome("budget", None, stats, timings, str(exc))
     timings[stage] = time.perf_counter() - t0
-    _split_compile_timings(timings, compile_stats, tape_lower)
-    stats.ddnnf_size = tape.source_gates
-    return tape, None
+    # The stage's cold-path sub-stages: components compiled from
+    # scratch, their import into the parent circuit, and the d-DNNF →
+    # tape lowering.  All three are zero on a fully warm shape.
+    timings["component_compile"] = (
+        compile_stats.component_seconds if compile_stats is not None else 0.0
+    )
+    timings["stitch"] = (
+        compile_stats.stitch_seconds if compile_stats is not None else 0.0
+    )
+    timings["tape_lower"] = tape_lower
+    stats.ddnnf_size = artifact.source_gates if derivative else len(artifact)
+    return artifact, None
 
 
 def run_exact_batch(
@@ -386,18 +336,13 @@ def run_exact_batch(
             in zip(circuits, endo_lists, artifacts_list)
         ]
 
-    start = time.perf_counter()
-    deadline = (
-        start + budget.max_seconds
-        if budget is not None and budget.max_seconds is not None
-        else None
-    )
+    deadline = _deadline(budget)
     outcomes: list[ExactOutcome | None] = [None] * n_answers
     prepared: list[tuple[int, object, ProvenanceStats, dict]] = []
     for i in range(n_answers):
         stats = ProvenanceStats()
         timings: dict[str, float] = {}
-        tape, failure = _prepare_tape(
+        tape, failure = _prepare(
             circuits[i], budget, cache, artifacts_list[i], compile_jobs,
             stats, timings,
         )

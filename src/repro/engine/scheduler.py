@@ -9,10 +9,12 @@ executor, or a socket.  The session builds :class:`Job` objects
 options), hands them to :func:`plan_batch`, and passes the resulting
 :class:`BatchPlan` to a transport (:mod:`repro.engine.service`).
 
-Every transport runs one schedule over the plan's dependency DAG:
-distinct component compiles first, then each shape's representative
-once the components it needs have landed, then the shape's sibling
-groups once the representative has finished.
+Every transport runs one schedule over the plan's dependency DAG,
+held by :class:`BatchSchedule`: distinct component compiles first,
+then each shape's representative once the components it needs have
+landed, then the shape's sibling units once the representative has
+finished.  The schedule is pure state; the transports' slots pull
+from it (:class:`~repro.engine.service.pipeline.PullLoop`).
 
 Scheduling invariants
 ---------------------
@@ -29,8 +31,9 @@ Scheduling invariants
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .base import EngineOptions
 
@@ -205,6 +208,30 @@ class BatchPlan:
             return None
         return self.warm_wave[0].options.compilation_budget()
 
+    def shapes(self) -> list[tuple[Job | None, list[list[Job]]]]:
+        """Each shape's representative with its groups, in
+        first-occurrence order.
+
+        Without deduplication every group is a shape of its own, with
+        no representative (``None``).  Otherwise a shape's groups are
+        the consecutive ``groups`` whose jobs share its signature
+        (:func:`plan_batch` emits both lists in the same shape order),
+        so no digest is hashed here.
+        """
+        if not self.deduplicated:
+            return [(None, [group]) for group in self.groups]
+        groups = iter(self.groups)
+        pending = next(groups, None)
+        shapes: list[tuple[Job | None, list[list[Job]]]] = []
+        for rep in self.warm_wave:
+            tails = []
+            while (pending is not None and rep.signature is not None
+                   and pending[0].signature == rep.signature):
+                tails.append(pending)
+                pending = next(groups, None)
+            shapes.append((rep, tails))
+        return shapes
+
 
 def plan_pipeline(
     warm_wave: Sequence[Job],
@@ -302,3 +329,123 @@ def plan_batch(
         groups=shape_groups if batch else None, batched=batch,
         pipeline=pipeline,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class Unit:
+    """One piece of work a :class:`BatchSchedule` hands out.
+
+    ``kind`` is ``"compile"`` (``item`` is a component index),
+    ``"rep"`` (``item`` is a shape's representative) or ``"siblings"``
+    (``item`` is one of the shape's sibling units, whatever the
+    transport groups them into).  ``gated`` marks a representative
+    that waited on component compiles: a *stitch* job.
+    """
+
+    kind: str
+    item: object
+    shape: int = -1
+    gated: bool = False
+
+
+class BatchSchedule:
+    """The dependency state of one batch: which unit may run next.
+
+    ``shapes`` holds ``(affinity, representative, sibling units)`` per
+    shape in first-occurrence order; a ``None`` representative makes
+    the sibling units ready at once (engines that do not deduplicate).
+    ``needs`` maps an affinity to the component indexes (below
+    ``n_components``) its representative waits for; only components
+    some shape needs are compiled, in index order — the plan's
+    critical-path order.
+
+    A representative becomes ready once its components have finished,
+    its sibling units once it has finished.  :meth:`take` prefers a
+    compile while nothing else is ready or fewer than ``width - 1``
+    compiles are running, so one slot of ``width`` stays free for
+    ready work.  A failed compile is finished like any other: the
+    representative then compiles inline.
+
+    Pure state, no lock and no clock: callers serialize access.
+    """
+
+    def __init__(
+        self,
+        shapes: Sequence[tuple[object, object, Sequence[object]]],
+        needs: Mapping[object, Sequence[int]],
+        n_components: int,
+        width: int = 1,
+    ) -> None:
+        self.width = width
+        self._reps: list[object] = []
+        self._tails: list[Sequence[object]] = []
+        self._waiting: dict[int, set[int]] = {}
+        self._dependents: dict[int, list[int]] = {}
+        self._ready: deque[Unit] = deque()
+        for shape, (affinity, rep, siblings) in enumerate(shapes):
+            self._reps.append(rep)
+            self._tails.append(siblings)
+            if rep is None:
+                self._ready.extend(
+                    Unit("siblings", unit, shape) for unit in siblings)
+                continue
+            remaining = {
+                index for index in needs.get(affinity, ())
+                if 0 <= index < n_components
+            }
+            if not remaining:
+                self._ready.append(Unit("rep", rep, shape))
+                continue
+            self._waiting[shape] = remaining
+            for index in remaining:
+                self._dependents.setdefault(index, []).append(shape)
+        self._compiles: deque[Unit] = deque(
+            Unit("compile", index) for index in sorted(self._dependents))
+        #: Units taken and neither finished nor requeued.
+        self.running = 0
+        self._compiling = 0
+
+    @property
+    def done(self) -> bool:
+        """Every unit has finished."""
+        return not (self._compiles or self._ready or self.running)
+
+    def take(self) -> Unit | None:
+        """The next unit to run, or ``None`` when nothing is ready."""
+        if self._compiles and (
+                not self._ready or self._compiling < self.width - 1):
+            unit = self._compiles.popleft()
+            self._compiling += 1
+        elif self._ready:
+            unit = self._ready.popleft()
+        else:
+            return None
+        self.running += 1
+        return unit
+
+    def finish(self, unit: Unit) -> None:
+        """Record ``unit`` as done and release what waited on it."""
+        self.running -= 1
+        if unit.kind == "compile":
+            self._compiling -= 1
+            for shape in self._dependents[unit.item]:
+                remaining = self._waiting[shape]
+                remaining.discard(unit.item)
+                if not remaining:
+                    del self._waiting[shape]
+                    self._ready.append(
+                        Unit("rep", self._reps[shape], shape, gated=True))
+        elif unit.kind == "rep":
+            self._ready.extend(
+                Unit("siblings", item, unit.shape)
+                for item in self._tails[unit.shape])
+
+    def requeue(self, unit: Unit) -> None:
+        """Put a taken ``unit`` back at the front of its queue (its
+        slot could not run it)."""
+        self.running -= 1
+        if unit.kind == "compile":
+            self._compiling -= 1
+            self._compiles.appendleft(unit)
+        else:
+            self._ready.appendleft(unit)

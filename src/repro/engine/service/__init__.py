@@ -5,9 +5,9 @@ A :class:`~repro.engine.service.base.Transport` takes the
 and returns one :class:`~repro.engine.base.EngineResult` per job.
 Three interchangeable backends ship here:
 
-* :class:`InProcessTransport` — a long-lived thread pool sharing the
-  session's in-memory cache (the default; what ``executor="thread"``
-  always meant);
+* :class:`InProcessTransport` — slot threads sharing the session's
+  in-memory cache (the default; what ``executor="thread"`` always
+  meant);
 * :class:`ProcessPoolTransport` — a *persistent*
   :class:`~concurrent.futures.ProcessPoolExecutor` reused across
   ``explain_many`` calls; workers share artifacts through the
@@ -17,9 +17,11 @@ Three interchangeable backends ship here:
   units to long-lived ``repro worker`` processes sharing one
   :class:`~repro.engine.store.PersistentArtifactStore` directory.
 
-All three run one schedule: the batch's distinct component compiles,
-then each shape's representative once its components have landed,
-then the shape's sibling groups.
+All three run one schedule, a
+:class:`~repro.engine.scheduler.BatchSchedule` driven by
+:class:`~repro.engine.service.pipeline.PullLoop`: the batch's distinct
+component compiles, then each shape's representative once its
+components have landed, then the shape's sibling groups.
 
 All three produce identical results for the same batch: exact engines
 return equal :class:`~fractions.Fraction` objects, sampling engines

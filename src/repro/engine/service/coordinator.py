@@ -14,13 +14,14 @@ and its trusted-network caveat):
   i.e. an ``ExplainSession`` with ``executor="socket"``) submit batches
   and read back one result per job.
 
-Every batch runs one schedule, :meth:`Coordinator._run_pipelined`: each
-live worker pulls units from one shared work state — the batch's
-distinct component compiles first, then any shape representative
-whose components have landed, then the sibling groups of finished
-representatives.  Siblings therefore find their shape in the shared
-store whichever worker ran the representative.  A worker that dies
-mid-unit has that unit requeued for the survivors; the batch only
+Every batch runs the one schedule of every transport, a
+:class:`~repro.engine.scheduler.BatchSchedule` driven by
+:class:`~repro.engine.service.pipeline.PullLoop` with one slot per live
+worker: the batch's distinct component compiles first, then any shape
+representative whose components have landed, then the sibling units of
+finished representatives.  Siblings therefore find their shape in the
+shared store whichever worker ran the representative.  A worker that
+dies mid-unit has that unit requeued for the survivors; the batch only
 fails when no workers remain.
 """
 
@@ -29,12 +30,13 @@ from __future__ import annotations
 import select
 import socket
 import threading
-import time
 from collections import OrderedDict, deque
+from itertools import chain
 
 from ..base import EngineResult
+from ..scheduler import BatchSchedule, Unit
 from .faults import FaultPlan
-from .pipeline import deadline_for, interval_overlap
+from .pipeline import LostSlot, PullLoop, deadline_for
 from .protocol import ProtocolError, enable_keepalive, recv_msg, send_msg
 
 
@@ -184,12 +186,17 @@ class Coordinator:
         #: How long a queued warm task waits for a worker to register
         #: before it is counted as failed.
         self.warm_worker_timeout = 30.0
-        #: Cumulative compile/execute overlap of every batch this
-        #: coordinator ran (seconds).  Reported to clients inside
-        #: ``worker_stats`` so the session surfaces it under
-        #: ``remote_pipeline_overlap_seconds``, cumulative like every
-        #: other remote counter.
-        self._pipeline_overlap_total = 0.0
+        #: Cumulative pipeline counters of every batch this coordinator
+        #: ran, measured by its driver (workers cannot see each other's
+        #: concurrency).  Reported to clients inside ``worker_stats``
+        #: so the session surfaces them under ``remote_*``, cumulative
+        #: like every other remote counter.  Mutated under
+        #: ``_batch_lock`` only.
+        self._pipeline_totals: dict[str, float] = {
+            "pipeline_overlap_seconds": 0.0,
+            "component_pass_compiles": 0,
+            "stitch_jobs": 0,
+        }
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -642,6 +649,8 @@ class Coordinator:
                 self._discard_worker(worker)
                 continue
             if reply.get("op") == expected:
+                if reply.get("compiled"):
+                    self._pipeline_totals["component_pass_compiles"] += 1
                 return bool(reply.get("ok"))
             return False  # out-of-protocol answer: don't retry elsewhere
         return False
@@ -679,18 +688,13 @@ class Coordinator:
                 engine, tasks, batched, pipeline, budget
             )
             worker_stats, n_reporting = self._collect_stats()
-            # The overlap is a coordinator-side observation (workers
-            # cannot see each other's concurrency); fold the cumulative
-            # total into the aggregate so it rides the same
-            # latest-snapshot-wins path as every worker counter.
-            worker_stats["pipeline_overlap_seconds"] = (
-                worker_stats.get("pipeline_overlap_seconds", 0.0)
-                + self._pipeline_overlap_total
-            )
-            # Resilience counters are coordinator-side observations
-            # too; same fold, same remote_* surfacing on the client.
+            # Pipeline and resilience counters are coordinator-side
+            # observations: fold the cumulative totals into the
+            # aggregate so they ride the same latest-snapshot-wins
+            # path as every worker counter.
             with self._health_lock:
-                for key, value in self._counters.items():
+                for key, value in chain(self._pipeline_totals.items(),
+                                        self._counters.items()):
                     worker_stats[key] = worker_stats.get(key, 0) + value
                 worker_stats["queue_depth"] = (
                     worker_stats.get("queue_depth", 0) + self._queue_depth
@@ -710,244 +714,116 @@ class Coordinator:
         pipeline: dict,
         batch_budget: float | None = None,
     ) -> dict[int, EngineResult]:
-        """Execute one batch as a compile/execute dependency loop.
+        """Execute one batch with one slot per live worker.
 
-        Every worker runs a pull loop over one shared work state:
-        pending component compiles (client's critical-path order)
-        first, then whatever representative or sibling-group units
-        became ready — so ``compile`` and ``task``/``task_group`` ops
-        interleave per worker and execution streams while other shapes
-        are still compiling.  A shape's representative (its *stitch*
-        job when it needs components) is gated on its components; its
-        siblings are gated on the representative.  An empty
-        ``pipeline`` means no compile units: every representative is
-        ready at once.
+        The batch's tasks become a
+        :class:`~repro.engine.scheduler.BatchSchedule`: the first task
+        of each affinity is its shape's representative (a *stitch* job
+        when it needs components), the rest its siblings — one
+        ``task_group`` unit when ``batched``, else one ``task`` each.
+        :class:`~.pipeline.PullLoop` gives every live worker a slot, so
+        ``compile`` and ``task``/``task_group`` ops interleave per
+        worker and execution streams while other shapes still compile.
 
-        Dead workers: the failing pull thread requeues its unit and
-        exits; the outer loop respawns pull threads over the survivors
-        while work remains and fails the batch only when no workers
-        are left (each failing round discards at least one worker).
-        Compile *failures* (budget) are not retried — the owning
-        shape's stitch job compiles inline and reports per answer.
+        Dead workers: a failed round-trip discards the worker and
+        raises :class:`~.pipeline.LostSlot`, which requeues its unit
+        and retires the slot; this loop reruns the driver over the
+        survivors while work remains and fails the batch only when no
+        workers are left.  Compile *failures* (budget) are not retried
+        — the owning shape's stitch job compiles inline and reports
+        per answer.
         """
         components = pipeline.get("components") or []
-        needs = pipeline.get("needs") or {}
         budget = pipeline.get("budget")
         # Per-op deadlines: compiles may run for the whole budget, and
         # stitch ops may compile inline after a failed component — both
         # get the stretched deadline.  A hung worker trips the deadline
-        # and flows into the requeue path below like any other death
-        # (the "heartbeat-detected death mid-stitch" case: the idle
-        # prober cannot see a busy link, so the dispatcher's deadline
-        # is what detects it).
+        # and flows into the requeue path like any other death (the
+        # idle prober cannot see a busy link, so the dispatcher's
+        # deadline is what detects it).
         op_deadline = deadline_for(self.op_timeout,
                                    budget_seconds=batch_budget)
 
-        reps: dict[str, dict] = {}
-        tails: dict[str, list[dict]] = {}
-        order: list[str] = []
+        shapes: dict[str, list[dict]] = {}
         for task in tasks:
             affinity = task.get("affinity") or f"task:{task['id']}"
-            if affinity not in reps:
-                reps[affinity] = task
-                order.append(affinity)
-            else:
-                tails.setdefault(affinity, []).append(task)
-
-        waiting: dict[str, set[int]] = {}
-        dependents: dict[int, list[str]] = {}
-        for affinity in order:
-            indexes = needs.get(affinity)
-            if not indexes:
-                continue
-            remaining = {
-                index for index in indexes if 0 <= index < len(components)
-            }
-            if not remaining:
-                continue
-            waiting[affinity] = remaining
-            for index in sorted(remaining):
-                dependents.setdefault(index, []).append(affinity)
-
-        state = threading.Condition()
-        compile_queue: deque[int] = deque(
-            index for index in range(len(components)) if index in dependents
+            shapes.setdefault(affinity, []).append(task)
+        schedule = BatchSchedule(
+            [(affinity, rep, [siblings] if batched and len(siblings) > 1
+              else siblings)
+             for affinity, (rep, *siblings) in shapes.items()],
+            pipeline.get("needs") or {}, len(components),
         )
-        ready: deque[tuple] = deque()
-        for affinity in order:
-            if affinity not in waiting:
-                ready.append(("rep", affinity, False))
-        results: dict[int, EngineResult] = {}
-        compile_spans: list[tuple[float, float]] = []
-        exec_spans: list[tuple[float, float]] = []
-        inflight = [0]  # units a pull thread holds outside the queues
-        compiling = [0]  # of which, component compiles
-        compile_cap = [1]  # rebound per round to live workers - 1
 
-        def tail_units(affinity: str) -> list[tuple]:
-            siblings = tails.get(affinity, [])
-            if not siblings:
-                return []
-            if batched and len(siblings) > 1:
-                return [("group", affinity, siblings)]
-            return [("single", affinity, task) for task in siblings]
-
-        def execute(worker: _WorkerLink, unit: tuple) -> None:
-            """One unit round-trip plus its completion bookkeeping."""
-            kind = unit[0]
-            started = time.perf_counter()
-            if kind == "compile":
-                index = unit[1]
+        def run_unit(worker: _WorkerLink, unit: Unit):
+            if unit.kind == "compile":
                 reply = worker.request({
                     "op": "compile",
-                    "id": f"component:{index}",
-                    "key": components[index]["key"],
+                    "id": f"component:{unit.item}",
+                    "key": components[unit.item]["key"],
                     "budget": budget,
-                }, timeout=deadline_for(self.op_timeout,
-                                        budget_seconds=_budget_seconds(budget))
-                   if budget is not None else op_deadline)
-                finished = time.perf_counter()
+                }, timeout=op_deadline)
                 if reply.get("op") != "compiled":
-                    raise ConnectionError(
-                        f"worker {worker.peer} answered out of protocol"
-                    )
-                with state:
-                    compile_spans.append((started, finished))
-                    for affinity in dependents.get(index, ()):
-                        remaining = waiting.get(affinity)
-                        if remaining is None:
-                            continue
-                        remaining.discard(index)
-                        if not remaining:
-                            del waiting[affinity]
-                            ready.append(("rep", affinity, True))
-                return
-            if kind == "rep" or kind == "single":
-                gated = unit[2] is True if kind == "rep" else False
-                task = reps[unit[1]] if kind == "rep" else unit[2]
-                request = {
-                    "op": "task",
-                    "id": task["id"],
+                    raise ConnectionError("answered out of protocol")
+                return bool(reply.get("compiled"))
+            if isinstance(unit.item, list):
+                group = unit.item
+                reply = worker.request({
+                    "op": "task_group",
                     "engine": engine,
-                    "circuit": task["circuit"],
-                    "players": task["players"],
-                    "options": task["options"],
-                }
-                if gated:
-                    request["stitch"] = True
-                reply = worker.request(request, timeout=op_deadline)
-                finished = time.perf_counter()
-                if (reply.get("op") != "result"
-                        or reply.get("id") != task["id"]):
-                    raise ConnectionError(
-                        f"worker {worker.peer} answered out of protocol"
-                    )
-                with state:
-                    exec_spans.append((started, finished))
-                    results[task["id"]] = reply["result"]
-                    if kind == "rep":
-                        ready.extend(tail_units(unit[1]))
-                return
-            # kind == "group"
-            group = unit[2]
-            reply = worker.request({
-                "op": "task_group",
+                    "tasks": [
+                        {key: task[key] for key in
+                         ("id", "circuit", "players", "options")}
+                        for task in group
+                    ],
+                }, timeout=deadline_for(self.op_timeout,
+                                        budget_seconds=batch_budget,
+                                        items=len(group)))
+                replies = reply.get("results")
+                if (reply.get("op") != "result_group"
+                        or not isinstance(replies, dict)
+                        or set(replies) != {task["id"] for task in group}):
+                    raise ConnectionError("answered out of protocol")
+                return replies
+            task = unit.item
+            request = {
+                "op": "task",
+                "id": task["id"],
                 "engine": engine,
-                "tasks": [
-                    {key: task[key] for key in
-                     ("id", "circuit", "players", "options")}
-                    for task in group
-                ],
-            }, timeout=deadline_for(self.op_timeout,
-                                    budget_seconds=batch_budget,
-                                    items=len(group)))
-            finished = time.perf_counter()
-            replies = reply.get("results")
-            if (reply.get("op") != "result_group"
-                    or not isinstance(replies, dict)
-                    or set(replies) != {task["id"] for task in group}):
-                raise ConnectionError(
-                    f"worker {worker.peer} answered out of protocol"
-                )
-            with state:
-                exec_spans.append((started, finished))
-                results.update(replies)
+                "circuit": task["circuit"],
+                "players": task["players"],
+                "options": task["options"],
+            }
+            reply = worker.request(request, timeout=op_deadline)
+            if reply.get("op") != "result" or reply.get("id") != task["id"]:
+                raise ConnectionError("answered out of protocol")
+            return {task["id"]: reply["result"]}
 
-        def pull(worker: _WorkerLink) -> None:
-            while True:
-                with state:
-                    while True:
-                        # Compiles first (critical-path order), but
-                        # never with the whole fleet at once while
-                        # execution-ready units exist — otherwise a
-                        # compile backlog longer than the fleet turns
-                        # the pipeline back into a barrier.
-                        if compile_queue and (
-                                not ready or compiling[0] < compile_cap[0]):
-                            unit = ("compile", compile_queue.popleft())
-                            break
-                        if ready:
-                            unit = ready.popleft()
-                            break
-                        if inflight[0] == 0:
-                            return  # no work left anywhere: batch done
-                        state.wait()
-                    inflight[0] += 1
-                    if unit[0] == "compile":
-                        compiling[0] += 1
-                try:
-                    execute(worker, unit)
-                except Exception:
-                    # Requeue the unit for a survivor, then drop the
-                    # worker.  Order matters for the lock graph: the
-                    # state condition is never held across
-                    # _discard_worker (which takes self._cond).
-                    with state:
-                        if unit[0] == "compile":
-                            compile_queue.appendleft(unit[1])
-                            compiling[0] -= 1
-                        else:
-                            ready.appendleft(unit)
-                        inflight[0] -= 1
-                        state.notify_all()
-                    self._discard_worker(worker)
-                    return
-                with state:
-                    inflight[0] -= 1
-                    if unit[0] == "compile":
-                        compiling[0] -= 1
-                    state.notify_all()
+        def execute(worker: _WorkerLink, unit: Unit):
+            try:
+                return run_unit(worker, unit)
+            except Exception as error:
+                # The loop holds no lock while a unit executes, so
+                # _discard_worker (which takes self._cond) adds no
+                # lock-order edge.
+                self._discard_worker(worker)
+                raise LostSlot(f"worker {worker.peer}: {error}") from error
 
-        while True:
-            with state:
-                if not compile_queue and not ready and inflight[0] == 0:
-                    break
+        loop = PullLoop(schedule, execute)
+        while not schedule.done:
             with self._cond:
                 workers = [w for w in self._workers if w.alive]
             if not workers:
-                with state:
-                    remaining = (len(compile_queue) + len(ready)
-                                 + inflight[0])
                 raise _BatchFailed(
-                    f"no live workers for {remaining} pipelined unit(s)"
+                    "no live workers left for the rest of the batch"
                 )
-            with state:
-                compile_cap[0] = max(1, len(workers) - 1)
-            threads = [
-                threading.Thread(target=pull, args=(worker,), daemon=True)
-                for worker in workers
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            loop.run(workers)
 
-        # Mutated under _batch_lock only (one batch at a time), so no
-        # extra lock is needed here.
-        self._pipeline_overlap_total += interval_overlap(
-            compile_spans, exec_spans
-        )
-        return results
+        totals = self._pipeline_totals
+        totals["pipeline_overlap_seconds"] += loop.overlap_seconds
+        totals["component_pass_compiles"] += loop.compiles
+        totals["stitch_jobs"] += loop.stitches
+        return loop.results
 
     def _collect_stats(self) -> tuple[dict[str, float], int]:
         """Sum every live worker's cache counters (best-effort).

@@ -1,29 +1,34 @@
-"""Local transports: a shared thread pool and a persistent process pool.
+"""Local transports: slot threads in this process, or a persistent
+process pool.
 
-Both run every batch through one schedule,
-:func:`~repro.engine.service.pipeline.run_pipelined`: component
-compiles, then each shape's representative once its components have
-landed, then the shape's sibling groups.  Both keep their executor
-alive across batches (created lazily on the first batch, released by
-:meth:`close`), which removes the per-call pool start-up and — for
-processes — keeps each worker's per-process artifact cache warm
-between ``explain_many`` calls.
+Both run every batch through the one pull-loop driver,
+:class:`~repro.engine.service.pipeline.PullLoop`, over the plan's
+:class:`~repro.engine.scheduler.BatchSchedule`: component compiles,
+then each shape's representative once its components have landed,
+then the shape's sibling groups.  A batch gets one slot per unit of
+width.  The thread transport's slots call the engine directly against
+the session's in-memory cache; the process transport's slots each
+block on one task of a persistent process pool (created lazily on the
+first batch, released by :meth:`close`), which keeps each worker's
+per-process artifact cache warm between ``explain_many`` calls.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from typing import Callable
 
 from ...circuits.circuit import Circuit
 from ...compiler.knowledge import compile_component
 from ..base import EngineOptions, EngineResult
 from ..cache import ArtifactCache
 from ..registry import get_engine
-from ..scheduler import BatchPlan, Job
+from ..scheduler import BatchPlan, BatchSchedule, Unit
 from ..store import PersistentArtifactStore
 from .base import Transport
-from .pipeline import PipelineOutcome, run_pipelined, timed_compile
+from .pipeline import PullLoop
 
 #: Per-process artifact cache of pool workers, keyed by store directory
 #: (None = no persistent store).  Lives for the worker's lifetime so
@@ -40,34 +45,18 @@ def _worker_cache(store_dir: str | None) -> ArtifactCache:
     return cache
 
 
-def _process_explain(
-    engine_name: str,
-    circuit: Circuit,
-    players: list,
-    options: EngineOptions,
-    store_dir: str | None,
-) -> EngineResult:
-    """Top-level body of one :class:`ProcessPoolTransport` task.
-
-    Runs in a pool worker: rebuilds a per-process cache over the shared
-    store directory (cache handles are not picklable, so the parent
-    ships only the directory path) and dispatches through the registry.
-    """
-    cache = _worker_cache(store_dir)
-    options = options.with_(cache=cache)
-    return get_engine(engine_name).explain_circuit(circuit, players, options)
-
-
 def _process_explain_group(
     engine_name: str,
     requests: list[tuple[Circuit, list, EngineOptions]],
     store_dir: str | None,
 ) -> list[EngineResult]:
-    """Top-level body of one batched :class:`ProcessPoolTransport` task.
+    """Top-level body of one :class:`ProcessPoolTransport` task.
 
-    The whole same-shape group runs in one pool worker through the
-    engine's ``explain_batch`` — one shared sweep and one task
-    round-trip instead of one per answer."""
+    Runs in a pool worker: rebuilds a per-process cache over the shared
+    store directory (cache handles are not picklable, so the parent
+    ships only the directory path) and runs the unit's jobs through
+    the engine's ``explain_batch`` — a same-shape group shares one
+    sweep and one task round-trip."""
     cache = _worker_cache(store_dir)
     prepared = [
         (circuit, players, options.with_(cache=cache))
@@ -76,27 +65,15 @@ def _process_explain_group(
     return get_engine(engine_name).explain_batch(prepared)
 
 
-def _process_compile_component(
-    key, store_dir: str | None, budget
-) -> tuple[bool, float]:
+def _process_compile_component(key, store_dir: str | None, budget) -> bool:
     """Top-level body of one component-compile task.
 
     Runs in a pool worker over the shared store: a published component
     lands in the ``.comp`` store tier, where every other worker's (and
-    the parent's) stitch jobs find it.  Returns ``(compiled,
-    seconds)``."""
+    the parent's) stitch jobs find it.  Returns whether it compiled
+    (a memo or store hit does not)."""
     cache = _worker_cache(store_dir)
-    return timed_compile(
-        lambda: compile_component(key, cache.component_memo(), budget=budget)
-    )
-
-
-def _explain_group(engine, jobs: list[Job]) -> list[EngineResult]:
-    """In-process body of one batched group: engine.explain_batch over
-    the group's jobs, results in job order."""
-    return engine.explain_batch(
-        [(job.circuit, job.players, job.options) for job in jobs]
-    )
+    return compile_component(key, cache.component_memo(), budget=budget)
 
 
 def _plan_cache(plan: BatchPlan) -> ArtifactCache | None:
@@ -110,64 +87,69 @@ def _plan_cache(plan: BatchPlan) -> ArtifactCache | None:
     return None
 
 
-def _record_pipeline(plan: BatchPlan, outcome: PipelineOutcome) -> None:
+def _run_plan(
+    plan: BatchPlan,
+    width: int,
+    compile_key: Callable[[object], bool],
+    explain: Callable[[list[tuple]], list[EngineResult]],
+) -> dict[int, EngineResult]:
+    """Drive ``plan`` on ``width`` slots: ``compile_key`` compiles one
+    component key, ``explain`` runs a unit's ``(circuit, players,
+    options)`` requests through ``explain_batch``, results in order."""
+    pipeline = plan.pipeline
+    keys = [c.key for c in pipeline.components] if pipeline else []
+    needs = pipeline.needs if pipeline is not None else {}
+    # Affinities only look up ``needs``: hashed once per representative,
+    # and only when the plan has component compiles.
+    schedule = BatchSchedule(
+        [(rep.affinity() if needs and rep is not None else None, rep, groups)
+         for rep, groups in plan.shapes()],
+        needs, len(keys),
+    )
+
+    def execute(slot, unit: Unit):
+        if unit.kind == "compile":
+            return compile_key(keys[unit.item])
+        # a sibling unit is one of the plan's groups
+        jobs = [unit.item] if unit.kind == "rep" else unit.item
+        results = explain(
+            [(job.circuit, job.players, job.options) for job in jobs])
+        return {job.index: result for job, result in zip(jobs, results)}
+
+    loop = PullLoop(schedule, execute)
+    loop.run(range(width))
     cache = _plan_cache(plan)
-    if cache is not None and plan.pipeline is not None:
+    if cache is not None and pipeline is not None:
         cache.record_pipeline(
-            overlap_seconds=outcome.overlap_seconds,
-            compiles=outcome.compiles,
-            stitches=outcome.stitches,
+            overlap_seconds=loop.overlap_seconds,
+            compiles=loop.compiles,
+            stitches=loop.stitches,
         )
+    return loop.results
 
 
 class InProcessTransport(Transport):
-    """Thread-pool execution against the session's in-memory cache."""
+    """Slot threads running the engine against the session's in-memory
+    cache: ``max_workers`` slots (default as a thread pool's,
+    ``min(32, cpus + 4)``) that live for one batch."""
 
     kind = "thread"
 
     def __init__(self, max_workers: int | None = None) -> None:
         super().__init__()
         self.max_workers = max_workers
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="repro-explain",
-            )
-        return self._pool
 
     def run_batch(self, plan: BatchPlan) -> dict[int, EngineResult]:
         engine = get_engine(plan.engine)
-        pool = self._ensure_pool()
         cache = _plan_cache(plan)
         budget = plan.compilation_budget()
-        outcome = run_pipelined(
+        return _run_plan(
             plan,
-            submit_compile=lambda component: pool.submit(
-                timed_compile,
-                lambda key=component.key: compile_component(
-                    key, cache.component_memo(), budget=budget
-                ),
-            ),
-            submit_job=lambda job: pool.submit(
-                engine.explain_circuit, job.circuit, job.players, job.options,
-            ),
-            submit_group=lambda group: pool.submit(
-                _explain_group, engine, group
-            ),
-            # Leave one pool slot for execution-ready work so the
-            # compile backlog cannot monopolize the pool.
-            max_inflight_compiles=pool._max_workers - 1,
+            self.max_workers or min(32, (os.cpu_count() or 1) + 4),
+            lambda key: compile_component(
+                key, cache.component_memo(), budget=budget),
+            engine.explain_batch,
         )
-        _record_pipeline(plan, outcome)
-        return outcome.outcomes
-
-    def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
 
 
 class ProcessPoolTransport(Transport):
@@ -192,9 +174,14 @@ class ProcessPoolTransport(Transport):
         self.store_dir = store_dir
         self._pool: ProcessPoolExecutor | None = None
 
+    @property
+    def width(self) -> int:
+        """Pool processes, and slots per batch."""
+        return self.max_workers or os.cpu_count() or 1
+
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self._pool = ProcessPoolExecutor(max_workers=self.width)
         return self._pool
 
     def run_batch(self, plan: BatchPlan) -> dict[int, EngineResult]:
@@ -216,41 +203,31 @@ class ProcessPoolTransport(Transport):
         pool = self._ensure_pool()
         budget = plan.compilation_budget()
 
-        def submit_job(job: Job) -> Future:
-            portable = job.portable()
+        def explain(requests: list[tuple]) -> list[EngineResult]:
+            # Handles and caches are process-local: workers attach
+            # their own over the store directory.
+            portable = [
+                (circuit, players, options.with_(cache=None, artifacts=None))
+                for circuit, players, options in requests
+            ]
             return pool.submit(
-                _process_explain, plan.engine, portable.circuit,
-                portable.players, portable.options, self.store_dir,
-            )
-
-        def submit_group(group: list[Job]) -> Future:
-            portables = [job.portable() for job in group]
-            return pool.submit(
-                _process_explain_group, plan.engine,
-                [(p.circuit, p.players, p.options) for p in portables],
+                _process_explain_group, plan.engine, portable,
                 self.store_dir,
-            )
+            ).result()
 
         try:
-            outcome = run_pipelined(
-                plan,
-                submit_compile=lambda component: pool.submit(
-                    _process_compile_component, component.key,
-                    self.store_dir, budget,
-                ),
-                submit_job=submit_job,
-                submit_group=submit_group,
-                # Leave one worker for execution-ready work so the
-                # compile backlog cannot monopolize the pool.
-                max_inflight_compiles=pool._max_workers - 1,
+            return _run_plan(
+                plan, self.width,
+                lambda key: pool.submit(
+                    _process_compile_component, key, self.store_dir, budget,
+                ).result(),
+                explain,
             )
         except BrokenProcessPool:
             # A dead worker poisons the whole executor; drop it so the
             # next batch gets a fresh pool instead of failing forever.
             self._pool = None
             raise
-        _record_pipeline(plan, outcome)
-        return outcome.outcomes
 
     def close(self) -> None:
         pool, self._pool = self._pool, None

@@ -1,24 +1,20 @@
-"""The one batch schedule of the local transports.
+"""The one pull-loop driver every transport runs a batch through.
 
-:func:`run_pipelined` drives a :class:`~repro.engine.scheduler.BatchPlan`
-as a dependency loop:
+:class:`PullLoop` drives a :class:`~repro.engine.scheduler.BatchSchedule`
+with one thread per *slot* — a pool width's worth of local slots, or
+one live socket worker each.  Every slot thread repeats
+``take → execute(slot, unit) → finish`` until the schedule is done:
+component compiles first (in the plan's critical-path order), a shape's
+representative once the components it needs have landed, its sibling
+units once the representative has finished — while other shapes are
+still compiling.  The transports only supply ``execute``: the thread
+transport calls the engine, the process transport blocks on its pool's
+future, the coordinator sends one wire op.
 
-1. every fleet-deduplicated component compile of ``plan.pipeline`` is
-   submitted, in the plan's critical-path order;
-2. a shape's representative is submitted the moment the last component
-   it needs lands — at once when it needs none (warm shapes, shapes
-   too small to memoize, or ``plan.pipeline is None``);
-3. the moment a representative lands, the shape's sibling answers
-   dispatch down the batched path — while other shapes are still
-   compiling.  Groups of shapes without a representative (sampling
-   engines, which do not deduplicate) start at once.
-
-The harness is executor-agnostic: callers provide three submit
-callbacks (component compile, single job, job group) returning
-futures, so the same loop drives a thread pool and a process pool.
-One caller thread processes completions — there is no shared mutable
-state and therefore no locking (the REP004 lock-order graph gains no
-nodes here).
+The schedule is touched only under the loop's condition, and
+``execute`` always runs outside it, so a transport may take its own
+locks there (the coordinator discards dead workers from ``execute``;
+the REP004 lock-order graph gains no edge).
 
 Determinism: the loop orders *wall-clock* only.  Component compiles
 are byte-identical to the ones a representative would have performed
@@ -27,23 +23,22 @@ publishes are idempotent, and every shape runs its representative
 before its siblings — so Fractions are byte-identical to per-answer
 execution.
 
-Failure semantics: a failed component compile (budget, bug) is marked
-done anyway — the owning shape's representative then compiles the
-component inline and reports per-answer status.  A failed
-representative or group future aborts the batch: outstanding futures
-are cancelled and the error propagates.
+Failure semantics: a compile that raises is finished anyway — the
+owning shape's representative then compiles the component inline and
+reports per-answer status.  A representative or sibling unit that
+raises aborts the batch: the slots stop taking units and
+:meth:`PullLoop.run` re-raises the error.  :class:`LostSlot` instead
+requeues the unit and retires only its slot, for a survivor to run.
 """
 
 from __future__ import annotations
 
-import queue
+import threading
 import time
-from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..base import EngineResult
-from ..scheduler import BatchPlan, ComponentJob, Job
+from ..scheduler import BatchSchedule, Unit
 
 Span = tuple[float, float]
 
@@ -110,190 +105,101 @@ def deadline_for(
     return max(base, deadline)
 
 
-def timed_compile(compile_fn: Callable[[], bool]) -> tuple[bool, float]:
-    """Run one component compile and measure it: ``(compiled,
-    seconds)``.  The standard body of a compile task; the seconds feed
-    ``pipeline_overlap_seconds``."""
-    started = time.perf_counter()
-    compiled = compile_fn()
-    return compiled, time.perf_counter() - started
+class LostSlot(Exception):
+    """Raised by ``execute`` when its slot can run no more units (a
+    socket worker's link died): the unit goes back to the schedule
+    and the slot retires."""
 
 
-@dataclass
-class PipelineOutcome:
-    """What one batch actually did, for the stats plumbing."""
+class PullLoop:
+    """Drive one :class:`~repro.engine.scheduler.BatchSchedule` with
+    one thread per slot.
 
-    outcomes: dict[int, EngineResult] = field(default_factory=dict)
-    #: Standalone compiles the component pass performed (memo/store
-    #: hits excluded).
-    compiles: int = 0
-    #: Stitch jobs dispatched (shape representatives that had compile
-    #: dependencies).
-    stitches: int = 0
-    #: Union-interval intersection of compile and execute activity.
-    overlap_seconds: float = 0.0
-
-
-def run_pipelined(
-    plan: BatchPlan,
-    submit_compile: Callable[[ComponentJob], Future],
-    submit_job: Callable[[Job], Future],
-    submit_group: Callable[[list[Job]], Future],
-    max_inflight_compiles: int | None = None,
-) -> PipelineOutcome:
-    """Drive one batch through the dependency loop.
-
-    ``submit_compile(component)`` must return a future resolving to
-    ``(compiled, seconds)`` (see :func:`timed_compile`);
-    ``submit_job(job)`` one resolving to an :class:`EngineResult`;
-    ``submit_group(jobs)`` one resolving to a list of results in job
-    order.  Completions are processed on the calling thread.
-
-    ``max_inflight_compiles`` bounds how many component compiles are
-    submitted at once.  Against a FIFO executor this is what makes the
-    pipeline actually pipeline: with more components than pool slots,
-    submitting every compile up front parks ready stitches behind the
-    whole compile backlog — a barrier in disguise.  Transports pass
-    ``pool width - 1`` so one slot always drains execution-ready work;
-    ``None`` keeps the submit-everything behaviour.
+    ``execute(slot, unit)`` runs one unit: a compile unit returns
+    whether it compiled anything (memo and store hits return false),
+    a representative or sibling unit returns ``{job index: result}``.
+    The loop measures every unit's span and keeps the batch's
+    counters: ``compiles`` (standalone component compiles),
+    ``stitches`` (representatives that waited on compiles) and
+    :attr:`overlap_seconds`.  :meth:`run` may be called again with
+    fresh slots while the schedule is not done (the coordinator does,
+    over the workers that survived).
     """
-    pipeline = plan.pipeline
-    components = pipeline.components if pipeline is not None else []
-    needs = pipeline.needs if pipeline is not None else {}
-    outcome = PipelineOutcome()
-    compile_spans: list[Span] = []
-    execute_spans: list[Span] = []
 
-    # Shape bookkeeping: which component indexes each gated shape still
-    # waits for, and which shapes wait on each component index.
-    waiting: dict[str, set[int]] = {}
-    dependents: dict[int, list[str]] = {}
-    rep_for: dict[str, Job] = {}
-    tails: dict[str, list[list[Job]]] = {}
-    for rep in plan.warm_wave:
-        rep_for.setdefault(rep.affinity(), rep)
-    for group in plan.groups:
-        tails.setdefault(group[0].affinity(), []).append(group)
-    for affinity, indexes in needs.items():
-        if affinity not in rep_for:
-            continue
-        remaining = set(indexes)
-        if not remaining:
-            continue
-        waiting[affinity] = remaining
-        for index in indexes:
-            dependents.setdefault(index, []).append(affinity)
+    def __init__(
+        self,
+        schedule: BatchSchedule,
+        execute: Callable[[object, Unit], bool | Mapping[int, EngineResult]],
+    ) -> None:
+        self.schedule = schedule
+        self.execute = execute
+        self.results: dict[int, EngineResult] = {}
+        self.compiles = 0
+        self.stitches = 0
+        self._compile_spans: list[Span] = []
+        self._execute_spans: list[Span] = []
+        self._cond = threading.Condition()
+        self._error: BaseException | None = None
 
-    # Completions arrive through a queue (futures' done-callbacks put
-    # themselves), so each one costs O(1) however many are in flight.
-    pending: dict[Future, tuple] = {}
-    completed: queue.SimpleQueue[Future] = queue.SimpleQueue()
+    @property
+    def overlap_seconds(self) -> float:
+        """Seconds during which a compile ran while a representative
+        or sibling unit ran (see :func:`interval_overlap`)."""
+        return interval_overlap(self._compile_spans, self._execute_spans)
 
-    def track(future: Future, tag: tuple) -> None:
-        pending[future] = tag
-        future.add_done_callback(completed.put)
+    def run(self, slots: Iterable[object]) -> None:
+        """Pull until the schedule is done or every slot retired;
+        re-raises the error of a failed representative or sibling
+        unit."""
+        threads = [
+            threading.Thread(target=self._pull, args=(slot,),
+                             name="repro-slot", daemon=True)
+            for slot in slots
+        ]
+        self.schedule.width = len(threads)  # no slot thread runs yet
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if self._error is not None:
+            raise self._error
 
-    def start_rep(affinity: str, gated: bool) -> None:
-        rep = rep_for[affinity]
-        if gated:
-            outcome.stitches += 1
-        track(submit_job(rep), ("rep", rep, affinity))
-
-    def start_tails(affinity: str) -> None:
-        for group in tails.get(affinity, ()):
-            if plan.batched:
-                track(submit_group(group), ("group", group))
-            else:
-                for job in group:
-                    track(submit_job(job), ("job", job))
-
-    # Compiles are released in critical-path order through a bounded
-    # window (see ``max_inflight_compiles``): the window fills first,
-    # then each completion hands its slot to the next queued compile —
-    # *after* any stitch it unlocked, so execution-ready work sits
-    # ahead of the replacement compile in a FIFO executor's queue.
-    compile_backlog = [
-        (index, component)
-        for index, component in enumerate(components)
-        if index in dependents
-    ]
-    compile_backlog.reverse()  # pop() yields critical-path order
-    window = (len(compile_backlog) if max_inflight_compiles is None
-              else max(1, max_inflight_compiles))
-    inflight_compiles = 0
-
-    def feed_compiles() -> None:
-        nonlocal inflight_compiles
-        while compile_backlog and inflight_compiles < window:
-            index, component = compile_backlog.pop()
-            inflight_compiles += 1
-            track(submit_compile(component), ("compile", index))
-
-    feed_compiles()
-    for rep in plan.warm_wave:
-        affinity = rep.affinity()
-        if rep_for[affinity] is rep and affinity not in waiting:
-            start_rep(affinity, gated=False)
-    for affinity in tails:
-        if affinity not in rep_for:
-            start_tails(affinity)
-
-    try:
-        while pending:
-            future = completed.get()
-            tag = pending.pop(future)
-            now = time.perf_counter()
-            if tag[0] == "compile":
-                _, index = tag
-                inflight_compiles -= 1
-                try:
-                    compiled, seconds = future.result()
-                except Exception:
-                    # The owning shapes' representatives compile
-                    # the component inline and surface the real
-                    # error per answer.
-                    compiled, seconds = False, 0.0
-                if compiled:
-                    outcome.compiles += 1
-                if seconds > 0.0:
-                    compile_spans.append((now - seconds, now))
-                for affinity in dependents.get(index, ()):
-                    remaining = waiting.get(affinity)
-                    if remaining is None:
-                        continue
-                    remaining.discard(index)
-                    if not remaining:
-                        del waiting[affinity]
-                        start_rep(affinity, gated=True)
-                feed_compiles()
-            elif tag[0] == "rep":
-                _, rep, affinity = tag
-                result = future.result()
-                outcome.outcomes[rep.index] = result
-                seconds = getattr(result, "seconds", 0.0) or 0.0
-                if seconds > 0.0:
-                    execute_spans.append((now - seconds, now))
-                start_tails(affinity)
-            elif tag[0] == "group":
-                _, group = tag
-                results = future.result()
-                seconds = 0.0
-                for job, result in zip(group, results):
-                    outcome.outcomes[job.index] = result
-                    seconds += getattr(result, "seconds", 0.0) or 0.0
-                if seconds > 0.0:
-                    execute_spans.append((now - seconds, now))
-            else:  # "job"
-                _, job = tag
-                result = future.result()
-                outcome.outcomes[job.index] = result
-                seconds = getattr(result, "seconds", 0.0) or 0.0
-                if seconds > 0.0:
-                    execute_spans.append((now - seconds, now))
-    except BaseException:
-        for future in pending:
-            future.cancel()
-        raise
-
-    outcome.overlap_seconds = interval_overlap(compile_spans, execute_spans)
-    return outcome
+    def _pull(self, slot: object) -> None:
+        schedule = self.schedule
+        while True:
+            with self._cond:
+                while True:
+                    if self._error is not None:
+                        return
+                    unit = schedule.take()
+                    if unit is not None:
+                        break
+                    if not schedule.running:
+                        return  # nothing queued, nothing running: done
+                    self._cond.wait()
+            started = time.perf_counter()
+            try:
+                outcome = self.execute(slot, unit)
+            except LostSlot:
+                with self._cond:
+                    schedule.requeue(unit)
+                    self._cond.notify_all()
+                return
+            except BaseException as error:
+                if unit.kind != "compile" or not isinstance(error, Exception):
+                    with self._cond:
+                        self._error = self._error or error  # the first
+                        self._cond.notify_all()
+                    return
+                outcome = False  # the representative compiles inline
+            finished = time.perf_counter()
+            with self._cond:
+                if unit.kind == "compile":
+                    self._compile_spans.append((started, finished))
+                    self.compiles += bool(outcome)
+                else:
+                    self._execute_spans.append((started, finished))
+                    self.results.update(outcome)
+                    self.stitches += unit.gated
+                schedule.finish(unit)
+                self._cond.notify_all()

@@ -208,14 +208,11 @@ def _compile(cache: ArtifactCache, message: dict) -> tuple[bool, bool]:
     reports the real error per answer.
     """
     try:
-        compiled = compile_component(
+        return compile_component(
             message["key"],
             cache.component_memo(),
             budget=message.get("budget"),
-        )
-        if compiled:
-            cache.record_pipeline(compiles=1)
-        return compiled, True
+        ), True
     except Exception:
         return False, False
 
@@ -258,10 +255,6 @@ def _execute(cache: ArtifactCache, message: dict) -> EngineResult:
     try:
         engine = get_engine(engine_name)
         options = message["options"].with_(cache=cache)
-        if message.get("stitch"):
-            # A gated shape representative: its components are
-            # already compiled, so this task is pure stitching.
-            cache.record_pipeline(stitches=1)
         return engine.explain_circuit(
             message["circuit"], message["players"], options
         )

@@ -12,10 +12,12 @@ scheduler/service layer: :func:`~repro.engine.scheduler.plan_batch`
 groups answers by canonical shape, picks one representative per shape
 and plans the batch's distinct component compiles, and a
 :class:`~repro.engine.service.Transport` executes the plan.  Every
-transport runs the same schedule: component compiles, then each
+transport runs the same schedule, a
+:class:`~repro.engine.scheduler.BatchSchedule` pulled by one slot per
+unit of pool width or per socket worker: component compiles, then each
 representative once its components have landed, then its shape's
-sibling groups.  After the batch, each swept shape's values are
-published on its cache entry once, so reuse is scoped to later batches
+sibling groups.  After the batch, each swept shape publishes its
+values on its cache entry once, so reuse is scoped to later batches
 without any per-batch bookkeeping in the transports.  Per-tuple
 budget/timeout outcomes are preserved: each answer gets its own
 :class:`~repro.engine.base.EngineResult` with its own status, exactly
@@ -26,7 +28,7 @@ session, reused across ``explain_many`` calls, released by
 :meth:`close` or by leaving the session's ``with`` block):
 
 * ``"thread"`` (default) —
-  :class:`~repro.engine.service.InProcessTransport`, a thread pool
+  :class:`~repro.engine.service.InProcessTransport`, slot threads
   sharing the session's in-memory cache;
 * ``"process"`` — :class:`~repro.engine.service.ProcessPoolTransport`,
   a *persistent* :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
+from itertools import chain
 from typing import Hashable, Sequence
 
 from ..circuits.circuit import Circuit
@@ -62,7 +65,7 @@ from ..compiler.knowledge import compile_component
 from .base import EngineOptions, EngineResult, derive_answer_seed
 from .cache import ArtifactCache
 from .registry import get_engine
-from .scheduler import Job, artifact_component_planner, plan_batch
+from .scheduler import BatchPlan, Job, artifact_component_planner, plan_batch
 from .service import (
     InProcessTransport,
     ProcessPoolTransport,
@@ -169,7 +172,7 @@ class ExplainSession:
     def close(self) -> None:
         """Shut down every transport this session created (idempotent).
 
-        Thread and process pools are joined; the socket transport's
+        The process pool is joined; the socket transport's
         coordinator and workers live in their own processes and are
         *not* stopped — they are shared infrastructure.
         """
@@ -285,7 +288,7 @@ class ExplainSession:
                 self._remote_workers = getattr(transport, "remote_workers", 0)
             self._unique_shapes += plan.n_shapes
             if reuse:
-                self._publish(pending, outcomes)
+                self._publish(plan, outcomes)
         self._answers_explained += len(jobs)
         return {job.answer: outcomes[job.index] for job in jobs}
 
@@ -323,20 +326,20 @@ class ExplainSession:
         return served
 
     @staticmethod
-    def _publish(
-        jobs: list[Job], outcomes: dict[int, EngineResult]
-    ) -> None:
+    def _publish(plan: BatchPlan, outcomes: dict[int, EngineResult]) -> None:
         """Publish each swept shape's values once, for later batches.
 
-        The handle checks whether its shape is already published before
-        it builds the canonical tuple, so siblings cost one lookup.
+        The shape's first answer that came back ok publishes, so a
+        shape whose values break the efficiency axiom is refused (and
+        counted) once per batch, however many answers it has.
         """
-        for job in jobs:
-            result = outcomes[job.index]
-            detail = result.detail
-            if result.ok and isinstance(detail, ExactOutcome):
-                job.options.artifacts.publish_shapley_values(
-                    result.values, detail.stats)
+        for rep, groups in plan.shapes():
+            for job in chain([rep], *groups):
+                result = outcomes[job.index]
+                if result.ok and isinstance(result.detail, ExactOutcome):
+                    job.options.artifacts.publish_shapley_values(
+                        result.values, result.detail.stats)
+                    break
 
     def warm_ahead(
         self,

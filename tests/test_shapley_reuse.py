@@ -30,7 +30,7 @@ from repro.workloads.flights import flights_database, flights_query
 from repro.workloads.synthetic import chained_dnf
 
 from .test_batched import _fleet
-from .test_store import JOIN_QUERY
+from .test_store import JOIN_QUERY, join_database
 
 SWEEP_KEYS = ("fastpath_hits", "fastpath_fallbacks")
 
@@ -211,6 +211,33 @@ class TestSessionReuse:
         assert last["invariant_violations"] == 1
         assert items_of(reused) == items_of(swept)
         assert items_of(swept) == items_of(uncached(db, query))
+
+    def test_a_refused_shape_counts_once_for_all_its_answers(
+        self, monkeypatch
+    ):
+        # Four answers of one shape, every one of them inflated on the
+        # per-answer and the batched sweep: the shape publishes once
+        # per batch, so its refusal counts one violation, not four.
+        db = join_database(4, 2)
+        real = pipeline_module.shapley_all_facts
+        real_batched = pipeline_module.shapley_all_facts_batched
+
+        def bump(values):
+            values[next(iter(values))] += 1
+            return values
+
+        monkeypatch.setattr(
+            pipeline_module, "shapley_all_facts",
+            lambda *args, **kwargs: bump(real(*args, **kwargs)))
+        monkeypatch.setattr(
+            pipeline_module, "shapley_all_facts_batched",
+            lambda *args, **kwargs: [
+                bump(values) for values in real_batched(*args, **kwargs)])
+        with ExplainSession(db, method="exact") as session:
+            results = session.explain_many(JOIN_QUERY)
+            stats = session.stats
+        assert len(results) == 4 and stats["unique_shapes"] == 1
+        assert stats["invariant_violations"] == 1
 
 
 class TestDirectCalls:
