@@ -696,7 +696,7 @@ def plan_components(
     Splits ``cnf`` through the same helper as :meth:`_Compiler.run`, so
     a *component pass* that compiles every returned key into a shared
     memo guarantees the later full compile of ``cnf`` is pure stitching
-    (every memo lookup hits).  Keys are returned deduplicated, in
+    (every memo lookup hits).  Keys are returned once each, in
     first-occurrence order.  An unsatisfiable or fully unit-propagated
     CNF has no components.
     """

@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Hashable, Mapping
 
@@ -141,37 +141,7 @@ class CacheStats:
         return self.cnf_misses + self.ddnnf_misses + self.tape_misses
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "cnf_hits": self.cnf_hits,
-            "cnf_misses": self.cnf_misses,
-            "ddnnf_hits": self.ddnnf_hits,
-            "ddnnf_misses": self.ddnnf_misses,
-            "tape_hits": self.tape_hits,
-            "tape_misses": self.tape_misses,
-            "compile_calls": self.compile_calls,
-            "compile_failures": self.compile_failures,
-            "tape_compilations": self.tape_compilations,
-            "evictions": self.evictions,
-            "fastpath_hits": self.fastpath_hits,
-            "fastpath_fallbacks": self.fastpath_fallbacks,
-            "fastpath_overflow_fallbacks": self.fastpath_overflow_fallbacks,
-            "fastpath_ineligible_fallbacks":
-                self.fastpath_ineligible_fallbacks,
-            "fastpath_budget_fallbacks": self.fastpath_budget_fallbacks,
-            "fastpath_small_fallbacks": self.fastpath_small_fallbacks,
-            "batched_groups": self.batched_groups,
-            "batched_answers": self.batched_answers,
-            "shapley_reuse_hits": self.shapley_reuse_hits,
-            "invariant_violations": self.invariant_violations,
-            "component_hits": self.component_hits,
-            "component_misses": self.component_misses,
-            "component_compilations": self.component_compilations,
-            "component_evictions": self.component_evictions,
-            "verifier_violations": self.verifier_violations,
-            "component_pass_compiles": self.component_pass_compiles,
-            "stitch_jobs": self.stitch_jobs,
-            "pipeline_overlap_seconds": self.pipeline_overlap_seconds,
-        }
+        return asdict(self)
 
 
 class _Entry:

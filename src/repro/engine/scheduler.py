@@ -9,8 +9,12 @@ executor, or a socket.  The session builds :class:`Job` objects
 options), hands them to :func:`plan_batch`, and passes the resulting
 :class:`BatchPlan` to a transport (:mod:`repro.engine.service`).
 
-Every transport runs one schedule over the plan's dependency DAG,
-held by :class:`BatchSchedule`: distinct component compiles first,
+A plan is a list of :class:`Shape` s — each shape's representative,
+its sibling units and the component compiles the representative
+needs — plus the distinct component keys.  That list is the one form a
+batch takes on its way to a worker: every transport, and the socket
+coordinator on the far side of the wire, builds one
+:class:`BatchSchedule` from it: distinct component compiles first,
 then each shape's representative once the components it needs have
 landed, then the shape's sibling units once the representative has
 finished.  The schedule is pure state; the transports' slots pull
@@ -32,8 +36,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .base import EngineOptions
 
@@ -55,43 +59,6 @@ class Job:
     options: EngineOptions
     signature: object = None
 
-    def portable(self) -> "Job":
-        """A copy safe to ship to another process or host.
-
-        The in-memory cache and canonicalization handle are process-
-        local (and unpicklable), so they are stripped — remote workers
-        attach their own cache — and the signature is replaced by its
-        stable hex digest, which is all placement needs.
-        """
-        signature = (
-            self.signature
-            if self.signature is None or isinstance(self.signature, str)
-            else self._digest()
-        )
-        return replace(
-            self,
-            options=self.options.with_(cache=None, artifacts=None),
-            signature=signature,
-        )
-
-    def affinity(self) -> str:
-        """The shape key: jobs with equal keys share a representative."""
-        if self.signature is None:
-            return f"job:{self.index}"
-        if isinstance(self.signature, str):
-            return self.signature
-        return self._digest()
-
-    def _digest(self) -> str:
-        """The signature's digest, hashed once by the job's handle (the
-        same one its store files are named by) when it has one."""
-        handle = self.options.artifacts
-        if handle is not None:
-            return handle.digest
-        from .store import signature_digest  # local import: avoid cycle
-
-        return signature_digest(self.signature)
-
 
 def estimate_compile_cost(key: Sequence) -> float:
     """A priori cost estimate for compiling one canonical component.
@@ -110,36 +77,6 @@ def estimate_compile_cost(key: Sequence) -> float:
         for lit in clause:
             variables.add(abs(lit))
     return float(n_literals) * max(1.0, math.log2(len(variables) + 1))
-
-
-@dataclass(frozen=True)
-class ComponentJob:
-    """One fleet-deduplicated component compile of the pipeline pass.
-
-    ``key`` is the canonical clause set (the :mod:`compiler.knowledge`
-    memo key) and ``shapes`` the affinity digests of every shape in
-    this batch that stitches it.
-    """
-
-    key: object
-    shapes: tuple[str, ...]
-
-
-@dataclass
-class PipelinePlan:
-    """The compile units of a batch's dependency DAG.
-
-    ``components`` holds each distinct canonical component exactly once,
-    in dispatch order (critical-path-first: components of the most
-    expensive shapes, largest first).  ``needs`` maps a shape's affinity
-    digest to the indexes (into ``components``) it must have compiled
-    before its stitch job is pure stitching; shapes absent from
-    ``needs`` (warm, or too small to memoize) have no compile
-    dependencies and may dispatch immediately.
-    """
-
-    components: list[ComponentJob]
-    needs: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
 
 def artifact_component_planner(kind: str = "tape") -> Callable[["Job"], object]:
@@ -168,75 +105,54 @@ def artifact_component_planner(kind: str = "tape") -> Callable[["Job"], object]:
     return planner
 
 
+class Shape(NamedTuple):
+    """One lineage shape of a batch plan.
+
+    ``representative`` runs first and alone (``None`` for engines that
+    do not deduplicate); ``units`` are the shape's sibling units, run
+    once the representative has finished: one group of every sibling
+    when the engine batches, otherwise one single-job unit per job.
+    ``needs`` holds the indexes into :attr:`BatchPlan.components` the
+    representative waits for.
+    """
+
+    representative: Job | None
+    units: list[list[Job]]
+    needs: tuple[int, ...] = ()
+
+
 @dataclass
 class BatchPlan:
-    """The execution plan of one ``explain_many`` batch.
-
-    ``jobs`` is every job in answer order; ``warm_wave`` holds one
-    representative per distinct shape (empty when ``deduplicated`` is
-    false — sampling engines have nothing to warm), ``main_wave`` the
-    rest.  Transports honour one ordering constraint: a shape's
-    main-wave jobs start only after its representative has finished.
+    """The execution plan of one ``explain_many`` batch: its shapes in
+    first-occurrence order, and the distinct canonical component keys
+    their representatives wait for, in dispatch (critical-path-first)
+    order.  Transports honour one ordering constraint: a shape's
+    sibling units start only after its representative has finished.
     """
 
     engine: str
-    jobs: list[Job]
-    warm_wave: list[Job]
-    main_wave: list[Job]
-    n_shapes: int
-    deduplicated: bool
-    #: Main-wave jobs grouped by shape, in first-occurrence order
-    #: (the unit of batched execution when ``batched`` is true; empty
-    #: groups are never emitted).  Only meaningful when deduplicated.
-    groups: list[list[Job]] = None  # type: ignore[assignment]
-    #: Whether transports should execute ``groups`` as whole-shape
-    #: batched calls instead of one call per main-wave job.
-    batched: bool = False
-    #: The batch's component compiles and the shapes gated on them, or
-    #: ``None`` when the DAG has no compile units (warm batches,
-    #: sampling engines, shapes too small to memoize).
-    pipeline: "PipelinePlan | None" = None
+    shapes: list[Shape]
+    components: list[object] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        if self.groups is None:
-            self.groups = [[job] for job in self.main_wave]
+    def jobs(self) -> Iterator[Job]:
+        """Every job of the plan, shape by shape, representative first."""
+        for rep, units, _ in self.shapes:
+            if rep is not None:
+                yield rep
+            for unit in units:
+                yield from unit
 
     def compilation_budget(self):
-        """The budget of the batch's component compiles (the
-        representatives' options carry it)."""
-        if not self.warm_wave:
-            return None
-        return self.warm_wave[0].options.compilation_budget()
-
-    def shapes(self) -> list[tuple[Job | None, list[list[Job]]]]:
-        """Each shape's representative with its groups, in
-        first-occurrence order.
-
-        Without deduplication every group is a shape of its own, with
-        no representative (``None``).  Otherwise a shape's groups are
-        the consecutive ``groups`` whose jobs share its signature
-        (:func:`plan_batch` emits both lists in the same shape order),
-        so no digest is hashed here.
-        """
-        if not self.deduplicated:
-            return [(None, [group]) for group in self.groups]
-        groups = iter(self.groups)
-        pending = next(groups, None)
-        shapes: list[tuple[Job | None, list[list[Job]]]] = []
-        for rep in self.warm_wave:
-            tails = []
-            while (pending is not None and rep.signature is not None
-                   and pending[0].signature == rep.signature):
-                tails.append(pending)
-                pending = next(groups, None)
-            shapes.append((rep, tails))
-        return shapes
+        """The budget of the batch's compiles (every job's options
+        carry it; the first job's is read)."""
+        first = next(self.jobs(), None)
+        return None if first is None else first.options.compilation_budget()
 
 
 def plan_pipeline(
-    warm_wave: Sequence[Job],
+    representatives: Sequence[Job],
     component_planner: Callable[[Job], object],
-) -> PipelinePlan | None:
+) -> tuple[list[object], list[tuple[int, ...]]]:
     """Plan the fleet-wide one-pass component compile for a batch.
 
     Calls ``component_planner`` on each shape representative (``None``
@@ -245,45 +161,28 @@ def plan_pipeline(
     orders the distinct compiles critical-path-first: components owned
     by the costliest shape go first (so the longest stitch chain starts
     as early as possible), ties broken by own cost descending, then by
-    key — fully deterministic.  Returns ``None`` when no shape plans
-    any component.
+    key — fully deterministic.  Returns the ordered keys and, per
+    representative, the sorted indexes of the keys it needs.
     """
-    owners: dict[object, list[str]] = {}
-    shape_keys: dict[str, list[object]] = {}
-    for rep in warm_wave:
-        keys = component_planner(rep)
-        if not keys:
-            continue
-        affinity = rep.affinity()
-        if affinity in shape_keys:
-            continue
-        shape_keys[affinity] = list(keys)
+    shape_keys = [list(component_planner(rep) or ()) for rep in representatives]
+    owners: dict[object, list[int]] = {}
+    for shape, keys in enumerate(shape_keys):
         for key in keys:
-            owned = owners.setdefault(key, [])
-            if affinity not in owned:
-                owned.append(affinity)
-    if not owners:
-        return None
+            owners.setdefault(key, []).append(shape)
     costs = {key: estimate_compile_cost(key) for key in owners}
-    shape_cost = {
-        affinity: sum(costs[key] for key in keys)
-        for affinity, keys in shape_keys.items()
-    }
-    ordered = sorted(
+    shape_cost = [sum(costs[key] for key in keys) for keys in shape_keys]
+    components = sorted(
         owners,
         key=lambda key: (
-            -max(shape_cost[affinity] for affinity in owners[key]),
+            -max(shape_cost[shape] for shape in owners[key]),
             -costs[key],
             key,
         ),
     )
-    components = [ComponentJob(key, tuple(owners[key])) for key in ordered]
-    position = {job.key: index for index, job in enumerate(components)}
-    needs = {
-        affinity: tuple(sorted(position[key] for key in keys))
-        for affinity, keys in shape_keys.items()
-    }
-    return PipelinePlan(components, needs)
+    position = {key: index for index, key in enumerate(components)}
+    needs = [tuple(sorted(position[key] for key in keys))
+             for keys in shape_keys]
+    return components, needs
 
 
 def plan_batch(
@@ -295,40 +194,37 @@ def plan_batch(
 
     With ``deduplicate`` false (engines that never touch the cache)
     every job is its own shape, with no representative.  Jobs whose
-    ``signature`` is ``None`` never share a group even when
+    ``signature`` is ``None`` never share a shape even when
     deduplicating — an unknown shape must not alias another.
 
-    With ``batch`` true (engines whose ``supports_batch`` is set), the
-    plan additionally carries the main wave as same-shape *groups*:
-    transports then execute each group as one batched engine call.
+    With ``batch`` true (engines whose ``supports_batch`` is set), a
+    shape's siblings form one unit that transports execute as one
+    batched engine call; otherwise each sibling is a unit of its own.
     Each shape's representative still runs first and alone, so
     compile-once/store invariants hold batched or not.
 
     With a ``component_planner`` (see :func:`artifact_component_planner`
     and :func:`plan_pipeline`), the plan also carries the batch's
-    component compiles in :attr:`BatchPlan.pipeline` — ``None`` when
-    every shape turns out warm.
+    component compiles — none when every shape turns out warm.
     """
-    jobs = list(jobs)
     if not deduplicate:
-        return BatchPlan(engine, jobs, [], list(jobs), len(jobs), False)
+        return BatchPlan(engine, [Shape(None, [[job]]) for job in jobs])
     groups: dict[object, list[Job]] = {}
     for job in jobs:
         key = job.signature if job.signature is not None else ("\0job", job.index)
         groups.setdefault(key, []).append(job)
-    warm_wave = [group[0] for group in groups.values()]
-    main_wave = [job for group in groups.values() for job in group[1:]]
-    shape_groups = [group[1:] for group in groups.values() if group[1:]]
-    pipeline = (
-        plan_pipeline(warm_wave, component_planner)
+    reps = [group[0] for group in groups.values()]
+    components, needs = (
+        plan_pipeline(reps, component_planner)
         if component_planner is not None
-        else None
+        else ([], [()] * len(reps))
     )
-    return BatchPlan(
-        engine, jobs, warm_wave, main_wave, len(groups), True,
-        groups=shape_groups if batch else None, batched=batch,
-        pipeline=pipeline,
-    )
+    shapes = [
+        Shape(rep, [siblings] if batch and siblings
+              else [[job] for job in siblings], shape_needs)
+        for (rep, *siblings), shape_needs in zip(groups.values(), needs)
+    ]
+    return BatchPlan(engine, shapes, components)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,13 +247,14 @@ class Unit:
 class BatchSchedule:
     """The dependency state of one batch: which unit may run next.
 
-    ``shapes`` holds ``(affinity, representative, sibling units)`` per
-    shape in first-occurrence order; a ``None`` representative makes
-    the sibling units ready at once (engines that do not deduplicate).
-    ``needs`` maps an affinity to the component indexes (below
-    ``n_components``) its representative waits for; only components
-    some shape needs are compiled, in index order — the plan's
-    critical-path order.
+    ``shapes`` holds ``(representative, sibling units, needs)`` per
+    shape in first-occurrence order (a plan's :class:`Shape` list); a
+    ``None`` representative makes the sibling units ready at once
+    (engines that do not deduplicate).  ``needs`` are the component
+    indexes, below ``n_components``, the representative waits for;
+    only components some shape needs are compiled, in index order —
+    the plan's critical-path order.  An index out of range raises
+    :class:`ValueError` (plans also arrive over the wire).
 
     A representative becomes ready once its components have finished,
     its sibling units once it has finished.  :meth:`take` prefers a
@@ -371,8 +268,7 @@ class BatchSchedule:
 
     def __init__(
         self,
-        shapes: Sequence[tuple[object, object, Sequence[object]]],
-        needs: Mapping[object, Sequence[int]],
+        shapes: Sequence[tuple[object, Sequence[object], Sequence[int]]],
         n_components: int,
         width: int = 1,
     ) -> None:
@@ -382,17 +278,18 @@ class BatchSchedule:
         self._waiting: dict[int, set[int]] = {}
         self._dependents: dict[int, list[int]] = {}
         self._ready: deque[Unit] = deque()
-        for shape, (affinity, rep, siblings) in enumerate(shapes):
+        for shape, (rep, siblings, needs) in enumerate(shapes):
             self._reps.append(rep)
             self._tails.append(siblings)
             if rep is None:
                 self._ready.extend(
                     Unit("siblings", unit, shape) for unit in siblings)
                 continue
-            remaining = {
-                index for index in needs.get(affinity, ())
-                if 0 <= index < n_components
-            }
+            remaining = set(needs)
+            if not all(0 <= index < n_components for index in remaining):
+                raise ValueError(
+                    f"shape {shape} needs components {sorted(remaining)}, "
+                    f"the plan has {n_components}")
             if not remaining:
                 self._ready.append(Unit("rep", rep, shape))
                 continue

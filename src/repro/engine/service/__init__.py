@@ -18,10 +18,13 @@ Three interchangeable backends ship here:
   :class:`~repro.engine.store.PersistentArtifactStore` directory.
 
 All three run one schedule, a
-:class:`~repro.engine.scheduler.BatchSchedule` driven by
+:class:`~repro.engine.scheduler.BatchSchedule` built from the plan's
+shapes and driven by
 :class:`~repro.engine.service.pipeline.PullLoop`: the batch's distinct
 component compiles, then each shape's representative once its
-components have landed, then the shape's sibling groups.
+components have landed, then the shape's sibling units.  The socket
+transport ships those shapes as they are, so the coordinator builds the
+same schedule from the wire.
 
 All three produce identical results for the same batch: exact engines
 return equal :class:`~fractions.Fraction` objects, sampling engines

@@ -5,7 +5,8 @@ connect (see :mod:`~repro.engine.service.protocol` for the wire format
 and its trusted-network caveat):
 
 * **workers** (``repro worker``) introduce themselves and then answer
-  ``task`` requests for the rest of their life.  Workers keep their own
+  ``compile`` and ``task_group`` requests for the rest of their life.
+  Workers keep their own
   :class:`~repro.engine.cache.ArtifactCache` — ideally over one shared
   :class:`~repro.engine.store.PersistentArtifactStore` directory, so a
   shape any worker compiled is a disk hit for every other worker and
@@ -15,11 +16,13 @@ and its trusted-network caveat):
   and read back one result per job.
 
 Every batch runs the one schedule of every transport, a
-:class:`~repro.engine.scheduler.BatchSchedule` driven by
+:class:`~repro.engine.scheduler.BatchSchedule` built from the plan
+shapes the client sent and driven by
 :class:`~repro.engine.service.pipeline.PullLoop` with one slot per live
 worker: the batch's distinct component compiles first, then any shape
 representative whose components have landed, then the sibling units of
-finished representatives.  Siblings therefore find their shape in the
+finished representatives — each representative and each sibling unit
+one ``task_group`` op.  Siblings therefore find their shape in the
 shared store whichever worker ran the representative.  A worker that
 dies mid-unit has that unit requeued for the survivors; the batch only
 fails when no workers remain.
@@ -46,13 +49,17 @@ def _idle_link_dead(sock: socket.socket) -> bool:
     Idle workers never send unsolicited data, so the socket being
     readable means EOF (or a protocol violation — treated the same).
     A zero-timeout select keeps this a cheap, non-blocking probe.
+    A socket already closed on this side (``select`` raises
+    ``ValueError`` on its fd of -1) is dead too: the heartbeat thread
+    closes a link just before it unlists it, so a concurrent sweep can
+    see it closed but still registered.
     """
     try:
         readable, _, _ = select.select([sock], [], [], 0)
         if not readable:
             return False
         return sock.recv(1, socket.MSG_PEEK) == b""
-    except OSError:
+    except (OSError, ValueError):
         return True
 
 
@@ -521,7 +528,7 @@ class Coordinator:
         fire-and-forget by design (poll ``warm_status`` to observe
         drain).  The warmer thread starts lazily on first use.
 
-        Pipelined clients also send ``components`` — fleet-deduplicated
+        Pipelined clients also send ``components`` — the fleet-wide distinct
         canonical component compiles.  They are queued *ahead* of the
         shape representatives (the serial warmer then compiles each
         shared component exactly once before any representative
@@ -659,25 +666,9 @@ class Coordinator:
     # Batch execution
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _batch_budget(tasks: list[dict]) -> float | None:
-        """The batch's compilation budget, used to stretch per-op
-        deadlines for ops that may legitimately compile that long."""
-        for task in tasks:
-            try:
-                return _budget_seconds(task["options"].compilation_budget())
-            except Exception:
-                continue
-        return None
-
     def _run_batch(self, message: dict) -> dict:
-        engine = message["engine"]
-        tasks = message["tasks"]
         min_workers = max(1, int(message.get("min_workers") or 1))
         wait_timeout = message.get("wait_timeout", 60.0)
-        batched = bool(message.get("batched"))
-        pipeline = message.get("pipeline") or {}
-        budget = self._batch_budget(tasks)
         with self._batch_lock:
             if self.wait_for_workers(min_workers, wait_timeout) < min_workers:
                 raise _BatchFailed(
@@ -685,7 +676,8 @@ class Coordinator:
                     f"{self.n_workers} connected after {wait_timeout}s"
                 )
             results = self._run_pipelined(
-                engine, tasks, batched, pipeline, budget
+                message["engine"], message["shapes"],
+                message["components"], message["budget"],
             )
             worker_stats, n_reporting = self._collect_stats()
             # Pipeline and resilience counters are coordinator-side
@@ -709,21 +701,19 @@ class Coordinator:
     def _run_pipelined(
         self,
         engine: str,
-        tasks: list[dict],
-        batched: bool,
-        pipeline: dict,
-        batch_budget: float | None = None,
+        shapes: list,
+        components: list,
+        budget,
     ) -> dict[int, EngineResult]:
         """Execute one batch with one slot per live worker.
 
-        The batch's tasks become a
-        :class:`~repro.engine.scheduler.BatchSchedule`: the first task
-        of each affinity is its shape's representative (a *stitch* job
-        when it needs components), the rest its siblings — one
-        ``task_group`` unit when ``batched``, else one ``task`` each.
+        The client's plan shapes become a
+        :class:`~repro.engine.scheduler.BatchSchedule` as they are:
+        each representative (a *stitch* job when it needs components)
+        and each sibling unit goes to a worker as one ``task_group``.
         :class:`~.pipeline.PullLoop` gives every live worker a slot, so
-        ``compile`` and ``task``/``task_group`` ops interleave per
-        worker and execution streams while other shapes still compile.
+        ``compile`` and ``task_group`` ops interleave per worker and
+        execution streams while other shapes still compile.
 
         Dead workers: a failed round-trip discards the worker and
         raises :class:`~.pipeline.LostSlot`, which requeues its unit
@@ -733,71 +723,39 @@ class Coordinator:
         — the owning shape's stitch job compiles inline and reports
         per answer.
         """
-        components = pipeline.get("components") or []
-        budget = pipeline.get("budget")
         # Per-op deadlines: compiles may run for the whole budget, and
         # stitch ops may compile inline after a failed component — both
         # get the stretched deadline.  A hung worker trips the deadline
         # and flows into the requeue path like any other death (the
         # idle prober cannot see a busy link, so the dispatcher's
         # deadline is what detects it).
-        op_deadline = deadline_for(self.op_timeout,
-                                   budget_seconds=batch_budget)
-
-        shapes: dict[str, list[dict]] = {}
-        for task in tasks:
-            affinity = task.get("affinity") or f"task:{task['id']}"
-            shapes.setdefault(affinity, []).append(task)
-        schedule = BatchSchedule(
-            [(affinity, rep, [siblings] if batched and len(siblings) > 1
-              else siblings)
-             for affinity, (rep, *siblings) in shapes.items()],
-            pipeline.get("needs") or {}, len(components),
-        )
+        budget_seconds = _budget_seconds(budget)
+        schedule = BatchSchedule(shapes, len(components))
 
         def run_unit(worker: _WorkerLink, unit: Unit):
             if unit.kind == "compile":
                 reply = worker.request({
                     "op": "compile",
                     "id": f"component:{unit.item}",
-                    "key": components[unit.item]["key"],
+                    "key": components[unit.item],
                     "budget": budget,
-                }, timeout=op_deadline)
+                }, timeout=deadline_for(self.op_timeout,
+                                        budget_seconds=budget_seconds))
                 if reply.get("op") != "compiled":
                     raise ConnectionError("answered out of protocol")
                 return bool(reply.get("compiled"))
-            if isinstance(unit.item, list):
-                group = unit.item
-                reply = worker.request({
-                    "op": "task_group",
-                    "engine": engine,
-                    "tasks": [
-                        {key: task[key] for key in
-                         ("id", "circuit", "players", "options")}
-                        for task in group
-                    ],
-                }, timeout=deadline_for(self.op_timeout,
-                                        budget_seconds=batch_budget,
-                                        items=len(group)))
-                replies = reply.get("results")
-                if (reply.get("op") != "result_group"
-                        or not isinstance(replies, dict)
-                        or set(replies) != {task["id"] for task in group}):
-                    raise ConnectionError("answered out of protocol")
-                return replies
-            task = unit.item
-            request = {
-                "op": "task",
-                "id": task["id"],
-                "engine": engine,
-                "circuit": task["circuit"],
-                "players": task["players"],
-                "options": task["options"],
-            }
-            reply = worker.request(request, timeout=op_deadline)
-            if reply.get("op") != "result" or reply.get("id") != task["id"]:
+            jobs = [unit.item] if unit.kind == "rep" else unit.item
+            reply = worker.request({
+                "op": "task_group", "engine": engine, "tasks": jobs,
+            }, timeout=deadline_for(self.op_timeout,
+                                    budget_seconds=budget_seconds,
+                                    items=len(jobs)))
+            replies = reply.get("results")
+            if (reply.get("op") != "result_group"
+                    or not isinstance(replies, dict)
+                    or set(replies) != {job.index for job in jobs}):
                 raise ConnectionError("answered out of protocol")
-            return {task["id"]: reply["result"]}
+            return replies
 
         def execute(worker: _WorkerLink, unit: Unit):
             try:

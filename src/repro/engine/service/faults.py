@@ -8,7 +8,7 @@ by a :class:`FaultPlan` threaded through
 :func:`~repro.engine.service.protocol.recv_msg`.  The coordinator,
 worker loop, and client transport each accept a plan and tag their
 traffic with a *role*, so a test can say "the worker's connection dies
-on the 2nd ``task`` it receives" and get exactly that, every run,
+on the 2nd ``task_group`` it receives" and get exactly that, every run,
 without killing a real process.
 
 Rules fire on the *Nth matching message* (per rule, counted inside the

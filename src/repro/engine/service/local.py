@@ -78,7 +78,7 @@ def _process_compile_component(key, store_dir: str | None, budget) -> bool:
 
 def _plan_cache(plan: BatchPlan) -> ArtifactCache | None:
     """The session cache a plan's jobs report through, if any."""
-    for job in plan.jobs:
+    for job in plan.jobs():
         handle = job.options.artifacts
         if handle is not None:
             return handle.cache
@@ -96,21 +96,12 @@ def _run_plan(
     """Drive ``plan`` on ``width`` slots: ``compile_key`` compiles one
     component key, ``explain`` runs a unit's ``(circuit, players,
     options)`` requests through ``explain_batch``, results in order."""
-    pipeline = plan.pipeline
-    keys = [c.key for c in pipeline.components] if pipeline else []
-    needs = pipeline.needs if pipeline is not None else {}
-    # Affinities only look up ``needs``: hashed once per representative,
-    # and only when the plan has component compiles.
-    schedule = BatchSchedule(
-        [(rep.affinity() if needs and rep is not None else None, rep, groups)
-         for rep, groups in plan.shapes()],
-        needs, len(keys),
-    )
+    keys = plan.components
+    schedule = BatchSchedule(plan.shapes, len(keys))
 
     def execute(slot, unit: Unit):
         if unit.kind == "compile":
             return compile_key(keys[unit.item])
-        # a sibling unit is one of the plan's groups
         jobs = [unit.item] if unit.kind == "rep" else unit.item
         results = explain(
             [(job.circuit, job.players, job.options) for job in jobs])
@@ -119,7 +110,7 @@ def _run_plan(
     loop = PullLoop(schedule, execute)
     loop.run(range(width))
     cache = _plan_cache(plan)
-    if cache is not None and pipeline is not None:
+    if cache is not None and keys:
         cache.record_pipeline(
             overlap_seconds=loop.overlap_seconds,
             compiles=loop.compiles,

@@ -12,9 +12,11 @@ this warning where operators will read it.
 Message vocabulary
 ------------------
 Peers introduce themselves with ``{"op": "hello", "role": ...}``
-(``"worker"`` or ``"client"``).  Workers then answer ``task`` /
-``task_group`` / ``compile`` / ``warm`` / ``ping`` / ``stats`` /
-``shutdown`` requests; clients send ``batch`` / ``ping`` / ``warm`` /
+(``"worker"`` or ``"client"``).  Workers then answer ``task_group`` /
+``compile`` / ``warm`` / ``ping`` / ``stats`` / ``shutdown`` requests;
+a ``task_group`` carries one representative or one sibling unit of a
+plan shape.  Clients send ``batch`` (the plan's shapes, its component
+keys and its compilation budget) / ``ping`` / ``warm`` /
 ``warm_status`` / ``shutdown`` and read a single reply per request
 (``busy`` is a possible reply when the coordinator's admission queue
 is full).

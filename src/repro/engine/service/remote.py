@@ -2,11 +2,12 @@
 
 :class:`SocketTransport` is what an
 :class:`~repro.engine.session.ExplainSession` constructed with
-``executor="socket"`` talks through.  The whole plan goes over the wire
-(jobs made portable: handles stripped, signatures digested) and the
-coordinator does the placement — the session never compiles locally,
-so a client on a laptop can drive a fleet of workers that share a
-store on the far side.
+``executor="socket"`` talks through.  The plan goes over the wire as
+it is — its shapes over portable jobs (caches, handles and signatures
+stripped), its component keys and its budget — and the coordinator
+does the placement.  The session never compiles locally, so a client
+on a laptop can drive a fleet of workers that share a store on the
+far side.
 
 Robustness: every roundtrip carries per-leg deadlines (a hung
 coordinator raises instead of blocking forever), idempotent ops
@@ -27,9 +28,10 @@ import itertools
 import os
 import time
 import warnings
+from dataclasses import replace
 
 from ..base import EngineResult
-from ..scheduler import BatchPlan, Job
+from ..scheduler import BatchPlan, Job, Shape
 from .base import FleetBusy, FleetUnavailable, Transport, TransportError
 from .faults import Backoff, FaultPlan
 from .protocol import (
@@ -41,38 +43,27 @@ from .protocol import (
 )
 
 
-def _task_payload(job: Job) -> dict:
-    """The wire form of one job (portable: handles stripped, signature
-    digested)."""
-    portable = job.portable()
-    return {
-        "id": portable.index,
-        "circuit": portable.circuit,
-        "players": portable.players,
-        "options": portable.options,
-        "affinity": portable.affinity(),
-    }
+def _portable(job: Job) -> Job:
+    """``job`` safe to ship to another process or host.
+
+    The in-memory cache and canonicalization handle are process-local
+    (and unpicklable), so they are stripped — workers attach their own
+    cache — and so is the signature, which only grouped the plan."""
+    return replace(
+        job,
+        options=job.options.with_(cache=None, artifacts=None),
+        signature=None,
+    )
 
 
-def _pipeline_payload(plan: BatchPlan) -> dict | None:
-    """The wire form of the plan's component compiles, or ``None`` when
-    the DAG has no compile units.  Only plain data crosses the wire:
-    canonical component keys (tuples of literal tuples) and affinity
-    digests."""
-    pipeline = plan.pipeline
-    if pipeline is None:
-        return None
-    return {
-        "components": [
-            {"key": component.key, "shapes": list(component.shapes)}
-            for component in pipeline.components
-        ],
-        "needs": {
-            affinity: list(indexes)
-            for affinity, indexes in pipeline.needs.items()
-        },
-        "budget": plan.compilation_budget(),
-    }
+def _portable_shapes(plan: BatchPlan) -> list[Shape]:
+    """The wire form of the plan's shapes: the same shapes over
+    portable jobs."""
+    return [
+        Shape(None if rep is None else _portable(rep),
+              [[_portable(job) for job in unit] for unit in units], needs)
+        for rep, units, needs in plan.shapes
+    ]
 
 
 class SocketTransport(Transport):
@@ -192,21 +183,18 @@ class SocketTransport(Transport):
     # ------------------------------------------------------------------
 
     def run_batch(self, plan: BatchPlan) -> dict[int, EngineResult]:
-        # answer order: group representatives first
-        tasks = [_task_payload(job) for job in plan.jobs]
         batch_id = f"{os.getpid():x}-{id(self):x}-{next(self._batch_seq)}"
         payload = {
             "op": "batch",
             "engine": plan.engine,
-            "tasks": tasks,
+            # The coordinator schedules these shapes as they are: each
+            # representative after the components it needs, then its
+            # sibling units.
+            "shapes": _portable_shapes(plan),
+            "components": plan.components,
+            "budget": plan.compilation_budget(),
             "min_workers": self.min_workers,
             "wait_timeout": self.wait_timeout,
-            # Batched plans let workers execute a same-shape run as one
-            # task_group call instead of one round-trip per answer.
-            "batched": plan.batched,
-            # The component compiles the coordinator interleaves with
-            # representative and task_group ops.
-            "pipeline": _pipeline_payload(plan),
             # Dedupe key: a resubmission after a lost reply is served
             # from the coordinator's cache instead of re-running.
             "batch_id": batch_id,
@@ -285,7 +273,7 @@ class SocketTransport(Transport):
         drain.
 
         A plan with compile units additionally queues its
-        fleet-deduplicated component compiles *ahead* of the
+        fleet-wide distinct component compiles *ahead* of the
         representatives, so shared components compile exactly once
         across the fleet instead of redundantly inside every
         concurrently-warming representative; the returned count still
@@ -293,25 +281,27 @@ class SocketTransport(Transport):
 
         Not retried: a duplicate enqueue would duplicate compile work,
         which is exactly what warming tries to avoid."""
-        tasks = [_task_payload(job) for job in plan.warm_wave]
-        if not tasks:
+        if not plan.shapes:
             return 0
-        pipeline = _pipeline_payload(plan)
-        components = []
-        if pipeline is not None:
-            components = [
-                {
-                    "id": f"component:{index}",
-                    "key": component["key"],
-                    # Place each compile where its first owning shape's
-                    # representative will land, so that worker stitches
-                    # from its own memory.
-                    "affinity": (component["shapes"][0]
-                                 if component["shapes"] else f"c{index}"),
-                    "budget": pipeline["budget"],
-                }
-                for index, component in enumerate(pipeline["components"])
-            ]
+        tasks = []
+        # Place each compile where the first shape that needs it will
+        # warm, so that worker stitches from its own memory.
+        owners: dict[int, str] = {}
+        for rep, _, needs in plan.shapes:
+            affinity = rep.options.artifacts.digest
+            tasks.append({
+                "id": rep.index, "circuit": rep.circuit,
+                "players": rep.players, "options": _portable(rep).options,
+                "affinity": affinity,
+            })
+            for index in needs:
+                owners.setdefault(index, affinity)
+        budget = plan.compilation_budget()
+        components = [
+            {"id": f"component:{index}", "key": key,
+             "affinity": owners[index], "budget": budget}
+            for index, key in enumerate(plan.components)
+        ]
         reply = self._roundtrip({
             "op": "warm", "engine": plan.engine, "tasks": tasks,
             "components": components,

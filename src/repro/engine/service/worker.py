@@ -127,14 +127,7 @@ def _serve(
         if op == "shutdown":
             return executed, True
         try:
-            if op == "task":
-                send_msg(sock, {
-                    "op": "result",
-                    "id": message["id"],
-                    "result": _execute(cache, message),
-                }, faults=faults, role="worker")
-                executed += 1
-            elif op == "task_group":
+            if op == "task_group":
                 send_msg(sock, {
                     "op": "result_group",
                     "results": _execute_group(cache, message),
@@ -218,51 +211,32 @@ def _compile(cache: ArtifactCache, message: dict) -> tuple[bool, bool]:
 
 
 def _execute_group(cache: ArtifactCache, message: dict) -> dict:
-    """One batched ``task_group``: a same-shape answer run executed as
-    a single ``engine.explain_batch`` call.
+    """One ``task_group``: a shape representative or a same-shape
+    sibling unit, executed as a single ``engine.explain_batch`` call
+    (a one-job group runs through ``explain_circuit``).
 
-    Returns ``{task id: EngineResult}``.  A group-level failure is
-    reported per task (status ``"error"``), mirroring :func:`_execute`:
-    nothing kills the worker loop.
+    ``message["tasks"]`` are the plan's portable jobs.  Returns
+    ``{job index: EngineResult}``.  A group-level failure is reported
+    per job (status ``"error"``): nothing kills the worker loop.
     """
     engine_name = message["engine"]
-    tasks = message["tasks"]
+    jobs = message["tasks"]
     try:
         engine = get_engine(engine_name)
-        requests = [
-            (task["circuit"], task["players"],
-             task["options"].with_(cache=cache))
-            for task in tasks
-        ]
-        results = engine.explain_batch(requests)
-        return {task["id"]: result for task, result in zip(tasks, results)}
+        results = engine.explain_batch([
+            (job.circuit, job.players, job.options.with_(cache=cache))
+            for job in jobs
+        ])
+        return {job.index: result for job, result in zip(jobs, results)}
     except Exception as error:
         failure = f"{type(error).__name__}: {error}"
         return {
-            task["id"]: EngineResult(
+            job.index: EngineResult(
                 method=engine_name,
                 values=None,
                 exact=False,
                 status="error",
                 error=failure,
             )
-            for task in tasks
+            for job in jobs
         }
-
-
-def _execute(cache: ArtifactCache, message: dict) -> EngineResult:
-    engine_name = message["engine"]
-    try:
-        engine = get_engine(engine_name)
-        options = message["options"].with_(cache=cache)
-        return engine.explain_circuit(
-            message["circuit"], message["players"], options
-        )
-    except Exception as error:
-        return EngineResult(
-            method=engine_name,
-            values=None,
-            exact=False,
-            status="error",
-            error=f"{type(error).__name__}: {error}",
-        )

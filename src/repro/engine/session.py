@@ -286,7 +286,7 @@ class ExplainSession:
                 self._socket_batches = True
                 self._remote_stats = dict(transport.remote_stats)
                 self._remote_workers = getattr(transport, "remote_workers", 0)
-            self._unique_shapes += plan.n_shapes
+            self._unique_shapes += len(plan.shapes)
             if reuse:
                 self._publish(plan, outcomes)
         self._answers_explained += len(jobs)
@@ -333,8 +333,8 @@ class ExplainSession:
         shape whose values break the efficiency axiom is refused (and
         counted) once per batch, however many answers it has.
         """
-        for rep, groups in plan.shapes():
-            for job in chain([rep], *groups):
+        for rep, units, _ in plan.shapes:
+            for job in chain([rep], *units):
                 result = outcomes[job.index]
                 if result.ok and isinstance(result.detail, ExactOutcome):
                     job.options.artifacts.publish_shapley_values(
@@ -365,7 +365,7 @@ class ExplainSession:
         ``queued``, ``completed``, ``failed``, ``pending`` (tasks
         still in flight — nonzero only with ``wait=False`` or on
         timeout), and ``component_tasks`` (distinct canonical
-        components the fleet-deduplicated one-pass compile phase
+        components the fleet-wide one-pass compile phase
         covered before any representative ran — zero when every shape
         is warm or too small to memoize).
         """
@@ -377,17 +377,15 @@ class ExplainSession:
                 f"unknown executor {executor!r}; choose from {EXECUTORS}"
             )
         jobs = self._build_jobs(query, answers)
-        plan = plan_batch(
-            self.engine.name, jobs, self.engine.uses_cache,
-            component_planner=self._component_planner(executor),
-        )
-        if not plan.deduplicated:
+        if not self.engine.uses_cache:
             # Sampling engines never compile: nothing to warm.
             return {"shapes": 0, "queued": 0, "completed": 0,
                     "failed": 0, "pending": 0, "component_tasks": 0}
-        component_tasks = (
-            len(plan.pipeline.components) if plan.pipeline is not None else 0
+        plan = plan_batch(
+            self.engine.name, jobs, True,
+            component_planner=self._component_planner(executor),
         )
+        component_tasks = len(plan.components)
         if executor == "socket":
             transport = self._transport("socket")
             queued = transport.warm_batch(plan)
@@ -396,7 +394,7 @@ class ExplainSession:
                 else transport.warm_status()
             )
             return {
-                "shapes": plan.n_shapes,
+                "shapes": len(plan.shapes),
                 "queued": queued,
                 "completed": int(status.get("completed", 0)),
                 "failed": int(status.get("failed", 0)),
@@ -412,7 +410,7 @@ class ExplainSession:
         # process-pool workers, which reload from the same directory).
         budget = self.options.compilation_budget()
         compiles = 0
-        if plan.pipeline is not None:
+        if plan.components:
             memo = self.cache.component_memo()
 
             def warm_component(key) -> bool:
@@ -423,7 +421,7 @@ class ExplainSession:
                     # and reports the real failure.
                     return False
 
-            keys = [component.key for component in plan.pipeline.components]
+            keys = plan.components
             jobs_width = self.options.compile_jobs or 1
             if jobs_width > 1 and len(keys) > 1:
                 from concurrent.futures import ThreadPoolExecutor
@@ -435,8 +433,8 @@ class ExplainSession:
             else:
                 compiles = sum(warm_component(key) for key in keys)
         completed = failed = 0
-        for job in plan.warm_wave:
-            handle = job.options.artifacts
+        for shape in plan.shapes:
+            handle = shape.representative.options.artifacts
             try:
                 if self.options.mode == "derivative":
                     handle.tape(budget=budget, jobs=self.options.compile_jobs)
@@ -445,9 +443,9 @@ class ExplainSession:
                 completed += 1
             except Exception:
                 failed += 1
-        if plan.pipeline is not None:
+        if plan.components:
             self.cache.record_pipeline(compiles=compiles)
-        return {"shapes": plan.n_shapes, "queued": len(plan.warm_wave),
+        return {"shapes": len(plan.shapes), "queued": len(plan.shapes),
                 "completed": completed, "failed": failed, "pending": 0,
                 "component_tasks": component_tasks}
 
@@ -459,8 +457,8 @@ class ExplainSession:
         additionally needs a persistent store — without one, a pool
         worker could not see a component another worker compiled.
         Warm batches cost nothing extra: the planner probes each
-        shape's artifacts and a batch with no cold shape gets
-        ``plan.pipeline = None``.
+        shape's artifacts and a batch with no cold shape plans no
+        component compiles.
         """
         if not self.engine.uses_cache:
             return None

@@ -451,23 +451,20 @@ class TestShapeGroupScheduling:
     def test_plan_batch_emits_shape_groups(self):
         jobs = self._jobs(["s1", "s1", "s1", "s2", "s2"])
         plan = plan_batch("exact", jobs, deduplicate=True, batch=True)
-        assert plan.batched
-        assert [job.index for job in plan.warm_wave] == [0, 3]
-        assert [[job.index for job in group] for group in plan.groups] \
-            == [[1, 2], [4]]
+        assert [(rep.index, [[job.index for job in unit] for unit in units])
+                for rep, units, _ in plan.shapes] == [(0, [[1, 2]]), (3, [[4]])]
 
     def test_unbatched_plans_default_to_singleton_groups(self):
         jobs = self._jobs(["s1", "s1", "s2"])
         plan = plan_batch("exact", jobs, deduplicate=True)
-        assert not plan.batched
-        assert [[job.index for job in group] for group in plan.groups] \
-            == [[job.index] for job in plan.main_wave]
+        assert [(rep.index, [[job.index for job in unit] for unit in units])
+                for rep, units, _ in plan.shapes] == [(0, [[1]]), (2, [])]
 
     def test_unknown_signatures_never_group(self):
         jobs = self._jobs([None, None, None])
         plan = plan_batch("exact", jobs, deduplicate=True, batch=True)
-        assert plan.batched and plan.groups == []
-        assert len(plan.warm_wave) == 3
+        assert [rep.index for rep, _, _ in plan.shapes] == [0, 1, 2]
+        assert all(units == [] for _, units, _ in plan.shapes)
 
 
 @contextmanager

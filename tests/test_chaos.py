@@ -147,9 +147,9 @@ class TestFaultPlan:
             FaultRule(action="explode")
 
     def test_fires_on_nth_match_for_times_matches(self):
-        plan = FaultPlan([FaultRule(op="task", nth=2, times=2,
+        plan = FaultPlan([FaultRule(op="task_group", nth=2, times=2,
                                     action="drop")])
-        hits = [plan.decide("worker", "recv", {"op": "task"})
+        hits = [plan.decide("worker", "recv", {"op": "task_group"})
                 for _ in range(5)]
         assert [h.action if h else None for h in hits] == [
             None, "drop", "drop", None, None,
@@ -158,20 +158,20 @@ class TestFaultPlan:
 
     def test_filters_by_role_direction_and_op(self):
         plan = FaultPlan([FaultRule(role="worker", direction="recv",
-                                    op="task", action="close")])
-        assert plan.decide("client", "recv", {"op": "task"}) is None
-        assert plan.decide("worker", "send", {"op": "task"}) is None
+                                    op="task_group", action="close")])
+        assert plan.decide("client", "recv", {"op": "task_group"}) is None
+        assert plan.decide("worker", "send", {"op": "task_group"}) is None
         assert plan.decide("worker", "recv", {"op": "ping"}) is None
-        hit = plan.decide("worker", "recv", {"op": "task"})
+        hit = plan.decide("worker", "recv", {"op": "task_group"})
         assert hit is not None and hit.action == "close"
 
     def test_first_match_wins_but_all_counters_advance(self):
-        close = FaultRule(op="task", nth=2, action="close")
-        drop = FaultRule(op="task", nth=2, action="drop")
+        close = FaultRule(op="task_group", nth=2, action="close")
+        drop = FaultRule(op="task_group", nth=2, action="drop")
         plan = FaultPlan([close, drop])
-        assert plan.decide("w", "recv", {"op": "task"}) is None
+        assert plan.decide("w", "recv", {"op": "task_group"}) is None
         # both rules reach their 2nd match; the first in plan order fires
-        assert plan.decide("w", "recv", {"op": "task"}) is close
+        assert plan.decide("w", "recv", {"op": "task_group"}) is close
 
 
 class TestProtocolFaults:
@@ -248,8 +248,8 @@ class TestProtocolFaults:
 
 class TestWorkerDeathAtEveryStage:
     """Satellite (c): a worker connection dying at each pipeline stage
-    — component compile, stitch/representative task, batched
-    task_group, warm-queue processing — is redistributed to the
+    — component compile, representative stitch, sibling task_group,
+    warm-queue processing — is redistributed to the
     survivor and the batch still returns byte-identical Fractions."""
 
     def _run_with_fault(self, tmp_path, db, rule):
@@ -279,20 +279,22 @@ class TestWorkerDeathAtEveryStage:
                       nth=1, action="close"),
         )
 
+    # On a one-shape database the schedule fixes the order of ops:
+    # the component compile, then the representative's stitch (the
+    # first ``task_group``), then the sibling group (the second).
+
     def test_death_during_stitch_task(self, tmp_path):
-        # In a pipelined cold batch the first ``task`` op a worker sees
-        # is a shape representative's stitch.
         self._run_with_fault(
-            tmp_path, mixed_fanout_database(6, (6, 7)),
-            FaultRule(role="worker", direction="recv", op="task",
+            tmp_path, mixed_fanout_database(6, (6,)),
+            FaultRule(role="worker", direction="recv", op="task_group",
                       nth=1, action="close"),
         )
 
     def test_death_during_task_group(self, tmp_path):
         self._run_with_fault(
-            tmp_path, mixed_fanout_database(8, (6, 7)),
+            tmp_path, mixed_fanout_database(8, (6,)),
             FaultRule(role="worker", direction="recv", op="task_group",
-                      nth=1, action="close"),
+                      nth=2, action="close"),
         )
 
     def test_death_during_warm_queue_processing(self, tmp_path):
@@ -328,7 +330,7 @@ class TestWorkerDeathAtEveryStage:
         db = mixed_fanout_database(6, (6, 7))
         baseline = ExplainSession(db, method="exact").explain_many(JOIN_QUERY)
         plan = FaultPlan([FaultRule(role="worker", direction="recv",
-                                    op="task", nth=1, action="delay",
+                                    op="task_group", nth=1, action="delay",
                                     seconds=5.0)])
         coordinator, _ = start_fleet(tmp_path, worker_faults=plan,
                                      heartbeat_interval=None,
@@ -363,6 +365,23 @@ class TestHeartbeat:
                     time.sleep(0.05)
                 assert coordinator.n_workers == 0
                 assert coordinator._counters["heartbeat_misses"] >= 2
+            finally:
+                ghost.close()
+
+    def test_link_closed_while_registered_is_swept(self):
+        # The heartbeat thread closes a link before it unlists it; a
+        # concurrent n_workers sweep in that window must count the
+        # link dead rather than raise on its closed socket.
+        with Coordinator(heartbeat_interval=None) as coordinator:
+            ghost = socket_module.create_connection(
+                coordinator.address, timeout=5
+            )
+            try:
+                send_msg(ghost, {"op": "hello", "role": "worker",
+                                 "pid": -1})
+                assert coordinator.wait_for_workers(1, timeout=10) == 1
+                coordinator._workers[0].close()
+                assert coordinator.n_workers == 0
             finally:
                 ghost.close()
 

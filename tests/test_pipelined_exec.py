@@ -43,12 +43,12 @@ SMALL = ((7, 8),)
 
 
 def _jobs_with_planner(spec):
-    """Fake warm-wave jobs (one per affinity) plus a planner that
+    """Fake representatives (one per shape name) plus a planner that
     returns each shape's component keys from ``spec``."""
     options = EngineOptions()
     jobs = [
-        Job(index, (index,), None, [], options, affinity)
-        for index, affinity in enumerate(spec)
+        Job(index, (index,), None, [], options, name)
+        for index, name in enumerate(spec)
     ]
     return jobs, lambda job: spec[job.signature]
 
@@ -91,12 +91,11 @@ class TestPlanPipeline:
         jobs, planner = _jobs_with_planner({
             "s1": [BIG, SMALL], "s2": [SMALL, MID],
         })
-        pipeline = plan_pipeline(jobs, planner)
-        keys = [component.key for component in pipeline.components]
-        assert sorted(map(str, keys)) == sorted(map(str, [BIG, MID, SMALL]))
-        # the shared component carries both owning shapes
-        shared = next(c for c in pipeline.components if c.key == SMALL)
-        assert set(shared.shapes) == {"s1", "s2"}
+        components, needs = plan_pipeline(jobs, planner)
+        assert sorted(map(str, components)) == sorted(map(str, [BIG, MID, SMALL]))
+        # the shared component is needed by both shapes
+        shared = components.index(SMALL)
+        assert shared in needs[0] and shared in needs[1]
 
     def test_critical_path_first_ordering(self):
         # s1 owns the costliest total (BIG + MID); its components go
@@ -104,10 +103,9 @@ class TestPlanPipeline:
         jobs, planner = _jobs_with_planner({
             "s2": [SMALL], "s1": [BIG, MID],
         })
-        pipeline = plan_pipeline(jobs, planner)
-        assert [c.key for c in pipeline.components] == [BIG, MID, SMALL]
-        assert pipeline.needs["s1"] == (0, 1)
-        assert pipeline.needs["s2"] == (2,)
+        components, needs = plan_pipeline(jobs, planner)
+        assert components == [BIG, MID, SMALL]
+        assert needs == [(2,), (0, 1)]
 
     def test_shared_component_takes_the_max_owner_cost(self):
         # SMALL is owned by the expensive shape too, so it ranks with
@@ -115,17 +113,17 @@ class TestPlanPipeline:
         jobs, planner = _jobs_with_planner({
             "s1": [BIG, SMALL], "s2": [MID], "s3": [SMALL],
         })
-        pipeline = plan_pipeline(jobs, planner)
-        assert [c.key for c in pipeline.components] == [BIG, SMALL, MID]
+        components, _ = plan_pipeline(jobs, planner)
+        assert components == [BIG, SMALL, MID]
 
     def test_no_components_means_no_pipeline(self):
         jobs, planner = _jobs_with_planner({"s1": [], "s2": None})
-        assert plan_pipeline(jobs, planner) is None
+        assert plan_pipeline(jobs, planner) == ([], [(), ()])
 
     def test_needs_are_sorted_index_tuples(self):
         jobs, planner = _jobs_with_planner({"s1": [SMALL, BIG, MID]})
-        pipeline = plan_pipeline(jobs, planner)
-        assert pipeline.needs["s1"] == (0, 1, 2)
+        _, needs = plan_pipeline(jobs, planner)
+        assert needs == [(0, 1, 2)]
 
     def test_estimates_rank_by_size(self):
         assert estimate_compile_cost(BIG) > estimate_compile_cost(MID) \
@@ -136,8 +134,11 @@ class TestPlanPipeline:
         with_pipeline = plan_batch(
             "exact", jobs, True, component_planner=planner
         )
-        assert with_pipeline.pipeline is not None
-        assert plan_batch("exact", jobs, True).pipeline is None
+        assert with_pipeline.components == [BIG]
+        assert [shape.needs for shape in with_pipeline.shapes] == [(0,)]
+        without = plan_batch("exact", jobs, True)
+        assert without.components == []
+        assert [shape.needs for shape in without.shapes] == [()]
 
 
 class TestIntervalOverlap:
@@ -171,11 +172,9 @@ class TestThreadPipelinedExecution:
             "exact", build_jobs(circuits, cache), True, batch=True,
             component_planner=artifact_component_planner("tape"),
         )
-        pipeline = plan.pipeline
-        assert pipeline is not None
-        owned = sum(len(indexes) for indexes in pipeline.needs.values())
-        distinct = len(pipeline.components)
-        assert distinct < owned  # the fleet-wide dedupe bought something
+        owned = sum(len(shape.needs) for shape in plan.shapes)
+        distinct = len(plan.components)
+        assert 0 < distinct < owned  # the fleet-wide dedupe bought something
         transport = InProcessTransport(4)
         try:
             results = transport.run_batch(plan)
@@ -210,10 +209,9 @@ class TestThreadPipelinedExecution:
             "exact", jobs, True, batch=True,
             component_planner=artifact_component_planner("tape"),
         )
-        assert plan.pipeline is not None
+        assert plan.components
         # the tiny join shape plans no components: it is ungated
-        gated = set(plan.pipeline.needs)
-        assert len(gated) < plan.n_shapes
+        assert any(not shape.needs for shape in plan.shapes)
         transport = InProcessTransport(4)
         try:
             results = transport.run_batch(plan)
@@ -234,7 +232,7 @@ class TestProcessPipelinedExecution:
             "exact", build_jobs(circuits, cache), True, batch=True,
             component_planner=artifact_component_planner("tape"),
         )
-        assert plan.pipeline is not None
+        assert plan.components
         transport = ProcessPoolTransport(2, str(store.directory))
         try:
             results = transport.run_batch(plan)
@@ -245,7 +243,7 @@ class TestProcessPipelinedExecution:
             assert all(type(v) is Fraction for v in result.values.values())
         # pool workers did the compiles; the parent records the pass
         stats = cache.stats
-        assert stats.component_pass_compiles == len(plan.pipeline.components)
+        assert stats.component_pass_compiles == len(plan.components)
         assert stats.stitch_jobs == len(circuits)
 
 
@@ -373,9 +371,8 @@ class TestWarmAheadOnePass:
             "exact", jobs, True,
             component_planner=artifact_component_planner("tape"),
         )
-        pipeline = plan.pipeline
-        owned = sum(len(indexes) for indexes in pipeline.needs.values())
-        assert len(pipeline.components) < owned
+        owned = sum(len(shape.needs) for shape in plan.shapes)
+        assert 0 < len(plan.components) < owned
 
     def test_parallel_component_phase_with_compile_jobs(self):
         db = join_database(4, 6)

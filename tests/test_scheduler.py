@@ -1,14 +1,20 @@
 """Tests for the pure scheduling layer: shape dedup and representative
-planning (:func:`plan_batch`), job portability, and the dependency
+planning (:func:`plan_batch`), the plan's wire form, and the dependency
 state every transport pulls from (:class:`BatchSchedule`), driven here
 without threads through random completions and requeues."""
 
+import io
+import pickle
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler.knowledge import CompilationBudget
 from repro.engine import ArtifactCache, EngineOptions
-from repro.engine.scheduler import BatchSchedule, Job, plan_batch
-from repro.engine.store import signature_digest
+from repro.engine.cache import CircuitArtifacts
+from repro.engine.scheduler import BatchPlan, BatchSchedule, Job, plan_batch
+from repro.engine.service.remote import _portable_shapes
 from repro.workloads.synthetic import chained_dnf
 
 
@@ -23,92 +29,104 @@ def job(index, signature, answer=None):
     )
 
 
+def indexes(plan):
+    """Each shape of ``plan`` as ``(representative index, unit indexes,
+    needs)``."""
+    return [(rep.index if rep is not None else None,
+             [[j.index for j in unit] for unit in units], needs)
+            for rep, units, needs in plan.shapes]
+
+
 class TestPlanBatch:
-    def test_warm_wave_is_first_occurrence_per_shape(self):
+    def test_representative_is_first_occurrence_per_shape(self):
         jobs = [job(0, "A"), job(1, "B"), job(2, "A"), job(3, "A"), job(4, "B")]
         plan = plan_batch("exact", jobs, deduplicate=True)
-        assert [j.index for j in plan.warm_wave] == [0, 1]
-        assert [j.index for j in plan.main_wave] == [2, 3, 4]
-        assert plan.n_shapes == 2
-        assert plan.deduplicated
-        assert [j.index for j in plan.jobs] == [0, 1, 2, 3, 4]
+        assert indexes(plan) == [(0, [[2], [3]], ()), (1, [[4]], ())]
+        assert plan.components == []
+        assert sorted(j.index for j in plan.jobs()) == [0, 1, 2, 3, 4]
 
     def test_no_dedup_means_single_wave(self):
         jobs = [job(0, None), job(1, None), job(2, None)]
         plan = plan_batch("monte_carlo", jobs, deduplicate=False)
-        assert plan.warm_wave == []
-        assert [j.index for j in plan.main_wave] == [0, 1, 2]
-        assert plan.n_shapes == 3
-        assert not plan.deduplicated
+        assert indexes(plan) == [
+            (None, [[0]], ()), (None, [[1]], ()), (None, [[2]], ())]
 
     def test_none_signatures_never_alias_even_when_deduplicating(self):
         jobs = [job(0, None), job(1, None)]
         plan = plan_batch("exact", jobs, deduplicate=True)
-        assert len(plan.warm_wave) == 2
-        assert plan.main_wave == []
-        assert plan.n_shapes == 2
+        assert indexes(plan) == [(0, [], ()), (1, [], ())]
 
     def test_empty_batch(self):
         plan = plan_batch("exact", [], deduplicate=True)
-        assert plan.jobs == plan.warm_wave == plan.main_wave == []
-        assert plan.n_shapes == 0
+        assert plan.shapes == [] and plan.components == []
+        assert list(plan.jobs()) == []
+        assert plan.compilation_budget() is None
 
     def test_shapes_pair_each_representative_with_its_groups(self):
         jobs = [job(0, "A"), job(1, "B"), job(2, "A"), job(3, None),
                 job(4, "A"), job(5, "C"), job(6, "C")]
-
-        def indexes(plan):
-            return [(rep.index if rep is not None else None,
-                     [[j.index for j in group] for group in groups])
-                    for rep, groups in plan.shapes()]
-
         batched = plan_batch("exact", jobs, deduplicate=True, batch=True)
         assert indexes(batched) == [
-            (0, [[2, 4]]), (1, []), (3, []), (5, [[6]])]
+            (0, [[2, 4]], ()), (1, [], ()), (3, [], ()), (5, [[6]], ())]
         unbatched = plan_batch("exact", jobs, deduplicate=True)
         assert indexes(unbatched) == [
-            (0, [[2], [4]]), (1, []), (3, []), (5, [[6]])]
+            (0, [[2], [4]], ()), (1, [], ()), (3, [], ()), (5, [[6]], ())]
         sampled = plan_batch("monte_carlo", jobs[:2], deduplicate=False)
-        assert indexes(sampled) == [(None, [[0]]), (None, [[1]])]
+        assert indexes(sampled) == [(None, [[0]], ()), (None, [[1]], ())]
+
+    def test_budget_is_the_first_jobs_even_without_representatives(self):
+        budget = CompilationBudget(max_seconds=7.0)
+        jobs = [Job(0, (0,), None, [], EngineOptions(budget=budget))]
+        plan = plan_batch("monte_carlo", jobs, deduplicate=False)
+        assert plan.compilation_budget() is budget
+
+
+def portable_batch():
+    """A cached batch of three jobs over two shapes, planned with
+    batching, and the wire form of its shapes."""
+    cache = ArtifactCache()
+    circuits = [chained_dnf(3), chained_dnf(3), chained_dnf(2)]
+    options = EngineOptions(cache=cache)
+    jobs = []
+    for index, circuit in enumerate(circuits):
+        handle = cache.open(circuit)
+        jobs.append(Job(index, (f"a{index}",), circuit,
+                        sorted(handle.labels),
+                        options.with_(artifacts=handle),
+                        handle.signature))
+    plan = plan_batch("exact", jobs, deduplicate=True, batch=True)
+    return jobs, plan, _portable_shapes(plan)
 
 
 class TestJobPortability:
-    def test_portable_strips_cache_and_digests_signature(self):
-        cache = ArtifactCache()
-        circuit = chained_dnf(3)
-        handle = cache.open(circuit)
-        rich = Job(
-            index=0,
-            answer=("a",),
-            circuit=circuit,
-            players=sorted(handle.labels),
-            options=EngineOptions(cache=cache, artifacts=handle),
-            signature=handle.signature,
-        )
-        portable = rich.portable()
-        assert portable.options.cache is None
-        assert portable.options.artifacts is None
-        assert portable.signature == signature_digest(handle.signature)
-        # affinity agrees between the rich and portable forms
-        assert rich.affinity() == portable.affinity()
-        # original untouched
-        assert rich.options.cache is cache
+    def test_portable_strips_cache_and_handle(self):
+        jobs, plan, shapes = portable_batch()
+        found = []
+
+        class Finder(pickle.Pickler):
+            def persistent_id(self, obj):
+                if isinstance(obj, (ArtifactCache, CircuitArtifacts)):
+                    found.append(obj)
+                return None
+
+        Finder(io.BytesIO()).dump(shapes)
+        assert found == []
+        for job in BatchPlan("exact", shapes).jobs():
+            assert job.options.cache is None
+            assert job.options.artifacts is None
+            assert job.signature is None
+        # the session's jobs keep their cache and handle
+        assert all(j.options.cache is not None for j in jobs)
+        assert all(j.options.artifacts is not None for j in jobs)
 
     def test_portable_roundtrips_through_pickle(self):
-        import pickle
-
-        cache = ArtifactCache()
-        circuit = chained_dnf(2)
-        handle = cache.open(circuit)
-        rich = Job(0, ("a",), circuit, sorted(handle.labels),
-                   EngineOptions(cache=cache, artifacts=handle),
-                   handle.signature)
-        clone = pickle.loads(pickle.dumps(rich.portable()))
-        assert clone.signature == rich.portable().signature
-        assert clone.players == rich.players
-
-    def test_affinity_of_unshaped_job_is_unique(self):
-        assert job(0, None).affinity() != job(1, None).affinity()
+        jobs, plan, shapes = portable_batch()
+        clone = pickle.loads(pickle.dumps(shapes))
+        assert indexes(BatchPlan("exact", clone)) == indexes(plan)
+        for job in BatchPlan("exact", clone).jobs():
+            assert job.options.cache is None
+            assert job.players == jobs[job.index].players
+            assert job.answer == jobs[job.index].answer
 
 
 @st.composite
@@ -116,25 +134,26 @@ def batch_schedules(draw):
     """A schedule of 1-8 shapes (each with 0-5 siblings, batched into
     one unit or one unit each), random ``needs`` over 0-6 components,
     and a width of 1-4 slots; plus the model the tests check it
-    against."""
+    against (``required[shape]``: the components its representative
+    waits for)."""
     n_components = draw(st.integers(0, 6))
     batched = draw(st.booleans())
-    shapes, needs, required = [], {}, {}
+    shapes, required = [], []
     for shape in range(draw(st.integers(1, 8))):
-        affinity = f"s{shape}"
-        siblings = [f"{affinity}/{i}"
+        siblings = [f"s{shape}/{i}"
                     for i in range(1, draw(st.integers(0, 5)) + 1)]
         units = ([tuple(siblings)] if batched and siblings
                  else [(sibling,) for sibling in siblings])
-        rep = f"{affinity}/0" if draw(st.booleans()) or n_components else None
+        rep = f"s{shape}/0" if draw(st.booleans()) or n_components else None
+        needs = ()
         if rep is not None and n_components:
-            needs[affinity] = draw(st.lists(
+            needs = tuple(draw(st.lists(
                 st.integers(0, n_components - 1), unique=True,
-                max_size=n_components))
-        required[rep, affinity] = set(needs.get(affinity, ()))
-        shapes.append((affinity, rep, units))
+                max_size=n_components)))
+        required.append(set(needs))
+        shapes.append((rep, units, needs))
     width = draw(st.integers(1, 4))
-    return BatchSchedule(shapes, needs, n_components, width), shapes, \
+    return BatchSchedule(shapes, n_components, width), shapes, \
         required, width
 
 
@@ -143,7 +162,7 @@ class TestBatchSchedule:
     @given(batch_schedules(), st.randoms(use_true_random=False))
     def test_random_completions_and_requeues(self, drawn, rng):
         schedule, shapes, required, width = drawn
-        all_needed = set().union(*required.values())
+        all_needed = set().union(*required)
         finished_compiles: set[int] = set()
         finished_reps: set[str] = set()
         first_compile_takes: list[int] = []
@@ -155,13 +174,13 @@ class TestBatchSchedule:
             """Whether some representative or sibling unit could run
             now, by the model (not the schedule's own queues)."""
             taken = {id(unit.item) for unit in running}
-            for affinity, rep, units in shapes:
+            for shape, (rep, units, _) in enumerate(shapes):
                 if rep is None or rep in finished_reps:
                     if any(id(unit) not in taken and unit[0] not in results
                            for unit in units):
                         return True
-                elif (id(rep) not in taken and required[rep, affinity]
-                      <= finished_compiles):
+                elif (id(rep) not in taken
+                      and required[shape] <= finished_compiles):
                     return True
             return False
 
@@ -198,11 +217,10 @@ class TestBatchSchedule:
                 if unit.item not in first_compile_takes:
                     first_compile_takes.append(unit.item)
             elif unit.kind == "rep":
-                affinity = shapes[unit.shape][0]
-                assert required[unit.item, affinity] <= finished_compiles
-                assert unit.gated == bool(required[unit.item, affinity])
+                assert required[unit.shape] <= finished_compiles
+                assert unit.gated == bool(required[unit.shape])
             else:
-                rep = shapes[unit.shape][1]
+                rep = shapes[unit.shape][0]
                 assert rep is None or rep in finished_reps
             compiling = sum(u.kind == "compile" for u in running)
             if ready_work():
@@ -210,9 +228,14 @@ class TestBatchSchedule:
         assert schedule.done and not running
         # every job exactly one result; every needed compile once, in
         # the plan's critical-path (index) order
-        jobs = [job for _, rep, units in shapes
+        jobs = [job for rep, units, _ in shapes
                 for job in ([rep] if rep is not None else [])
                 + [name for unit in units for name in unit]]
         assert sorted(results) == sorted(jobs)
         assert finished_compiles == all_needed
         assert first_compile_takes == sorted(all_needed)
+
+    @pytest.mark.parametrize("needs", [(2,), (-1,)])
+    def test_out_of_range_component_is_rejected(self, needs):
+        with pytest.raises(ValueError, match="needs components"):
+            BatchSchedule([("rep", [], needs)], 2)

@@ -6,6 +6,7 @@ reuse), and coordinator/worker behaviour over real sockets."""
 import socket
 import threading
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -165,6 +166,51 @@ class TestTransportParity:
         assert planned == 2  # one plan per shape
         assert len(calls) == planned
         assert values_of(second) == values_of(first)
+
+
+    def test_socket_batch_hashes_no_digest_on_the_client(
+        self, fleet, monkeypatch
+    ):
+        # The batch ships the plan's shapes: no per-answer affinity, so
+        # the client thread hashes no store digest (workers, threads of
+        # this process here, still hash theirs).
+        import repro.engine.cache as cache_module
+        import repro.engine.service.remote as remote_module
+        import repro.engine.store as store_module
+
+        client = threading.current_thread()
+        calls = []
+        digest = store_module.signature_digest
+
+        def counting(signature):
+            if threading.current_thread() is client:
+                calls.append(signature)
+            return digest(signature)
+
+        monkeypatch.setattr(store_module, "signature_digest", counting)
+        monkeypatch.setattr(cache_module, "signature_digest", counting)
+        sent = []
+        send = remote_module.send_msg
+        monkeypatch.setattr(
+            remote_module, "send_msg",
+            lambda sock, message, *args, **kwargs:
+                sent.append(message) or send(sock, message, *args, **kwargs),
+        )
+        db = join_database(6, 6)
+        with ExplainSession(
+            db, method="exact", executor="socket",
+            coordinator=fleet.address, min_workers=2,
+        ) as session:
+            results = session.explain_many(JOIN_QUERY)
+        assert len(results) == 6 and all(r.ok for r in results.values())
+        assert calls == []
+        batch = next(m for m in sent if m.get("op") == "batch")
+        assert "tasks" not in batch
+        [(rep, units, needs)] = batch["shapes"]
+        assert [[job.index for job in unit] for unit in units] \
+            == [[1, 2, 3, 4, 5]]
+        assert needs == (0,) and len(batch["components"]) == 1
+        assert all(job.signature is None for job in chain([rep], *units))
 
 
 class TestSessionLifecycle:

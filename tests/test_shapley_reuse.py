@@ -147,11 +147,12 @@ class TestSessionReuse:
         remote = [f"remote_{key}" for key in SWEEP_KEYS]
         assert sum(first[key] for key in remote) == len(cold)
         assert first["shapley_reuse_hits"] == 0
-        assert {"task", "task_group"} & set(cold_ops)
+        # representatives and sibling units all go out as task_groups
+        assert "task_group" in cold_ops and "task" not in cold_ops
         # the repeat: relabelled on the client, so no task reaches the
         # fleet and no worker counter moves
         assert second["shapley_reuse_hits"] == len(warm)
-        assert "task" not in warm_ops and "task_group" not in warm_ops
+        assert "task_group" not in warm_ops
         for key in first:
             if key.startswith("remote_fastpath_"):
                 assert second[key] == first[key], key
