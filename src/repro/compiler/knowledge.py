@@ -91,13 +91,14 @@ class BudgetExceeded(RuntimeError):
     """
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompilationBudget:
     """Resource limits for a compilation run.
 
     ``max_nodes`` bounds the number of circuit gates created (a memory
     proxy); ``max_seconds`` bounds wall-clock time.  ``None`` disables a
-    limit.
+    limit.  Frozen, so options that carry a budget hash and can be
+    shared.
     """
 
     max_nodes: int | None = None

@@ -81,26 +81,34 @@ class Database:
     # ------------------------------------------------------------------
 
     def add(self, relation: str, *values: object, endogenous: bool = True) -> Fact:
-        """Insert a fact, validating against the schema.
+        """Insert one fact: the one-row case of :meth:`add_many`.
 
-        Re-inserting an existing fact is a no-op (set semantics) but
-        updates its endogenous status.
-        """
-        rel_schema = self.schema.relation(relation)
-        rel_schema.validate(values)
-        fact = Fact(relation, values)
-        self._relations[relation][fact] = None
-        if endogenous:
-            self._endogenous.add(fact)
-        else:
-            self._endogenous.discard(fact)
-        return fact
+        A row that fails validation raises :class:`SchemaError` and
+        inserts nothing; re-inserting an existing fact updates only its
+        endogenous status."""
+        return self.add_many(relation, (values,), endogenous)[0]
 
     def add_many(
         self, relation: str, rows: Iterable[Sequence[object]], endogenous: bool = True
     ) -> list[Fact]:
-        """Bulk :meth:`add`."""
-        return [self.add(relation, *row, endogenous=endogenous) for row in rows]
+        """Insert rows of one relation, validating against the schema.
+
+        Validation is all-or-nothing: every row's arity and attribute
+        types are checked before any row is inserted, so a bad row
+        raises :class:`SchemaError` and leaves the database unchanged.
+        Re-inserting an existing fact is a no-op (set semantics) but
+        updates its endogenous status.
+        """
+        rel_schema = self.schema.relation(relation)
+        arity, types = rel_schema.arity, rel_schema.types
+        batch = [tuple(row) for row in rows]
+        for values in batch:
+            if len(values) != arity or not all(map(isinstance, values, types)):
+                rel_schema.validate(values)
+        facts = [Fact(relation, values) for values in batch]
+        self._relations[relation].update(dict.fromkeys(facts))
+        self._mark(facts, endogenous)
+        return facts
 
     def remove(self, fact: Fact) -> None:
         """Delete a fact from the database."""
@@ -114,16 +122,21 @@ class Database:
         """Flip the endogenous status of one fact."""
         if fact not in self:
             raise SchemaError(f"fact {fact!r} not in database")
-        if endogenous:
-            self._endogenous.add(fact)
-        else:
-            self._endogenous.discard(fact)
+        self._mark((fact,), endogenous)
 
     def mark_relation(self, relation: str, endogenous: bool) -> None:
         """Designate a whole relation endogenous or exogenous, as done for
         the tables in the paper's experiments."""
-        for fact in self._relations[self.schema.relation(relation).name]:
-            self.set_endogenous(fact, endogenous)
+        self._mark(self._relations[self.schema.relation(relation).name],
+                   endogenous)
+
+    def _mark(self, facts: Iterable[Fact], endogenous: bool) -> None:
+        """Add ``facts`` to the endogenous set, or remove them from it,
+        in one set operation."""
+        if endogenous:
+            self._endogenous.update(facts)
+        else:
+            self._endogenous.difference_update(facts)
 
     # ------------------------------------------------------------------
     # Access

@@ -8,6 +8,7 @@ optional Python types used for validation on insert.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -57,6 +58,12 @@ class RelationSchema:
     @property
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
+
+    @cached_property
+    def types(self) -> tuple[type, ...]:
+        """Each attribute's expected type (``object`` when untyped), for
+        checking a whole row with one ``isinstance`` per value."""
+        return tuple(a.dtype or object for a in self.attributes)
 
     def validate(self, values: Sequence[object]) -> None:
         """Check arity and attribute types of a candidate tuple."""

@@ -30,7 +30,7 @@ import time
 import warnings
 from dataclasses import replace
 
-from ..base import EngineResult
+from ..base import EngineOptions, EngineResult
 from ..scheduler import BatchPlan, Job, Shape
 from .base import FleetBusy, FleetUnavailable, Transport, TransportError
 from .faults import Backoff, FaultPlan
@@ -43,25 +43,33 @@ from .protocol import (
 )
 
 
-def _portable(job: Job) -> Job:
-    """``job`` safe to ship to another process or host.
+def _portable_options(
+    options: EngineOptions, shared: dict[EngineOptions, EngineOptions]
+) -> EngineOptions:
+    """``options`` without the in-memory cache and canonicalization
+    handle, which are process-local (and unpicklable); workers attach
+    their own cache.  Equal stripped options are shared through
+    ``shared`` (they are frozen), so pickle writes each distinct
+    options object once per message."""
+    options = options.with_(cache=None, artifacts=None)
+    return shared.setdefault(options, options)
 
-    The in-memory cache and canonicalization handle are process-local
-    (and unpicklable), so they are stripped — workers attach their own
-    cache — and so is the signature, which only grouped the plan."""
+
+def _portable(job: Job, shared: dict[EngineOptions, EngineOptions]) -> Job:
+    """``job`` safe to ship to another process or host: portable
+    options, and no signature, which only grouped the plan."""
     return replace(
-        job,
-        options=job.options.with_(cache=None, artifacts=None),
-        signature=None,
-    )
+        job, options=_portable_options(job.options, shared), signature=None)
 
 
 def _portable_shapes(plan: BatchPlan) -> list[Shape]:
     """The wire form of the plan's shapes: the same shapes over
-    portable jobs."""
+    portable jobs, sharing one options object per distinct options."""
+    shared: dict[EngineOptions, EngineOptions] = {}
     return [
-        Shape(None if rep is None else _portable(rep),
-              [[_portable(job) for job in unit] for unit in units], needs)
+        Shape(None if rep is None else _portable(rep, shared),
+              [[_portable(job, shared) for job in unit] for unit in units],
+              needs)
         for rep, units, needs in plan.shapes
     ]
 
@@ -287,11 +295,13 @@ class SocketTransport(Transport):
         # Place each compile where the first shape that needs it will
         # warm, so that worker stitches from its own memory.
         owners: dict[int, str] = {}
+        shared: dict[EngineOptions, EngineOptions] = {}
         for rep, _, needs in plan.shapes:
             affinity = rep.options.artifacts.digest
             tasks.append({
                 "id": rep.index, "circuit": rep.circuit,
-                "players": rep.players, "options": _portable(rep).options,
+                "players": rep.players,
+                "options": _portable_options(rep.options, shared),
                 "affinity": affinity,
             })
             for index in needs:

@@ -8,13 +8,23 @@ customers / 1.5M orders; the reproduction benches run at micro scales
 (e.g. 0.001) because Shapley computation consumes per-answer lineage,
 whose shape — join fan-out and alternation — is preserved at any scale.
 
-The generator is fully deterministic given a seed.
+The generator is fully deterministic given a seed.  Its random stream
+is pinned: tier-1 tests check SHA-256 digests of the generated facts at
+several (scale, seed) pairs, so a change to any draw — its kind, its
+order or its arguments — is a change to the data, not a refactor.  The
+draws call only ``random()`` and ``getrandbits()`` of one
+``random.Random(seed)``, through :func:`_pick` and :func:`_weighted`,
+which reproduce ``choice``/``randint`` and ``choices(weights=...)``
+draw for draw with fewer Python calls.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Callable, Sequence, TypeVar
 
 from ..db.database import Database
 from ..db.schema import RelationSchema, Schema
@@ -61,16 +71,58 @@ _NATION_WEIGHTS = [
 ]
 
 
-def _nation_key(rng: random.Random) -> int:
-    return rng.choices(range(len(NATIONS)), weights=_NATION_WEIGHTS, k=1)[0]
+T = TypeVar("T")
 
 
-def _random_date(rng: random.Random, first_year: int = 1992, last_year: int = 1998) -> str:
-    """A uniform ISO date string; ISO strings compare correctly."""
-    year = rng.randint(first_year, last_year)
-    month = rng.randint(1, 12)
-    day = rng.randint(1, _MONTH_DAYS[month - 1])
-    return f"{year:04d}-{month:02d}-{day:02d}"
+def _pick(rng: random.Random, population: Sequence[T]) -> Callable[[], T]:
+    """A draw of ``rng.choice(population)``.
+
+    ``choice`` and ``randint(a, b)`` (``choice(range(a, b + 1))``) both
+    take ``rng._randbelow(n)``: CPython's rejection loop over
+    ``getrandbits(n.bit_length())``, repeated here so one draw is one
+    Python call with the same bits consumed."""
+    getrandbits = rng.getrandbits
+    n = len(population)
+    k = n.bit_length()
+
+    def draw() -> T:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return population[r]
+
+    return draw
+
+
+def _weighted(
+    rng: random.Random, population: Sequence[T], weights: Sequence[int]
+) -> Callable[[], T]:
+    """A draw of ``rng.choices(population, weights=weights, k=1)[0]``:
+    one ``random()`` bisected into the cumulative weights, which are
+    summed once instead of per draw."""
+    random_ = rng.random
+    cum_weights = list(accumulate(weights))
+    total = cum_weights[-1] + 0.0
+    hi = len(cum_weights) - 1
+
+    def draw() -> T:
+        return population[bisect(cum_weights, random_() * total, 0, hi)]
+
+    return draw
+
+
+def _date(rng: random.Random) -> Callable[[], str]:
+    """A draw of a uniform ISO date string in 1992-1998 (ISO strings
+    compare correctly): ``randint`` year, month, then day of month."""
+    year = _pick(rng, range(1992, 1999))
+    month = _pick(rng, range(1, 13))
+    days = [_pick(rng, range(1, n + 1)) for n in _MONTH_DAYS]
+
+    def draw() -> str:
+        y, m = year(), month()
+        return f"{y:04d}-{m:02d}-{days[m - 1]():02d}"
+
+    return draw
 
 
 def tpch_schema() -> Schema:
@@ -139,115 +191,103 @@ class TpchConfig:
 
 
 def generate_tpch(config: TpchConfig | None = None) -> Database:
-    """Generate a TPC-H database at the configured scale."""
+    """Generate a TPC-H database at the configured scale.
+
+    Each relation's rows are built as a list of tuples and loaded with
+    one :meth:`~repro.db.database.Database.add_many`."""
     config = config or TpchConfig()
     rng = random.Random(config.seed)
-    schema = tpch_schema()
-    db = Database(schema)
+    random_ = rng.random
+    db = Database(tpch_schema())
     endo = set(config.endogenous_relations)
 
-    def is_endo(relation: str) -> bool:
-        return relation in endo
+    def load(relation: str, rows: list[tuple]) -> None:
+        db.add_many(relation, rows, endogenous=relation in endo)
 
-    for key, name in enumerate(REGIONS):
-        db.add("region", key, name, endogenous=is_endo("region"))
-    for key, (name, region) in enumerate(NATIONS):
-        db.add("nation", key, name, region, endogenous=is_endo("nation"))
+    load("region", list(enumerate(REGIONS)))
+    load("nation", [(key, name, region)
+                    for key, (name, region) in enumerate(NATIONS)])
 
     n_supplier = config.cardinality(10_000)
     n_part = config.cardinality(200_000, minimum=5)
     n_customer = config.cardinality(150_000, minimum=5)
     n_orders = config.cardinality(1_500_000, minimum=10)
 
-    for key in range(1, n_supplier + 1):
-        db.add(
-            "supplier",
-            key,
-            f"Supplier#{key:09d}",
-            _nation_key(rng),
-            round(rng.uniform(-999.99, 9999.99), 2),
-            endogenous=is_endo("supplier"),
-        )
+    # ``rng.uniform(a, b)`` is ``a + (b - a) * random()``, written out.
+    nation_key = _weighted(rng, range(len(NATIONS)), _NATION_WEIGHTS)
+    load("supplier", [
+        (key, f"Supplier#{key:09d}", nation_key(),
+         round(-999.99 + (9999.99 - -999.99) * random_(), 2))
+        for key in range(1, n_supplier + 1)
+    ])
 
+    # Brand/container/size draws are skewed toward the combinations Q16
+    # and Q19 filter on (Brand#12/23/34, SM/MED/LG cases, small sizes)
+    # so those queries stay non-empty at micro scale.
+    brand_1 = _weighted(rng, "12345", (4, 4, 4, 1, 1))
+    brand_2 = _weighted(rng, "12345", (1, 4, 4, 4, 1))
+    type_1 = _pick(rng, TYPE_SYLLABLE_1)
+    type_2 = _pick(rng, TYPE_SYLLABLE_2)
+    type_3 = _pick(rng, TYPE_SYLLABLE_3)
+    container_1 = _weighted(rng, CONTAINER_SYLLABLE_1, (4, 4, 4, 1, 1))
+    container_2 = _weighted(
+        rng, CONTAINER_SYLLABLE_2, (4, 4, 1, 1, 4, 4, 1, 1))
+    size = _weighted(rng, range(1, 51), [4] * 15 + [1] * 35)
+    parts = []
     for key in range(1, n_part + 1):
-        # Brand/container/size draws are skewed toward the combinations
-        # Q16 and Q19 filter on (Brand#12/23/34, SM/MED/LG cases, small
-        # sizes) so those queries stay non-empty at micro scale.
-        first_digit = rng.choices("12345", weights=(4, 4, 4, 1, 1), k=1)[0]
-        second_digit = rng.choices("12345", weights=(1, 4, 4, 4, 1), k=1)[0]
-        brand = f"Brand#{first_digit}{second_digit}"
-        ptype = " ".join(
-            (
-                rng.choice(TYPE_SYLLABLE_1),
-                rng.choice(TYPE_SYLLABLE_2),
-                rng.choice(TYPE_SYLLABLE_3),
-            )
-        )
-        syllable_1 = rng.choices(CONTAINER_SYLLABLE_1, weights=(4, 4, 4, 1, 1), k=1)[0]
-        syllable_2 = rng.choices(CONTAINER_SYLLABLE_2, weights=(4, 4, 1, 1, 4, 4, 1, 1), k=1)[0]
-        container = f"{syllable_1} {syllable_2}"
-        db.add(
-            "part",
-            key,
-            f"part {key}",
-            brand,
-            ptype,
-            rng.choices(range(1, 51), weights=[4] * 15 + [1] * 35, k=1)[0],
-            container,
+        brand = f"Brand#{brand_1()}{brand_2()}"
+        ptype = f"{type_1()} {type_2()} {type_3()}"
+        container = f"{container_1()} {container_2()}"
+        parts.append((
+            key, f"part {key}", brand, ptype, size(), container,
             round(900 + key / 10 % 1000 + 100 * (key % 10), 2),
-            endogenous=is_endo("part"),
-        )
+        ))
+    load("part", parts)
 
     # Four suppliers per part, as in dbgen.
-    for part_key in range(1, n_part + 1):
-        for i in range(4):
-            supp_key = (part_key + i * max(1, n_supplier // 4)) % n_supplier + 1
-            db.add(
-                "partsupp",
-                part_key,
-                supp_key,
-                rng.randint(1, 9999),
-                round(rng.uniform(1.0, 1000.0), 2),
-                endogenous=is_endo("partsupp"),
-            )
+    availqty = _pick(rng, range(1, 10_000))
+    stride = max(1, n_supplier // 4)
+    load("partsupp", [
+        (part_key, (part_key + i * stride) % n_supplier + 1, availqty(),
+         round(1.0 + (1000.0 - 1.0) * random_(), 2))
+        for part_key in range(1, n_part + 1)
+        for i in range(4)
+    ])
 
-    for key in range(1, n_customer + 1):
-        db.add(
-            "customer",
-            key,
-            f"Customer#{key:09d}",
-            _nation_key(rng),
-            rng.choice(SEGMENTS),
-            round(rng.uniform(-999.99, 9999.99), 2),
-            endogenous=is_endo("customer"),
-        )
+    segment = _pick(rng, SEGMENTS)
+    load("customer", [
+        (key, f"Customer#{key:09d}", nation_key(), segment(),
+         round(-999.99 + (9999.99 - -999.99) * random_(), 2))
+        for key in range(1, n_customer + 1)
+    ])
 
+    # Orders and their lineitems interleave in the random stream.
+    customer = _pick(rng, range(1, n_customer + 1))
+    status = _pick(rng, ORDER_STATUS)
+    date = _date(rng)
+    priority = _pick(rng, PRIORITIES)
+    n_lines = _pick(rng, range(1, 8))
+    quantity_of = _pick(rng, range(1, 51))
+    part = _pick(rng, range(1, n_part + 1))
+    supplier = _pick(rng, range(1, n_supplier + 1))
+    return_flag = _pick(rng, RETURN_FLAGS)
+    ship_mode = _weighted(rng, SHIP_MODES, (4, 4, 1, 1, 1, 1, 1))
+    ship_instruct = _weighted(rng, SHIP_INSTRUCTIONS, (5, 1, 1, 1))
+    orders, lineitems = [], []
     for key in range(1, n_orders + 1):
-        db.add(
-            "orders",
-            key,
-            rng.randint(1, n_customer),
-            rng.choice(ORDER_STATUS),
-            round(rng.uniform(1000.0, 400000.0), 2),
-            _random_date(rng, 1992, 1998),
-            rng.choice(PRIORITIES),
-            endogenous=is_endo("orders"),
-        )
-        for line_number in range(1, rng.randint(1, 7) + 1):
-            quantity = rng.randint(1, 50)
-            db.add(
-                "lineitem",
-                key,
-                rng.randint(1, n_part),
-                rng.randint(1, n_supplier),
-                line_number,
-                quantity,
-                round(quantity * rng.uniform(900.0, 2000.0), 2),
-                round(rng.uniform(0.0, 0.1), 2),
-                rng.choice(RETURN_FLAGS),
-                _random_date(rng, 1992, 1998),
-                rng.choices(SHIP_MODES, weights=(4, 4, 1, 1, 1, 1, 1), k=1)[0],
-                rng.choices(SHIP_INSTRUCTIONS, weights=(5, 1, 1, 1), k=1)[0],
-                endogenous=is_endo("lineitem"),
-            )
+        orders.append((
+            key, customer(), status(),
+            round(1000.0 + (400000.0 - 1000.0) * random_(), 2),
+            date(), priority(),
+        ))
+        for line_number in range(1, n_lines() + 1):
+            quantity = quantity_of()
+            lineitems.append((
+                key, part(), supplier(), line_number, quantity,
+                round(quantity * (900.0 + (2000.0 - 900.0) * random_()), 2),
+                round(0.0 + (0.1 - 0.0) * random_(), 2),
+                return_flag(), date(), ship_mode(), ship_instruct(),
+            ))
+    load("orders", orders)
+    load("lineitem", lineitems)
     return db

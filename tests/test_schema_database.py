@@ -180,3 +180,55 @@ class TestDatabase:
     def test_repr(self):
         db = Database(simple_schema())
         assert "Database(" in repr(db)
+
+
+class TestBulkLoad:
+    @pytest.mark.parametrize("bad", [(2,), (2, "y", 3), ("2", "y"), (2, 3)],
+                             ids=["short", "long", "type-a", "type-b"])
+    def test_bad_row_raises_like_add_and_inserts_nothing(self, bad):
+        db = Database(simple_schema())
+        kept = db.add("R", 9, "z", endogenous=False)
+        with pytest.raises(SchemaError) as from_add:
+            db.add("R", *bad)
+        with pytest.raises(SchemaError) as from_bulk:
+            db.add_many("R", [(1, "x"), bad, (3, "w")], endogenous=True)
+        assert str(from_bulk.value) == str(from_add.value)
+        assert db.relation("R") == [kept]
+        assert db.endogenous_facts() == []
+
+    def test_reinsert_as_exogenous_leaves_the_endogenous_set(self):
+        db = Database(simple_schema())
+        first, second = db.add_many("R", [(1, "x"), (2, "y")])
+        db.add_many("R", [(2, "y")], endogenous=False)
+        assert db.endogenous_facts() == [first]
+        assert db.exogenous_facts() == [second]
+        assert db.relation("R") == [first, second]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.booleans(),                      # add_many (else add)
+        st.sampled_from(["R", "S"]),
+        st.lists(st.tuples(st.integers(0, 3), st.sampled_from("ab")),
+                 max_size=4),
+        st.booleans(),                      # endogenous
+    ), max_size=12))
+    def test_matches_a_dict_and_set_model(self, ops):
+        db = Database(simple_schema())
+        rows = {"R": {}, "S": {}}      # insertion-ordered, as dict keys
+        endogenous = set()
+        for bulk, relation, pairs, endo in ops:
+            batch = pairs if relation == "R" else [(a,) for a, _ in pairs]
+            if bulk:
+                db.add_many(relation, batch, endogenous=endo)
+            else:
+                for row in batch:
+                    db.add(relation, *row, endogenous=endo)
+            for row in batch:
+                rows[relation][row] = None
+                (endogenous.add if endo else endogenous.discard)(
+                    (relation, row))
+        assert [(f.relation, f.values) for f in db.facts()] == [
+            (relation, row) for relation in ("R", "S")
+            for row in rows[relation]]
+        assert {(f.relation, f.values) for f in db.endogenous_facts()} \
+            == endogenous

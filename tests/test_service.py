@@ -3,8 +3,10 @@ criterion — all three transports produce identical Shapley values),
 session lifecycle (context manager, deterministic shutdown, transport
 reuse), and coordinator/worker behaviour over real sockets."""
 
+import pickle
 import socket
 import threading
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 
@@ -20,9 +22,10 @@ from repro.engine import (
     TransportError,
     run_worker,
 )
-from repro.engine.scheduler import plan_batch
+from repro.engine.scheduler import Shape, plan_batch
 from repro.engine.service.local import InProcessTransport, ProcessPoolTransport
 from repro.engine.service.protocol import parse_address, recv_msg, send_msg
+from repro.engine.service import remote as remote_module
 from repro.engine.service.remote import SocketTransport
 
 from .test_store import JOIN_QUERY, explain_each_answer, join_database
@@ -73,6 +76,18 @@ def fleet(tmp_path):
     coordinator.shutdown()
     for thread in threads:
         thread.join(timeout=10)
+
+
+def record_sends(monkeypatch):
+    """The messages the socket client sends, recorded as they go."""
+    sent = []
+    send = remote_module.send_msg
+    monkeypatch.setattr(
+        remote_module, "send_msg",
+        lambda sock, message, *args, **kwargs:
+            sent.append(message) or send(sock, message, *args, **kwargs),
+    )
+    return sent
 
 
 class TestTransportParity:
@@ -175,7 +190,6 @@ class TestTransportParity:
         # the client thread hashes no store digest (workers, threads of
         # this process here, still hash theirs).
         import repro.engine.cache as cache_module
-        import repro.engine.service.remote as remote_module
         import repro.engine.store as store_module
 
         client = threading.current_thread()
@@ -189,13 +203,7 @@ class TestTransportParity:
 
         monkeypatch.setattr(store_module, "signature_digest", counting)
         monkeypatch.setattr(cache_module, "signature_digest", counting)
-        sent = []
-        send = remote_module.send_msg
-        monkeypatch.setattr(
-            remote_module, "send_msg",
-            lambda sock, message, *args, **kwargs:
-                sent.append(message) or send(sock, message, *args, **kwargs),
-        )
+        sent = record_sends(monkeypatch)
         db = join_database(6, 6)
         with ExplainSession(
             db, method="exact", executor="socket",
@@ -211,6 +219,35 @@ class TestTransportParity:
             == [[1, 2, 3, 4, 5]]
         assert needs == (0,) and len(batch["components"]) == 1
         assert all(job.signature is None for job in chain([rep], *units))
+
+    def test_socket_batch_pickles_one_options_object(self, fleet, monkeypatch):
+        # Every answer of a batch carries equal stripped options; the
+        # wire form shares one object, so pickle writes it once.
+        sent = record_sends(monkeypatch)
+        db = join_database(6, 6)
+        with ExplainSession(
+            db, method="exact", executor="socket",
+            coordinator=fleet.address, min_workers=2,
+        ) as session:
+            results = session.explain_many(JOIN_QUERY)
+        assert len(results) == 6 and all(r.ok for r in results.values())
+        batch = next(m for m in sent if m.get("op") == "batch")
+        payload = pickle.dumps(batch)
+        [(rep, units, _)] = pickle.loads(payload)["shapes"]
+        jobs = list(chain([rep], *units))
+        assert len(jobs) == 6
+        assert all(job.options is rep.options for job in jobs)
+        # One options copy per job, as each job stripped on its own
+        # used to ship, makes a larger payload.
+        [(rep, units, needs)] = batch["shapes"]
+
+        def unshared(job):
+            return replace(job, options=replace(job.options))
+
+        per_job = dict(batch, shapes=[Shape(
+            unshared(rep), [[unshared(j) for j in unit] for unit in units],
+            needs)])
+        assert len(payload) < len(pickle.dumps(per_job))
 
 
 class TestSessionLifecycle:

@@ -1,5 +1,7 @@
 """Tests for the TPC-H / IMDB generators and query suites."""
 
+import hashlib
+
 import pytest
 
 from repro.db import boolean_answer, lineage
@@ -16,6 +18,7 @@ from repro.workloads import (
     imdb_query,
     tpch_query,
 )
+from repro.workloads.flights import flights_database
 
 TPCH_SMALL = TpchConfig(scale_factor=0.0003)
 IMDB_SMALL = ImdbConfig(movies=120, people=150, companies=20)
@@ -163,3 +166,43 @@ class TestImdbQueries:
         }
         for name, tables in expected.items():
             assert describe(imdb_query(name), db).joined_tables == tables
+
+
+def database_digest(db):
+    """SHA-256 over every fact as ``(relation, repr(values),
+    is_endogenous)``, in the database's iteration order: relations in
+    schema order, facts in insertion order."""
+    digest = hashlib.sha256()
+    for fact in db.facts():
+        record = (fact.relation, repr(fact.values), db.is_endogenous(fact))
+        digest.update(repr(record).encode() + b"\n")
+    return digest.hexdigest()
+
+
+class TestPinnedOutput:
+    """The generators' exact output, pinned across processes and
+    versions: a changed random draw, value format, fact order or
+    endogenous partition changes the data and fails here."""
+
+    @pytest.mark.parametrize("scale, seed, expected", [
+        (0.001, 7,
+         "de41e4445c1cea166d334ffc7090d0622825c9785788c8d378a017e9553c48f9"),
+        (0.004, 7,
+         "53b2c97795fcbbbbfe115e4ba4037d9979a6cfab3c129761180f2badab1a63bc"),
+        (0.01, 7,
+         "498896f691bc111a43b8d5914296435bbd5bf42deded18340ec58baf8ee9b63f"),
+        (0.0003, 1,
+         "42f770f43e8506d6e916e4908435fe82da0802b1dae9c6e36b4a1a80ef3f7e11"),
+    ])
+    def test_tpch(self, scale, seed, expected):
+        db = generate_tpch(TpchConfig(scale_factor=scale, seed=seed))
+        assert database_digest(db) == expected
+
+    def test_imdb(self):
+        db = generate_imdb(ImdbConfig(movies=120, people=160))
+        assert database_digest(db) == (
+            "1a3f1280249962e812cdf8ace1d78af79326d5bb83ee41f8fc2dde4331a48d38")
+
+    def test_flights(self):
+        assert database_digest(flights_database()) == (
+            "2d9360497db116cbe6d09e226eea73c289df553d9888f48416e9b479aa67ebba")
