@@ -3,8 +3,8 @@
 Recomputes exact Shapley values for the ground-truth records consumed
 by the fig6/fig7/table2 drivers on the default path (the machine-width
 tier, chosen per shape) and on the interpreted reference pass (the
-tier disabled), in every all-facts mode, asserting byte-identical
-Fractions, and reports per-bucket timing of the two derivative passes.
+tier disabled), asserting byte-identical Fractions, and reports
+per-bucket timing of the two passes.
 """
 
 import time
@@ -18,7 +18,6 @@ from repro.compiler import compile_cnf
 from repro.core import shapley_all_facts
 from repro.core.numerics import HAS_NUMPY
 
-MODES = ("conditioning", "derivative")
 HEADERS = ["bucket", "circuits", "interpreted [s]", "default [s]",
            "numpy available"]
 
@@ -54,23 +53,15 @@ def test_ablation_numeric_kernels(
         players = sorted(record.values)
         compiled.append((ddnnf, players))
 
-        # Acceptance: both paths x both modes return the very Fractions
-        # the drivers' ground truth was computed from.
-        reference = record.values
-        for path in ("default", "interpreted"):
-            for mode in MODES:
-                if path == "interpreted":
-                    with _interpreted():
-                        values = shapley_all_facts(
-                            ddnnf, players, method=mode)
-                else:
-                    values = shapley_all_facts(ddnnf, players, method=mode)
-                assert values == reference, (path, mode)
-                assert all(type(v) is Fraction for v in values.values())
-
+        # Acceptance: both paths return the very Fractions the
+        # drivers' ground truth was computed from.
         with _interpreted():
-            _, t_interpreted = _timed(ddnnf, players)
-        _, t_default = _timed(ddnnf, players)
+            interpreted, t_interpreted = _timed(ddnnf, players)
+        default, t_default = _timed(ddnnf, players)
+        for path, values in (("interpreted", interpreted),
+                             ("default", default)):
+            assert values == record.values, path
+            assert all(type(v) is Fraction for v in values.values())
         bucket = bucket_of(record.n_facts) or ">400"
         per_bucket.setdefault(bucket, []).append((t_interpreted, t_default))
 

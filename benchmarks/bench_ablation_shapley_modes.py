@@ -1,6 +1,7 @@
 """Ablation: Algorithm 1's all-facts strategies — the paper's per-fact
-conditioning loop (O(|C| n^3) total, the oracle) against the shared
-smoothing-free derivative pass over a compiled gate tape.
+conditioning loop (a ``shapley_of_fact`` call per fact, O(|C| n^3)
+total, the oracle) against the shared smoothing-free derivative pass
+over a compiled gate tape (``shapley_all_facts``).
 
 Expected shape: the shared pass beats conditioning increasingly with
 the number of facts; both return identical exact values (asserted).
@@ -11,7 +12,7 @@ import time
 from repro.bench import bucket_of, format_table, mean, write_csv
 from repro.circuits import eliminate_auxiliary, tseytin_transform
 from repro.compiler import compile_cnf
-from repro.core import shapley_all_facts
+from repro.core import shapley_all_facts, shapley_of_fact
 
 HEADERS = [
     "bucket", "circuits", "conditioning [s]", "derivative [s]",
@@ -31,10 +32,12 @@ def test_ablation_all_facts_modes(ground_truth_records, results_dir, capsys, ben
         )
         players = sorted(record.values)
         start = time.perf_counter()
-        conditioning = shapley_all_facts(ddnnf, players, method="conditioning")
+        conditioning = {
+            fact: shapley_of_fact(ddnnf, players, fact) for fact in players
+        }
         t_cond = time.perf_counter() - start
         start = time.perf_counter()
-        derivative = shapley_all_facts(ddnnf, players, method="derivative")
+        derivative = shapley_all_facts(ddnnf, players)
         t_der = time.perf_counter() - start
         assert conditioning == derivative
         checked += 1
@@ -52,13 +55,13 @@ def test_ablation_all_facts_modes(ground_truth_records, results_dir, capsys, ben
 
     write_csv(results_dir / "ablation_shapley_modes.csv", HEADERS, rows)
     with capsys.disabled():
-        print(f"\nAblation — Algorithm 1 modes over {checked} circuits")
+        print(f"\nAblation — Algorithm 1 strategies over {checked} circuits")
         print(format_table(HEADERS, rows))
 
-    # Kernel: smoothing-free derivative mode on the largest compiled
-    # circuit.
+    # Kernel: the smoothing-free derivative pass on the largest
+    # compiled circuit.
     big = max(compiled_cache, key=lambda pair: len(pair[0]))
-    benchmark(shapley_all_facts, big[0], big[1], method="derivative")
+    benchmark(shapley_all_facts, big[0], big[1])
 
     # Shape: on the largest bucket the shared pass is not slower than
     # conditioning.

@@ -13,8 +13,7 @@ every substrate it relies on, reimplemented in pure Python:
   provenance (the ProvSQL role);
 * :mod:`repro.circuits` — Boolean circuits, CNF, Tseytin, d-DNNF
   algorithms;
-* :mod:`repro.compiler` — a top-down knowledge compiler (the c2d role)
-  plus an OBDD backend;
+* :mod:`repro.compiler` — a top-down knowledge compiler (the c2d role);
 * :mod:`repro.probdb` — tuple-independent probabilistic databases with
   naive, lifted, and intensional query evaluation;
 * :mod:`repro.workloads` — TPC-H and IMDB/JOB-style data generators and

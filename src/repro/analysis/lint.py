@@ -16,7 +16,7 @@ the pipeline's correctness or reproducibility rests on:
   across processes and ``PYTHONHASHSEED`` values.
 * **REP003 — float-free exact arithmetic.**  No ``float`` literals or
   ``float(...)`` conversions in the exact-arithmetic modules
-  (``core/numerics/exact.py``, ``core/shapley.py``) or in the
+  (``core/numerics/base.py``, ``core/shapley.py``) or in the
   level-scheduled sweeps (``core/numerics/fixed.py``), whose float64
   tier is chosen by dtype object under proven bounds, never by a
   literal.
@@ -58,7 +58,7 @@ REP001_EXEMPT_PREFIXES = ("workloads/",)
 REP002_SCOPE = ("compiler/knowledge.py", "engine/cache.py")
 REP002_SCOPE_PREFIXES = ("circuits/",)
 REP003_SCOPE = (
-    "core/numerics/exact.py",
+    "core/numerics/base.py",
     "core/numerics/fixed.py",
     "core/shapley.py",
 )

@@ -83,7 +83,6 @@ def run_query(
     budget: CompilationBudget | None = None,
     keep_values: bool = False,
     max_outputs: int | None = None,
-    method: str = "derivative",
     cache: ArtifactCache | None = None,
 ) -> QueryRun:
     """Run one query end to end: provenance for every output tuple, then
@@ -105,7 +104,7 @@ def run_query(
         run.records.append(
             run_output(
                 result, answer, dataset, spec.name, budget, keep_values,
-                method, cache,
+                cache,
             )
         )
     return run
@@ -118,13 +117,12 @@ def run_output(
     query_name: str,
     budget: CompilationBudget | None = None,
     keep_values: bool = False,
-    method: str = "derivative",
     cache: ArtifactCache | None = None,
 ) -> OutputRecord:
     """Push one output tuple through the exact engine."""
     circuit = result.lineage_of(answer)
     endo = sorted(circuit.reachable_vars())
-    options = EngineOptions(budget=budget, timeout=None, mode=method, cache=cache)
+    options = EngineOptions(budget=budget, timeout=None, cache=cache)
     outcome = get_engine("exact").explain_circuit(circuit, endo, options).detail
     return OutputRecord(
         dataset=dataset,

@@ -159,7 +159,7 @@ def _top_literals(circuit: Circuit, gate: int, positive: bool) -> set[int]:
 # ----------------------------------------------------------------------
 
 def count_models_by_size(
-    circuit: Circuit, root: int | None = None, kernel=None
+    circuit: Circuit, root: int | None = None
 ) -> tuple[list[int], int]:
     """Compute ``[#SAT_0(C), ..., #SAT_v(C)]`` over ``Vars(C)``.
 
@@ -173,10 +173,8 @@ def count_models_by_size(
     * decomposable AND: convolution of the children counts.
 
     The traversal is lowered to a
-    :class:`~repro.core.numerics.tape.GateTape` and the arithmetic runs
-    on a numeric kernel (``kernel`` — a
-    :class:`~repro.core.numerics.base.Kernel`, a registered kernel
-    name, or ``None`` for the exact big-int reference).
+    :class:`~repro.core.numerics.tape.GateTape` and runs as the tape's
+    forward pass on the exact big-int kernel.
 
     Returns ``(counts, num_vars)`` where ``counts[l] = #SAT_l`` and
     ``num_vars = |Vars(C)|``.  Determinism/decomposability are assumed
@@ -185,30 +183,25 @@ def count_models_by_size(
     # Imported lazily: repro.core depends on repro.circuits at import
     # time, so the reverse edge must resolve at call time only.
     from ..core.numerics import NonDecomposableTape, compile_tape
-    from ..core.numerics.base import Kernel, get_kernel
 
-    if not isinstance(kernel, Kernel):
-        kernel = get_kernel(kernel)
     tape = compile_tape(circuit, root)
     try:
-        return tape.root_counts(kernel)
+        return tape.root_counts()
     except NonDecomposableTape as exc:
         raise NotDecomposableError(str(exc)) from None
 
 
-def complete_counts(counts: list[int], extra: int, kernel=None) -> list[int]:
+def complete_counts(counts: list[int], extra: int) -> list[int]:
     """Extend ``#SAT_k`` counts to ``extra`` additional free variables.
 
     Equivalent to conjoining the circuit with ``(x ∨ ¬x)`` for each of
     the ``extra`` variables (line 1 of Algorithm 1) and recounting:
     ``out[k] = sum_i counts[i] * C(extra, k - i)`` — realized as the
-    selected kernel's binomial completion.
+    kernel's binomial completion.
     """
-    from ..core.numerics.base import Kernel, get_kernel
+    from ..core.numerics.base import KERNEL
 
-    if not isinstance(kernel, Kernel):
-        kernel = get_kernel(kernel)
-    return kernel.complete(counts, extra)
+    return KERNEL.complete(counts, extra)
 
 
 def model_count(circuit: Circuit, root: int | None = None) -> int:

@@ -1,4 +1,4 @@
-"""Knowledge compilation: CNF/circuit -> d-DNNF, plus an OBDD backend."""
+"""Knowledge compilation: CNF/circuit -> d-DNNF (the c2d role)."""
 
 from .knowledge import (
     BudgetExceeded,
@@ -8,7 +8,6 @@ from .knowledge import (
     compile_circuit,
     compile_cnf,
 )
-from .obdd import Obdd, ObddStats, compile_circuit_obdd, default_order
 
 __all__ = [
     "BudgetExceeded",
@@ -17,8 +16,4 @@ __all__ = [
     "CompilationStats",
     "compile_circuit",
     "compile_cnf",
-    "Obdd",
-    "ObddStats",
-    "compile_circuit_obdd",
-    "default_order",
 ]

@@ -31,7 +31,6 @@ from .pipeline import (
     run_exact,
     to_plan,
 )
-from .shap_score import shap_score_of_fact, shap_scores
 from .pqe_reduction import (
     count_slices,
     interpolate_coefficients,
@@ -50,7 +49,6 @@ from .shapley import (
 __all__ = [
     "Attribution", "attribute",
     "causal_effects", "responsibilities", "responsibility",
-    "shap_score_of_fact", "shap_scores",
     "cnf_proxy_from_circuit", "cnf_proxy_values", "proxy_game",
     "HybridResult", "hybrid_shapley",
     "kernel_shap_values",

@@ -11,6 +11,12 @@ a fact's contribution to a query answer:
 
       CE(f) = ( #SAT(C[f->1]) - #SAT(C[f->0]) ) / 2^(n-1)
 
+  Free players double both counts alike, so the ratio only needs the
+  circuit's own variables: ``CE(f) = sum_k diff_k(f) / 2^(v-1)`` over
+  the difference vectors of Algorithm 1's derivative sweep, with
+  ``v = |Vars(C)|``.  It is a second combine over the same sweep that
+  feeds Equation 3.
+
 * the **counterfactual responsibility** of Meliou et al. [24]:
   ``1 / (1 + m)`` where ``m`` is the size of a smallest contingency set
   ``Γ`` such that removing ``Γ`` makes ``f`` counterfactual for the
@@ -27,20 +33,8 @@ from itertools import combinations
 from typing import Hashable, Iterable
 
 from ..circuits.circuit import FALSE, TRUE, Circuit
-from ..circuits.dnnf import count_models_by_size
-
-
-def _model_count_over(circuit: Circuit, n_players: int) -> int:
-    """Model count of a conditioned d-D circuit, completed to the full
-    player set (free players double the count)."""
-    root = circuit.output_gate()
-    kind = circuit.kind(root)
-    if kind == TRUE:
-        return 1 << n_players
-    if kind == FALSE:
-        return 0
-    counts, nvars = count_models_by_size(circuit)
-    return sum(counts) << (n_players - nvars)
+from .numerics import compile_tape
+from .shapley import _foreign_vars_error, tape_diffs
 
 
 def causal_effects(
@@ -50,20 +44,21 @@ def causal_effects(
 
     ``ddnnf`` must be a deterministic and decomposable circuit for the
     endogenous lineage (compile it with
-    :func:`repro.compiler.compile_circuit`).
+    :func:`repro.compiler.compile_circuit`).  Facts outside the lineage
+    (and every fact of a constant lineage) have effect 0.
     """
     players = list(endogenous_facts)
-    n = len(players)
-    present = ddnnf.condition({}).reachable_vars()
-    denominator = 1 << (n - 1) if n else 1
-    effects: dict[Hashable, Fraction] = {}
-    for fact in players:
-        if fact not in present:
-            effects[fact] = Fraction(0)
-            continue
-        on = _model_count_over(ddnnf.condition({fact: True}), n - 1)
-        off = _model_count_over(ddnnf.condition({fact: False}), n - 1)
-        effects[fact] = Fraction(on - off, denominator)
+    effects = {fact: Fraction(0) for fact in players}
+    simplified = ddnnf.condition({})
+    if simplified.kind(simplified.output_gate()) in (TRUE, FALSE):
+        return effects
+    tape = compile_tape(simplified)
+    present, endo_set = tape.labels(), set(players)
+    if not present <= endo_set:
+        raise _foreign_vars_error(present, endo_set)
+    denominator = 1 << (tape.root_nvars - 1)
+    for slot, diff in tape_diffs(tape).items():
+        effects[tape.var_labels[slot]] = Fraction(sum(diff), denominator)
     return effects
 
 

@@ -52,7 +52,6 @@ def hybrid_shapley(
     endogenous_facts,
     timeout: float = 2.5,
     max_nodes: int | None = None,
-    method: str = "derivative",
     cache: "ArtifactCache | None" = None,
     artifacts: "CircuitArtifacts | None" = None,
 ) -> HybridResult:
@@ -71,8 +70,7 @@ def hybrid_shapley(
     start = time.perf_counter()
     budget = CompilationBudget(max_nodes=max_nodes, max_seconds=timeout)
     outcome = run_exact(
-        circuit, endo, budget=budget, method=method,
-        cache=cache, artifacts=artifacts,
+        circuit, endo, budget=budget, cache=cache, artifacts=artifacts,
     )
     elapsed = time.perf_counter() - start
     if outcome.ok and outcome.values is not None:

@@ -1,11 +1,10 @@
 """Numerics of the circuit-Shapley hot path.
 
-* :mod:`~repro.core.numerics.base` — the :class:`Kernel` primitives
-  (poly mul/add, binomial completion, the Equation-3 combination), the
-  registry (``get_kernel`` / ``register_kernel`` /
-  ``available_kernels``), and the cached ``shapley_coefficients``;
-* :mod:`~repro.core.numerics.exact` — the big-int reference kernel
-  (``"python"``): the interpreted pass and the oracle;
+* :mod:`~repro.core.numerics.base` — the exact big-int
+  :class:`Kernel` primitives (poly mul/add, binomial completion, the
+  Equation-3 combination) and their shared instance ``KERNEL``: the
+  interpreted pass and the oracle; plus the cached
+  ``shapley_coefficients``;
 * :mod:`~repro.core.numerics.fixed` — the machine-width tier, the
   default path of Algorithm 1: level-scheduled tape execution in
   float64, int64, or CRT residue planes run one prime at a time over
@@ -25,15 +24,12 @@ tiers").
 """
 
 from .base import (
+    KERNEL,
     Kernel,
-    available_kernels,
     binomial_row,
     coefficients_cache_info,
-    get_kernel,
-    register_kernel,
     shapley_coefficients,
 )
-from .exact import PythonKernel
 from .fixed import (
     HAS_NUMPY,
     FastpathStats,
@@ -50,8 +46,7 @@ from .tape import (
 )
 
 __all__ = [
-    "Kernel", "PythonKernel", "HAS_NUMPY",
-    "available_kernels", "get_kernel", "register_kernel",
+    "Kernel", "KERNEL", "HAS_NUMPY",
     "binomial_row", "shapley_coefficients", "coefficients_cache_info",
     "FastpathStats", "LevelPlan", "fastpath_diffs", "plan_for",
     "plan_with_reason",

@@ -4,28 +4,27 @@ Everything Algorithm 1 does after knowledge compilation is arithmetic
 over size-indexed count vectors: polynomial multiplication (AND gates),
 shifted additions (OR gates), binomial completion over free variables
 (smoothing gaps and facts outside the circuit), and the Equation-3
-combination of conditioned counts into a Shapley value.  A
-:class:`Kernel` bundles those primitives behind one interface so the
-traversal code (:mod:`repro.core.numerics.tape`,
-:mod:`repro.circuits.dnnf`, :mod:`repro.core.shapley`) is written once.
+combination of conditioned counts into a Shapley value.
+:class:`Kernel` bundles those primitives, and its one shared instance
+:data:`KERNEL` serves the traversal code
+(:mod:`repro.core.numerics.tape`, :mod:`repro.core.shapley`).
 
-The one registered kernel is the exact big-int reference
-(:mod:`~repro.core.numerics.exact`, ``"python"``): the interpreted
-pass of Algorithm 1 and the oracle every faster path is tested
-against.  The faster path is not a kernel: the machine-width tier
+The kernel is the exact big-int reference: the interpreted pass of
+Algorithm 1 and the oracle every faster path is tested against.  It is
+deliberately plain Python (unbounded ints, nested loops with
+zero-skipping) because exactness and auditability matter more here
+than speed.  The faster path is not a kernel: the machine-width tier
 (:mod:`~repro.core.numerics.fixed`) runs whole sweeps in float64,
 int64 or CRT residue planes, chosen per shape, and falls back to the
-interpreted pass on this kernel.  Count vectors are Python ints of
-unbounded precision, so every result is an exact
+interpreted pass on this kernel.  Every result is an exact
 :class:`~fractions.Fraction`.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from fractions import Fraction
 from functools import lru_cache
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 
 @lru_cache(maxsize=256)
@@ -73,7 +72,7 @@ def coefficients_cache_info() -> dict[str, int]:
     (merged into ``ExplainSession.stats``).
 
     Sums the Fraction-coefficient cache (``shapley_coefficients``) and
-    the integer-weight cache the kernels' :meth:`Kernel.equation3`
+    the integer-weight cache the kernel's :meth:`Kernel.equation3`
     combination runs on — two representations of the same per-``n``
     permutation weights, both bounded at 128 player counts.
     """
@@ -113,21 +112,25 @@ def _integer_weights(n: int) -> tuple[tuple[int, ...], int]:
     return tuple(weights), acc * n  # acc holds (n-1)! after the loop
 
 
-class Kernel(ABC):
+class Kernel:
     """Exact numeric primitives of the size-generating-polynomial pass.
 
     Count vectors are plain Python lists of ints (``counts[k]`` =
-    number of objects of size ``k``); kernels may use any internal
-    representation but take and return lists so backends interoperate.
-    Kernels must be stateless and thread-safe: one shared instance per
-    name is handed out by :func:`get_kernel`.
+    number of objects of size ``k``).  The class is stateless and
+    thread-safe: every caller shares the one instance :data:`KERNEL`.
     """
 
-    name: ClassVar[str]
-
-    @abstractmethod
     def poly_mul(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
         """Polynomial (convolution) product of two count vectors."""
+        if len(a) < len(b):  # skip zeros of the shorter operand
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for j, bj in enumerate(b):
+            if bj:
+                for i, ai in enumerate(a):
+                    if ai:
+                        out[i + j] += ai * bj
+        return out
 
     def poly_add(
         self, acc: list[int] | None, poly: Sequence[int]
@@ -218,45 +221,6 @@ class Kernel(ABC):
             return Fraction(total, denominator)
         return total / denominator  # exact: non-int count elements
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} name={self.name!r}>"
 
-
-#: Registered kernel classes by name (aliases included).
-_REGISTRY: dict[str, type[Kernel]] = {}
-#: Shared instances, created lazily.
-_INSTANCES: dict[str, Kernel] = {}
-
-
-def register_kernel(cls: type[Kernel], aliases: Sequence[str] = ()) -> type[Kernel]:
-    """Register a :class:`Kernel` subclass under its ``name`` (and any
-    aliases).  Usable as a plain call; returns the class."""
-    for key in (cls.name, *aliases):
-        _REGISTRY[key] = cls
-    return cls
-
-
-def available_kernels() -> tuple[str, ...]:
-    """Primary names of every registered kernel, reference first."""
-    seen: list[str] = []
-    for cls in _REGISTRY.values():
-        if cls.name not in seen:
-            seen.append(cls.name)
-    return tuple(seen)
-
-
-def get_kernel(name: str | None = None) -> Kernel:
-    """The shared kernel instance registered under ``name`` (``None``
-    is the reference backend).  Unknown names raise."""
-    if name is None:
-        name = "python"
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown numeric kernel {name!r}; "
-            f"choose from {sorted(set(_REGISTRY))}"
-        )
-    instance = _INSTANCES.get(cls.name)
-    if instance is None:
-        instance = _INSTANCES[cls.name] = cls()
-    return instance
+#: The shared instance every sweep and combine runs on.
+KERNEL = Kernel()

@@ -1,7 +1,7 @@
 """The machine-width execution tier of Algorithm 1: level-scheduled
 tape execution in float64, int64, or CRT residue planes.
 
-The reference kernel (:mod:`~repro.core.numerics.exact`) keeps
+The reference kernel (:class:`~repro.core.numerics.base.Kernel`) keeps
 Algorithm 1 exact with Python big ints, so every multiply is a
 Python-level operation and every gate a Python-level dispatch.  This
 module runs the same smoothing-free forward/backward sweeps of a

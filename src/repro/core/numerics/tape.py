@@ -63,7 +63,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 from ...circuits.circuit import (
     AND, FALSE, NOT, OR, TRUE, VAR, Circuit, CircuitError,
 )
-from .base import Kernel, binomial_row
+from .base import KERNEL, binomial_row
 
 #: Tape opcodes.  ``NVAR`` is a negated variable leaf (NNF literal);
 #: ``NOT`` is the general complement over the child's variable count
@@ -287,15 +287,14 @@ class GateTape:
     # ------------------------------------------------------------------
 
     def forward(
-        self,
-        kernel: Kernel,
-        check: Callable[[], None] | None = None,
+        self, check: Callable[[], None] | None = None,
     ) -> list[list[int]]:
         """The ``ComputeAll#SATk`` induction (Lemma 4.5) over the tape.
 
         Returns one count vector per instruction; ``check`` (if given)
         is invoked periodically so long sweeps can honour deadlines.
         """
+        kernel = KERNEL
         vals: list[list[int]] = [None] * len(self.ops)  # type: ignore[list-item]
         for i, op in enumerate(self.ops):
             if check is not None and not i & 0x1FF:
@@ -329,15 +328,14 @@ class GateTape:
                 vals[i] = [row[l] - child_vals[l] for l in range(len(row))]
         return vals
 
-    def root_counts(self, kernel: Kernel) -> tuple[list[int], int]:
+    def root_counts(self) -> tuple[list[int], int]:
         """``(#SAT_k vector of the root, |Vars(root)|)``."""
         if not self.ops:
             raise TapeError("empty tape has no root")
-        return self.forward(kernel)[-1], self.root_nvars
+        return self.forward()[-1], self.root_nvars
 
     def backward_diffs(
         self,
-        kernel: Kernel,
         vals: Sequence[Sequence[int]],
         check: Callable[[], None] | None = None,
     ) -> dict[int, list[int]]:
@@ -348,6 +346,7 @@ class GateTape:
         difference vector Equation 3 consumes, with free-variable
         (padding) contributions already cancelled.
         """
+        kernel = KERNEL
         ders: list[list[int] | None] = [None] * len(self.ops)
         ders[-1] = [1]
         diffs: dict[int, list[int]] = {}

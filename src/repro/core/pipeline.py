@@ -28,6 +28,7 @@ from ..db.conjunctive import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..db.database import Database, Fact
 from ..db.evaluate import LineageResult, lineage
 from ..db.sql import plan_sql
+from .numerics import compile_tape
 from .numerics.fixed import FastpathStats
 from .shapley import (
     ShapleyTimeout, shapley_all_facts, shapley_all_facts_batched,
@@ -99,7 +100,6 @@ def exact_shapley_of_circuit(
     circuit: Circuit,
     endogenous_facts,
     budget: CompilationBudget | None = None,
-    method: str = "derivative",
     cache: "ArtifactCache | None" = None,
 ) -> dict[Hashable, Fraction]:
     """Exact Shapley values of an endogenous-lineage circuit.
@@ -108,9 +108,7 @@ def exact_shapley_of_circuit(
     :class:`~repro.core.shapley.ShapleyTimeout` on budget exhaustion;
     use :func:`run_exact` for the non-raising variant.
     """
-    outcome = run_exact(
-        circuit, endogenous_facts, budget=budget, method=method, cache=cache,
-    )
+    outcome = run_exact(circuit, endogenous_facts, budget=budget, cache=cache)
     if not outcome.ok:
         if outcome.status == "budget":
             raise BudgetExceeded(outcome.error or "budget exceeded")
@@ -130,7 +128,6 @@ def run_exact(
     circuit: Circuit,
     endogenous_facts,
     budget: CompilationBudget | None = None,
-    method: str = "derivative",
     cache: "ArtifactCache | None" = None,
     artifacts: "CircuitArtifacts | None" = None,
     compile_jobs: int | None = None,
@@ -148,12 +145,12 @@ def run_exact(
     ``artifacts`` may carry a prebuilt
     :class:`~repro.engine.cache.CircuitArtifacts` handle for this very
     circuit; the pipeline then reuses its canonicalization pass instead
-    of conditioning and signing the circuit again.  In the default
-    ``"derivative"`` mode the handle also serves the shape's compiled
+    of conditioning and signing the circuit again.  The handle also
+    serves the shape's compiled
     :class:`~repro.core.numerics.tape.GateTape`, so a warm shape runs
     Algorithm 1 without touching a single circuit gate.
 
-    A derivative-mode answer served by the machine-width tier gets a
+    An answer served by the machine-width tier gets a
     ``tier_<float64|int64|crt>`` timing naming the tier that ran
     (:func:`_label_tiers`).
 
@@ -166,20 +163,16 @@ def run_exact(
     timings: dict[str, float] = {}
     deadline = _deadline(budget)
 
-    prepared, failure = _prepare(
-        circuit, budget, cache, artifacts, compile_jobs, stats, timings,
-        method)
+    tape, failure = _prepare(
+        circuit, budget, cache, artifacts, compile_jobs, stats, timings)
     if failure is not None:
         return failure
-    tape = prepared if method == "derivative" else None
-    ddnnf = None if tape is not None else prepared
 
     fastpath = FastpathStats()
     t0 = time.perf_counter()
     try:
         values = shapley_all_facts(
-            ddnnf, endo, method=method, deadline=deadline,
-            tape=tape, fastpath_stats=fastpath,
+            None, endo, deadline=deadline, tape=tape, fastpath_stats=fastpath,
         )
     except ShapleyTimeout as exc:
         timings["shapley"] = time.perf_counter() - t0
@@ -217,15 +210,13 @@ def _prepare(
     compile_jobs: int | None,
     stats: ProvenanceStats,
     timings: dict[str, float],
-    method: str = "derivative",
 ):
     """The pre-Algorithm-1 stages of one answer: artifact acquisition,
-    Tseytin/CNF, and the compile stage — the gate tape in
-    ``"derivative"`` mode, the d-DNNF otherwise.  Shared by
-    :func:`run_exact` and by :func:`run_exact_batch`, which runs them
-    per answer before the shared batched sweep.
+    Tseytin/CNF, and the compile stage down to the gate tape.  Shared
+    by :func:`run_exact` and by :func:`run_exact_batch`, which runs
+    them per answer before the shared batched sweep.
 
-    Returns ``(artifact, failure)``: exactly one is ``None``;
+    Returns ``(tape, failure)``: exactly one is ``None``;
     ``failure`` is the budget :class:`ExactOutcome` when compilation
     blew its budget (timings already recorded).
     """
@@ -248,8 +239,7 @@ def _prepare(
         stats.cnf_vars, stats.cnf_clauses = cnf.num_vars, cnf.num_clauses
     timings["tseytin"] = time.perf_counter() - t0
 
-    derivative = method == "derivative"
-    stage = "tape" if derivative and artifacts is not None else "compile"
+    stage = "tape" if artifacts is not None else "compile"
     compile_stats = None
     tape_lower = 0.0
     t0 = time.perf_counter()
@@ -257,11 +247,10 @@ def _prepare(
         if artifacts is not None:
             stats_before = artifacts.compile_stats
             lower_before = artifacts.tape_lower_seconds
-            # The tape is the only artifact the derivative pass needs;
-            # on a warm shape this is a pure lookup + O(#vars)
-            # re-targeting (no d-DNNF rename, no gate traversal).
-            serve = artifacts.tape if derivative else artifacts.ddnnf
-            artifact = serve(budget=budget, jobs=compile_jobs)
+            # The tape is the only artifact Algorithm 1 needs; on a
+            # warm shape this is a pure lookup + O(#vars) re-targeting
+            # (no d-DNNF rename, no gate traversal).
+            tape = artifacts.tape(budget=budget, jobs=compile_jobs)
             # Only attribute sub-stage time this call actually spent
             # (the handle may be warm or shared across answers).
             if artifacts.compile_stats is not stats_before:
@@ -269,15 +258,12 @@ def _prepare(
             tape_lower = artifacts.tape_lower_seconds - lower_before
         else:
             compiled = compile_cnf(cnf, budget=budget, jobs=compile_jobs)
-            artifact = eliminate_auxiliary(
+            ddnnf = eliminate_auxiliary(
                 compiled.circuit, set(cnf.labels.values()))
             compile_stats = compiled.stats
-            if derivative:
-                from .numerics import compile_tape
-
-                t1 = time.perf_counter()
-                artifact = compile_tape(artifact.condition({}))
-                tape_lower = time.perf_counter() - t1
+            t1 = time.perf_counter()
+            tape = compile_tape(ddnnf.condition({}))
+            tape_lower = time.perf_counter() - t1
     except BudgetExceeded as exc:
         timings[stage] = time.perf_counter() - t0
         return None, ExactOutcome("budget", None, stats, timings, str(exc))
@@ -292,15 +278,14 @@ def _prepare(
         compile_stats.stitch_seconds if compile_stats is not None else 0.0
     )
     timings["tape_lower"] = tape_lower
-    stats.ddnnf_size = artifact.source_gates if derivative else len(artifact)
-    return artifact, None
+    stats.ddnnf_size = tape.source_gates
+    return tape, None
 
 
 def run_exact_batch(
     circuits,
     endo_lists,
     budget: CompilationBudget | None = None,
-    method: str = "derivative",
     cache: "ArtifactCache | None" = None,
     artifacts_list=None,
     compile_jobs: int | None = None,
@@ -308,13 +293,12 @@ def run_exact_batch(
     """Run the exact pipeline over a *same-shape answer group*.
 
     ``circuits[i]`` / ``endo_lists[i]`` (and optionally
-    ``artifacts_list[i]``) describe answer *i*.  In ``"derivative"``
-    mode the group runs Algorithm 1's sweeps once per shape and
-    Equation 3 per answer
+    ``artifacts_list[i]``) describe answer *i*.  The group runs
+    Algorithm 1's sweeps once per shape and Equation 3 per answer
     (:func:`~repro.core.shapley.shapley_all_facts_batched`); per
     answer, compilation failures become individual budget outcomes, so
     every answer's Fractions are identical to a :func:`run_exact` loop.
-    Other modes (and singleton groups) *are* that loop.
+    A singleton group *is* that loop.
 
     Timing attribution: each answer's ``shapley`` stage receives an
     equal share of the group pass, mirrored as ``batch_exec``, plus a
@@ -326,10 +310,10 @@ def run_exact_batch(
     endo_lists = [list(endo) for endo in endo_lists]
     if artifacts_list is None:
         artifacts_list = [None] * n_answers
-    if method != "derivative" or n_answers <= 1:
+    if n_answers <= 1:
         return [
             run_exact(
-                circuit, endo, budget=budget, method=method, cache=cache,
+                circuit, endo, budget=budget, cache=cache,
                 artifacts=artifacts, compile_jobs=compile_jobs,
             )
             for circuit, endo, artifacts
@@ -429,13 +413,11 @@ class ShapleyExplainer:
         self,
         database: Database,
         budget: CompilationBudget | None = None,
-        method: str = "derivative",
         restrict_to_lineage: bool = True,
         cache: "ArtifactCache | None" = None,
     ) -> None:
         self.database = database
         self.budget = budget
-        self.method = method
         # When True, Shapley values are computed over the facts actually
         # appearing in the answer's lineage (all other endogenous facts
         # provably have value 0 and are reported as such only on demand).
@@ -445,10 +427,7 @@ class ShapleyExplainer:
     def _options(self) -> "object":
         from ..engine.base import EngineOptions
 
-        return EngineOptions(
-            budget=self.budget, timeout=None,
-            mode=self.method, cache=self.cache,
-        )
+        return EngineOptions(budget=self.budget, timeout=None, cache=self.cache)
 
     def lineage(self, query: QueryLike) -> LineageResult:
         """Endogenous lineage of every answer of the query."""

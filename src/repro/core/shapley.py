@@ -8,40 +8,38 @@ endogenous fact ``f`` is (Equation 3 of the paper):
 
 with ``n = |Dn|`` and counts completed over all endogenous facts.
 
-Two computation modes are provided:
+The library computes every fact's value at once
+(:func:`shapley_all_facts`): one forward pass computes the
+size-generating polynomial of every gate and one backward
+(circuit-derivative) pass yields the conditioned-count *differences*
+of all facts simultaneously, in the style of Arenas et al.'s
+SHAP-score algorithm.  The passes are *smoothing-free*: instead of
+materializing ``(x v -x)`` padding gates, per-child OR gaps carry
+binomial completion factors through both sweeps (free-variable
+contributions cancel in the difference), and the traversal runs on a
+compiled :class:`~repro.core.numerics.tape.GateTape` so repeated
+circuit shapes pay no gate-level walk at all.  The sweeps run on the
+machine-width tier (:mod:`repro.core.numerics.fixed`) whenever NumPy
+is importable and the shape's plan accepts it, and otherwise
+interpreted on the reference kernel; all arithmetic is exact (`int`
+counts, `Fraction` values) either way.
 
-* ``"conditioning"`` — the paper's literal Algorithm 1: condition the
-  circuit on ``f -> 1`` and ``f -> 0`` and recount, once per fact;
-  ``O(|C| * n^2)`` per fact.
-* ``"derivative"`` (default) — one forward pass computing the
-  size-generating polynomial of every gate plus one backward
-  (circuit-derivative) pass yields the conditioned-count *differences*
-  of all facts simultaneously, in the style of Arenas et al.'s
-  SHAP-score algorithm.  The passes are *smoothing-free*: instead of
-  materializing ``(x v -x)`` padding gates, per-child OR gaps carry
-  binomial completion factors through both sweeps (free-variable
-  contributions cancel in the difference), and the traversal runs on a
-  compiled :class:`~repro.core.numerics.tape.GateTape` so repeated
-  circuit shapes pay no gate-level walk at all.
-
-Both modes agree exactly (asserted by the parity suite).  The
-derivative sweeps run on the machine-width tier
-(:mod:`repro.core.numerics.fixed`) whenever NumPy is importable and
-the shape's plan accepts it, and otherwise interpreted on the
-reference kernel; all arithmetic is exact (`int` counts, `Fraction`
-values) either way.
+The paper's literal Algorithm 1 (condition the circuit on ``f -> 1``
+and ``f -> 0`` and recount, once per fact, ``O(|C| * n^2)`` per fact)
+is kept as :func:`shapley_of_fact`: a test oracle next to
+:func:`~repro.core.naive.shapley_naive`'s Equation 1.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from ..circuits.circuit import FALSE, TRUE, Circuit, CircuitError
 from ..circuits.dnnf import count_models_by_size
 from .numerics import GateTape, compile_tape
-from .numerics.base import Kernel, get_kernel, shapley_coefficients
+from .numerics.base import KERNEL, shapley_coefficients
 from .numerics.fixed import FastpathStats, fastpath_diffs
 
 __all__ = [
@@ -52,11 +50,9 @@ __all__ = [
     "shapley_of_fact",
     "shapley_all_facts",
     "shapley_all_facts_batched",
+    "tape_diffs",
     "efficiency_gap",
 ]
-
-#: The all-facts strategies accepted by :func:`shapley_all_facts`.
-MODES = ("derivative", "conditioning")
 
 
 class ShapleyTimeout(RuntimeError):
@@ -68,17 +64,10 @@ def _check_time(deadline: float | None) -> None:
         raise ShapleyTimeout("exact Shapley computation timed out")
 
 
-def _resolve_kernel(kernel) -> Kernel:
-    if isinstance(kernel, Kernel):
-        return kernel
-    return get_kernel(kernel)
-
-
 def shapley_from_counts(
     counts_pos: Sequence[int],
     counts_neg: Sequence[int],
     n: int,
-    kernel=None,
 ) -> Fraction:
     """Combine conditioned counts into a Shapley value (Equation 3).
 
@@ -89,42 +78,29 @@ def shapley_from_counts(
     zero-pads vectors shorter than ``n`` and ignores entries at
     ``k >= n``.
     """
-    return _resolve_kernel(kernel).equation3(counts_pos, counts_neg, n)
+    return KERNEL.equation3(counts_pos, counts_neg, n)
 
 
 def conditioned_counts(
-    circuit: Circuit, fact: Hashable, kernel=None
+    circuit: Circuit, fact: Hashable
 ) -> tuple[list[int], int, list[int], int]:
     """``#SAT_k`` of ``C[f->1]`` and ``C[f->0]`` over their own variable
     sets.  Returns ``(counts1, vars1, counts0, vars0)``."""
     positive = circuit.condition({fact: True})
     negative = circuit.condition({fact: False})
-    counts1, vars1 = _counts_or_constant(positive, kernel)
-    counts0, vars0 = _counts_or_constant(negative, kernel)
+    counts1, vars1 = _counts_or_constant(positive)
+    counts0, vars0 = _counts_or_constant(negative)
     return counts1, vars1, counts0, vars0
 
 
-def _counts_or_constant(circuit: Circuit, kernel=None) -> tuple[list[int], int]:
+def _counts_or_constant(circuit: Circuit) -> tuple[list[int], int]:
     root = circuit.output_gate()
     kind = circuit.kind(root)
     if kind == TRUE:
         return [1], 0
     if kind == FALSE:
         return [0], 0
-    return count_models_by_size(circuit, kernel=kernel)
-
-
-def _conditioned_shapley(
-    circuit: Circuit, n: int, fact: Hashable, kernel: Kernel
-) -> Fraction:
-    """One fact's value by conditioning, with all loop-invariant work
-    (reachability, player-set normalization) hoisted to the caller."""
-    counts1, vars1, counts0, vars0 = conditioned_counts(circuit, fact, kernel)
-    # Complete each count vector over the remaining n - 1 endogenous
-    # facts (Algorithm 1 line 1, realized as a binomial convolution).
-    full1 = kernel.complete(counts1, (n - 1) - vars1)
-    full0 = kernel.complete(counts0, (n - 1) - vars0)
-    return kernel.equation3(full1, full0, n)
+    return count_models_by_size(circuit)
 
 
 def shapley_of_fact(
@@ -132,13 +108,15 @@ def shapley_of_fact(
     endogenous_facts: Iterable[Hashable],
     fact: Hashable,
     deadline: float | None = None,
-    kernel=None,
 ) -> Fraction:
-    """Shapley value of one endogenous fact (conditioning mode).
+    """Shapley value of one endogenous fact, by the paper's literal
+    Algorithm 1: condition on ``fact``, recount both halves, complete
+    them over the other players and combine (Equation 3).
 
-    ``circuit`` represents ``ELin(q, Dx, Dn)``; its variables must be a
-    subset of ``endogenous_facts``.  Facts absent from the circuit have
-    Shapley value 0 (they never change the query result).
+    A test oracle for :func:`shapley_all_facts`; no production path
+    runs it.  ``circuit`` represents ``ELin(q, Dx, Dn)``; its variables
+    must be a subset of ``endogenous_facts``.  Facts absent from the
+    circuit have Shapley value 0 (they never change the query result).
     """
     endo = list(endogenous_facts)
     n = len(endo)
@@ -147,59 +125,41 @@ def shapley_of_fact(
     _check_time(deadline)
     if fact not in circuit.reachable_vars():
         return Fraction(0)
-    return _conditioned_shapley(circuit, n, fact, _resolve_kernel(kernel))
+    counts1, vars1, counts0, vars0 = conditioned_counts(circuit, fact)
+    # Complete each count vector over the remaining n - 1 endogenous
+    # facts (Algorithm 1 line 1, realized as a binomial convolution).
+    full1 = KERNEL.complete(counts1, (n - 1) - vars1)
+    full0 = KERNEL.complete(counts0, (n - 1) - vars0)
+    return KERNEL.equation3(full1, full0, n)
 
 
 def shapley_all_facts(
-    circuit: Circuit,
+    circuit: Circuit | None,
     endogenous_facts: Iterable[Hashable],
-    method: str = "derivative",
     deadline: float | None = None,
-    kernel=None,
     tape: GateTape | None = None,
     fastpath_stats: FastpathStats | None = None,
 ) -> dict[Hashable, Fraction]:
-    """Shapley values of every endogenous fact.
+    """Shapley values of every endogenous fact, by one shared
+    smoothing-free sweep (see :func:`shapley_all_facts_batched`, of
+    which one answer is a group of one).
 
-    ``method`` is ``"derivative"`` (one shared smoothing-free pass,
-    default) or ``"conditioning"`` (the paper's per-fact loop).
-    ``kernel`` is the kernel of the interpreted passes and of Equation
-    3 (instance, name, or ``None`` for the reference).  The derivative
-    mode runs its sweeps on the machine-width tier when it can (see
-    :func:`shapley_all_facts_batched`); hits and fallbacks are counted
-    into ``fastpath_stats`` when given.
-    ``tape`` optionally supplies a prebuilt
-    :class:`~repro.core.numerics.tape.GateTape` of *this* circuit
-    (derivative mode only) — the engine layer threads cached tapes
-    through so warm shapes skip circuit traversal entirely.
+    Hits and fallbacks of the machine-width tier are counted into
+    ``fastpath_stats`` when given.  ``tape`` optionally supplies a
+    prebuilt :class:`~repro.core.numerics.tape.GateTape` of *this*
+    circuit (``circuit`` is then not read) — the engine layer threads
+    cached tapes through so warm shapes skip circuit traversal
+    entirely.
     """
     endo = list(endogenous_facts)
-    resolved = _resolve_kernel(kernel)
-    if method == "conditioning":
-        n = len(endo)
-        values: dict[Hashable, Fraction] = {}
-        zero = Fraction(0)
-        # Loop invariants hoisted: one reachability pass and one player
-        # normalization serve every fact.
-        present = circuit.reachable_vars()
-        for fact in endo:
-            _check_time(deadline)
-            if fact not in present:
-                values[fact] = zero
-            else:
-                values[fact] = _conditioned_shapley(circuit, n, fact, resolved)
-        return values
-    if method != "derivative":
-        raise ValueError(f"unknown method {method!r}; choose from {MODES}")
     if tape is None:
         simplified = circuit.condition({})
         if simplified.kind(simplified.output_gate()) in (TRUE, FALSE):
             return {fact: Fraction(0) for fact in endo}
         _check_time(deadline)
         tape = compile_tape(simplified)
-    # One answer is a group of one.
     return shapley_all_facts_batched(
-        [tape], [endo], deadline, resolved, fastpath_stats)[0]
+        [tape], [endo], deadline, fastpath_stats)[0]
 
 
 def _foreign_vars_error(present: set, endo_set: set) -> CircuitError:
@@ -213,26 +173,49 @@ def _combine_diffs(
     values: dict[Hashable, Fraction],
     tape: GateTape,
     diffs: Mapping[int, list[int]],
-    kernel: Kernel,
     n: int,
 ) -> dict[Hashable, Fraction]:
     """Fold per-slot difference vectors into ``values`` (Equation 3)."""
     extra = n - tape.root_nvars  # endogenous facts outside the circuit
     for slot, diff in diffs.items():
-        values[tape.var_labels[slot]] = kernel.equation3(
-            kernel.complete(diff, extra), None, n
+        values[tape.var_labels[slot]] = KERNEL.equation3(
+            KERNEL.complete(diff, extra), None, n
         )
     return values
+
+
+def tape_diffs(
+    tape: GateTape,
+    check: Callable[[], None] | None = None,
+    fastpath_stats: FastpathStats | None = None,
+    answers: Sequence[int] = (0,),
+) -> Mapping[int, list[int]]:
+    """Per-slot difference vectors ``#SAT_m(C[x->1]) - #SAT_m(C[x->0])``
+    of one tape shape, over ``Vars(C) \\ {x}``.
+
+    Tries the machine-width tier first
+    (:func:`~.numerics.fixed.fastpath_diffs`, which counts a hit or a
+    fallback for each of ``answers`` into ``fastpath_stats``), else runs
+    the interpreted forward and backward sweeps on the reference
+    kernel; the vectors are identical either way (up to trailing
+    zeros).  ``check`` is polled between and inside the sweeps.
+    """
+    diffs = fastpath_diffs(tape, fastpath_stats, check, answers)
+    if diffs is None:
+        vals = tape.forward(check)
+        if check is not None:
+            check()
+        diffs = tape.backward_diffs(vals, check)
+    return diffs
 
 
 def shapley_all_facts_batched(
     tapes: Sequence[GateTape],
     endo_lists: Sequence[Iterable[Hashable]],
     deadline: float | None = None,
-    kernel=None,
     fastpath_stats: FastpathStats | None = None,
 ) -> list[dict[Hashable, Fraction]]:
-    """Shapley values for a group of answers, derivative mode.
+    """Shapley values for a group of answers.
 
     ``tapes[i]`` is answer *i*'s (re-targeted) gate tape and
     ``endo_lists[i]`` its endogenous facts.  The forward sweep is
@@ -253,14 +236,13 @@ def shapley_all_facts_batched(
     residue planes, chosen from the tape's magnitude bounds); without
     NumPy, when the shape's plan refuses, or when the shape is too
     small for the tier to pay off, it runs as the per-gate interpreted
-    pass on ``kernel``, so the returned Fractions are identical either
-    way.  ``fastpath_stats`` counts one hit or
+    pass on the reference kernel, so the returned Fractions are
+    identical either way (:func:`tape_diffs`).  ``fastpath_stats`` counts one hit or
     fallback per answer and records the tier that served each answer
     by its position in ``tapes``.
     """
     if len(tapes) != len(endo_lists):
         raise ValueError("tapes and endo_lists must have equal length")
-    resolved = _resolve_kernel(kernel)
     check = (lambda: _check_time(deadline)) if deadline is not None else None
     zero = Fraction(0)
     outputs: list[dict[Hashable, Fraction]] = []
@@ -287,15 +269,11 @@ def shapley_all_facts_batched(
 
     for tape, lanes in shapes:
         _check_time(deadline)
-        diffs = fastpath_diffs(
-            tape, fastpath_stats, check, [lane[0] for lane in lanes])
-        if diffs is None:
-            vals = tape.forward(resolved, check)
-            _check_time(deadline)
-            diffs = tape.backward_diffs(resolved, vals, check)
+        diffs = tape_diffs(
+            tape, check, fastpath_stats, [lane[0] for lane in lanes])
         for _, values, lane_tape, n in lanes:
             _check_time(deadline)
-            _combine_diffs(values, lane_tape, diffs, resolved, n)
+            _combine_diffs(values, lane_tape, diffs, n)
     return outputs
 
 

@@ -7,6 +7,7 @@ endogenous facts ``Dn`` (whose contribution we want to quantify).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .schema import Schema, SchemaError
@@ -101,12 +102,14 @@ class Database:
         """
         rel_schema = self.schema.relation(relation)
         arity, types = rel_schema.arity, rel_schema.types
-        batch = [tuple(row) for row in rows]
-        for values in batch:
+        if not isinstance(rows, (list, tuple)) or any(
+                type(row) is not tuple for row in rows):
+            rows = [tuple(row) for row in rows]
+        for values in rows:
             if len(values) != arity or not all(map(isinstance, values, types)):
                 rel_schema.validate(values)
-        facts = [Fact(relation, values) for values in batch]
-        self._relations[relation].update(dict.fromkeys(facts))
+        facts = [Fact(relation, values) for values in rows]
+        self._relations[relation].update(zip(facts, repeat(None)))
         self._mark(facts, endogenous)
         return facts
 

@@ -47,7 +47,6 @@ class ExactEngine(Engine):
             circuit,
             players,
             budget=options.compilation_budget(),
-            method=options.mode,
             cache=options.cache,
             artifacts=options.artifacts,
             compile_jobs=options.compile_jobs,
@@ -68,20 +67,19 @@ class ExactEngine(Engine):
         Budget/timeout knobs come from the first request's
         options (sessions hand every member of a shape group the same
         options, cache included); per-answer artifacts handles are
-        honoured individually.  Falls back to the per-answer loop for
-        non-derivative modes and singleton groups.
+        honoured individually.  A singleton group runs the per-answer
+        loop.
         """
         if not requests:
             return []
         options = requests[0][2] or DEFAULT_OPTIONS
-        if options.mode != "derivative" or len(requests) == 1:
+        if len(requests) == 1:
             return super().explain_batch(requests)
         start = time.perf_counter()
         outcomes = run_exact_batch(
             [request[0] for request in requests],
             [request[1] for request in requests],
             budget=options.compilation_budget(),
-            method=options.mode,
             cache=options.cache,
             artifacts_list=[
                 (request[2] or DEFAULT_OPTIONS).artifacts
@@ -120,7 +118,6 @@ class HybridEngine(Engine):
             players,
             timeout=options.hybrid_timeout(),
             max_nodes=budget.max_nodes if budget is not None else None,
-            method=options.mode,
             cache=options.cache,
             artifacts=options.artifacts,
         )

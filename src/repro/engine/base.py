@@ -44,9 +44,8 @@ class EngineOptions:
 
     ``budget`` takes precedence over ``timeout`` for the exact pipeline;
     when only ``timeout`` is set it doubles as the compilation budget
-    (the paper's single ``t`` parameter).  ``mode`` selects Algorithm 1's
-    all-facts strategy (``derivative`` / ``conditioning``); ``cache`` is
-    the shared :class:`~repro.engine.cache.ArtifactCache`, if any.
+    (the paper's single ``t`` parameter).  ``cache`` is the shared
+    :class:`~repro.engine.cache.ArtifactCache`, if any.
 
     ``artifacts`` optionally carries a prebuilt
     :class:`~repro.engine.cache.CircuitArtifacts` handle for the *same*
@@ -61,7 +60,6 @@ class EngineOptions:
     timeout: float | None = 2.5
     samples_per_fact: int = 20
     seed: int | None = None
-    mode: str = "derivative"
     #: Worker threads for top-level component compilation inside
     #: :func:`~repro.compiler.knowledge.compile_cnf` (``None``/``1`` =
     #: serial).  Purely a wall-clock knob: stitching is deterministic,

@@ -549,16 +549,16 @@ class CircuitArtifacts:
             store.store_ddnnf(self.signature, canonical, self.digest)
         return canonical
 
-    def is_warm(self, kind: str = "tape") -> bool:
-        """Whether serving ``kind`` for this shape needs no compile.
+    def is_warm(self) -> bool:
+        """Whether serving this shape's tape needs no compile.
 
-        A shape is warm when its d-DNNF is already in memory or on disk
-        (any request then pays at most a tape lowering), or — for
-        ``kind="tape"`` — when the tape itself is stored.  The pipeline
-        planner uses this as its cold/warm cut: warm shapes contribute
-        no component-compile jobs, which is what keeps the warm-store
-        zero-compiles invariant intact under pipelining.  A probe only:
-        no artifact is loaded and no stats are touched.
+        A shape is warm when its d-DNNF or its tape is already in
+        memory or on disk (the tape then costs at most a lowering).
+        The pipeline planner uses this as its cold/warm cut: warm
+        shapes contribute no component-compile jobs, which is what
+        keeps the warm-store zero-compiles invariant intact under
+        pipelining.  A probe only: no artifact is loaded and no stats
+        are touched.
         """
         with self._cache._lock:
             if self._entry.ddnnf is not None or self._entry.tape is not None:
@@ -568,9 +568,7 @@ class CircuitArtifacts:
             return False
         if store.path_for(self.signature, "dnnf", self.digest).exists():
             return True
-        return kind == "tape" and store.path_for(
-            self.signature, "tape", self.digest
-        ).exists()
+        return store.path_for(self.signature, "tape", self.digest).exists()
 
     def component_plan(self) -> list:
         """The distinct canonical components a cold compile of this

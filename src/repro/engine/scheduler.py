@@ -79,13 +79,13 @@ def estimate_compile_cost(key: Sequence) -> float:
     return float(n_literals) * max(1.0, math.log2(len(variables) + 1))
 
 
-def artifact_component_planner(kind: str = "tape") -> Callable[["Job"], object]:
+def artifact_component_planner() -> Callable[["Job"], object]:
     """Build the ``component_planner`` callback for cache-using engines.
 
     The returned closure inspects a shape representative's artifact
     handle (duck-typed; see
     :meth:`~repro.engine.cache.CircuitArtifacts.component_plan`): warm
-    shapes — ``kind`` artifact already in memory or on disk — plan no
+    shapes — d-DNNF or tape already in memory or on disk — plan no
     compiles, cold shapes plan their distinct canonical components.
     Planning failures degrade to "no plan" rather than aborting the
     batch: the shape's representative then compiles inline.
@@ -96,7 +96,7 @@ def artifact_component_planner(kind: str = "tape") -> Callable[["Job"], object]:
         if handle is None:
             return None
         try:
-            if handle.is_warm(kind):
+            if handle.is_warm():
                 return None
             return handle.component_plan()
         except Exception:

@@ -6,7 +6,7 @@ lineage once, opens each answer's circuit against the shared
 :class:`~repro.engine.cache.ArtifactCache` (one canonicalization pass
 per answer, whose :class:`~repro.engine.cache.CircuitArtifacts` handle
 is threaded through to the engine), answers on the client every
-exact derivative-mode job whose shape an earlier batch published
+exact job whose shape an earlier batch published
 Shapley values for, and hands the remaining jobs to the
 scheduler/service layer: :func:`~repro.engine.scheduler.plan_batch`
 groups answers by canonical shape, picks one representative per shape
@@ -265,8 +265,7 @@ class ExplainSession:
                 f"unknown executor {executor!r}; choose from {EXECUTORS}"
             )
         jobs = self._build_jobs(query, answers)
-        reuse = (self.engine.name == "exact"
-                 and self.options.mode == "derivative")
+        reuse = self.engine.name == "exact"
         outcomes = self._serve_published(jobs) if reuse else {}
         pending = [job for job in jobs if job.index not in outcomes]
         if pending:
@@ -436,10 +435,7 @@ class ExplainSession:
         for shape in plan.shapes:
             handle = shape.representative.options.artifacts
             try:
-                if self.options.mode == "derivative":
-                    handle.tape(budget=budget, jobs=self.options.compile_jobs)
-                else:
-                    handle.ddnnf(budget=budget, jobs=self.options.compile_jobs)
+                handle.tape(budget=budget, jobs=self.options.compile_jobs)
                 completed += 1
             except Exception:
                 failed += 1
@@ -464,8 +460,7 @@ class ExplainSession:
             return None
         if executor == "process" and self.cache.store is None:
             return None
-        kind = "tape" if self.options.mode == "derivative" else "dnnf"
-        return artifact_component_planner(kind)
+        return artifact_component_planner()
 
     def _build_jobs(
         self, query: QueryLike, answers: Sequence[tuple] | None

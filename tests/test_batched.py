@@ -44,7 +44,9 @@ from repro.engine import (
 from repro.engine.scheduler import Job, plan_batch
 
 from .test_numerics import _compile, _disjoint_monotone_cnf
-from .test_store import JOIN_QUERY, explain_each_answer, join_database
+from .test_store import (
+    JOIN_QUERY, explain_each_answer, join_database, oracle_each_answer,
+)
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="NumPy required")
 
@@ -551,13 +553,11 @@ class TestBatchedTransportParity:
         assert stats["remote_batched_groups"] >= 1
         assert stats["remote_batched_answers"] >= 5
 
-    def test_non_derivative_mode_skips_batching(self):
+    def test_batched_groups_match_the_per_fact_oracle(self):
         db = join_database(4, 2)
-        with ExplainSession(
-            db, method="exact",
-            options=EngineOptions(mode="conditioning"),
-        ) as session:
+        with ExplainSession(db, method="exact") as session:
             results = session.explain_many(JOIN_QUERY)
             stats = session.stats
-        assert all(r.ok for r in results.values())
-        assert stats["batched_groups"] == 0
+        assert {a: r.values for a, r in results.items()} == \
+            oracle_each_answer(db, JOIN_QUERY)
+        assert stats["batched_groups"] == 1

@@ -4,9 +4,12 @@ must agree.
 For random lineage-shaped inputs we compare:
 
 1. the naive definition (Equation 1) evaluated on the circuit game;
-2. Algorithm 1 in conditioning mode;
-3. Algorithm 1 in derivative (shared-pass) mode;
-4. Algorithm 1 on the OBDD backend instead of the DPLL compiler;
+2. the paper's literal Algorithm 1, one conditioning per fact
+   (the ``shapley_of_fact`` oracle);
+3. Algorithm 1 as the library runs it: one shared derivative sweep
+   over the compiled d-DNNF;
+4. the whole exact pipeline from the raw lineage (Tseytin, knowledge
+   compilation, tape lowering, sweep);
 5. the Proposition 3.1 reduction through a PQE oracle (on DB-backed
    instances).
 
@@ -21,9 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import eliminate_auxiliary, tseytin_transform
-from repro.compiler import compile_circuit_obdd, compile_cnf
+from repro.compiler import compile_cnf
 from repro.core import (
     game_from_circuit,
+    run_exact,
     shapley_all_facts,
     shapley_all_via_pqe,
     shapley_naive,
@@ -31,6 +35,8 @@ from repro.core import (
 )
 from repro.db import Database, RelationSchema, Schema, cq, lineage
 from repro.workloads.synthetic import random_monotone_dnf
+
+from .test_store import per_fact_oracle
 
 
 def compile_dpll(circuit):
@@ -51,14 +57,13 @@ def test_four_circuit_routes_agree(n_vars, n_terms, width, seed):
 
     naive = shapley_naive(game_from_circuit(circuit), players)
     dpll = compile_dpll(circuit)
-    conditioning = shapley_all_facts(dpll, players, method="conditioning")
-    derivative = shapley_all_facts(dpll, players, method="derivative")
-    obdd, _ = compile_circuit_obdd(circuit)
-    via_obdd = shapley_all_facts(obdd, players, method="derivative")
+    conditioning = per_fact_oracle(dpll, players)
+    derivative = shapley_all_facts(dpll, players)
+    pipeline = run_exact(circuit, players).values
 
     assert conditioning == naive
     assert derivative == naive
-    assert via_obdd == naive
+    assert pipeline == naive
 
 
 @st.composite
@@ -116,8 +121,7 @@ def test_flights_all_five_routes():
 
     assert shapley_naive_query(plan, db) == expected
     dpll = compile_dpll(circuit)
-    assert shapley_all_facts(dpll, endo, method="conditioning") == expected
-    assert shapley_all_facts(dpll, endo, method="derivative") == expected
-    obdd, _ = compile_circuit_obdd(circuit)
-    assert shapley_all_facts(obdd, endo) == expected
+    assert per_fact_oracle(dpll, endo) == expected
+    assert shapley_all_facts(dpll, endo) == expected
+    assert run_exact(circuit, endo).values == expected
     assert shapley_all_via_pqe(q, db) == expected

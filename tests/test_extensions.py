@@ -1,24 +1,23 @@
-"""Tests for the extension measures: exact SHAP-scores, causal effect
-(Banzhaf), and counterfactual responsibility."""
+"""Tests for the extension measures: causal effect (Banzhaf) and
+counterfactual responsibility."""
 
 from fractions import Fraction
+from unittest import mock
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.numerics.fixed as fixed
 from repro.circuits import circuit_from_nested, eliminate_auxiliary, tseytin_transform
 from repro.compiler import compile_cnf
-from repro.core import shapley_all_facts, shapley_naive
+from repro.core import shapley_all_facts
 from repro.core.causal_effect import (
     causal_effects,
     responsibilities,
     responsibility,
 )
-from repro.core.shap_score import shap_score_of_fact, shap_scores
 from repro.db import lineage
 from repro.workloads.flights import (
-    EXPECTED_SHAPLEY,
     fact,
     flights_database,
     flights_query,
@@ -38,81 +37,21 @@ def flights_ddnnf():
     return db, compile_ddnnf(circuit)
 
 
-def brute_shap(circuit, players, instance, marginals):
-    """Direct SHAP-score from the definition (exponential)."""
-
-    def conditional_expectation(fixed):
-        total = Fraction(0)
-        free = [p for p in players if p not in fixed]
-        for mask in range(1 << len(free)):
-            weight = Fraction(1)
-            chosen = {p for p, v in fixed.items() if v}
-            for i, p in enumerate(free):
-                if mask >> i & 1:
-                    weight *= marginals[p]
-                    chosen.add(p)
-                else:
-                    weight *= 1 - marginals[p]
-            if circuit.evaluate(chosen):
-                total += weight
-        return total
-
-    def game(coalition):
-        fixed = {p: instance[p] for p in coalition}
-        return conditional_expectation(fixed)
-
-    return shapley_naive(game, players)
-
-
-class TestShapScores:
-    def test_default_setting_equals_shapley(self):
-        """With e = all-present and an all-absent background, the exact
-        SHAP-score is the Shapley value (why Kernel SHAP is a fair
-        baseline in the paper)."""
-        db, ddnnf = flights_ddnnf()
-        endo = db.endogenous_facts()
-        scores = shap_scores(ddnnf, endo)
-        for name, expected in EXPECTED_SHAPLEY.items():
-            assert scores[fact(name)] == expected, name
-
-    def test_unknown_feature(self):
-        _, ddnnf = flights_ddnnf()
-        with pytest.raises(ValueError):
-            shap_score_of_fact(ddnnf, ["a"], "zz", {}, {})
-
-    @given(
-        st.integers(3, 5),
-        st.integers(1, 4),
-        st.integers(1, 2),
-        st.integers(0, 1000),
-        st.lists(st.sampled_from([0, 1, 2]), min_size=5, max_size=5),
-        st.lists(st.booleans(), min_size=5, max_size=5),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_matches_brute_force(self, n_vars, n_terms, width, seed,
-                                 numerators, bits):
-        circuit = random_monotone_dnf(n_vars, n_terms, width, seed)
-        players = [f"x{i}" for i in range(n_vars)]
-        marginals = {
-            p: Fraction(numerators[i % 5], 4) for i, p in enumerate(players)
-        }
-        instance = {p: bits[i % 5] for i, p in enumerate(players)}
-        ddnnf = compile_ddnnf(circuit)
-        expected = brute_shap(circuit, players, instance, marginals)
-        actual = shap_scores(ddnnf, players, instance, marginals)
-        assert actual == expected
-
-    def test_nontrivial_marginals_differ_from_shapley(self):
-        circuit = circuit_from_nested(("or", "a", ("and", "b", "c")))
-        players = ["a", "b", "c"]
-        ddnnf = compile_ddnnf(circuit)
-        shapley = shapley_all_facts(ddnnf, players)
-        scores = shap_scores(
-            ddnnf, players,
-            instance={p: True for p in players},
-            marginals={p: Fraction(1, 2) for p in players},
-        )
-        assert scores != shapley
+def brute_banzhaf(circuit, players):
+    """Causal effect of every player from the definition (exponential):
+    the average marginal contribution over all coalitions of the
+    others."""
+    effects = {}
+    for target in players:
+        others = [p for p in players if p != target]
+        diff = 0
+        for mask in range(1 << len(others)):
+            coalition = {others[i] for i in range(len(others))
+                         if mask >> i & 1}
+            diff += int(circuit.evaluate(coalition | {target}))
+            diff -= int(circuit.evaluate(coalition))
+        effects[target] = Fraction(diff, 1 << len(others))
+    return effects
 
 
 class TestCausalEffect:
@@ -146,15 +85,32 @@ class TestCausalEffect:
         players = [f"x{i}" for i in range(n_vars)]
         ddnnf = compile_ddnnf(circuit)
         effects = causal_effects(ddnnf, players)
-        for target in players:
-            others = [p for p in players if p != target]
-            diff = 0
-            for mask in range(1 << len(others)):
-                coalition = {others[i] for i in range(len(others))
-                             if mask >> i & 1}
-                diff += int(circuit.evaluate(coalition | {target}))
-                diff -= int(circuit.evaluate(coalition))
-            assert effects[target] == Fraction(diff, 1 << len(others))
+        assert effects == brute_banzhaf(circuit, players)
+
+    @given(st.integers(2, 5), st.integers(1, 4), st.integers(1, 2),
+           st.integers(0, 500),
+           st.sampled_from(["random", "tautology", "contradiction"]),
+           st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_edge_cases_match_brute_force(
+        self, n_vars, n_terms, width, seed, lineage_kind, numpy
+    ):
+        # A constant lineage, a player the lineage never mentions, and
+        # the sweep with the machine-width tier switched off all reduce
+        # to the definition.
+        circuit = {
+            "random": random_monotone_dnf(n_vars, n_terms, width, seed),
+            "tautology": circuit_from_nested(("or", "x0", ("not", "x0"))),
+            "contradiction": circuit_from_nested(
+                ("and", "x0", ("not", "x0"))),
+        }[lineage_kind]
+        players = [f"x{i}" for i in range(n_vars)] + ["absent"]
+        ddnnf = compile_ddnnf(circuit)
+        with mock.patch.object(
+                fixed, "HAS_NUMPY", fixed.HAS_NUMPY and numpy):
+            effects = causal_effects(ddnnf, players)
+        assert effects == brute_banzhaf(circuit, players)
+        assert effects["absent"] == 0
 
 
 class TestResponsibility:

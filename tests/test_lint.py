@@ -186,7 +186,7 @@ class TestRep003FloatsInExactModules:
 
     def test_float_call_flagged(self):
         assert rules(
-            "src/repro/core/numerics/exact.py",
+            "src/repro/core/numerics/base.py",
             "x = float(n)\n",
         ) == ["REP003"]
 

@@ -1,17 +1,17 @@
 """Tests for the numerics of Algorithm 1.
 
-Covers the kernel registry, the reference kernel's primitives against
-their textbook definitions, the compiled gate tape (lowering,
+Covers the reference kernel's primitives against their textbook
+definitions, the compiled gate tape (lowering,
 execution, serialization, the tape artifact kind of the persistent
 store), the incremental ``shapley_coefficients`` recurrence, the
 unified Equation-3 combination's bounds handling, the machine-width
 tier (tier selection, CRT residue planes generated from the bounds,
 one plane resident at a time, fallback without NumPy), and the
-headline randomized parity suite: on seeded small monotone CNFs,
-conditioning mode == derivative (smoothing-free) mode == naive
-permutation enumeration, with byte-identical Fractions on the
-machine-width tier and the interpreted reference pass, across all
-three transports.
+headline randomized parity suite: on seeded small monotone CNFs, the
+derivative (smoothing-free) sweep == the paper's per-fact conditioning
+loop (the ``shapley_of_fact`` oracle) == naive permutation
+enumeration, with byte-identical Fractions on the machine-width tier
+and the interpreted reference pass, across all three transports.
 """
 
 import random
@@ -37,40 +37,36 @@ from repro.circuits import (
     tseytin_transform,
 )
 from repro.compiler import compile_cnf
-from repro.core import game_from_circuit, shapley_all_facts, shapley_naive
+from repro.core import (
+    game_from_circuit, shapley_all_facts, shapley_naive,
+)
 from repro.core.numerics import (
     HAS_NUMPY,
+    KERNEL,
     FastpathStats,
     GateTape,
     TapeError,
-    available_kernels,
     binomial_row,
     coefficients_cache_info,
     compile_tape,
     fastpath_diffs,
-    get_kernel,
     plan_for,
     shapley_coefficients,
 )
 from repro.core.numerics.tape import OP_AND, OP_NVAR, OP_OR, OP_VAR
-from repro.core.shapley import _resolve_kernel, shapley_from_counts
+from repro.core.shapley import shapley_from_counts
 from repro.engine import (
     ArtifactCache,
     Coordinator,
-    EngineOptions,
     ExplainSession,
     PersistentArtifactStore,
     run_worker,
 )
 from repro.workloads.synthetic import random_monotone_cnf, random_monotone_dnf
 
-from .test_store import JOIN_QUERY, join_database
-
-PYTHON = get_kernel("python")
-#: Every accepted spelling of a ``kernel`` argument: the instance, its
-#: registered name, and ``None`` for the reference.
-KERNEL_ARGS = [PYTHON, "python", None]
-KERNEL_IDS = [f"kernel{i}" for i in range(len(KERNEL_ARGS))]
+from .test_store import (
+    JOIN_QUERY, join_database, oracle_each_answer, per_fact_oracle,
+)
 
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="NumPy required")
 
@@ -94,38 +90,6 @@ def _counts_by_enumeration(circuit: Circuit) -> list[int]:
     for model in enumerate_models(circuit, over=labels):
         counts[len(model)] += 1
     return counts
-
-
-class TestRegistry:
-    def test_available_kernels(self):
-        assert available_kernels() == ("python",)
-
-    def test_aliases_resolve_to_the_reference(self):
-        assert get_kernel("exact") is PYTHON
-        assert get_kernel("bigint") is PYTHON
-
-    def test_none_is_the_reference(self):
-        assert get_kernel(None) is PYTHON
-
-    def test_unknown_name_raises(self):
-        # The machine-width tier is not a kernel: the names of the
-        # deleted kernel ladder are unknown too.
-        for name in ("cuda", "auto", "numpy", "int64", "fixed"):
-            with pytest.raises(ValueError, match="unknown numeric kernel"):
-                get_kernel(name)
-
-    def test_numpy_falls_back_gracefully_when_missing(self, monkeypatch):
-        monkeypatch.setattr(fixed, "HAS_NUMPY", False)
-        circuit = random_monotone_cnf(5, 4, 2, seed=3)
-        players = [f"x{i}" for i in range(5)]
-        stats = FastpathStats()
-        values = shapley_all_facts(
-            _compile(circuit), players, fastpath_stats=stats)
-        assert values == shapley_naive(game_from_circuit(circuit), players)
-        assert stats.hits == 0 and stats.ineligible == 1
-
-    def test_instances_are_shared(self):
-        assert get_kernel("python") is get_kernel("python")
 
 
 class TestCoefficients:
@@ -173,7 +137,7 @@ class TestKernelPrimitiveParity:
         for la, lb in ((1, 1), (3, 40), (40, 3), (25, 30)):
             a = [rng.randrange(10**25) for _ in range(la)]
             b = [rng.randrange(10**25) for _ in range(lb)]
-            product = PYTHON.poly_mul(a, b)
+            product = KERNEL.poly_mul(a, b)
             assert product == _convolve(a, b)
             assert all(isinstance(x, int) for x in product)
 
@@ -181,10 +145,10 @@ class TestKernelPrimitiveParity:
         rng = random.Random(7)
         counts = [rng.randrange(10**30) for _ in range(20)]
         for extra in (0, 1, 5, 40):
-            assert PYTHON.complete(counts, extra) == _convolve(
+            assert KERNEL.complete(counts, extra) == _convolve(
                 counts, [comb(extra, j) for j in range(extra + 1)])
         with pytest.raises(ValueError):
-            PYTHON.complete(counts, -1)
+            KERNEL.complete(counts, -1)
 
     def test_poly_add(self):
         rng = random.Random(9)
@@ -194,8 +158,8 @@ class TestKernelPrimitiveParity:
             (acc[i] if i < len(acc) else 0) + poly[i]
             for i in range(len(poly))
         ]
-        assert PYTHON.poly_add(list(acc), poly) == expected
-        assert PYTHON.poly_add(None, poly) == list(poly)
+        assert KERNEL.poly_add(list(acc), poly) == expected
+        assert KERNEL.poly_add(None, poly) == list(poly)
 
     def test_or_accumulate(self):
         rng = random.Random(11)
@@ -209,13 +173,13 @@ class TestKernelPrimitiveParity:
             for k, count in enumerate(_convolve(
                     vals, [comb(gap, j) for j in range(gap + 1)])):
                 expected[k] += count
-        assert PYTHON.or_accumulate(24, children, gaps) == expected
+        assert KERNEL.or_accumulate(24, children, gaps) == expected
 
     def test_equation3(self):
         rng = random.Random(13)
         pos = [rng.randrange(10**20) for _ in range(12)]
         neg = [rng.randrange(10**20) for _ in range(12)]
-        assert PYTHON.equation3(pos, neg, 12) == \
+        assert KERNEL.equation3(pos, neg, 12) == \
             TestEquation3Bounds._reference(pos, neg, 12)
 
 
@@ -223,7 +187,7 @@ class TestEquation3Bounds:
     """Regression for the once-duplicated Equation-3 combination:
     shapley_from_counts and the derivative tail now share one kernel
     implementation, exercised here with count vectors shorter and
-    longer than ``n``, for every spelling of the kernel argument."""
+    longer than ``n``."""
 
     @staticmethod
     def _reference(pos, neg, n):
@@ -237,35 +201,30 @@ class TestEquation3Bounds:
             ) * (p - m)
         return total
 
-    @pytest.mark.parametrize("kernel", KERNEL_ARGS, ids=KERNEL_IDS)
-    def test_shorter_than_n_zero_pads(self, kernel):
+    def test_shorter_than_n_zero_pads(self):
         pos, neg, n = [1], [0], 3
         expected = self._reference(pos, neg, n)
-        assert shapley_from_counts(pos, neg, n, kernel=kernel) == expected
+        assert shapley_from_counts(pos, neg, n) == expected
         assert expected == Fraction(2, 6)
 
-    @pytest.mark.parametrize("kernel", KERNEL_ARGS, ids=KERNEL_IDS)
-    def test_mismatched_lengths(self, kernel):
+    def test_mismatched_lengths(self):
         pos, neg, n = [2, 5, 1], [1], 4
-        assert shapley_from_counts(pos, neg, n, kernel=kernel) == \
+        assert shapley_from_counts(pos, neg, n) == \
             self._reference(pos, neg, n)
 
-    @pytest.mark.parametrize("kernel", KERNEL_ARGS, ids=KERNEL_IDS)
-    def test_longer_than_n_ignores_tail(self, kernel):
+    def test_longer_than_n_ignores_tail(self):
         # An over-completed vector must not index coefficients past n-1
         # (the legacy derivative tail would have raised IndexError or,
         # worse, silently weighted them).
         pos, neg, n = [1, 2, 3, 4, 5], [0, 1, 0, 9, 9], 3
-        assert shapley_from_counts(pos, neg, n, kernel=kernel) == \
+        assert shapley_from_counts(pos, neg, n) == \
             self._reference(pos, neg, n)
 
-    @pytest.mark.parametrize("kernel", KERNEL_ARGS, ids=KERNEL_IDS)
-    def test_difference_form_agrees(self, kernel):
+    def test_difference_form_agrees(self):
         pos, neg, n = [3, 7, 2], [1, 2, 8], 3
         diff = [p - m for p, m in zip(pos, neg)]
-        kernel = _resolve_kernel(kernel)
-        assert kernel.equation3(diff, None, n) == \
-            kernel.equation3(pos, neg, n)
+        assert KERNEL.equation3(diff, None, n) == \
+            KERNEL.equation3(pos, neg, n)
 
 
 class TestGateTape:
@@ -289,7 +248,7 @@ class TestGateTape:
         # The interpreted reference and the machine-width forward sweep
         # agree on the root's counts.
         ddnnf = _compile(random_monotone_cnf(6, 5, 3, seed=42))
-        counts, nvars = count_models_by_size(ddnnf, kernel=PYTHON)
+        counts, nvars = count_models_by_size(ddnnf)
         tape = compile_tape(ddnnf.condition({}))
         plan = plan_for(tape)
         root = plan.forward()[len(tape) - 1]
@@ -304,9 +263,9 @@ class TestGateTape:
         counts, nvars = count_models_by_size(circuit)
         assert (counts, nvars) == ([1, 2, 0], 2)
         tape = compile_tape(circuit)
-        vals = tape.forward(PYTHON)
+        vals = tape.forward()
         with pytest.raises(TapeError, match="NNF"):
-            tape.backward_diffs(PYTHON, vals)
+            tape.backward_diffs(vals)
 
     def test_non_decomposable_and_detected(self):
         circuit = Circuit()
@@ -318,7 +277,7 @@ class TestGateTape:
     def test_complete_counts_delegates_to_kernel(self):
         assert complete_counts([1], 3) == [1, 3, 3, 1]
         assert complete_counts([0, 2, 1], 0) == [0, 2, 1]
-        assert complete_counts([1, 1], 2, kernel=PYTHON) == [1, 3, 3, 1]
+        assert complete_counts([1, 1], 2) == [1, 3, 3, 1]
 
     def test_payload_round_trip(self):
         tape = compile_tape(
@@ -333,7 +292,7 @@ class TestGateTape:
         assert clone.nvars == tape.nvars
         assert clone.var_labels == tape.var_labels
         assert clone.source_gates == tape.source_gates
-        assert clone.forward(PYTHON)[-1] == tape.forward(PYTHON)[-1]
+        assert clone.forward()[-1] == tape.forward()[-1]
 
     @pytest.mark.parametrize("mutate", [
         lambda p: p.pop("ops"),
@@ -368,9 +327,9 @@ class TestGateTape:
 
 class TestParitySuite:
     """The headline acceptance check: on seeded small monotone CNFs,
-    both all-facts modes and the naive permutation definition return
-    byte-identical Fractions, with and without the machine-width
-    tier."""
+    the derivative sweep, the per-fact conditioning oracle and the
+    naive permutation definition return byte-identical Fractions, the
+    sweep with and without the machine-width tier."""
 
     @pytest.mark.parametrize("n_vars,n_clauses,width,seed", PARITY_CASES)
     def test_modes_kernels_and_naive_agree(
@@ -380,12 +339,11 @@ class TestParitySuite:
         players = [f"x{i}" for i in range(n_vars)]
         ddnnf = _compile(circuit)
         naive = shapley_naive(game_from_circuit(circuit), players)
-        results = {}
+        results = {"per-fact oracle": per_fact_oracle(ddnnf, players)}
         for numpy in (HAS_NUMPY, False):
             monkeypatch.setattr(fixed, "HAS_NUMPY", numpy)
-            for mode in ("conditioning", "derivative"):
-                results[(numpy, mode)] = shapley_all_facts(
-                    ddnnf, players, method=mode)
+            results[("derivative", numpy)] = shapley_all_facts(
+                ddnnf, players)
         for key, values in results.items():
             assert values == naive, key
             for fact in players:
@@ -402,22 +360,16 @@ class TestParitySuite:
         players = ["a", "b", "c"]
         ddnnf = _compile(circuit)
         naive = shapley_naive(game_from_circuit(circuit), players)
-        for mode in ("conditioning", "derivative"):
-            assert shapley_all_facts(ddnnf, players, method=mode) == naive
+        assert per_fact_oracle(ddnnf, players) == naive
+        assert shapley_all_facts(ddnnf, players) == naive
 
     def test_prebuilt_tape_path_matches(self):
         ddnnf = _compile(random_monotone_cnf(5, 4, 2, seed=8))
         players = [f"x{i}" for i in range(5)]
         tape = compile_tape(ddnnf.condition({}))
-        direct = shapley_all_facts(ddnnf, players, method="derivative")
-        via_tape = shapley_all_facts(
-            None, players, method="derivative", tape=tape
-        )
+        direct = shapley_all_facts(ddnnf, players)
+        via_tape = shapley_all_facts(None, players, tape=tape)
         assert direct == via_tape
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            shapley_all_facts(circuit_from_nested("x"), ["x"], method="magic")
 
 
 class TestTapeArtifacts:
@@ -480,15 +432,14 @@ class TestTapeArtifacts:
         assert cache.stats.tape_compilations == 1  # re-lowered from d-DNNF
         assert cache.stats.compile_calls == 0  # ... without recompiling
 
-    def test_mode_without_tape_still_uses_ddnnf(self):
+    def test_session_matches_the_per_fact_oracle(self):
+        db = join_database(2, 2)
         cache = ArtifactCache()
-        with ExplainSession(
-            join_database(2, 2), method="exact",
-            options=EngineOptions(mode="conditioning"), cache=cache,
-        ) as session:
+        with ExplainSession(db, method="exact", cache=cache) as session:
             results = session.explain_many(JOIN_QUERY)
-        assert all(r.ok for r in results.values())
-        assert cache.stats.tape_compilations == 0
+        assert {a: r.values for a, r in results.items()} == \
+            oracle_each_answer(db, JOIN_QUERY)
+        assert cache.stats.tape_compilations == 1
 
 
 @pytest.fixture
@@ -661,7 +612,7 @@ class TestTapePayloadV2:
         assert clone.bound_bits() == tape.bound_bits()
         # and a re-serialization upgrades the artifact to v2
         assert clone.to_payload()["format"] == 2
-        assert clone.forward(PYTHON) == tape.forward(PYTHON)
+        assert clone.forward() == tape.forward()
 
     @pytest.mark.parametrize("mutate", [
         lambda p: p.__setitem__("levels", p["levels"][:-1]),
@@ -711,7 +662,7 @@ class TestMachineWidthFastpath:
 
     @staticmethod
     def _reference_diffs(tape):
-        diffs = tape.backward_diffs(PYTHON, tape.forward(PYTHON))
+        diffs = tape.backward_diffs(tape.forward())
         return {slot: [int(v) for v in row] for slot, row in diffs.items()
                 if any(row)}
 
@@ -723,6 +674,16 @@ class TestMachineWidthFastpath:
             got = fast[slot]
             assert got[:len(row)] == row
             assert not any(got[len(row):])
+
+    def test_numpy_falls_back_gracefully_when_missing(self, monkeypatch):
+        monkeypatch.setattr(fixed, "HAS_NUMPY", False)
+        circuit = random_monotone_cnf(5, 4, 2, seed=3)
+        players = [f"x{i}" for i in range(5)]
+        stats = FastpathStats()
+        values = shapley_all_facts(
+            _compile(circuit), players, fastpath_stats=stats)
+        assert values == shapley_naive(game_from_circuit(circuit), players)
+        assert stats.hits == 0 and stats.ineligible == 1
 
     @needs_numpy
     def test_tier_selection_by_bounds(self):
@@ -937,7 +898,7 @@ class TestCoefficientsCacheInfo:
         assert before["shapley_coefficients_cache_maxsize"] == 256
         shapley_coefficients(33)
         shapley_coefficients(33)
-        PYTHON.equation3([1, 2, 3], None, 33)
+        KERNEL.equation3([1, 2, 3], None, 33)
         after = coefficients_cache_info()
         assert after["shapley_coefficients_cache_hits"] > \
             before["shapley_coefficients_cache_hits"]
@@ -989,7 +950,7 @@ class TestFastpathRobustness:
             "ops": [4], "args": [[]], "gaps": [None], "nvars": [0],
             "var_labels": [], "source_gates": 1,
         })
-        assert tape.forward(PYTHON) == [[1]]
+        assert tape.forward() == [[1]]
         plan = plan_for(tape)
         assert plan is not None
         assert plan.execute() == {}

@@ -14,6 +14,7 @@ from repro.core import (
     to_plan,
 )
 from repro.db import Operator, Project, Scan, cq, lineage
+from repro.engine import ArtifactCache
 from repro.workloads.flights import (
     EXPECTED_SHAPLEY,
     fact,
@@ -21,6 +22,8 @@ from repro.workloads.flights import (
     flights_query,
 )
 from repro.workloads.synthetic import intractable_circuit
+
+from .test_store import per_fact_oracle
 
 
 class TestToPlan:
@@ -82,11 +85,12 @@ class TestRunExact:
                 circuit, players, budget=CompilationBudget(max_nodes=200)
             )
 
-    def test_conditioning_method_through_pipeline(self):
+    def test_pipeline_matches_the_per_fact_oracle(self):
         db, circuit = self.circuit()
-        outcome = run_exact(
-            circuit, db.endogenous_facts(), method="conditioning"
-        )
+        players = db.endogenous_facts()
+        outcome = run_exact(circuit, players)
+        ddnnf = ArtifactCache().ddnnf_for(circuit)
+        assert outcome.values == per_fact_oracle(ddnnf, players)
         assert outcome.values[fact("a6")] == EXPECTED_SHAPLEY["a6"]
 
 

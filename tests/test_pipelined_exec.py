@@ -170,7 +170,7 @@ class TestThreadPipelinedExecution:
         cache = ArtifactCache()
         plan = plan_batch(
             "exact", build_jobs(circuits, cache), True, batch=True,
-            component_planner=artifact_component_planner("tape"),
+            component_planner=artifact_component_planner(),
         )
         owned = sum(len(shape.needs) for shape in plan.shapes)
         distinct = len(plan.components)
@@ -207,7 +207,7 @@ class TestThreadPipelinedExecution:
             jobs.append(job)
         plan = plan_batch(
             "exact", jobs, True, batch=True,
-            component_planner=artifact_component_planner("tape"),
+            component_planner=artifact_component_planner(),
         )
         assert plan.components
         # the tiny join shape plans no components: it is ungated
@@ -230,7 +230,7 @@ class TestProcessPipelinedExecution:
         cache = ArtifactCache(store=store)
         plan = plan_batch(
             "exact", build_jobs(circuits, cache), True, batch=True,
-            component_planner=artifact_component_planner("tape"),
+            component_planner=artifact_component_planner(),
         )
         assert plan.components
         transport = ProcessPoolTransport(2, str(store.directory))
@@ -369,7 +369,7 @@ class TestWarmAheadOnePass:
         jobs = build_jobs(circuits, cache)
         plan = plan_batch(
             "exact", jobs, True,
-            component_planner=artifact_component_planner("tape"),
+            component_planner=artifact_component_planner(),
         )
         owned = sum(len(shape.needs) for shape in plan.shapes)
         assert 0 < len(plan.components) < owned

@@ -1,6 +1,7 @@
-"""Tests for Algorithm 1 (exact Shapley from d-DNNF) and its two modes,
-anchored on the paper's Example 2.1 and cross-checked against the naive
-definition on random lineage."""
+"""Tests for Algorithm 1 (exact Shapley from d-DNNF): the shared
+derivative sweep and the paper's per-fact conditioning loop (kept as
+an oracle), anchored on the paper's Example 2.1 and cross-checked
+against the naive definition on random lineage."""
 
 from fractions import Fraction
 
@@ -30,6 +31,8 @@ from repro.workloads.flights import (
     one_stop_query,
 )
 from repro.workloads.synthetic import random_monotone_dnf
+
+from .test_store import per_fact_oracle
 
 
 def compiled_flights(query=None):
@@ -114,8 +117,8 @@ class TestModesAgree:
         circuit = random_monotone_dnf(n_vars, n_terms, width, seed)
         players = [f"x{i}" for i in range(n_vars)]
         ddnnf = _compile(circuit)
-        a = shapley_all_facts(ddnnf, players, method="conditioning")
-        b = shapley_all_facts(ddnnf, players, method="derivative")
+        a = per_fact_oracle(ddnnf, players)
+        b = shapley_all_facts(ddnnf, players)
         assert a == b
 
     @given(
@@ -132,11 +135,6 @@ class TestModesAgree:
         exact = shapley_all_facts(ddnnf, players)
         naive = shapley_naive(game_from_circuit(circuit), players)
         assert exact == naive
-
-    def test_unknown_method(self):
-        db, circuit = compiled_flights()
-        with pytest.raises(ValueError):
-            shapley_all_facts(circuit, db.endogenous_facts(), method="magic")
 
 
 class TestAxioms:

@@ -15,7 +15,7 @@ import pytest
 from repro.circuits import Circuit, circuit_from_nested
 from repro.circuits.circuit import CircuitError
 from repro.circuits.cnf import Cnf, CnfError
-from repro.core import run_exact
+from repro.core import run_exact, shapley_of_fact
 from repro.core.attribution import attribute
 from repro.core.pipeline import to_plan
 from repro.db import Database, RelationSchema, Schema, cq
@@ -67,6 +67,25 @@ def explain_each_answer(db: Database, query) -> dict:
             values[answer] = session.explain_one(
                 circuit, sorted(circuit.reachable_vars())
             ).values
+    return values
+
+
+def per_fact_oracle(ddnnf: Circuit, players) -> dict:
+    """The paper's literal Algorithm 1, one conditioning per fact
+    (:func:`~repro.core.shapley.shapley_of_fact`)."""
+    return {fact: shapley_of_fact(ddnnf, players, fact) for fact in players}
+
+
+def oracle_each_answer(db: Database, query) -> dict:
+    """The per-fact oracle: every answer's lineage compiled to a d-DNNF
+    and explained by :func:`per_fact_oracle`; values keyed by answer."""
+    result = lineage(to_plan(query, db), db, endogenous_only=True)
+    cache = ArtifactCache(max_entries=0)
+    values = {}
+    for answer in result.tuples():
+        circuit = result.lineage_of(answer)
+        players = sorted(circuit.reachable_vars())
+        values[answer] = per_fact_oracle(cache.ddnnf_for(circuit), players)
     return values
 
 
@@ -236,7 +255,7 @@ class TestPersistentStore:
         script = f"""
 import sys
 sys.path.insert(0, {SRC_DIR!r})
-from repro.core import run_exact
+from repro.core import run_exact, shapley_of_fact
 from repro.engine import ArtifactCache, PersistentArtifactStore
 from repro.workloads.synthetic import bipartite_join_dnf
 
