@@ -252,7 +252,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         method="exact",
         options=EngineOptions(
             budget=CompilationBudget(max_seconds=args.timeout), timeout=None,
-            compile_jobs=args.compile_jobs,
         ),
         cache=cache,
         max_workers=args.jobs,
@@ -689,7 +688,6 @@ def cmd_cache_warm(args: argparse.Namespace) -> int:
         method="exact",
         options=EngineOptions(
             budget=CompilationBudget(max_seconds=args.timeout), timeout=None,
-            compile_jobs=args.compile_jobs,
         ),
         cache=cache,
         executor=executor,
@@ -779,10 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--timeout", type=float, default=2.5)
     b.add_argument("--jobs", type=_positive_int, default=None,
                    help="pool width for the batched run (>= 1)")
-    b.add_argument("--compile-jobs", type=_positive_int, default=None,
-                   help="threads compiling independent CNF components "
-                        "of one shape concurrently (results are "
-                        "byte-identical to the serial compile)")
     b.add_argument("--jobs-mode", choices=("thread", "process", "socket"),
                    default="thread",
                    help="fan answers out over threads (shared in-memory "
@@ -935,9 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
     cw.add_argument("--query", help="suite query name (e.g. Q3, 8d)")
     cw.add_argument("--timeout", type=float, default=2.5,
                     help="compilation budget per shape (seconds)")
-    cw.add_argument("--compile-jobs", type=_positive_int, default=None,
-                    help="threads compiling independent CNF components "
-                         "of one shape concurrently")
     cw.add_argument("--coordinator", type=_address, default=None,
                     metavar="HOST:PORT",
                     help="queue the shapes on this coordinator's "

@@ -39,9 +39,9 @@ variables, and published to a :class:`ComponentMemo`.  A later compile
 — of the same shape or of a *different* shape that happens to contain
 an isomorphic sub-circuit — looks the component up and stitches the
 memoized circuit into its output instead of recompiling.  The stitching
-import is deterministic (a bottom-up sweep in gate-id order), so
-serial, parallel, and memoized compilations all produce byte-identical
-circuits.  Memoization deliberately stops at the top level: residual
+import is deterministic (a bottom-up sweep in gate-id order), so fresh
+and memoized compilations produce byte-identical circuits.
+Memoization deliberately stops at the top level: residual
 components deeper in the search reuse the run-local cache instead —
 canonicalizing every nested residual costs more than it saves and
 fragments the residual cache that makes inline compilation fast.
@@ -399,9 +399,9 @@ class _RunContext:
     Budget, deadline, memo, and stats are all per-*run*: a canonical
     component compile spawned three levels deep still counts against the
     same node budget and reports into the same
-    :class:`CompilationStats`.  All hot counters are plain int bumps
-    (GIL-atomic enough for diagnostics); the counters that feed CI
-    assertions (``component_*``) are guarded by :attr:`lock`.
+    :class:`CompilationStats`.  A run is one thread's call of
+    :func:`compile_cnf` or :func:`compile_component`, each of which
+    builds its own context, so nothing here is locked.
     """
 
     def __init__(
@@ -422,7 +422,6 @@ class _RunContext:
             if self.budget.max_seconds is not None
             else None
         )
-        self.lock = threading.Lock()
         #: Gates living in *finished* canonical sub-circuits of this
         #: run; the in-flight compiler adds its own ``len(circuit)`` on
         #: top when checking the node budget.
@@ -430,27 +429,11 @@ class _RunContext:
         #: Shared budget-check tick.  Must be run-wide, not
         #: per-compiler: nested canonical compiles are often tiny, and
         #: a per-compiler tick would let deep recursions dodge the
-        #: every-64th deadline check forever.  Racy increments under
-        #: parallel compilation merely shift *when* the check fires.
+        #: every-64th deadline check forever.
         self.tick = 0
-        self._local = threading.local()
-
-    def add_foreign(self, nodes: int) -> None:
-        with self.lock:
-            self.foreign_nodes += nodes
-
-    # -- nesting depth (per thread), for one-shot timing attribution --
-
-    def enter_canonical(self) -> bool:
-        depth = getattr(self._local, "depth", 0)
-        self._local.depth = depth + 1
-        return depth == 0
-
-    def exit_canonical(self) -> None:
-        self._local.depth -= 1
-
-    def at_top(self) -> bool:
-        return getattr(self._local, "depth", 0) == 0
+        #: Nesting depth of canonical compiles, so their time is
+        #: attributed once, to the outermost.
+        self.depth = 0
 
 
 class _Compiler:
@@ -476,8 +459,6 @@ class _Compiler:
         self.cache: dict[tuple[int, int], int] = {}
         #: (variable id, value) -> literal gate.
         self._literals: dict[tuple[int, bool], int] = {}
-        #: canonical key -> circuit, filled by the parallel pre-pass.
-        self._prebuilt: dict[ClauseSet, Circuit] = {}
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -507,7 +488,7 @@ class _Compiler:
 
     # -- core recursion ------------------------------------------------
 
-    def run(self, jobs: int = 1) -> int:
+    def run(self) -> int:
         ctx = self.context
         split = _top_level_split(
             self.index, ctx.min_vars if ctx.memoize else None
@@ -518,8 +499,6 @@ class _Compiler:
         gates = [self._lit_gate(var, value) for var, value in trail]
         if len(comps) > 1:
             self.stats.components_split += 1
-            if jobs > 1:
-                self._precompile([form for _, _, form in comps], jobs)
         gates.extend(
             self._compile_component(clauses, free, form)
             for clauses, free, form in comps
@@ -572,28 +551,19 @@ class _Compiler:
         """Compile (or fetch) a component's canonical form ``canon`` and
         import the resulting sub-circuit, renaming canonical variables
         back through ``order``."""
-        sub = self._prebuilt.pop(canon, None)
-        if sub is None:
-            sub = self._lookup_or_compile(canon)
-        ctx = self.context
-        outermost = ctx.at_top()
-        started = time.perf_counter()
-        gate = self._import_component(sub, order)
-        if outermost:
-            with ctx.lock:
-                self.stats.stitch_seconds += time.perf_counter() - started
-        return gate
-
-    def _lookup_or_compile(self, canon: ClauseSet) -> Circuit:
         ctx = self.context
         sub = ctx.memo.lookup(canon)
         if sub is not None:
-            with ctx.lock:
-                self.stats.component_hits += 1
-            return sub
-        with ctx.lock:
+            self.stats.component_hits += 1
+        else:
             self.stats.component_misses += 1
-        return _compile_canonical(canon, ctx)
+            sub = _compile_canonical(canon, ctx)
+        outermost = ctx.depth == 0
+        started = time.perf_counter()
+        gate = self._import_component(sub, order)
+        if outermost:
+            self.stats.stitch_seconds += time.perf_counter() - started
+        return gate
 
     def _import_component(self, sub: Circuit, order: tuple[int, ...]) -> int:
         """Deterministic bottom-up import of ``sub`` into this circuit.
@@ -602,7 +572,7 @@ class _Compiler:
         serialization round trips, whose dense renumbering is monotone),
         so the ids created here — and therefore the final circuit — are
         byte-identical no matter where ``sub`` came from: a fresh
-        compile, the in-memory memo, a parallel pre-pass, or disk.
+        compile, the in-memory memo, or disk.
         """
         circuit = self.circuit
         labels = self.labels
@@ -633,34 +603,6 @@ class _Compiler:
                 )
         return mapping[root]
 
-    def _precompile(self, forms: list[tuple | None], jobs: int) -> None:
-        """Compile the distinct memoizable top-level components
-        concurrently, then let the serial sweep stitch them in order.
-
-        Only fills :attr:`_prebuilt`; the deterministic import loop in
-        :meth:`run` is untouched, so parallelism cannot perturb gate
-        ids.  Duplicate canonical forms are compiled once.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        pending = list(dict.fromkeys(form[0] for form in forms if form))
-        if len(pending) < 2:
-            return
-        with ThreadPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            futures = [
-                (canon, pool.submit(self._lookup_or_compile, canon))
-                for canon in pending
-            ]
-            error: BaseException | None = None
-            for canon, future in futures:
-                try:
-                    self._prebuilt[canon] = future.result()
-                except BaseException as exc:  # noqa: BLE001 - re-raised
-                    if error is None:
-                        error = exc
-            if error is not None:
-                raise error
-
 
 def _compile_canonical(canon: ClauseSet, context: _RunContext) -> Circuit:
     """Compile a canonical component standalone and publish it.
@@ -670,20 +612,20 @@ def _compile_canonical(canon: ClauseSet, context: _RunContext) -> Circuit:
     connected and unit-free by construction, so compilation starts
     directly at the branching step.
     """
-    outermost = context.enter_canonical()
+    outermost = context.depth == 0
+    context.depth += 1
     started = time.perf_counter()
     try:
         sub = _Compiler(canon, _IDENTITY_LABELS, context)
         index = sub.index
         sub.circuit.output = sub._branch(index.all_clauses, index.all_vars)
-        context.add_foreign(len(sub.circuit))
+        context.foreign_nodes += len(sub.circuit)
     finally:
         elapsed = time.perf_counter() - started
-        context.exit_canonical()
-    with context.lock:
-        context.stats.component_compilations += 1
-        if outermost:
-            context.stats.component_seconds += elapsed
+        context.depth -= 1
+    context.stats.component_compilations += 1
+    if outermost:
+        context.stats.component_seconds += elapsed
     context.memo.publish(canon, sub.circuit)
     return sub.circuit
 
@@ -829,7 +771,6 @@ def compile_cnf(
     budget: CompilationBudget | None = None,
     *,
     memo: ComponentMemo | None = None,
-    jobs: int | None = None,
     memoize_components: bool = True,
     component_min_vars: int = MEMO_MIN_COMPONENT_VARS,
 ) -> CompilationResult:
@@ -849,10 +790,6 @@ def compile_cnf(
         compile; pass the engine cache's memo to share compiled
         components across shapes, runs, and (with a persistent store)
         processes.
-    jobs:
-        When > 1, compile the distinct memoizable top-level components
-        in a thread pool of that width before the deterministic serial
-        stitch.  The output is byte-identical to ``jobs=1``.
     memoize_components:
         ``False`` restores the purely inline compiler (no
         canonicalization, no memo traffic) — the baseline the benchmarks
@@ -868,7 +805,7 @@ def compile_cnf(
             budget, memo, memoize_components, component_min_vars
         )
         run = _Compiler(cnf.clauses, cnf.labels, context)
-        run.circuit.output = run.run(jobs=max(1, int(jobs or 1)))
+        run.circuit.output = run.run()
         context.stats.seconds = time.perf_counter() - context.start
         context.stats.nodes = len(run.circuit)
         return CompilationResult(run.circuit, context.stats)
@@ -879,7 +816,6 @@ def compile_circuit(
     budget: CompilationBudget | None = None,
     *,
     memo: ComponentMemo | None = None,
-    jobs: int | None = None,
 ) -> CompilationResult:
     """Compile an arbitrary Boolean circuit into a d-DNNF over the *same*
     variables.
@@ -892,7 +828,7 @@ def compile_circuit(
     from ..circuits.tseytin import tseytin_transform
 
     cnf = tseytin_transform(circuit)
-    result = compile_cnf(cnf, budget=budget, memo=memo, jobs=jobs)
+    result = compile_cnf(cnf, budget=budget, memo=memo)
     keep = set(cnf.labels.values())
     cleaned = eliminate_auxiliary(result.circuit, keep)
     result_stats = result.stats

@@ -130,7 +130,6 @@ def run_exact(
     budget: CompilationBudget | None = None,
     cache: "ArtifactCache | None" = None,
     artifacts: "CircuitArtifacts | None" = None,
-    compile_jobs: int | None = None,
 ) -> ExactOutcome:
     """Run the knowledge-compilation pipeline on one lineage circuit,
     catching budget events into the outcome.
@@ -153,10 +152,6 @@ def run_exact(
     An answer served by the machine-width tier gets a
     ``tier_<float64|int64|crt>`` timing naming the tier that ran
     (:func:`_label_tiers`).
-
-    ``compile_jobs`` > 1 compiles independent top-level CNF components
-    concurrently; stitching stays deterministic, so results are
-    byte-identical to the serial compile.
     """
     endo = list(endogenous_facts)
     stats = ProvenanceStats()
@@ -164,7 +159,7 @@ def run_exact(
     deadline = _deadline(budget)
 
     tape, failure = _prepare(
-        circuit, budget, cache, artifacts, compile_jobs, stats, timings)
+        circuit, budget, cache, artifacts, stats, timings)
     if failure is not None:
         return failure
 
@@ -207,7 +202,6 @@ def _prepare(
     budget: CompilationBudget | None,
     cache: "ArtifactCache | None",
     artifacts: "CircuitArtifacts | None",
-    compile_jobs: int | None,
     stats: ProvenanceStats,
     timings: dict[str, float],
 ):
@@ -250,14 +244,14 @@ def _prepare(
             # The tape is the only artifact Algorithm 1 needs; on a
             # warm shape this is a pure lookup + O(#vars) re-targeting
             # (no d-DNNF rename, no gate traversal).
-            tape = artifacts.tape(budget=budget, jobs=compile_jobs)
+            tape = artifacts.tape(budget=budget)
             # Only attribute sub-stage time this call actually spent
             # (the handle may be warm or shared across answers).
             if artifacts.compile_stats is not stats_before:
                 compile_stats = artifacts.compile_stats
             tape_lower = artifacts.tape_lower_seconds - lower_before
         else:
-            compiled = compile_cnf(cnf, budget=budget, jobs=compile_jobs)
+            compiled = compile_cnf(cnf, budget=budget)
             ddnnf = eliminate_auxiliary(
                 compiled.circuit, set(cnf.labels.values()))
             compile_stats = compiled.stats
@@ -288,7 +282,6 @@ def run_exact_batch(
     budget: CompilationBudget | None = None,
     cache: "ArtifactCache | None" = None,
     artifacts_list=None,
-    compile_jobs: int | None = None,
 ) -> list[ExactOutcome]:
     """Run the exact pipeline over a *same-shape answer group*.
 
@@ -313,8 +306,7 @@ def run_exact_batch(
     if n_answers <= 1:
         return [
             run_exact(
-                circuit, endo, budget=budget, cache=cache,
-                artifacts=artifacts, compile_jobs=compile_jobs,
+                circuit, endo, budget=budget, cache=cache, artifacts=artifacts
             )
             for circuit, endo, artifacts
             in zip(circuits, endo_lists, artifacts_list)
@@ -327,8 +319,7 @@ def run_exact_batch(
         stats = ProvenanceStats()
         timings: dict[str, float] = {}
         tape, failure = _prepare(
-            circuits[i], budget, cache, artifacts_list[i], compile_jobs,
-            stats, timings,
+            circuits[i], budget, cache, artifacts_list[i], stats, timings
         )
         if failure is not None:
             outcomes[i] = failure

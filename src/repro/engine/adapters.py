@@ -49,7 +49,6 @@ class ExactEngine(Engine):
             budget=options.compilation_budget(),
             cache=options.cache,
             artifacts=options.artifacts,
-            compile_jobs=options.compile_jobs,
         )
         seconds = time.perf_counter() - start
         return EngineResult(
@@ -85,7 +84,6 @@ class ExactEngine(Engine):
                 (request[2] or DEFAULT_OPTIONS).artifacts
                 for request in requests
             ],
-            compile_jobs=options.compile_jobs,
         )
         seconds = (time.perf_counter() - start) / len(requests)
         return [

@@ -60,11 +60,6 @@ class EngineOptions:
     timeout: float | None = 2.5
     samples_per_fact: int = 20
     seed: int | None = None
-    #: Worker threads for top-level component compilation inside
-    #: :func:`~repro.compiler.knowledge.compile_cnf` (``None``/``1`` =
-    #: serial).  Purely a wall-clock knob: stitching is deterministic,
-    #: so the compiled circuit is byte-identical to the serial one.
-    compile_jobs: int | None = None
     cache: "ArtifactCache | None" = field(default=None, repr=False)
     artifacts: "CircuitArtifacts | None" = field(default=None, repr=False)
 

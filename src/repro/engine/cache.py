@@ -418,42 +418,23 @@ class CircuitArtifacts:
         canonical = self._counted_cnf()
         return canonical.num_vars, canonical.num_clauses
 
-    def ddnnf(
-        self,
-        budget: CompilationBudget | None = None,
-        jobs: int | None = None,
-    ) -> Circuit:
-        """The auxiliary-eliminated d-DNNF, labelled with the circuit's
-        facts.
+    def _canonical_ddnnf(self, budget: CompilationBudget | None) -> Circuit:
+        """The canonical (index-labelled) d-DNNF of this shape.
 
-        On a hit the (possibly expensive) compilation is skipped
-        entirely and only an O(size) rename is paid, regardless of
-        ``budget``.  On a miss, compilation runs under ``budget`` and
+        On a miss, compilation runs under ``budget`` and
         :class:`~repro.compiler.knowledge.BudgetExceeded` propagates;
         failures are not cached, so a later call with a larger budget
-        retries.  ``jobs`` > 1 compiles independent top-level components
-        concurrently (byte-identical output).
-        """
-        return self._canonical_ddnnf(budget, jobs).rename(self._to_actual())
-
-    def _canonical_ddnnf(
-        self, budget: CompilationBudget | None, jobs: int | None = None
-    ) -> Circuit:
-        """The canonical (index-labelled) d-DNNF of this shape."""
+        retries."""
         cache = self._cache
         with cache._lock:
             canonical = self._entry.ddnnf
         if canonical is None:
-            return self._miss_ddnnf(budget, jobs)
+            return self._miss_ddnnf(budget)
         with cache._lock:
             cache.stats.ddnnf_hits += 1
         return canonical
 
-    def tape(
-        self,
-        budget: CompilationBudget | None = None,
-        jobs: int | None = None,
-    ) -> GateTape:
+    def tape(self, budget: CompilationBudget | None = None) -> GateTape:
         """The compiled gate tape of the d-DNNF, re-targeted at the
         circuit's facts.
 
@@ -470,15 +451,13 @@ class CircuitArtifacts:
         with cache._lock:
             canonical = self._entry.tape
         if canonical is None:
-            canonical = self._miss_tape(budget, jobs)
+            canonical = self._miss_tape(budget)
         else:
             with cache._lock:
                 cache.stats.tape_hits += 1
         return canonical.with_labels(self._to_actual())
 
-    def _miss_tape(
-        self, budget: CompilationBudget | None, jobs: int | None = None
-    ) -> GateTape:
+    def _miss_tape(self, budget: CompilationBudget | None) -> GateTape:
         """Memory-tier miss: consult the persistent store, then lower
         the (cached or freshly compiled) canonical d-DNNF."""
         cache = self._cache
@@ -491,7 +470,7 @@ class CircuitArtifacts:
                         self._entry.tape = loaded
                     cache.stats.tape_misses += 1
                     return self._entry.tape
-        ddnnf = self._canonical_ddnnf(budget, jobs)
+        ddnnf = self._canonical_ddnnf(budget)
         with cache._lock:
             cache.stats.tape_compilations += 1
         lower_started = time.perf_counter()
@@ -507,9 +486,7 @@ class CircuitArtifacts:
             store.store_tape(self.signature, tape, self.digest)
         return tape
 
-    def _miss_ddnnf(
-        self, budget: CompilationBudget | None, jobs: int | None = None
-    ) -> Circuit:
+    def _miss_ddnnf(self, budget: CompilationBudget | None) -> Circuit:
         """Memory-tier miss: consult the persistent store, then compile
         — stitching memoized sub-circuits through the cache's component
         memo wherever the shape contains a known component."""
@@ -528,7 +505,7 @@ class CircuitArtifacts:
             cache.stats.compile_calls += 1
         try:
             compiled = compile_cnf(
-                cnf, budget=budget, memo=cache.component_memo(), jobs=jobs
+                cnf, budget=budget, memo=cache.component_memo()
             )
         except BudgetExceeded:
             with cache._lock:
@@ -678,13 +655,6 @@ class ArtifactCache:
     def cnf_for(self, circuit: Circuit) -> Cnf:
         """Tseytin CNF of ``circuit``, served from the cache."""
         return self.open(circuit).cnf()
-
-    def ddnnf_for(
-        self, circuit: Circuit, budget: CompilationBudget | None = None
-    ) -> Circuit:
-        """Auxiliary-eliminated d-DNNF of ``circuit``, served from the
-        cache (compiling under ``budget`` on a miss)."""
-        return self.open(circuit).ddnnf(budget=budget)
 
     def verify_loaded(self, kind: str, artifact: object) -> bool:
         """Spot-check a store-loaded artifact when ``verify_on_load``

@@ -180,7 +180,7 @@ def _warm(cache: ArtifactCache, message: dict) -> bool:
         options = message["options"].with_(cache=cache)
         handle = cache.open(message["circuit"].condition({}))
         budget = options.compilation_budget()
-        handle.tape(budget=budget, jobs=options.compile_jobs)
+        handle.tape(budget=budget)
         return True
     except Exception:
         return False

@@ -402,11 +402,11 @@ class ExplainSession:
             }
         # Local executors: one-pass component phase first — each
         # distinct canonical component across *all* cold shapes
-        # compiles exactly once (in parallel under ``compile_jobs``)
-        # instead of redundantly inside each representative — then
-        # each representative, now pure stitching, through the session
-        # cache (with a store attached this also pre-warms
-        # process-pool workers, which reload from the same directory).
+        # compiles exactly once instead of redundantly inside each
+        # representative — then each representative, now pure
+        # stitching, through the session cache (with a store attached
+        # this also pre-warms process-pool workers, which reload from
+        # the same directory).
         budget = self.options.compilation_budget()
         compiles = 0
         if plan.components:
@@ -420,22 +420,12 @@ class ExplainSession:
                     # and reports the real failure.
                     return False
 
-            keys = plan.components
-            jobs_width = self.options.compile_jobs or 1
-            if jobs_width > 1 and len(keys) > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(
-                    max_workers=min(jobs_width, len(keys))
-                ) as pool:
-                    compiles = sum(pool.map(warm_component, keys))
-            else:
-                compiles = sum(warm_component(key) for key in keys)
+            compiles = sum(warm_component(key) for key in plan.components)
         completed = failed = 0
         for shape in plan.shapes:
             handle = shape.representative.options.artifacts
             try:
-                handle.tape(budget=budget, jobs=self.options.compile_jobs)
+                handle.tape(budget=budget)
                 completed += 1
             except Exception:
                 failed += 1

@@ -1,6 +1,6 @@
 """Tests for the cross-shape sub-circuit memoization layer (the PR 6
 cold-path tier): rename-invariant canonical component signatures, their
-stability under hash randomization and parallel compilation, cross-shape
+stability under hash randomization, cross-shape
 memo hits with identical Shapley values, and robustness of the ``.comp``
 store tier (corruption fallback, scheme bumps, concurrent writers +
 per-kind GC)."""
@@ -26,9 +26,12 @@ from repro.compiler.knowledge import (
     compile_cnf,
     plan_components,
 )
-from repro.core import shapley_all_facts
+from repro.core import run_exact, shapley_all_facts
+from repro.core.pipeline import to_plan
+from repro.db.evaluate import lineage
 from repro.engine import ArtifactCache, PersistentArtifactStore
 from repro.engine.store import signature_digest
+from repro.workloads import TpchConfig, generate_tpch, tpch_query
 from repro.workloads.synthetic import shared_block_circuits
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -117,24 +120,22 @@ circuit = shared_block_circuits(
     1, n_blocks=3, block_vars=9, block_terms=4, term_width=3, seed=7
 )[0]
 cnf = tseytin_transform(circuit)
-serial = compile_cnf(cnf)
-parallel = compile_cnf(cnf, jobs=4)
+compiled = compile_cnf(cnf)
 keys = sorted(
     signature_digest(canon) for canon in plan_components(cnf, min_vars=1)
 )
 print(json.dumps({{
-    "serial": signature_digest(serial.circuit.structural_signature()[0]),
-    "parallel": signature_digest(parallel.circuit.structural_signature()[0]),
+    "circuit": signature_digest(compiled.circuit.structural_signature()[0]),
     "component_keys": keys,
 }}))
 """
 
 
 class TestSelectionStability:
-    """Satellite (c): variable-selection tie-breaking must not depend on
-    Python's randomized hashing or on the thread pool."""
+    """Variable-selection tie-breaking must not depend on Python's
+    randomized hashing."""
 
-    def test_signatures_stable_across_hash_seeds_and_jobs(self):
+    def test_signatures_stable_across_hash_seeds(self):
         outputs = []
         for seed in ("0", "1", "12345"):
             env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -144,30 +145,9 @@ class TestSelectionStability:
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
-        for payload in outputs:
-            # parallel compile is byte-identical to serial
-            assert payload["serial"] == payload["parallel"]
         # every hash seed produced the same circuit and the same
         # canonical component keys
         assert outputs[0] == outputs[1] == outputs[2]
-
-    def test_parallel_compile_matches_serial_counters_and_signature(self):
-        circuit = shared_block_circuits(
-            1, n_blocks=4, block_vars=10, block_terms=5, term_width=3, seed=3
-        )[0]
-        cnf = tseytin_transform(circuit)
-        serial = compile_cnf(cnf)
-        parallel = compile_cnf(cnf, jobs=4)
-        assert (
-            serial.circuit.structural_signature()
-            == parallel.circuit.structural_signature()
-        )
-        for field in (
-            "component_hits", "component_misses", "component_compilations"
-        ):
-            assert getattr(serial.stats, field) == getattr(
-                parallel.stats, field
-            ), field
 
 
 class TestCrossShapeMemo:
@@ -175,10 +155,10 @@ class TestCrossShapeMemo:
         store = PersistentArtifactStore(tmp_path)
         cache = ArtifactCache(store=store)
         a, b = shared_pair()
-        cache.open(a).ddnnf()
+        cache.open(a).tape()
         assert cache.stats.component_compilations == 3
         assert cache.stats.component_hits == 0
-        cache.open(b).ddnnf()
+        cache.open(b).tape()
         # the two shared blocks hit; only the fresh block compiles
         assert cache.stats.component_hits == 2
         assert cache.stats.component_compilations == 4
@@ -212,6 +192,39 @@ class TestCrossShapeMemo:
         assert all(
             isinstance(v, Fraction) for v in values[0].values()
         )
+
+    def test_disjoint_shapes_never_hit(self):
+        cache = ArtifactCache()
+        for seed in (100, 101, 102):
+            circuit = shared_block_circuits(
+                1, n_blocks=3, block_vars=10, block_terms=5, term_width=3,
+                seed=seed,
+            )[0]
+            compile_cnf(tseytin_transform(circuit), memo=cache.component_memo())
+        assert cache.stats.component_compilations > 0
+        assert cache.stats.component_hits == 0
+
+    def test_warm_memo_recompile_of_a_tpch_answer(self):
+        # The fig7 tier: a TPC-H lineage recompiled against a memo that
+        # already holds its components compiles none of them again and
+        # keeps the answer's exact values.
+        db = generate_tpch(TpchConfig(scale_factor=0.0005))
+        result = lineage(to_plan(tpch_query("Q7").sql, db), db,
+                         endogenous_only=True)
+        (answer,) = result.tuples()
+        circuit = result.lineage_of(answer)
+        players = sorted(circuit.reachable_vars())
+        expected = run_exact(circuit, players).values
+
+        cnf = tseytin_transform(circuit)
+        memo = ArtifactCache().component_memo()
+        cold = compile_cnf(cnf, memo=memo)
+        assert cold.stats.component_compilations > 0
+        warm = compile_cnf(cnf, memo=memo)
+        assert warm.stats.component_hits > 0
+        assert warm.stats.component_compilations == 0
+        ddnnf = eliminate_auxiliary(warm.circuit, set(cnf.labels.values()))
+        assert shapley_all_facts(ddnnf, players) == expected
 
     def test_small_components_bypass_the_memo(self, tmp_path):
         cache = ArtifactCache(store=PersistentArtifactStore(tmp_path))
@@ -252,7 +265,7 @@ class TestComponentStoreRobustness:
         store = PersistentArtifactStore(tmp_path)
         cache = ArtifactCache(store=store)
         circuit = shared_pair()[0]
-        baseline = cache.open(circuit).ddnnf()
+        baseline = cache.open(circuit).tape()
         comp_files = self.comp_paths(tmp_path)
         assert len(comp_files) == 3
         # wipe the whole-shape artifacts, truncate every component
@@ -263,8 +276,9 @@ class TestComponentStoreRobustness:
             path.write_bytes(path.read_bytes()[:25])
 
         fresh = ArtifactCache(store=PersistentArtifactStore(tmp_path))
-        again = fresh.open(circuit).ddnnf()
-        assert again.structural_signature() == baseline.structural_signature()
+        again = fresh.open(circuit).tape()
+        assert again.same_shape(baseline)
+        assert again.var_labels == baseline.var_labels
         merged = fresh.stats_dict()
         assert merged["store_corruptions"] == 3
         assert merged["component_hits"] == 0

@@ -198,12 +198,13 @@ class TestArtifactCache:
             | {f"b{j}": f"B{j}" for j in range(2)}
         )
         cache = ArtifactCache()
-        cache.ddnnf_for(c1)
-        cache.ddnnf_for(c2)
+        cache.open(c1).tape()
+        cache.open(c2).tape()
         stats = cache.stats
         assert stats.compile_calls == 1
         assert stats.ddnnf_misses == 1
-        assert stats.ddnnf_hits == 1
+        assert stats.tape_misses == 1
+        assert stats.tape_hits == 1
         assert len(cache) == 1
 
     def test_cached_values_identical_to_uncached(self):
@@ -262,7 +263,7 @@ class TestArtifactCache:
     def test_lru_eviction_bounds_entries(self):
         cache = ArtifactCache(max_entries=2)
         for links in (2, 3, 4, 5):
-            cache.ddnnf_for(chained_dnf(links))
+            cache.open(chained_dnf(links)).tape()
         assert len(cache) == 2
         assert cache.stats.evictions == 2
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.compiler import BudgetExceeded, CompilationBudget
+from repro.compiler import BudgetExceeded, CompilationBudget, compile_circuit
 from repro.core import (
     ExactOutcome,
     ShapleyExplainer,
@@ -14,7 +14,6 @@ from repro.core import (
     to_plan,
 )
 from repro.db import Operator, Project, Scan, cq, lineage
-from repro.engine import ArtifactCache
 from repro.workloads.flights import (
     EXPECTED_SHAPLEY,
     fact,
@@ -89,7 +88,7 @@ class TestRunExact:
         db, circuit = self.circuit()
         players = db.endogenous_facts()
         outcome = run_exact(circuit, players)
-        ddnnf = ArtifactCache().ddnnf_for(circuit)
+        ddnnf = compile_circuit(circuit).circuit
         assert outcome.values == per_fact_oracle(ddnnf, players)
         assert outcome.values[fact("a6")] == EXPECTED_SHAPLEY["a6"]
 

@@ -373,14 +373,3 @@ class TestWarmAheadOnePass:
         )
         owned = sum(len(shape.needs) for shape in plan.shapes)
         assert 0 < len(plan.components) < owned
-
-    def test_parallel_component_phase_with_compile_jobs(self):
-        db = join_database(4, 6)
-        with ExplainSession(
-            db, method="exact", options=EngineOptions(compile_jobs=2),
-        ) as session:
-            status = session.warm_ahead(JOIN_QUERY)
-            assert status["component_tasks"] == 1
-            assert status["completed"] == 1
-            stats = session.stats
-        assert stats["component_pass_compiles"] == 1

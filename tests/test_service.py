@@ -6,6 +6,7 @@ reuse), and coordinator/worker behaviour over real sockets."""
 import pickle
 import socket
 import threading
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
@@ -53,11 +54,11 @@ def mixed_fanout_database(n_answers, fanouts):
     return db
 
 
-@pytest.fixture
-def fleet(tmp_path):
-    """A live coordinator with two in-thread workers sharing a store."""
+@contextmanager
+def running_fleet(store_dir):
+    """A live coordinator with two in-thread workers sharing
+    ``store_dir``."""
     coordinator = Coordinator().start()
-    store_dir = str(tmp_path / "fleet-store")
     ready = threading.Barrier(3, timeout=10)
     threads = [
         threading.Thread(
@@ -72,10 +73,18 @@ def fleet(tmp_path):
         thread.start()
     ready.wait()
     coordinator.wait_for_workers(2, timeout=10)
-    yield coordinator
-    coordinator.shutdown()
-    for thread in threads:
-        thread.join(timeout=10)
+    try:
+        yield coordinator
+    finally:
+        coordinator.shutdown()
+        for thread in threads:
+            thread.join(timeout=10)
+
+
+@pytest.fixture
+def fleet(tmp_path):
+    with running_fleet(str(tmp_path / "fleet-store")) as coordinator:
+        yield coordinator
 
 
 def record_sends(monkeypatch):
@@ -522,6 +531,33 @@ class TestCompileAhead:
         # it (worker stats are cumulative since worker start)
         assert stats["remote_compile_calls"] == 1
         assert stats["compile_calls"] == 0  # the client never compiles
+
+    def test_fresh_fleet_on_a_warmed_store_compiles_nothing(self, tmp_path):
+        # Four answers of one shape whose lineage holds a memo-eligible
+        # component: the warm pass compiles it and the shape, and a new
+        # fleet (empty worker memory) serves both from the store alone.
+        db = join_database(4, 6)
+        store_dir = str(tmp_path / "fleet-store")
+        with running_fleet(store_dir) as first:
+            with ExplainSession(
+                db, method="exact", executor="socket",
+                coordinator=first.address, min_workers=2,
+            ) as session:
+                status = session.warm_ahead(JOIN_QUERY)
+        assert status["component_tasks"] == 1
+        assert status["completed"] == status["shapes"] == 1
+        assert status["failed"] == status["pending"] == 0
+        with running_fleet(store_dir) as fresh:
+            with ExplainSession(
+                db, method="exact", executor="socket",
+                coordinator=fresh.address, min_workers=2,
+            ) as session:
+                results = session.explain_many(JOIN_QUERY)
+                stats = session.stats
+        assert values_of(results) == explain_each_answer(db, JOIN_QUERY)
+        assert stats["remote_compile_calls"] == 0
+        assert stats["remote_component_compilations"] == 0
+        assert stats["remote_store_hits"] > 0
 
     def test_warm_status_starts_at_zero(self, fleet):
         transport = SocketTransport(fleet.address)

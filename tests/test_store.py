@@ -15,6 +15,7 @@ import pytest
 from repro.circuits import Circuit, circuit_from_nested
 from repro.circuits.circuit import CircuitError
 from repro.circuits.cnf import Cnf, CnfError
+from repro.compiler import compile_circuit
 from repro.core import run_exact, shapley_of_fact
 from repro.core.attribution import attribute
 from repro.core.pipeline import to_plan
@@ -80,12 +81,12 @@ def oracle_each_answer(db: Database, query) -> dict:
     """The per-fact oracle: every answer's lineage compiled to a d-DNNF
     and explained by :func:`per_fact_oracle`; values keyed by answer."""
     result = lineage(to_plan(query, db), db, endogenous_only=True)
-    cache = ArtifactCache(max_entries=0)
     values = {}
     for answer in result.tuples():
         circuit = result.lineage_of(answer)
         players = sorted(circuit.reachable_vars())
-        values[answer] = per_fact_oracle(cache.ddnnf_for(circuit), players)
+        ddnnf = compile_circuit(circuit).circuit
+        values[answer] = per_fact_oracle(ddnnf, players)
     return values
 
 
@@ -198,13 +199,14 @@ class TestPersistentStore:
     def test_isomorphic_shape_hits_store_under_rename(self, tmp_path):
         base = bipartite_join_dnf(3, 2)
         cache1 = ArtifactCache(store=PersistentArtifactStore(tmp_path))
-        cache1.ddnnf_for(base)
+        cache1.open(base).tape()
 
         renamed = base.rename({v: ("r", v) for v in base.reachable_vars()})
         cache2 = ArtifactCache(store=PersistentArtifactStore(tmp_path))
-        ddnnf = cache2.ddnnf_for(renamed)
+        tape = cache2.open(renamed).tape()
         assert cache2.stats.compile_calls == 0
-        assert ddnnf.reachable_vars() == renamed.reachable_vars()
+        assert cache2.store.stats.hits >= 1
+        assert tape.labels() == renamed.reachable_vars()
 
     def test_truncated_artifact_counts_corruption_and_recompiles(self, tmp_path):
         circuit = bipartite_join_dnf(2, 2)
@@ -234,7 +236,7 @@ class TestPersistentStore:
     def test_unknown_format_version_is_a_miss_not_corruption(self, tmp_path):
         circuit = bipartite_join_dnf(2, 2)
         store = PersistentArtifactStore(tmp_path)
-        ArtifactCache(store=store).ddnnf_for(circuit)
+        ArtifactCache(store=store).open(circuit).tape()
 
         for path in Path(tmp_path).iterdir():
             head, _, tail = path.read_bytes().partition(b"\n")
@@ -244,7 +246,7 @@ class TestPersistentStore:
 
         fresh = PersistentArtifactStore(tmp_path)
         cache = ArtifactCache(store=fresh)
-        cache.ddnnf_for(circuit)
+        cache.open(circuit).tape()
         assert cache.stats.compile_calls == 1
         assert fresh.stats.corruptions == 0
         assert fresh.stats.misses >= 1
@@ -285,9 +287,9 @@ print(repr(sorted((str(f), str(v)) for f, v in outcome.values.items())))
         store = PersistentArtifactStore(tmp_path)
         cache = ArtifactCache(max_entries=1, store=store)
         a, b = chained_dnf(3), chained_dnf(4)
-        cache.ddnnf_for(a)
-        cache.ddnnf_for(b)  # evicts a's memory entry
-        cache.ddnnf_for(a)  # ... but the store still has it
+        cache.open(a).tape()
+        cache.open(b).tape()  # evicts a's memory entry
+        cache.open(a).tape()  # ... but the store still has it
         assert cache.stats.compile_calls == 2
         assert store.stats.hits >= 1
 
@@ -297,7 +299,7 @@ print(repr(sorted((str(f), str(v)) for f, v in outcome.values.items())))
 
         shutil.rmtree(store.directory)
         cache = ArtifactCache(store=store)
-        assert cache.ddnnf_for(chained_dnf(3)) is not None
+        assert cache.open(chained_dnf(3)).tape() is not None
         assert store.stats.write_failures >= 1
 
 
