@@ -66,7 +66,7 @@ def main() -> None:
 
     stats = cache.stats
     print(f"\nArtifact cache: {stats.compile_calls} compilations, "
-          f"{stats.ddnnf_hits} d-DNNF hits, {stats.cnf_hits} CNF hits "
+          f"{stats.tape_hits} tape hits, {stats.cnf_hits} CNF hits "
           "— repeated lineage shapes compiled once.")
     print("Interpretation: the top facts are the lineitem/order/customer")
     print("rows whose removal would hurt the answer most — the paper's")

@@ -342,7 +342,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
           f"{stats['tape_compilations']} tape compilations for "
           f"{stats['answers_explained']} answers "
           f"({stats['unique_shapes']} distinct lineage shapes, "
-          f"{stats['ddnnf_hits']} d-DNNF hits, "
           f"{stats['tape_hits']} tape hits)")
     if stats["component_hits"] or stats["component_compilations"]:
         print(f"components: {stats['component_hits']} hits, "
@@ -473,9 +472,11 @@ def _stage_profile(results) -> dict[str, float]:
     """Per-stage timing breakdown of one batch, summed over the
     answers' exact outcomes.
 
-    ``compile_seconds`` is everything before Algorithm 1 (Tseytin +
-    knowledge compilation + tape stage); the cold-path sub-stages are
-    broken out of it: ``component_compile_seconds`` (compiling
+    ``compile_seconds`` is everything before Algorithm 1
+    (:attr:`~repro.core.pipeline.ExactOutcome.compile_seconds`: Tseytin
+    plus the tape stage, which carries knowledge compilation); the
+    cold-path sub-stages are broken out of it:
+    ``component_compile_seconds`` (compiling
     memoizable CNF components from scratch), ``stitch_seconds``
     (importing memoized/fresh component d-DNNFs into the parent), and
     ``tape_lower_seconds`` (d-DNNF → gate-tape lowering).  All three
@@ -488,9 +489,8 @@ def _stage_profile(results) -> dict[str, float]:
               "tier_crt_seconds": 0.0}
     for result in results.values():
         timings = getattr(result.detail, "timings", None) or {}
-        stages["compile_seconds"] += (
-            timings.get("tseytin", 0.0) + timings.get("compile", 0.0)
-            + timings.get("tape", 0.0))
+        stages["compile_seconds"] += getattr(
+            result.detail, "compile_seconds", 0.0)
         stages["component_compile_seconds"] += timings.get(
             "component_compile", 0.0)
         stages["stitch_seconds"] += timings.get("stitch", 0.0)

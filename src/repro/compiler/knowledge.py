@@ -59,13 +59,16 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ..circuits.circuit import AND, FALSE, NOT, TRUE, VAR, Circuit
 from ..circuits.cnf import Cnf
 
 Clause = tuple[int, ...]
 ClauseSet = tuple[Clause, ...]
+#: A deadline poll: raises :class:`BudgetExceeded` once a run's
+#: wall-clock budget is spent.
+Poll = Callable[[], None]
 
 #: Components with fewer variables than this are compiled inline: for
 #: tiny subproblems the canonicalization + stitching overhead exceeds
@@ -193,6 +196,10 @@ class _Index:
     positively (:attr:`clause_pos`).  Repeated literals are merged and
     tautologies dropped, so a clause's width under an assignment is the
     popcount of its free variables.
+
+    Setting a bit ``c`` copies a mask of ``c`` bits, so the build is
+    quadratic in the clause count; ``poll``, when given, is called every
+    1,024 clauses.
     """
 
     __slots__ = (
@@ -200,7 +207,9 @@ class _Index:
         "all_clauses", "all_vars",
     )
 
-    def __init__(self, clauses: Iterable[Clause]) -> None:
+    def __init__(
+        self, clauses: Iterable[Clause], poll: Poll | None = None
+    ) -> None:
         kept: list[Clause] = []
         for clause in clauses:
             lits = tuple(dict.fromkeys(clause))
@@ -213,6 +222,8 @@ class _Index:
         self.clause_vars: list[int] = []
         self.clause_pos: list[int] = []
         for c, clause in enumerate(kept):
+            if poll is not None and not c & 1023:
+                poll()
             here = 1 << c
             variables = positive = 0
             for lit in clause:
@@ -345,7 +356,7 @@ class _Index:
 
 
 def _top_level_split(
-    index: _Index, min_vars: int | None
+    index: _Index, min_vars: int | None, poll: Poll | None = None
 ) -> tuple[list[tuple[int, bool]], list[tuple[int, int, tuple | None]]] | None:
     """Unit-propagate a whole clause list and split what is left.
 
@@ -356,7 +367,9 @@ def _top_level_split(
     ``min_vars`` variables, else (and always when ``min_vars`` is
     ``None``) ``None``.  :meth:`_Compiler.run` and
     :func:`plan_components` both split through here, so a plan names
-    exactly the components a compile will look up.
+    exactly the components a compile will look up.  ``poll`` is called
+    per unit propagated and per component, and handed to
+    :func:`canonical_component`.
     """
     clauses, free = index.all_clauses, index.all_vars
     trail: list[tuple[int, bool]] = []
@@ -366,6 +379,8 @@ def _top_level_split(
         rest = variables & free
         if not rest:
             return None
+        if poll is not None:
+            poll()
         state = index.assign(
             clauses, free, rest.bit_length() - 1,
             bool(index.clause_pos[c]), trail,
@@ -375,9 +390,12 @@ def _top_level_split(
         clauses, free = state
     components = []
     for comp_clauses, comp_vars in index.components(clauses, free):
+        if poll is not None:
+            poll()
         form = None
         if min_vars is not None and comp_vars.bit_count() >= min_vars:
-            form = canonical_component(index.residual(comp_clauses, comp_vars))
+            form = canonical_component(
+                index.residual(comp_clauses, comp_vars), poll)
         components.append((comp_clauses, comp_vars, form))
     return trail, components
 
@@ -434,6 +452,19 @@ class _RunContext:
         #: Nesting depth of canonical compiles, so their time is
         #: attributed once, to the outermost.
         self.depth = 0
+        #: The deadline poll handed to the index build, the top-level
+        #: split and its canonicalization, which run long stretches
+        #: without a budget check; ``None`` when the run has no
+        #: deadline.
+        self.poll: Poll | None = (
+            self.check_deadline if self.deadline is not None else None)
+
+    def check_deadline(self) -> None:
+        """Raise :class:`BudgetExceeded` once the deadline has passed."""
+        if time.perf_counter() > self.deadline:
+            raise BudgetExceeded(
+                f"time budget exceeded ({self.budget.max_seconds}s)"
+            )
 
 
 class _Compiler:
@@ -450,7 +481,7 @@ class _Compiler:
         labels,
         context: _RunContext,
     ) -> None:
-        self.index = _Index(clauses)
+        self.index = _Index(clauses, context.poll)
         self.labels = labels
         self.context = context
         self.stats = context.stats
@@ -472,11 +503,8 @@ class _Compiler:
                 raise BudgetExceeded(
                     f"node budget exceeded ({total} > {budget.max_nodes})"
                 )
-        if context.deadline is not None and context.tick % 64 == 0:
-            if time.perf_counter() > context.deadline:
-                raise BudgetExceeded(
-                    f"time budget exceeded ({budget.max_seconds}s)"
-                )
+        if context.poll is not None and context.tick % 64 == 0:
+            context.poll()
 
     def _lit_gate(self, var: int, value: bool) -> int:
         gate = self._literals.get((var, value))
@@ -491,7 +519,7 @@ class _Compiler:
     def run(self) -> int:
         ctx = self.context
         split = _top_level_split(
-            self.index, ctx.min_vars if ctx.memoize else None
+            self.index, ctx.min_vars if ctx.memoize else None, ctx.poll
         )
         if split is None:
             return self.circuit.false()
@@ -675,7 +703,9 @@ def compile_component(
     return True
 
 
-def canonical_component(clauses: ClauseSet) -> tuple[ClauseSet, tuple[int, ...]]:
+def canonical_component(
+    clauses: ClauseSet, poll: Poll | None = None
+) -> tuple[ClauseSet, tuple[int, ...]]:
     """Rename-invariant canonical form of a component clause set.
 
     Returns ``(canonical_clauses, order)`` where ``order[i]`` is the
@@ -693,6 +723,11 @@ def canonical_component(clauses: ClauseSet) -> tuple[ClauseSet, tuple[int, ...]]
     being the multiset of its variables' colors with signs).  Colors are
     re-ranked to small ints every round, so nothing here depends on
     Python's randomized string hashing.
+
+    A round costs more than linear time when a variable occurs in many
+    clauses (every occurrence hashes its color, which grows with its
+    occurrences), so ``poll``, when given, is called per clause of
+    every round.
     """
     variables = sorted({abs(lit) for clause in clauses for lit in clause})
     index = {var: i for i, var in enumerate(variables)}
@@ -708,6 +743,8 @@ def canonical_component(clauses: ClauseSet) -> tuple[ClauseSet, tuple[int, ...]]
             break  # discrete partition: every variable distinguished
         refined: list[list] = [[] for _ in variables]
         for clause in clauses:
+            if poll is not None:
+                poll()
             clause_color = tuple(
                 sorted((rank[colors[index[abs(lit)]]], lit > 0) for lit in clause)
             )

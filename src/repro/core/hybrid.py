@@ -15,9 +15,9 @@ from typing import TYPE_CHECKING, Hashable
 
 from ..circuits.circuit import Circuit
 from ..compiler.knowledge import CompilationBudget
-from .cnf_proxy import cnf_proxy_from_circuit, cnf_proxy_values
+from .cnf_proxy import cnf_proxy_values
 from .metrics import ranking
-from .pipeline import ExactOutcome, run_exact
+from .pipeline import ExactOutcome, open_artifacts, run_exact
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports this module
     from ..engine.cache import ArtifactCache, CircuitArtifacts
@@ -59,27 +59,22 @@ def hybrid_shapley(
 
     ``timeout`` plays the role of the paper's configurable ``t``
     (default: the 2.5 s the paper justifies with Figure 8);
-    ``max_nodes`` optionally caps compilation memory as well.  A shared
-    ``cache`` serves both branches: a lineage shape compiled once makes
-    later isomorphic answers exact even under a timeout they would
-    otherwise blow, and the proxy fallback reuses the cached CNF.  A
-    prebuilt ``artifacts`` handle (see :func:`~repro.core.pipeline.run_exact`)
-    short-circuits re-canonicalization in both branches.
+    ``max_nodes`` optionally caps compilation memory as well.  Both
+    branches read one artifact handle
+    (:func:`~repro.core.pipeline.open_artifacts`): the proxy fallback
+    reads the CNF the exact branch already built.  A shared ``cache``
+    makes a lineage shape compiled once exact for later isomorphic
+    answers, even under a timeout they would otherwise blow; a prebuilt
+    ``artifacts`` handle short-circuits re-canonicalization.
     """
     endo = list(endogenous_facts)
     start = time.perf_counter()
     budget = CompilationBudget(max_nodes=max_nodes, max_seconds=timeout)
-    outcome = run_exact(
-        circuit, endo, budget=budget, cache=cache, artifacts=artifacts,
-    )
+    artifacts = open_artifacts(circuit, cache, artifacts)
+    outcome = run_exact(circuit, endo, budget=budget, artifacts=artifacts)
     elapsed = time.perf_counter() - start
     if outcome.ok and outcome.values is not None:
         return HybridResult("exact", outcome.values, outcome, elapsed)
-    if artifacts is not None:
-        proxy = cnf_proxy_values(artifacts.cnf(), endo)
-    elif cache is not None:
-        proxy = cnf_proxy_values(cache.cnf_for(circuit), endo)
-    else:
-        proxy = cnf_proxy_from_circuit(circuit, endo)
+    proxy = cnf_proxy_values(artifacts.cnf(), endo)
     elapsed = time.perf_counter() - start
     return HybridResult("proxy", proxy, outcome, elapsed)

@@ -16,23 +16,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Hashable, Mapping
+from typing import TYPE_CHECKING, Hashable
 
 from ..circuits.circuit import Circuit
-from ..circuits.cnf import Cnf
-from ..circuits.dnnf import eliminate_auxiliary
-from ..circuits.tseytin import tseytin_transform
-from ..compiler.knowledge import BudgetExceeded, CompilationBudget, compile_cnf
+from ..compiler.knowledge import BudgetExceeded, CompilationBudget
 from ..db.algebra import Operator
 from ..db.conjunctive import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..db.database import Database, Fact
 from ..db.evaluate import LineageResult, lineage
 from ..db.sql import plan_sql
-from .numerics import compile_tape
 from .numerics.fixed import FastpathStats
-from .shapley import (
-    ShapleyTimeout, shapley_all_facts, shapley_all_facts_batched,
-)
+from .shapley import ShapleyTimeout, shapley_all_facts_batched
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports this module
     from ..engine.cache import ArtifactCache, CircuitArtifacts
@@ -85,11 +79,7 @@ class ExactOutcome:
         """Everything before Algorithm 1: Tseytin, knowledge
         compilation, and gate-tape lowering (the ``tape`` stage carries
         the d-DNNF compilation it triggers on cold shapes)."""
-        return (
-            self.timings.get("tseytin", 0.0)
-            + self.timings.get("compile", 0.0)
-            + self.timings.get("tape", 0.0)
-        )
+        return self.timings.get("tseytin", 0.0) + self.timings.get("tape", 0.0)
 
     @property
     def shapley_seconds(self) -> float:
@@ -132,14 +122,16 @@ def run_exact(
     artifacts: "CircuitArtifacts | None" = None,
 ) -> ExactOutcome:
     """Run the knowledge-compilation pipeline on one lineage circuit,
-    catching budget events into the outcome.
+    catching budget events into the outcome: :func:`run_exact_batch`
+    over a group of one.
 
     With a ``cache`` (an :class:`~repro.engine.cache.ArtifactCache`),
     the Tseytin and compilation stages are served from it: lineages
     isomorphic to an already-compiled one skip knowledge compilation
     entirely and only pay a rename, while Shapley values stay identical
-    to the uncached path (the renamed d-DNNF computes the same function
-    over the same labels).
+    to a cold compile (the renamed d-DNNF computes the same function
+    over the same labels).  Without one, the circuit is opened in a
+    throwaway cache.
 
     ``artifacts`` may carry a prebuilt
     :class:`~repro.engine.cache.CircuitArtifacts` handle for this very
@@ -150,130 +142,78 @@ def run_exact(
     Algorithm 1 without touching a single circuit gate.
 
     An answer served by the machine-width tier gets a
-    ``tier_<float64|int64|crt>`` timing naming the tier that ran
-    (:func:`_label_tiers`).
+    ``tier_<float64|int64|crt>`` timing naming the tier that ran.
     """
-    endo = list(endogenous_facts)
-    stats = ProvenanceStats()
-    timings: dict[str, float] = {}
-    deadline = _deadline(budget)
-
-    tape, failure = _prepare(
-        circuit, budget, cache, artifacts, stats, timings)
-    if failure is not None:
-        return failure
-
-    fastpath = FastpathStats()
-    t0 = time.perf_counter()
-    try:
-        values = shapley_all_facts(
-            None, endo, deadline=deadline, tape=tape, fastpath_stats=fastpath,
-        )
-    except ShapleyTimeout as exc:
-        timings["shapley"] = time.perf_counter() - t0
-        return ExactOutcome("timeout", None, stats, timings, str(exc))
-    finally:
-        recorder = cache if cache is not None else (
-            artifacts.cache if artifacts is not None else None)
-        if recorder is not None:
-            recorder.record_fastpath(fastpath)
-    timings["shapley"] = time.perf_counter() - t0
-    _label_tiers([timings], fastpath)
-    return ExactOutcome("ok", values, stats, timings)
-
-
-def _label_tiers(
-    timings_list: list[dict[str, float]], fastpath: FastpathStats,
-) -> None:
-    """Add ``tier_<name>`` to the timings of every answer a
-    machine-width sweep served, mirroring its ``shapley`` time.
-
-    ``timings_list[i]`` belongs to the answer at position ``i`` of the
-    Algorithm-1 call that filled ``fastpath``; answers that ran the
-    interpreted pass get no tier.
-    """
-    for position, tier in fastpath.tiers.items():
-        timings = timings_list[position]
-        timings[f"tier_{tier}"] = timings["shapley"]
+    return run_exact_batch(
+        [circuit], [endogenous_facts], budget=budget, cache=cache,
+        artifacts_list=[artifacts],
+    )[0]
 
 
 def _prepare(
-    circuit: Circuit,
+    artifacts: "CircuitArtifacts",
     budget: CompilationBudget | None,
-    cache: "ArtifactCache | None",
-    artifacts: "CircuitArtifacts | None",
     stats: ProvenanceStats,
     timings: dict[str, float],
 ):
-    """The pre-Algorithm-1 stages of one answer: artifact acquisition,
-    Tseytin/CNF, and the compile stage down to the gate tape.  Shared
-    by :func:`run_exact` and by :func:`run_exact_batch`, which runs
-    them per answer before the shared batched sweep.
+    """The pre-Algorithm-1 stages of one answer, served by its
+    artifact handle: Tseytin/CNF sizes, then the ``tape`` stage (the
+    d-DNNF compile it triggers on a cold shape, and the lowering).
 
     Returns ``(tape, failure)``: exactly one is ``None``;
     ``failure`` is the budget :class:`ExactOutcome` when compilation
     blew its budget (timings already recorded).
     """
-    if artifacts is not None:
-        stats.n_facts = len(artifacts.labels)
-        stats.circuit_size = artifacts.source_size
-        simplified = None
-    else:
-        simplified = circuit.condition({})
-        stats.n_facts = len(simplified.reachable_vars())
-        stats.circuit_size = len(simplified)
-        if cache is not None:
-            artifacts = cache.open(simplified)
+    stats.n_facts = len(artifacts.labels)
+    stats.circuit_size = artifacts.source_size
 
     t0 = time.perf_counter()
-    if artifacts is not None:
-        stats.cnf_vars, stats.cnf_clauses = artifacts.cnf_size()
-    else:
-        cnf = tseytin_transform(simplified)
-        stats.cnf_vars, stats.cnf_clauses = cnf.num_vars, cnf.num_clauses
+    stats.cnf_vars, stats.cnf_clauses = artifacts.cnf_size()
     timings["tseytin"] = time.perf_counter() - t0
 
-    stage = "tape" if artifacts is not None else "compile"
-    compile_stats = None
-    tape_lower = 0.0
+    stats_before = artifacts.compile_stats
+    lower_before = artifacts.tape_lower_seconds
     t0 = time.perf_counter()
     try:
-        if artifacts is not None:
-            stats_before = artifacts.compile_stats
-            lower_before = artifacts.tape_lower_seconds
-            # The tape is the only artifact Algorithm 1 needs; on a
-            # warm shape this is a pure lookup + O(#vars) re-targeting
-            # (no d-DNNF rename, no gate traversal).
-            tape = artifacts.tape(budget=budget)
-            # Only attribute sub-stage time this call actually spent
-            # (the handle may be warm or shared across answers).
-            if artifacts.compile_stats is not stats_before:
-                compile_stats = artifacts.compile_stats
-            tape_lower = artifacts.tape_lower_seconds - lower_before
-        else:
-            compiled = compile_cnf(cnf, budget=budget)
-            ddnnf = eliminate_auxiliary(
-                compiled.circuit, set(cnf.labels.values()))
-            compile_stats = compiled.stats
-            t1 = time.perf_counter()
-            tape = compile_tape(ddnnf.condition({}))
-            tape_lower = time.perf_counter() - t1
+        # The tape is the only artifact Algorithm 1 needs; on a warm
+        # shape this is a pure lookup + O(#vars) re-targeting (no
+        # d-DNNF rename, no gate traversal).
+        tape = artifacts.tape(budget=budget)
     except BudgetExceeded as exc:
-        timings[stage] = time.perf_counter() - t0
+        timings["tape"] = time.perf_counter() - t0
         return None, ExactOutcome("budget", None, stats, timings, str(exc))
-    timings[stage] = time.perf_counter() - t0
+    timings["tape"] = time.perf_counter() - t0
     # The stage's cold-path sub-stages: components compiled from
     # scratch, their import into the parent circuit, and the d-DNNF →
-    # tape lowering.  All three are zero on a fully warm shape.
+    # tape lowering.  All three are zero on a fully warm shape; only
+    # time this call spent counts (the handle may be warm or shared
+    # across answers).
+    compile_stats = artifacts.compile_stats
+    fresh = compile_stats is not None and compile_stats is not stats_before
     timings["component_compile"] = (
-        compile_stats.component_seconds if compile_stats is not None else 0.0
-    )
-    timings["stitch"] = (
-        compile_stats.stitch_seconds if compile_stats is not None else 0.0
-    )
-    timings["tape_lower"] = tape_lower
+        compile_stats.component_seconds if fresh else 0.0)
+    timings["stitch"] = compile_stats.stitch_seconds if fresh else 0.0
+    timings["tape_lower"] = artifacts.tape_lower_seconds - lower_before
     stats.ddnnf_size = tape.source_gates
     return tape, None
+
+
+def open_artifacts(
+    circuit: Circuit,
+    cache: "ArtifactCache | None" = None,
+    artifacts: "CircuitArtifacts | None" = None,
+) -> "CircuitArtifacts":
+    """The artifact handle every exact, hybrid and proxy call compiles
+    through: ``artifacts`` when given, else ``circuit`` opened in
+    ``cache``, or in a throwaway
+    :class:`~repro.engine.cache.ArtifactCache` when none is given."""
+    if artifacts is not None:
+        return artifacts
+    if cache is None:
+        from ..engine.cache import ArtifactCache
+
+        cache = ArtifactCache()
+    return cache.open(circuit)
 
 
 def run_exact_batch(
@@ -290,37 +230,33 @@ def run_exact_batch(
     Algorithm 1's sweeps once per shape and Equation 3 per answer
     (:func:`~repro.core.shapley.shapley_all_facts_batched`); per
     answer, compilation failures become individual budget outcomes, so
-    every answer's Fractions are identical to a :func:`run_exact` loop.
-    A singleton group *is* that loop.
+    every answer's Fractions are identical whatever group it runs in.
 
     Timing attribution: each answer's ``shapley`` stage receives an
-    equal share of the group pass, mirrored as ``batch_exec``, plus a
-    ``tier_<float64|int64|crt>`` entry naming the arithmetic tier of
-    the machine-width sweep that served *that* answer's shape (absent
-    when its shape ran the interpreted pass).
+    equal share of the group pass, plus a ``tier_<float64|int64|crt>``
+    entry naming the arithmetic tier of the machine-width sweep that
+    served *that* answer's shape (absent when its shape ran the
+    interpreted pass).  A group of two or more answers is a *batch*:
+    its share is mirrored as ``batch_exec`` and the group counts in the
+    cache's ``batched_groups`` / ``batched_answers``; a group of one
+    (:func:`run_exact`) is not.
     """
-    n_answers = len(circuits)
-    endo_lists = [list(endo) for endo in endo_lists]
-    if artifacts_list is None:
-        artifacts_list = [None] * n_answers
-    if n_answers <= 1:
-        return [
-            run_exact(
-                circuit, endo, budget=budget, cache=cache, artifacts=artifacts
-            )
-            for circuit, endo, artifacts
-            in zip(circuits, endo_lists, artifacts_list)
-        ]
-
+    if not circuits:
+        return []
     deadline = _deadline(budget)
-    outcomes: list[ExactOutcome | None] = [None] * n_answers
+    if artifacts_list is None:
+        artifacts_list = [None] * len(circuits)
+    handles = [
+        open_artifacts(circuit, cache, artifacts)
+        for circuit, artifacts in zip(circuits, artifacts_list)
+    ]
+    recorder = cache if cache is not None else handles[0].cache
+    outcomes: list[ExactOutcome | None] = [None] * len(handles)
     prepared: list[tuple[int, object, ProvenanceStats, dict]] = []
-    for i in range(n_answers):
+    for i, artifacts in enumerate(handles):
         stats = ProvenanceStats()
         timings: dict[str, float] = {}
-        tape, failure = _prepare(
-            circuits[i], budget, cache, artifacts_list[i], stats, timings
-        )
+        tape, failure = _prepare(artifacts, budget, stats, timings)
         if failure is not None:
             outcomes[i] = failure
         else:
@@ -328,41 +264,38 @@ def run_exact_batch(
     if not prepared:
         return outcomes
 
+    batch = len(circuits) > 1
     fastpath = FastpathStats()
     tapes = [entry[1] for entry in prepared]
-    group_endo = [endo_lists[entry[0]] for entry in prepared]
+    group_endo = [list(endo_lists[entry[0]]) for entry in prepared]
     t0 = time.perf_counter()
     try:
         values_list = shapley_all_facts_batched(
             tapes, group_endo, deadline=deadline, fastpath_stats=fastpath,
         )
     except ShapleyTimeout as exc:
-        elapsed = time.perf_counter() - t0
-        share = elapsed / len(prepared)
+        share = (time.perf_counter() - t0) / len(prepared)
         for i, tape, stats, timings in prepared:
             timings["shapley"] = share
             outcomes[i] = ExactOutcome(
                 "timeout", None, stats, timings, str(exc))
-        values_list = None
-    finally:
-        recorder = cache
-        if recorder is None:
-            recorder = next(
-                (a.cache for a in artifacts_list
-                 if a is not None and a.cache is not None), None)
-        if recorder is not None:
-            recorder.record_fastpath(fastpath)
-            recorder.record_batch(1, len(prepared))
-    if values_list is None:
         return outcomes
+    finally:
+        recorder.record_fastpath(fastpath)
+        if batch:
+            recorder.record_batch(1, len(prepared))
 
-    elapsed = time.perf_counter() - t0
-    share = elapsed / len(prepared)
+    share = (time.perf_counter() - t0) / len(prepared)
     for (i, tape, stats, timings), values in zip(prepared, values_list):
         timings["shapley"] = share
-        timings["batch_exec"] = share
+        if batch:
+            timings["batch_exec"] = share
         outcomes[i] = ExactOutcome("ok", values, stats, timings)
-    _label_tiers([entry[3] for entry in prepared], fastpath)
+    # ``fastpath.tiers`` is keyed by position in ``tapes``; answers
+    # that ran the interpreted pass get no tier.
+    for position, tier in fastpath.tiers.items():
+        timings = prepared[position][3]
+        timings[f"tier_{tier}"] = timings["shapley"]
     return outcomes
 
 

@@ -2,7 +2,8 @@
 
 Each adapter wraps the corresponding :mod:`repro.core` implementation
 without changing its semantics; the exact, hybrid, and CNF-proxy
-adapters additionally route their compilation work through the shared
+adapters compile through one artifact handle
+(:func:`~repro.core.pipeline.open_artifacts`), served by the shared
 :class:`~repro.engine.cache.ArtifactCache` when
 :attr:`~repro.engine.base.EngineOptions.cache` is set.
 
@@ -17,11 +18,11 @@ import time
 from typing import Hashable, Sequence
 
 from ..circuits.circuit import Circuit
-from ..core.cnf_proxy import cnf_proxy_from_circuit, cnf_proxy_values
+from ..core.cnf_proxy import cnf_proxy_values
 from ..core.hybrid import hybrid_shapley
 from ..core.kernel_shap import kernel_shap_values
 from ..core.monte_carlo import monte_carlo_shapley
-from ..core.pipeline import run_exact, run_exact_batch
+from ..core.pipeline import open_artifacts, run_exact_batch
 from .base import DEFAULT_OPTIONS, Engine, EngineOptions, EngineResult
 from .registry import register_engine
 
@@ -41,39 +42,24 @@ class ExactEngine(Engine):
         players: Sequence[Hashable],
         options: EngineOptions | None = None,
     ) -> EngineResult:
-        options = options or DEFAULT_OPTIONS
-        start = time.perf_counter()
-        outcome = run_exact(
-            circuit,
-            players,
-            budget=options.compilation_budget(),
-            cache=options.cache,
-            artifacts=options.artifacts,
-        )
-        seconds = time.perf_counter() - start
-        return EngineResult(
-            self.name, outcome.values, outcome.ok, outcome.status, seconds,
-            detail=outcome, error=outcome.error,
-        )
+        return self.explain_batch([(circuit, players, options)])[0]
 
     def explain_batch(
         self,
         requests: Sequence[tuple[Circuit, Sequence[Hashable],
                                  EngineOptions | None]],
     ) -> list[EngineResult]:
-        """One batched pass over a same-shape answer group.
+        """One pass over a same-shape answer group (one answer is a
+        group of one).
 
         Budget/timeout knobs come from the first request's
         options (sessions hand every member of a shape group the same
         options, cache included); per-answer artifacts handles are
-        honoured individually.  A singleton group runs the per-answer
-        loop.
+        honoured individually.
         """
         if not requests:
             return []
         options = requests[0][2] or DEFAULT_OPTIONS
-        if len(requests) == 1:
-            return super().explain_batch(requests)
         start = time.perf_counter()
         outcomes = run_exact_batch(
             [request[0] for request in requests],
@@ -141,13 +127,8 @@ class CnfProxyEngine(Engine):
     ) -> EngineResult:
         options = options or DEFAULT_OPTIONS
         start = time.perf_counter()
-        if options.artifacts is not None:
-            values = cnf_proxy_values(options.artifacts.cnf(), players)
-        elif options.cache is not None:
-            cnf = options.cache.cnf_for(circuit)
-            values = cnf_proxy_values(cnf, players)
-        else:
-            values = cnf_proxy_from_circuit(circuit, players)
+        artifacts = open_artifacts(circuit, options.cache, options.artifacts)
+        values = cnf_proxy_values(artifacts.cnf(), players)
         seconds = time.perf_counter() - start
         return EngineResult(self.name, values, False, "ok", seconds)
 

@@ -70,7 +70,6 @@ class CacheStats:
 
     cnf_hits: int = 0
     cnf_misses: int = 0
-    ddnnf_hits: int = 0
     ddnnf_misses: int = 0
     tape_hits: int = 0
     tape_misses: int = 0
@@ -134,7 +133,7 @@ class CacheStats:
 
     @property
     def hits(self) -> int:
-        return self.cnf_hits + self.ddnnf_hits + self.tape_hits
+        return self.cnf_hits + self.tape_hits
 
     @property
     def misses(self) -> int:
@@ -425,13 +424,10 @@ class CircuitArtifacts:
         :class:`~repro.compiler.knowledge.BudgetExceeded` propagates;
         failures are not cached, so a later call with a larger budget
         retries."""
-        cache = self._cache
-        with cache._lock:
+        with self._cache._lock:
             canonical = self._entry.ddnnf
         if canonical is None:
             return self._miss_ddnnf(budget)
-        with cache._lock:
-            cache.stats.ddnnf_hits += 1
         return canonical
 
     def tape(self, budget: CompilationBudget | None = None) -> GateTape:
@@ -651,10 +647,6 @@ class ArtifactCache:
             else:
                 self._entries.move_to_end(signature)
         return CircuitArtifacts(self, entry, signature, labels, flat, source_size)
-
-    def cnf_for(self, circuit: Circuit) -> Cnf:
-        """Tseytin CNF of ``circuit``, served from the cache."""
-        return self.open(circuit).cnf()
 
     def verify_loaded(self, kind: str, artifact: object) -> bool:
         """Spot-check a store-loaded artifact when ``verify_on_load``

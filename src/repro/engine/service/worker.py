@@ -209,8 +209,7 @@ def _compile(cache: ArtifactCache, message: dict) -> tuple[bool, bool]:
 
 def _execute_group(cache: ArtifactCache, message: dict) -> dict:
     """One ``task_group``: a shape representative or a same-shape
-    sibling unit, executed as a single ``engine.explain_batch`` call
-    (a one-job group runs through ``explain_circuit``).
+    sibling unit, executed as a single ``engine.explain_batch`` call.
 
     ``message["tasks"]`` are the plan's portable jobs.  Returns
     ``{job index: EngineResult}``.  A group-level failure is reported

@@ -433,12 +433,15 @@ class TestRunExactBatch:
                 reference = run_exact(circuit, players)
             assert outcome.values == reference.values
 
-    def test_singleton_delegates_to_run_exact(self):
+    def test_a_group_of_one_is_not_a_batch(self):
         circuits, endo = self._answers(1)
         cache = ArtifactCache()
         outcomes = run_exact_batch(circuits, endo, cache=cache)
         assert len(outcomes) == 1 and outcomes[0].ok
+        assert "batch_exec" not in outcomes[0].timings
         assert cache.stats.batched_groups == 0
+        assert cache.stats.batched_answers == 0
+        assert outcomes[0].values == run_exact(circuits[0], endo[0]).values
 
 
 class TestShapeGroupScheduling:

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from repro.compiler import (
 from repro.compiler.knowledge import (
     ComponentMemo,
     _recursion_headroom,
+    canonical_component,
     compile_component,
     plan_components,
 )
@@ -36,6 +38,10 @@ from repro.workloads.imdb_queries import imdb_query
 from repro.workloads.synthetic import intractable_cnf, shared_block_circuits
 
 from .test_circuit import nested_exprs
+
+
+def _raise_budget() -> None:
+    raise BudgetExceeded("time budget exceeded (0s)")
 
 
 def labelled_cnf(num_vars, clauses) -> Cnf:
@@ -320,7 +326,38 @@ class TestStats:
         assert result.stats.cache_entries >= 1
 
 
+def hub_cnf(occurrences: int) -> Cnf:
+    """One connected, unit-free component in which variable 1 occurs in
+    ``occurrences`` clauses.  Canonicalizing it hashes that variable's
+    color once per occurrence, and the color grows with the
+    occurrences, so at 20,000 the top-level split alone takes 7-10 s
+    without a deadline check (2-core x86 host, CPython 3.12)."""
+    clauses = []
+    for i in range(occurrences):
+        a, b = 2 + 2 * i, 3 + 2 * i
+        nxt = 4 + 2 * i if i + 1 < occurrences else 2
+        clauses += [(1, a, -b), (-a, b, nxt)]
+    return labelled_cnf(2 * occurrences + 1, clauses)
+
+
 class TestBudgets:
+    def test_time_budget_bounds_the_top_level_split(self):
+        cnf = hub_cnf(20_000)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="time budget"):
+            compile_cnf(cnf, budget=CompilationBudget(max_seconds=1.0))
+        assert time.perf_counter() - start < 3.0
+
+    def test_canonicalization_polls_every_clause(self):
+        clauses = tuple(hub_cnf(50).clauses)
+        polls = []
+        canonical_component(clauses, lambda: polls.append(1))
+        assert len(polls) >= len(clauses)
+        # and the poll's exception ends the refinement
+        with pytest.raises(BudgetExceeded):
+            canonical_component(clauses, _raise_budget)
+
+
     def test_node_budget_raises(self):
         cnf = intractable_cnf(n_vars=60, seed=5)
         with pytest.raises(BudgetExceeded):

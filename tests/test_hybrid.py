@@ -2,13 +2,18 @@
 
 from fractions import Fraction
 
-from repro.core import hybrid_shapley, ranking
+import pytest
+
+from repro.core import cnf_proxy_from_circuit, hybrid_shapley, ranking
 from repro.db import lineage
+from repro.engine import ArtifactCache, EngineOptions, get_engine
+from repro.workloads import TPCH_QUERIES, TpchConfig, generate_tpch
 from repro.workloads.flights import (
     EXPECTED_SHAPLEY,
     fact,
     flights_database,
     flights_query,
+    one_stop_query,
 )
 from repro.workloads.synthetic import intractable_circuit
 
@@ -68,3 +73,51 @@ class TestHybrid:
         db, circuit = flights_circuit()
         result = hybrid_shapley(circuit, db.endogenous_facts(), timeout=30.0)
         assert result.seconds >= 0
+
+
+def parity_lineages():
+    """Flights' two queries and the first answers of three TPC-H
+    queries at scale 0.0005."""
+    db = flights_database()
+    circuits = [
+        lineage(query.to_algebra(db.schema), db, endogenous_only=True)
+        .lineage_of(())
+        for query in (flights_query(), one_stop_query())
+    ]
+    tpch = generate_tpch(TpchConfig(scale_factor=0.0005))
+    for spec in TPCH_QUERIES:
+        if spec.name in ("Q3", "Q10", "Q16"):
+            result = lineage(spec.plan(tpch), tpch, endogenous_only=True)
+            circuits += [result.lineage_of(a) for a in result.tuples()[:3]]
+    return circuits
+
+
+class TestProxyThroughTheHandle:
+    """The proxy engine and the hybrid fallback read the CNF of one
+    artifact handle, with or without a cache, and agree with the
+    reference Tseytin path of Figure 3."""
+
+    @pytest.fixture(scope="class")
+    def lineages(self):
+        return parity_lineages()
+
+    def test_proxy_engine_and_hybrid_fallback_match_the_reference(
+        self, lineages
+    ):
+        engine = get_engine("proxy")
+        cache = ArtifactCache()
+        for circuit in lineages:
+            players = sorted(circuit.reachable_vars(), key=repr) + ["outside"]
+            expected = cnf_proxy_from_circuit(circuit, players)
+            values = [
+                engine.explain_circuit(circuit, players, EngineOptions()).values,
+                engine.explain_circuit(
+                    circuit, players, EngineOptions(cache=cache)).values,
+            ]
+            for shared in (None, cache):
+                result = hybrid_shapley(
+                    circuit, players, timeout=0, cache=shared)
+                assert result.kind == "proxy"
+                values.append(result.values)
+            for got in values:
+                assert list(got.items()) == list(expected.items())

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.circuits import circuit_from_nested
 from repro.compiler import BudgetExceeded, CompilationBudget, compile_circuit
 from repro.core import (
     ExactOutcome,
@@ -14,6 +17,7 @@ from repro.core import (
     to_plan,
 )
 from repro.db import Operator, Project, Scan, cq, lineage
+from repro.engine import ArtifactCache
 from repro.workloads.flights import (
     EXPECTED_SHAPLEY,
     fact,
@@ -91,6 +95,56 @@ class TestRunExact:
         ddnnf = compile_circuit(circuit).circuit
         assert outcome.values == per_fact_oracle(ddnnf, players)
         assert outcome.values[fact("a6")] == EXPECTED_SHAPLEY["a6"]
+
+
+@st.composite
+def lineage_exprs(draw, depth=3):
+    """Random nested expressions over four facts, constants included,
+    so a whole lineage can fold to TRUE or FALSE."""
+    leaves = st.sampled_from(["a", "b", "c", "d", True, False])
+    if depth == 0:
+        return draw(leaves)
+    kind = draw(st.sampled_from(["leaf", "and", "or", "not"]))
+    if kind == "leaf":
+        return draw(leaves)
+    if kind == "not":
+        return ("not", draw(lineage_exprs(depth=depth - 1)))
+    arity = draw(st.integers(2, 3))
+    return (kind, *[draw(lineage_exprs(depth=depth - 1)) for _ in range(arity)])
+
+
+class TestOneArtifactPath:
+    """Every exact call compiles through an artifact handle: a call
+    without a cache opens a throwaway one, so the three ways in give
+    the same Fractions, in the same order."""
+
+    @given(
+        st.one_of(st.just(True), st.just(False), lineage_exprs()),
+        st.sets(st.sampled_from(["x", "y"])),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_uncached_cached_and_handle_agree_with_the_oracle(
+        self, expr, outsiders
+    ):
+        circuit = circuit_from_nested(expr)
+        players = sorted(circuit.reachable_vars()) + sorted(outsiders)
+        uncached = run_exact(circuit, players)
+        cached = run_exact(circuit, players, cache=ArtifactCache())
+        handle = run_exact(
+            circuit, players, artifacts=ArtifactCache().open(circuit))
+        expected = per_fact_oracle(compile_circuit(circuit).circuit, players)
+        for outcome in (uncached, cached, handle):
+            assert outcome.ok
+            assert repr(list(outcome.values.items())) == repr(
+                list(uncached.values.items()))
+            assert outcome.values == expected
+
+    def test_an_uncached_call_reports_the_tape_stage(self):
+        db, circuit = TestRunExact().circuit()
+        outcome = run_exact(circuit, db.endogenous_facts())
+        assert "tape" in outcome.timings and "compile" not in outcome.timings
+        assert outcome.compile_seconds == (
+            outcome.timings["tseytin"] + outcome.timings["tape"])
 
 
 class TestExplainer:

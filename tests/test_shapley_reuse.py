@@ -186,17 +186,17 @@ class TestSessionReuse:
     def test_values_breaking_efficiency_are_not_published(self, monkeypatch):
         db = flights_database()
         query = flights_query()
-        real = pipeline_module.shapley_all_facts
+        real = pipeline_module.shapley_all_facts_batched
 
         def inflated(*args, **kwargs):
-            values = real(*args, **kwargs)
-            first = next(iter(values))
-            values[first] += 1
-            return values
+            values_list = real(*args, **kwargs)
+            for values in values_list:
+                values[next(iter(values))] += 1
+            return values_list
 
         with ExplainSession(db, method="exact") as session:
             monkeypatch.setattr(
-                pipeline_module, "shapley_all_facts", inflated)
+                pipeline_module, "shapley_all_facts_batched", inflated)
             session.explain_many(query)
             monkeypatch.undo()
             refused = session.stats
@@ -217,19 +217,16 @@ class TestSessionReuse:
         self, monkeypatch
     ):
         # Four answers of one shape, every one of them inflated on the
-        # per-answer and the batched sweep: the shape publishes once
-        # per batch, so its refusal counts one violation, not four.
+        # representative's group of one and on the sibling group: the
+        # shape publishes once per batch, so its refusal counts one
+        # violation, not four.
         db = join_database(4, 2)
-        real = pipeline_module.shapley_all_facts
         real_batched = pipeline_module.shapley_all_facts_batched
 
         def bump(values):
             values[next(iter(values))] += 1
             return values
 
-        monkeypatch.setattr(
-            pipeline_module, "shapley_all_facts",
-            lambda *args, **kwargs: bump(real(*args, **kwargs)))
         monkeypatch.setattr(
             pipeline_module, "shapley_all_facts_batched",
             lambda *args, **kwargs: [
