@@ -810,9 +810,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="timed repetitions of the batch; > 1 adds one "
                         "explicit warm-up iteration first and reports "
                         "median/min over the repeats (default: 1 cold run). "
-                        "Warmed repeats relabel each shape's cached Shapley "
-                        "values instead of rerunning Algorithm 1; add "
-                        "--no-cache to time the repeats without reuse")
+                        "Warmed repeats reuse the query's lineage and relabel "
+                        "each shape's cached Shapley values instead of "
+                        "rerunning Algorithm 1; add --no-cache to time the "
+                        "repeats without reuse")
     b.add_argument("--profile", action="store_true",
                    help="print a per-stage breakdown (compile / "
                         "tape-lower / kernel-exec / batch-exec with "

@@ -207,11 +207,13 @@ def crt_moduli(bits: int, width: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def interpreted_cost(tape: GateTape) -> int:
+def interpreted_cost(tape: GateTape, limit: int | None = None) -> int:
     """Big-int multiply-adds of one interpreted forward sweep of
     ``tape``: AND products grow one child at a time, OR children are
     completed over their gaps.  The backward sweep mirrors it, so this
-    ranks shapes by the cost of the whole interpreted pass."""
+    ranks shapes by the cost of the whole interpreted pass.  With a
+    ``limit``, counting stops at the first instruction that takes the
+    cost past it."""
     cost = 0
     for i, op in enumerate(tape.ops):
         if op == OP_AND:
@@ -222,7 +224,75 @@ def interpreted_cost(tape: GateTape) -> int:
         elif op == OP_OR:
             for child, gap in zip(tape.args[i], tape.gaps[i]):
                 cost += (tape.nvars[child] + 1) * (gap + 1)
+        if limit is not None and cost > limit:
+            break
     return cost
+
+
+def _check_decomposable_nnf(tape: GateTape) -> None:
+    """Raise :class:`_Ineligible` unless ``tape`` is an NNF circuit
+    whose ANDs have disjoint children (the structure
+    :class:`LevelPlan` requires)."""
+    ops = tape.ops
+    if any(op == OP_NOT for op in ops):
+        # The derivative pass requires NNF; the interpreted pass
+        # owns the error message.
+        raise _Ineligible("tape contains general negation")
+    nvars = tape.nvars
+    for i, op in enumerate(ops):
+        if op == OP_AND and sum(nvars[c] for c in tape.args[i]) != nvars[i]:
+            raise _Ineligible("AND children variable sets overlap")
+
+
+def _min_levels(tape: GateTape) -> int:
+    """A lower bound on :attr:`LevelPlan.n_levels` of ``tape``: one
+    more than the longest path over the edges a plan keeps.
+
+    A plan keeps every AND edge (binarization only lengthens the path
+    from a gate to each of its children) and every OR edge from a child
+    whose forward bound is nonzero, and its levels are longest-path
+    levels over what it keeps, so each instruction's level is at least
+    its depth here.
+    """
+    forward = tape.forward_bounds()
+    depth = [0] * len(tape.ops)
+    for i, op in enumerate(tape.ops):
+        if op == OP_AND:
+            children = tape.args[i]
+        elif op == OP_OR:
+            children = [c for c in tape.args[i] if forward[c]]
+        else:
+            continue
+        if children:
+            depth[i] = 1 + max(depth[c] for c in children)
+    return max(depth, default=0) + 1
+
+
+def _small_without_plan(tape: GateTape) -> bool:
+    """Whether :class:`LevelPlan` would accept ``tape`` and then find
+    it too small to pay off, decided without building the plan.
+
+    ``pays_off`` compares the interpreted cost with ``LEVEL_COST *
+    n_levels * planes``; a plan has at least :func:`_min_levels` levels
+    and one plane, so a cost at most ``LEVEL_COST`` times that never
+    pays off.  The plan would not be refused either: the structure
+    checks are the plan's own, and its buffer has at most one slot per
+    instruction, one for the constant 1 and fewer than one auxiliary
+    slot per AND child, each :attr:`~.tape.GateTape.root_nvars` + 1
+    wide.  A shape this test does not settle builds its plan as before,
+    so every shape gets the refusal reason it would get from the plan.
+    """
+    try:
+        _check_decomposable_nnf(tape)
+    except _Ineligible:
+        return False
+    limit = LEVEL_COST * _min_levels(tape)
+    if interpreted_cost(tape, limit=limit) > limit:
+        return False
+    and_children = sum(
+        len(args) for op, args in zip(tape.ops, tape.args) if op == OP_AND)
+    slots = len(tape.ops) + 1 + and_children
+    return slots * (tape.root_nvars + 1) <= MAX_BUFFER_ELEMENTS
 
 
 # ----------------------------------------------------------------------
@@ -246,11 +316,8 @@ class LevelPlan:
     """
 
     def __init__(self, tape: GateTape) -> None:
+        _check_decomposable_nnf(tape)
         ops = tape.ops
-        if any(op == OP_NOT for op in ops):
-            # The derivative pass requires NNF; the interpreted pass
-            # owns the error message.
-            raise _Ineligible("tape contains general negation")
         self.n_instructions = len(ops)
         self.width = tape.root_nvars + 1
         forward_bounds = tape.forward_bounds()
@@ -278,9 +345,6 @@ class LevelPlan:
         constant_one_rows: list[int] = []
         for i, op in enumerate(ops):
             if op == OP_AND:
-                expected = sum(slot_nvars[c] for c in tape.args[i])
-                if expected != tape.nvars[i]:
-                    raise _Ineligible("AND children variable sets overlap")
                 work = sorted(tape.args[i], key=lambda c: slot_nvars[c])
                 if not work:
                     constant_one_rows.append(i)  # empty product: [1]
@@ -713,7 +777,8 @@ def plan_with_reason(
 ) -> tuple[LevelPlan | None, str | None]:
     """The cached :class:`LevelPlan` of a tape shape plus the refusal
     reason (``None`` on success, ``"ineligible"`` / ``"budget"``
-    otherwise).
+    otherwise, or ``"small"`` once :func:`fastpath_diffs` has refused
+    the shape without a plan).
 
     The result, including the negative one, is cached on the tape's
     shared analysis box, so isomorphic re-targets of a warm shape never
@@ -751,7 +816,9 @@ def fastpath_diffs(
     """Machine-width difference vectors of ``tape``, or ``None`` when
     the shape takes the interpreted exact pass: the plan refuses it,
     or the shape is too small for the tier to pay off
-    (``plan.pays_off``).
+    (``plan.pays_off``).  A shape that is small by a bound needing no
+    plan (:func:`_small_without_plan`) never builds one: its refusal
+    is cached in the plan's place.
 
     A non-``None`` result is byte-identical to
     :meth:`GateTape.backward_diffs` over the reference kernel (up to
@@ -760,6 +827,9 @@ def fastpath_diffs(
     hit in the plan's tier for each, or one fallback each (attributed
     per reason).
     """
+    if (HAS_NUMPY and "plan" not in tape._analysis
+            and _small_without_plan(tape)):
+        tape._analysis["plan"] = (None, "small")
     plan, reason = plan_with_reason(tape)
     if plan is not None and not plan.pays_off:
         plan, reason = None, "small"

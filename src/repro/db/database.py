@@ -68,6 +68,10 @@ class Database:
     or exogenous).  The class supports cheap construction of
     sub-databases (:meth:`restrict_endogenous`), which the naive Shapley
     definition (Equation 1) evaluates over.
+
+    Every relation carries a version counter (:meth:`version`) that each
+    mutation of its facts or of their endogenous status bumps, so a
+    consumer can tell whether a relation changed since it last looked.
     """
 
     def __init__(self, schema: Schema) -> None:
@@ -76,6 +80,7 @@ class Database:
             name: {} for name in schema.names()
         }
         self._endogenous: set[Fact] = set()
+        self._versions: dict[str, int] = dict.fromkeys(self._relations, 0)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -110,7 +115,7 @@ class Database:
                 rel_schema.validate(values)
         facts = [Fact(relation, values) for values in rows]
         self._relations[relation].update(zip(facts, repeat(None)))
-        self._mark(facts, endogenous)
+        self._mark(relation, facts, endogenous)
         return facts
 
     def remove(self, fact: Fact) -> None:
@@ -119,31 +124,42 @@ class Database:
         if rel is None or fact not in rel:
             raise SchemaError(f"fact {fact!r} not in database")
         del rel[fact]
-        self._endogenous.discard(fact)
+        self._mark(fact.relation, (fact,), False)
 
     def set_endogenous(self, fact: Fact, endogenous: bool = True) -> None:
         """Flip the endogenous status of one fact."""
         if fact not in self:
             raise SchemaError(f"fact {fact!r} not in database")
-        self._mark((fact,), endogenous)
+        self._mark(fact.relation, (fact,), endogenous)
 
     def mark_relation(self, relation: str, endogenous: bool) -> None:
         """Designate a whole relation endogenous or exogenous, as done for
         the tables in the paper's experiments."""
-        self._mark(self._relations[self.schema.relation(relation).name],
-                   endogenous)
+        name = self.schema.relation(relation).name
+        self._mark(name, self._relations[name], endogenous)
 
-    def _mark(self, facts: Iterable[Fact], endogenous: bool) -> None:
-        """Add ``facts`` to the endogenous set, or remove them from it,
-        in one set operation."""
+    def _mark(
+        self, relation: str, facts: Iterable[Fact], endogenous: bool
+    ) -> None:
+        """Add ``facts`` of ``relation`` to the endogenous set, or remove
+        them from it, in one set operation, and bump the relation's
+        version.  Every mutator ends here, so every change to a
+        relation's facts or to their endogenous status is versioned."""
         if endogenous:
             self._endogenous.update(facts)
         else:
             self._endogenous.difference_update(facts)
+        self._versions[relation] += 1
 
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
+
+    def version(self, relation: str) -> int:
+        """How many mutations ``relation`` has seen: equal versions at
+        two points in time mean its facts and their endogenous status
+        are unchanged in between."""
+        return self._versions[self.schema.relation(relation).name]
 
     def relation(self, name: str) -> list[Fact]:
         """All facts of a relation (stable insertion order)."""

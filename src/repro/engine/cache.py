@@ -270,7 +270,8 @@ def _valid_component(circuit: Circuit, key: tuple) -> bool:
 class CircuitArtifacts:
     """Handle binding one circuit to its cache slot.
 
-    Obtained from :meth:`ArtifactCache.open`; computes the canonical
+    Obtained from :meth:`ArtifactCache.open` (or :meth:`ArtifactCache.bind`
+    of a remembered :attr:`canonical` form); computes the canonical
     signature once and serves both artifacts from it.  The handle can
     be threaded to an engine through
     :attr:`~repro.engine.base.EngineOptions.artifacts` so the (single)
@@ -314,6 +315,14 @@ class CircuitArtifacts:
         """The cache this handle is bound to (the exact pipeline
         reports its fast-path counters through it)."""
         return self._cache
+
+    @property
+    def canonical(self) -> tuple[Circuit, tuple, tuple, int]:
+        """``(flat, signature, labels, source_size)``: the canonical
+        form this handle was bound from.  :meth:`ArtifactCache.bind` of
+        it is a fresh handle of the same circuit, with no per-call
+        state."""
+        return self._flat, self.signature, self.labels, self.source_size
 
     @property
     def digest(self) -> str:
@@ -621,12 +630,21 @@ class ArtifactCache:
     def open(self, circuit: Circuit) -> CircuitArtifacts:
         """Bind ``circuit`` to its cache slot and return the handle.
 
-        Two walks of the circuit's cone: one flattens it
+        Two walks of the circuit's cone canonicalize it: one flattens it
         (:meth:`~repro.circuits.circuit.Circuit.conditioned_flatten`),
-        one takes the flat circuit's signature.
+        one takes the flat circuit's signature.  Then :meth:`bind`.
         """
         flat, source_size = circuit.conditioned_flatten()
         signature, labels = flat.structural_signature()
+        return self.bind(flat, signature, labels, source_size)
+
+    def bind(
+        self, flat: Circuit, signature: tuple, labels: tuple, source_size: int
+    ) -> CircuitArtifacts:
+        """A fresh handle for an already canonicalized circuit (a
+        handle's :attr:`~CircuitArtifacts.canonical` form), bound to its
+        shape's slot: the slot lookup, LRU touch and eviction accounting
+        of :meth:`open`, without walking the circuit again."""
         if self.max_entries == 0:
             # Storage disabled: hand out an unstored slot instead of
             # inserting and immediately evicting it, so ``evictions``

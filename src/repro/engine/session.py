@@ -23,6 +23,21 @@ budget/timeout outcomes are preserved: each answer gets its own
 :class:`~repro.engine.base.EngineResult` with its own status, exactly
 as the per-answer path reports them.
 
+The session remembers, per normalized plan (the output of
+:func:`~repro.core.pipeline.to_plan`), the query's
+:class:`~repro.db.evaluate.LineageResult` and each requested answer's
+circuit and canonical form, together with the versions
+(:meth:`~repro.db.database.Database.version`) of the relations the plan
+scans.  While those versions hold, a repeated call neither evaluates
+the query nor extracts or canonicalizes an answer again: it binds a
+fresh handle per answer to its cache slot
+(:meth:`~repro.engine.cache.ArtifactCache.bind`) and goes on as above.
+Any mutation of a scanned relation, its facts or their endogenous
+status, makes the next call evaluate afresh.  The memo is an LRU of
+:data:`LINEAGE_MEMO_PLANS` plans; a cache that stores nothing
+(``max_entries=0``) keeps no memo, and :meth:`ExplainSession.close`
+drops it.
+
 Three executors are supported, all long-lived (created once per
 session, reused across ``explain_many`` calls, released by
 :meth:`close` or by leaving the session's ``with`` block):
@@ -50,7 +65,9 @@ and agree with the single-answer path at the same seed.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import replace
 from itertools import chain
 from typing import Hashable, Sequence
@@ -59,8 +76,9 @@ from ..circuits.circuit import Circuit
 
 from ..core.numerics import coefficients_cache_info
 from ..core.pipeline import ExactOutcome, QueryLike, to_plan
+from ..db.algebra import Operator, Scan, walk
 from ..db.database import Database
-from ..db.evaluate import lineage
+from ..db.evaluate import LineageResult, lineage
 from ..compiler.knowledge import compile_component
 from .base import EngineOptions, EngineResult, derive_answer_seed
 from .cache import ArtifactCache
@@ -75,6 +93,46 @@ from .service import (
 
 #: Executor kinds accepted by :class:`ExplainSession`.
 EXECUTORS = ("thread", "process", "socket")
+
+#: Plans whose lineage one session remembers, least recently used
+#: first out.  Under cyclic access an LRU smaller than the cycle misses
+#: on every call, so this stays well above a workload's query count
+#: (perfbench's imdb-fleet cycles through 8).
+LINEAGE_MEMO_PLANS = 32
+
+
+class _Lineage:
+    """One plan's lineage on one database, remembered by a session
+    while the relations the plan scans keep their versions.
+
+    ``records`` maps each answer requested so far to its lineage
+    circuit, its sorted players and, for cache-using engines, its
+    :attr:`~repro.engine.cache.CircuitArtifacts.canonical` form: a
+    handle is never kept, since it carries per-call state and its
+    cache slot may be evicted or cleared.
+    """
+
+    __slots__ = ("database", "relations", "versions", "result", "answers",
+                 "records")
+
+    def __init__(
+        self,
+        database: Database,
+        relations: tuple[str, ...],
+        versions: tuple[int, ...],
+        result: LineageResult,
+    ) -> None:
+        self.database = database
+        self.relations = relations
+        self.versions = versions
+        self.result = result
+        self.answers = result.tuples()
+        self.records: dict[tuple, tuple] = {}
+
+    def fresh(self, database: Database) -> bool:
+        """Whether the entry still describes ``database``."""
+        return self.database is database and self.versions == tuple(
+            database.version(relation) for relation in self.relations)
 
 
 class ExplainSession:
@@ -164,6 +222,9 @@ class ExplainSession:
         self._socket_batches = False
         self._remote_stats: dict[str, int] = {}
         self._remote_workers = 0
+        self._lock = threading.Lock()
+        self._memo: OrderedDict[Operator, _Lineage] = OrderedDict()
+        self._lineage_reuse_hits = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -177,6 +238,8 @@ class ExplainSession:
         *not* stopped — they are shared infrastructure.
         """
         self._closed = True
+        with self._lock:
+            self._memo.clear()
         transports, self._transports = self._transports, {}
         errors = []
         for transport in transports.values():
@@ -452,46 +515,96 @@ class ExplainSession:
             return None
         return artifact_component_planner()
 
+    def _lineage(self, plan: Operator) -> _Lineage:
+        """The lineage of ``plan`` on the session's database: the
+        remembered entry while no relation the plan scans has changed,
+        else a fresh evaluation, remembered unless the cache stores
+        nothing (``max_entries=0``) or the plan cannot be hashed."""
+        database = self.database
+        remember = self.cache.max_entries != 0
+        if remember:
+            try:
+                hash(plan)
+            except TypeError:
+                remember = False
+        if remember:
+            with self._lock:
+                entry = self._memo.get(plan)
+                if entry is not None and entry.fresh(database):
+                    self._memo.move_to_end(plan)
+                    self._lineage_reuse_hits += 1
+                    return entry
+        relations = tuple(sorted(
+            {op.relation for op in walk(plan) if isinstance(op, Scan)}))
+        # Versions are read before evaluating, so a mutation racing
+        # the evaluation leaves the entry stale rather than wrong.
+        versions = tuple(database.version(name) for name in relations)
+        entry = _Lineage(
+            database, relations, versions,
+            lineage(plan, database, endogenous_only=True),
+        )
+        if remember:
+            with self._lock:
+                self._memo[plan] = entry
+                self._memo.move_to_end(plan)
+                while len(self._memo) > LINEAGE_MEMO_PLANS:
+                    self._memo.popitem(last=False)
+        return entry
+
     def _build_jobs(
         self, query: QueryLike, answers: Sequence[tuple] | None
     ) -> list[Job]:
         """One :class:`Job` per requested answer: lineage circuit,
-        canonicalization handle, and per-answer options."""
-        result = lineage(
-            to_plan(query, self.database), self.database, endogenous_only=True
-        )
-        available = result.tuples()
+        canonicalization handle, and per-answer options.
+
+        The query's lineage, and each answer's circuit and canonical
+        form, come from the session's memo (see :meth:`_lineage`); the
+        first request of an answer extracts and canonicalizes it, every
+        later one only binds a fresh handle to its cache slot."""
+        entry = self._lineage(to_plan(query, self.database))
         if answers is None:
-            answers = available
+            answers = entry.answers
         else:
-            known = set(available)
+            rows = entry.result.relation.rows
             for answer in answers:
-                if answer not in known:
+                if answer not in rows:
                     raise ValueError(f"{answer!r} is not an answer of the query")
 
         uses_cache = self.engine.uses_cache
         jobs: list[Job] = []
         for index, answer in enumerate(answers):
-            circuit = result.lineage_of(answer)
+            with self._lock:
+                record = entry.records.get(answer)
+            if record is not None:
+                circuit, players, canonical = record
+                handle = self.cache.bind(*canonical) if uses_cache else None
+            else:
+                circuit = entry.result.lineage_of(answer)
+                if uses_cache:
+                    # One canonicalization pass per answer: the handle
+                    # both keys the dedup groups in the plan and rides
+                    # into the engine through options.artifacts, so
+                    # explain_circuit never recomputes the signature.
+                    handle = self.cache.open(circuit)
+                    players = tuple(sorted(handle.labels))
+                    canonical = handle.canonical
+                else:
+                    handle = canonical = None
+                    players = tuple(sorted(circuit.reachable_vars()))
+                with self._lock:
+                    entry.records.setdefault(
+                        answer, (circuit, players, canonical))
             options = self.options
             if options.seed is not None:
                 options = options.with_(
                     seed=derive_answer_seed(options.seed, answer)
                 )
-            if uses_cache:
-                # One canonicalization pass per answer: the handle both
-                # keys the dedup groups in the plan and rides into the
-                # engine through options.artifacts, so explain_circuit
-                # never recomputes the signature.
-                handle = self.cache.open(circuit)
+            signature = None
+            if handle is not None:
                 options = options.with_(artifacts=handle)
-                players = sorted(handle.labels)
                 signature = handle.signature
-            else:
-                players = sorted(circuit.reachable_vars())
-                signature = None
             jobs.append(
-                Job(index, answer, circuit, players, options, signature)
+                Job(index, answer, circuit, list(players), options, signature)
             )
         return jobs
 
@@ -519,7 +632,11 @@ class ExplainSession:
         so it is a local counter on every executor, socket included,
         and a relabelled answer moves no ``fastpath_*`` or
         ``remote_*`` counter; ``invariant_violations`` counts values
-        refused at publication for breaking the efficiency axiom.  The
+        refused at publication for breaking the efficiency axiom;
+        ``lineage_reuse_hits`` counts calls (of :meth:`explain_many` or
+        :meth:`warm_ahead`) that read the query's lineage and its
+        answers' canonical forms from the session memo instead of
+        evaluating the query again.  The
         ``shapley_coefficients_cache_*`` keys expose the bounded
         Equation-3 weight cache.  With a persistent store attached,
         ``store_*`` counters report the disk tier.  Pool
@@ -532,6 +649,7 @@ class ExplainSession:
         merged = {
             "answers_explained": self._answers_explained,
             "unique_shapes": self._unique_shapes,
+            "lineage_reuse_hits": self._lineage_reuse_hits,
             **self.cache.stats_dict(),
             **coefficients_cache_info(),
         }

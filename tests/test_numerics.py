@@ -859,6 +859,58 @@ class TestMachineWidthFastpath:
         assert plan_for(big).pays_off
 
     @needs_numpy
+    def test_provably_small_shapes_build_no_plan(self, monkeypatch):
+        # A shape whose interpreted cost is at most LEVEL_COST cannot
+        # pay off on any plan (at least one level, one plane): it is
+        # refused as small without constructing a LevelPlan.
+        built = []
+        real_init = fixed.LevelPlan.__init__
+
+        def counting(plan, tape):
+            built.append(tape)
+            real_init(plan, tape)
+
+        monkeypatch.setattr(fixed.LevelPlan, "__init__", counting)
+        circuit = _compile(_disjoint_monotone_cnf(4, 2, seed=1))
+        tape = compile_tape(circuit)
+        assert fixed._small_without_plan(tape)
+        players = sorted(circuit.reachable_vars())
+        stats = FastpathStats()
+        values = shapley_all_facts(
+            circuit, players, tape=tape, fastpath_stats=stats)
+        assert built == []
+        assert tape._analysis["plan"] == (None, "small")
+        assert stats.small == 1 and stats.fallbacks == 1
+        monkeypatch.setattr(fixed, "HAS_NUMPY", False)
+        interpreted = shapley_all_facts(
+            circuit, players, tape=compile_tape(circuit))
+        assert list(values.items()) == list(interpreted.items())
+        # a shape above the bound still plans, and the plan decides
+        monkeypatch.setattr(fixed, "HAS_NUMPY", True)
+        big = compile_tape(_compile(_disjoint_monotone_cnf(20, 3, seed=0)))
+        assert not fixed._small_without_plan(big)
+        assert fastpath_diffs(big, FastpathStats()) is not None
+        assert len(built) == 1
+
+    @needs_numpy
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_vars=st.integers(1, 24),
+           extra_bits=st.sampled_from([0, 40, 70]))
+    def test_small_bound_never_contradicts_the_plan(
+        self, seed, n_vars, extra_bits
+    ):
+        # the plan-free bound is sound: the plan has at least the levels
+        # it assumes, and a shape it calls small is one the plan would
+        # accept and find not paying off
+        tape = _random_decomposable_tape(
+            random.Random(seed), n_vars, extra_bits)
+        small = fixed._small_without_plan(tape)
+        plan = fixed.LevelPlan(tape)
+        assert fixed._min_levels(tape) <= plan.n_levels
+        if small:
+            assert not plan.pays_off
+
+    @needs_numpy
     def test_session_reports_fastpath_counters(self, monkeypatch):
         db = join_database(4, 16)
         with ExplainSession(db, method="exact") as session:

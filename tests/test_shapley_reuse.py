@@ -11,23 +11,51 @@ misses, the efficiency check at publication, disabled storage,
 eviction and ``clear()``, direct calls that always sweep, Algorithm 1
 staying a pure function, and the store digest being computed once per
 handle.
+
+The session also remembers each query's lineage and its answers'
+canonical forms between calls, until a relation the query scans
+changes: every ``Database`` mutator invalidates it, a random
+interleaving of mutations and calls matches a fresh session, and the
+memo's bounds, switches and lifetime are covered too.
 """
 
+import gc
+import sys
+import threading
+import weakref
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.pipeline as pipeline_module
 import repro.engine.cache as cache_module
 import repro.engine.service.coordinator as coordinator_module
+import repro.engine.session as session_module
 import repro.engine.store as store_module
 from repro.circuits import eliminate_auxiliary, tseytin_transform
 from repro.compiler import compile_cnf
 from repro.core import run_exact, shapley_all_facts
 from repro.core.numerics import FastpathStats, compile_tape
 from repro.core.shapley import shapley_all_facts_batched
-from repro.db import Database, RelationSchema, Schema, cq
+from repro.db import (
+    Col, Comparison, Const, Database, Fact, Project, RelationSchema, Scan,
+    Schema, Select, cq, plan_sql,
+)
+from repro.db.evaluate import LineageResult
 from repro.engine import ArtifactCache, ExplainSession, PersistentArtifactStore
-from repro.workloads.flights import flights_database, flights_query
+from repro.workloads.flights import (
+    direct_query,
+    flights_database,
+    flights_query,
+    one_stop_query,
+)
+from repro.workloads.imdb import imdb_schema
+from repro.workloads.imdb_queries import IMDB_ALL_QUERIES
 from repro.workloads.synthetic import chained_dnf
+from repro.workloads.tpch import tpch_schema
+from repro.workloads.tpch_queries import TPCH_QUERIES
 
 from .test_batched import _fleet
 from .test_store import JOIN_QUERY, join_database
@@ -348,3 +376,342 @@ class TestStoreDigest:
         digest = real(handle.signature)
         for kind in ("cnf", "dnnf", "tape"):
             assert (tmp_path / f"{digest}.{kind}").exists(), kind
+
+
+def join_with_spare_relation() -> Database:
+    """:func:`mixed_join_database` plus a relation ``T`` that
+    JOIN_QUERY does not scan."""
+    schema = Schema.of(
+        RelationSchema.of("R", "a", "b"), RelationSchema.of("S", "b", "c"),
+        RelationSchema.of("T", "d"),
+    )
+    db = Database(schema)
+    for fact in mixed_join_database().facts():
+        db.add(fact.relation, *fact.values)
+    db.add("T", "t0")
+    return db
+
+
+#: One mutation per ``Database`` mutator, each changing JOIN_QUERY's
+#: answers or Fractions on :func:`join_with_spare_relation`.
+MUTATIONS = {
+    "add": lambda db: db.add("S", "y0", "z_new"),
+    "add_many": lambda db: db.add_many("R", [("x_new", "y1")]),
+    "remove": lambda db: db.remove(Fact("S", ("y1", "z1_0"))),
+    "set_endogenous": lambda db: db.set_endogenous(
+        Fact("S", ("y2", "z2_0")), False),
+    "mark_relation": lambda db: db.mark_relation("R", False),
+}
+
+
+def lineage_calls(monkeypatch) -> list:
+    """Record every query evaluation the session makes."""
+    calls = []
+    real = session_module.lineage
+
+    def counting(plan, db, **kwargs):
+        calls.append(plan)
+        return real(plan, db, **kwargs)
+
+    monkeypatch.setattr(session_module, "lineage", counting)
+    return calls
+
+
+class TestLineageInvalidation:
+    @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS)
+    def test_each_mutator_invalidates_the_memo(self, mutate):
+        db = join_with_spare_relation()
+        with ExplainSession(db, method="exact") as session:
+            before = session.explain_many(JOIN_QUERY)
+            session.explain_many(JOIN_QUERY)
+            hits = session.stats["lineage_reuse_hits"]
+            assert hits == 1
+            mutate(db)
+            after = session.explain_many(JOIN_QUERY)
+            assert session.stats["lineage_reuse_hits"] == hits
+        assert items_of(after) != items_of(before)
+        assert list(after) == list(uncached(db, JOIN_QUERY))
+        assert items_of(after) == items_of(uncached(db, JOIN_QUERY))
+
+    def test_a_relation_the_query_does_not_scan_keeps_the_hit(self):
+        db = join_with_spare_relation()
+        with ExplainSession(db, method="exact") as session:
+            before = session.explain_many(JOIN_QUERY)
+            db.add("T", "t1")
+            db.mark_relation("T", False)
+            after = session.explain_many(JOIN_QUERY)
+            assert session.stats["lineage_reuse_hits"] == 1
+        assert items_of(after) == items_of(before)
+
+    def test_every_mutator_bumps_only_its_relation(self):
+        db = join_with_spare_relation()
+        for name, mutate in MUTATIONS.items():
+            versions = {rel: db.version(rel) for rel in ("R", "S", "T")}
+            mutate(db)
+            changed = {rel for rel in versions
+                       if db.version(rel) != versions[rel]}
+            assert len(changed) == 1 and "T" not in changed, name
+
+
+def _mutate(db: Database, op: str, pick: int) -> None:
+    """One random mutation of a database of binary relations."""
+    facts = list(db.facts())
+    relations = sorted(db.schema.names())
+    relation = relations[pick % len(relations)]
+    if op in ("add", "add_many"):
+        own = db.relation(relation) or facts
+        first, second = own[pick % len(own)], own[(pick // 3) % len(own)]
+        rows = [(first.values[0], second.values[-1])]
+        if op == "add_many":
+            rows.append((second.values[0], first.values[-1]))
+        db.add_many(relation, rows, endogenous=pick % 2 == 0)
+    elif op == "remove" and facts:
+        db.remove(facts[pick % len(facts)])
+    elif op == "set_endogenous" and facts:
+        fact = facts[pick % len(facts)]
+        db.set_endogenous(fact, not db.is_endogenous(fact))
+    elif op == "mark_relation":
+        db.mark_relation(relation, pick % 3 == 0)
+
+
+class TestLineageMemoProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        flights=st.booleans(),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["add", "add_many", "remove",
+                                 "set_endogenous", "mark_relation", "none"]),
+                st.integers(0, 60),
+            ),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_interleaved_mutations_match_a_fresh_session(self, flights, steps):
+        db = flights_database() if flights else mixed_join_database()
+        query = flights_query() if flights else JOIN_QUERY
+        with ExplainSession(db, method="exact") as session:
+            session.explain_many(query)
+            for op, pick in steps:
+                _mutate(db, op, pick)
+                got = session.explain_many(query)
+                expected = uncached(db, query)
+                assert list(got) == list(expected)
+                assert items_of(got) == items_of(expected)
+
+
+class TestLineageMemo:
+    def test_repeats_evaluate_the_query_once(self, monkeypatch):
+        calls = lineage_calls(monkeypatch)
+        db = mixed_join_database()
+        with ExplainSession(db, method="exact") as session:
+            first = session.explain_many(JOIN_QUERY)
+            second = session.explain_many(JOIN_QUERY)
+            assert session.stats["lineage_reuse_hits"] == 1
+        assert len(calls) == 1
+        assert items_of(second) == items_of(first)
+
+    def test_subset_then_reordered_full_list(self, monkeypatch):
+        extracted, opened = [], []
+        real_extract = LineageResult.lineage_of
+        real_open = ArtifactCache.open
+
+        def extract(result, row):
+            extracted.append(row)
+            return real_extract(result, row)
+
+        def open_(cache, circuit):
+            opened.append(circuit)
+            return real_open(cache, circuit)
+
+        monkeypatch.setattr(LineageResult, "lineage_of", extract)
+        monkeypatch.setattr(ArtifactCache, "open", open_)
+        db = mixed_join_database()
+        expected = uncached(db, JOIN_QUERY)
+        extracted.clear()
+        opened.clear()
+        full = list(reversed(list(expected)))
+        with ExplainSession(db, method="exact") as session:
+            subset = session.explain_many(JOIN_QUERY, answers=full[:2])
+            results = session.explain_many(JOIN_QUERY, answers=full)
+        assert list(subset) == full[:2]
+        assert list(results) == full
+        assert items_of(results) == {a: items_of(expected)[a] for a in full}
+        # each answer extracted and canonicalized exactly once
+        assert sorted(extracted) == sorted(full)
+        assert len(opened) == len(full)
+
+    def test_unknown_answer_raises_on_a_hit(self):
+        db = mixed_join_database()
+        with ExplainSession(db, method="exact") as session:
+            session.explain_many(JOIN_QUERY)
+            with pytest.raises(ValueError, match="not an answer"):
+                session.explain_many(JOIN_QUERY, answers=[("nope",)])
+            assert session.stats["lineage_reuse_hits"] == 1
+
+    def test_warm_ahead_then_explain_many_evaluates_once(self, monkeypatch):
+        calls = lineage_calls(monkeypatch)
+        db = mixed_join_database()
+        with ExplainSession(db, method="exact") as session:
+            session.warm_ahead(JOIN_QUERY)
+            results = session.explain_many(JOIN_QUERY)
+            assert session.stats["lineage_reuse_hits"] == 1
+        assert len(calls) == 1
+        assert items_of(results) == items_of(uncached(db, JOIN_QUERY))
+
+    @pytest.mark.parametrize("drop", ["clear", "evict"])
+    def test_dropped_shapes_sweep_again(self, drop):
+        # a fresh handle per call: the memo keeps canonical forms, so a
+        # cleared or evicted shape publishes nothing the next call reads
+        cache = ArtifactCache(max_entries=2 if drop == "evict" else None)
+        db = mixed_join_database()
+        with ExplainSession(db, method="exact", cache=cache) as session:
+            first = session.explain_many(JOIN_QUERY)
+            before = session.stats
+            if drop == "clear":
+                cache.clear()
+            second = session.explain_many(JOIN_QUERY)
+            after = session.stats
+        assert after["lineage_reuse_hits"] == 1
+        assert after["shapley_reuse_hits"] == before["shapley_reuse_hits"]
+        assert sweeps(after) - sweeps(before) == len(second)
+        assert items_of(second) == items_of(first)
+
+    def test_disabled_cache_keeps_no_memo(self, monkeypatch):
+        calls = lineage_calls(monkeypatch)
+        db = mixed_join_database()
+        with ExplainSession(
+            db, method="exact", cache=ArtifactCache(max_entries=0)
+        ) as session:
+            for _ in range(3):
+                session.explain_many(JOIN_QUERY)
+            assert session.stats["lineage_reuse_hits"] == 0
+        assert len(calls) == 3
+
+    def test_close_releases_the_entries(self, monkeypatch):
+        results = []
+        real = session_module.lineage
+
+        def keeping(plan, db, **kwargs):
+            results.append(real(plan, db, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(session_module, "lineage", keeping)
+        session = ExplainSession(mixed_join_database(), method="exact")
+        session.explain_many(JOIN_QUERY)
+        held = weakref.ref(results.pop())
+        gc.collect()
+        assert held() is not None
+        session.close()
+        gc.collect()
+        assert held() is None
+
+    def test_lru_bound_on_plans(self, monkeypatch):
+        assert session_module.LINEAGE_MEMO_PLANS >= 32
+        queries = [JOIN_QUERY, JOIN_BY_B, cq(["c"], "R(a, b)", "S(b, c)")]
+        for bound, hits in ((2, 0), (3, 3)):
+            monkeypatch.setattr(session_module, "LINEAGE_MEMO_PLANS", bound)
+            with ExplainSession(mixed_join_database()) as session:
+                for _ in range(2):
+                    for query in queries:
+                        session.explain_many(query)
+                assert session.stats["lineage_reuse_hits"] == hits, bound
+
+    def test_entries_belong_to_the_session_database(self, monkeypatch):
+        calls = lineage_calls(monkeypatch)
+        db = mixed_join_database()
+        # the same inserts, one fact at a time, with R exogenous: equal
+        # versions on different data, so only identity tells the two
+        # databases apart
+        other = Database(db.schema)
+        for fact in db.facts():
+            other.add(fact.relation, *fact.values,
+                      endogenous=fact.relation != "R")
+        assert all(other.version(rel) == db.version(rel) for rel in "RS")
+        with ExplainSession(db, method="exact") as session:
+            session.explain_many(JOIN_QUERY)
+            session.database = other
+            results = session.explain_many(JOIN_QUERY)
+            assert session.stats["lineage_reuse_hits"] == 0
+        assert len(calls) == 2
+        assert items_of(results) == items_of(uncached(other, JOIN_QUERY))
+
+    def test_sampling_engines_reuse_lineage_too(self, monkeypatch):
+        calls = lineage_calls(monkeypatch)
+        db = mixed_join_database()
+        with ExplainSession(db, method="monte_carlo") as session:
+            first = session.explain_many(JOIN_QUERY)
+            second = session.explain_many(JOIN_QUERY)
+        assert len(calls) == 1
+        assert list(second) == list(first)
+        assert all(list(r.values) == list(first[a].values)
+                   for a, r in second.items())
+
+    def test_workload_plans_hash(self):
+        schemas = [(tpch_schema(), TPCH_QUERIES),
+                   (imdb_schema(), IMDB_ALL_QUERIES)]
+        plans = [
+            (plan_sql(spec.sql, schema), plan_sql(spec.sql, schema))
+            for schema, specs in schemas for spec in specs
+        ]
+        flights = flights_database()
+        for query in (flights_query(), direct_query(), one_stop_query()):
+            plans.append((pipeline_module.to_plan(query, flights),
+                          pipeline_module.to_plan(query, flights)))
+        assert len(plans) == len(TPCH_QUERIES) + len(IMDB_ALL_QUERIES) + 3
+        for first, second in plans:
+            assert first == second and hash(first) == hash(second)
+
+    def test_unhashable_plans_are_evaluated_every_call(self, monkeypatch):
+        calls = lineage_calls(monkeypatch)
+        plan = Project(
+            Select(Scan("R"), Comparison("!=", Col("R.a"), Const(["x0"]))),
+            ("R.a",),
+        )
+        db = mixed_join_database()
+        with ExplainSession(db, method="exact") as session:
+            first = session.explain_many(plan)
+            second = session.explain_many(plan)
+            assert session.stats["lineage_reuse_hits"] == 0
+        assert len(calls) == 2 and len(first) == 6
+        assert items_of(second) == items_of(first)
+
+    def test_concurrent_calls_share_one_memo(self, monkeypatch):
+        # more threads than cores on one session, switching often: every
+        # call is either a memo hit or an evaluation, and every answer
+        # keeps one record however many threads requested it first
+        calls = lineage_calls(monkeypatch)
+        n_threads, rounds = 8, 15
+        db = mixed_join_database()
+        session = ExplainSession(db, method="exact")
+        signatures = []
+        errors = []
+
+        def work():
+            try:
+                for _ in range(rounds):
+                    jobs = session._build_jobs(JOIN_QUERY, None)
+                    signatures.append([job.signature for job in jobs])
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        total = n_threads * rounds
+        assert len(signatures) == total
+        assert all(found == signatures[0] for found in signatures)
+        hits = session.stats["lineage_reuse_hits"]
+        assert hits + len(calls) == total and hits > 0
+        (entry,) = session._memo.values()
+        assert len(entry.records) == 6
+        session.close()
