@@ -278,6 +278,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             results = session.explain_many(query)
             laps.append(time.perf_counter() - start)
         stats = session.stats
+        transport = args.jobs_mode or "+".join(session.transport_kinds)
     total = len(results)
     ok = sum(r.ok for r in results.values())
     elapsed = statistics.median(laps)
@@ -294,7 +295,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.json:
         payload = {
             "workload": args.workload,
-            "transport": args.jobs_mode,
+            "transport": transport,
             "jobs": args.jobs,
             "outputs": total,
             "ok": ok,
@@ -778,10 +779,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--jobs", type=_positive_int, default=None,
                    help="pool width for the batched run (>= 1)")
     b.add_argument("--jobs-mode", choices=("thread", "process", "socket"),
-                   default="thread",
+                   default=None,
                    help="fan answers out over threads (shared in-memory "
                         "cache), processes (workers share --cache-dir), or "
-                        "a socket coordinator's workers (--coordinator)")
+                        "a socket coordinator's workers (--coordinator); "
+                        "default: the session's per-batch choice of "
+                        "threads or processes")
     b.add_argument("--coordinator", type=_address, default=None,
                    metavar="HOST:PORT",
                    help="coordinator address for --jobs-mode socket "

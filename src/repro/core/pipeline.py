@@ -385,8 +385,9 @@ class ShapleyExplainer:
         """Batched :meth:`explain`: dedupe isomorphic lineages up front,
         compile each distinct shape once through an
         :class:`~repro.engine.cache.ArtifactCache`, and fan answers out
-        over a thread pool.  Values are identical to :meth:`explain`;
-        each answer keeps its own budget/timeout outcome.
+        over the session's default executor.  Values are identical to
+        :meth:`explain`; each answer keeps its own budget/timeout
+        outcome.
         """
         from ..engine.cache import ArtifactCache
         from ..engine.session import ExplainSession
@@ -397,11 +398,11 @@ class ShapleyExplainer:
             return self.explain(query)
         if self.cache is None:
             self.cache = ArtifactCache()
-        session = ExplainSession(
+        with ExplainSession(
             self.database, method="exact", options=self._options(),
             cache=self.cache, max_workers=max_workers,
-        )
-        results = session.explain_many(query)
+        ) as session:
+            results = session.explain_many(query)
         return {
             answer: TupleExplanation(answer, engine_result.detail)
             for answer, engine_result in results.items()

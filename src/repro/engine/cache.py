@@ -740,6 +740,14 @@ class ArtifactCache:
             self.stats.component_pass_compiles += int(compiles)
             self.stats.stitch_jobs += int(stitches)
 
+    def merge_stats(self, changes: Mapping[str, float]) -> None:
+        """Add the counter changes another cache made (a process-pool
+        child's, during one task) to this cache's :class:`CacheStats`,
+        under the same keys (thread-safe)."""
+        with self._lock:
+            for key, value in changes.items():
+                setattr(self.stats, key, getattr(self.stats, key) + value)
+
     def stats_dict(self) -> dict[str, int]:
         """Hit/miss stats of both tiers as one flat dict.
 

@@ -36,6 +36,15 @@ from .pipeline import PullLoop
 _WORKER_CACHES: dict[str | None, ArtifactCache] = {}
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the
+    platform has one (a container's share, not the host's count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
+
+
 def _worker_cache(store_dir: str | None) -> ArtifactCache:
     cache = _WORKER_CACHES.get(store_dir)
     if cache is None:
@@ -45,35 +54,52 @@ def _worker_cache(store_dir: str | None) -> ArtifactCache:
     return cache
 
 
+def _counted(cache: ArtifactCache, run: Callable[[], object]) -> tuple:
+    """``run()``'s result with the change it made to ``cache``'s
+    counters (only the keys that moved).  A pool child runs one task
+    at a time, so the change is exactly that task's."""
+    before = cache.stats.as_dict()
+    result = run()
+    after = cache.stats.as_dict()
+    return result, {key: after[key] - value for key, value in before.items()
+                    if after[key] != value}
+
+
 def _process_explain_group(
     engine_name: str,
     requests: list[tuple[Circuit, list, EngineOptions]],
     store_dir: str | None,
-) -> list[EngineResult]:
+) -> tuple[list[EngineResult], dict[str, float]]:
     """Top-level body of one :class:`ProcessPoolTransport` task.
 
     Runs in a pool worker: rebuilds a per-process cache over the shared
     store directory (cache handles are not picklable, so the parent
     ships only the directory path) and runs the unit's jobs through
     the engine's ``explain_batch`` — a same-shape group shares one
-    sweep and one task round-trip."""
+    sweep and one task round-trip.  Returns the results and the
+    task's change to the worker cache's counters."""
     cache = _worker_cache(store_dir)
     prepared = [
         (circuit, players, options.with_(cache=cache))
         for circuit, players, options in requests
     ]
-    return get_engine(engine_name).explain_batch(prepared)
+    return _counted(
+        cache, lambda: get_engine(engine_name).explain_batch(prepared))
 
 
-def _process_compile_component(key, store_dir: str | None, budget) -> bool:
+def _process_compile_component(
+    key, store_dir: str | None, budget,
+) -> tuple[bool, dict[str, float]]:
     """Top-level body of one component-compile task.
 
     Runs in a pool worker over the shared store: a published component
     lands in the ``.comp`` store tier, where every other worker's (and
     the parent's) stitch jobs find it.  Returns whether it compiled
-    (a memo or store hit does not)."""
+    (a memo or store hit does not), and the task's change to the
+    worker cache's counters."""
     cache = _worker_cache(store_dir)
-    return compile_component(key, cache.component_memo(), budget=budget)
+    return _counted(cache, lambda: compile_component(
+        key, cache.component_memo(), budget=budget))
 
 
 def _plan_cache(plan: BatchPlan) -> ArtifactCache | None:
@@ -167,12 +193,18 @@ class ProcessPoolTransport(Transport):
 
     @property
     def width(self) -> int:
-        """Pool processes, and slots per batch."""
-        return self.max_workers or os.cpu_count() or 1
+        """Pool processes, and slots per batch: one per usable CPU
+        unless ``max_workers`` says otherwise."""
+        return self.max_workers or usable_cpus()
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.width)
+            pool = ProcessPoolExecutor(max_workers=self.width)
+            # A forking pool starts every child at its first submit.
+            # Submit here, before the batch's slot threads exist, so
+            # no child is forked while another slot holds a lock.
+            pool.submit(int).result()
+            self._pool = pool
         return self._pool
 
     def run_batch(self, plan: BatchPlan) -> dict[int, EngineResult]:
@@ -193,6 +225,15 @@ class ProcessPoolTransport(Transport):
     def _run_batch_once(self, plan: BatchPlan) -> dict[int, EngineResult]:
         pool = self._ensure_pool()
         budget = plan.compilation_budget()
+        cache = _plan_cache(plan)
+
+        def run(task, *args):
+            # Each task returns its child's counter changes, which land
+            # in the session cache's stats under the same keys.
+            result, changes = pool.submit(task, *args).result()
+            if cache is not None and changes:
+                cache.merge_stats(changes)
+            return result
 
         def explain(requests: list[tuple]) -> list[EngineResult]:
             # Handles and caches are process-local: workers attach
@@ -201,17 +242,14 @@ class ProcessPoolTransport(Transport):
                 (circuit, players, options.with_(cache=None, artifacts=None))
                 for circuit, players, options in requests
             ]
-            return pool.submit(
-                _process_explain_group, plan.engine, portable,
-                self.store_dir,
-            ).result()
+            return run(_process_explain_group, plan.engine, portable,
+                       self.store_dir)
 
         try:
             return _run_plan(
                 plan, self.width,
-                lambda key: pool.submit(
-                    _process_compile_component, key, self.store_dir, budget,
-                ).result(),
+                lambda key: run(
+                    _process_compile_component, key, self.store_dir, budget),
                 explain,
             )
         except BrokenProcessPool:

@@ -42,9 +42,8 @@ Three executors are supported, all long-lived (created once per
 session, reused across ``explain_many`` calls, released by
 :meth:`close` or by leaving the session's ``with`` block):
 
-* ``"thread"`` (default) —
-  :class:`~repro.engine.service.InProcessTransport`, slot threads
-  sharing the session's in-memory cache;
+* ``"thread"`` — :class:`~repro.engine.service.InProcessTransport`,
+  slot threads sharing the session's in-memory cache;
 * ``"process"`` — :class:`~repro.engine.service.ProcessPoolTransport`,
   a *persistent* :class:`~concurrent.futures.ProcessPoolExecutor`
   whose long-lived workers run every unit of the batch, rebuild
@@ -54,6 +53,13 @@ session, reused across ``explain_many`` calls, released by
   client of a ``repro serve`` coordinator handing the batch's units to
   ``repro worker`` processes that share one store directory (pass
   ``coordinator="host:port"``).
+
+By default (``executor=None``) each exact batch picks threads or the
+process pool from its shape sizes (:meth:`ExplainSession._choose`):
+compilation and Algorithm 1 are pure Python, so threads serialize on
+the interpreter lock, and a batch whose unpublished shapes are large
+enough to repay shipping its answers to pool children runs there.  The
+pool starts with the first such batch and stays for the session.
 
 Determinism: exact results are independent of scheduling (Fractions
 from structure); for the sampling engines each answer's RNG seed is
@@ -75,7 +81,7 @@ from typing import Hashable, Sequence
 from ..circuits.circuit import Circuit
 
 from ..core.numerics import coefficients_cache_info
-from ..core.pipeline import ExactOutcome, QueryLike, to_plan
+from ..core.pipeline import ExactOutcome, ProvenanceStats, QueryLike, to_plan
 from ..db.algebra import Operator, Scan, walk
 from ..db.database import Database
 from ..db.evaluate import LineageResult, lineage
@@ -90,15 +96,50 @@ from .service import (
     SocketTransport,
     Transport,
 )
+from .service.local import usable_cpus
 
 #: Executor kinds accepted by :class:`ExplainSession`.
 EXECUTORS = ("thread", "process", "socket")
 
 #: Plans whose lineage one session remembers, least recently used
-#: first out.  Under cyclic access an LRU smaller than the cycle misses
-#: on every call, so this stays well above a workload's query count
-#: (perfbench's imdb-fleet cycles through 8).
+#: first out (and query texts whose parsed plan it remembers).  Under
+#: cyclic access an LRU smaller than the cycle misses on every call, so
+#: this stays well above a workload's query count (perfbench's
+#: imdb-fleet cycles through 8).
 LINEAGE_MEMO_PLANS = 32
+
+#: The default executor's break-even, in squared facts: a batch runs on
+#: the process pool when the sum of ``facts ** 2`` over its unpublished
+#: shapes, less :data:`SHIP_COST` per answer it would ship, exceeds
+#: this (pool start-up included).  Calibrated on a 2-vCPU host, cold
+#: wall seconds with 2 workers, TPC-H queries at the given scale:
+#:
+#: ============  ======  =======  =========  =========  ==========
+#: query         shapes  answers  sum f**2   thread s   process s
+#: ============  ======  =======  =========  =========  ==========
+#: Q3 @ 0.01          7    1,250        280  0.27-0.39  0.58-0.65
+#: Q10 @ 0.005       14      158        588  0.12-0.13  0.17-0.19
+#: Q11 @ 0.005        1      397          4  0.03-0.04  0.08-0.09
+#: Q19 @ 0.005        3        3      5,210  0.18       0.19-0.21
+#: Q18 @ 0.005      125      727     22,935  0.89-1.16  0.90-1.11
+#: Q16 @ 0.002       16       20     23,909  0.36-0.41  0.23-0.24
+#: Q16 @ 0.004       21       21     76,904  1.25-1.27  0.56-0.71
+#: ============  ======  =======  =========  =========  ==========
+#:
+#: Q18 and Q16 @ 0.002 have the same sum but different winners, which
+#: the answer term separates: 1,125 and 23,309 against 8,000.
+POOL_COST = 8_000
+
+#: What shipping one answer to a pool child (and its result back)
+#: costs, in the squared facts of :data:`POOL_COST`.
+SHIP_COST = 30
+
+
+def _check_executor(executor: str | None) -> None:
+    if executor is not None and executor not in EXECUTORS:
+        raise ValueError(
+            f"unknown executor {executor!r}; choose from {EXECUTORS}"
+        )
 
 
 class _Lineage:
@@ -107,9 +148,11 @@ class _Lineage:
 
     ``records`` maps each answer requested so far to its lineage
     circuit, its sorted players and, for cache-using engines, its
-    :attr:`~repro.engine.cache.CircuitArtifacts.canonical` form: a
-    handle is never kept, since it carries per-call state and its
-    cache slot may be evicted or cleared.
+    :attr:`~repro.engine.cache.CircuitArtifacts.canonical` form and
+    each player's position among the canonical labels (what a relabel
+    of published values reads): a handle is never kept, since it
+    carries per-call state and its cache slot may be evicted or
+    cleared.
     """
 
     __slots__ = ("database", "relations", "versions", "result", "answers",
@@ -165,8 +208,13 @@ class ExplainSession:
         Pool width for :meth:`explain_many` (``None`` = executor
         default; local transports only).
     executor:
-        ``"thread"`` (default), ``"process"``, or ``"socket"`` — the
-        default transport of :meth:`explain_many`.
+        ``"thread"``, ``"process"``, or ``"socket"`` — the transport of
+        every :meth:`explain_many` call that names none.  ``None`` (the
+        default) picks threads or the process pool per batch: the pool
+        when the batch's unpublished shapes outweigh shipping its
+        answers (:data:`POOL_COST`), threads otherwise, for engines
+        other than ``"exact"``, with one usable CPU or with
+        ``max_workers=1``.
     coordinator:
         ``"host:port"`` (or a ``(host, port)`` tuple) of a running
         coordinator; required for the ``"socket"`` executor.
@@ -188,7 +236,7 @@ class ExplainSession:
         options: EngineOptions | None = None,
         cache: ArtifactCache | None = None,
         max_workers: int | None = None,
-        executor: str = "thread",
+        executor: str | None = None,
         coordinator: str | tuple[str, int] | None = None,
         min_workers: int | None = None,
         op_timeout: float | None = 30.0,
@@ -197,10 +245,7 @@ class ExplainSession:
         degrade: str | None = None,
         connect_retry_for: float = 10.0,
     ) -> None:
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; choose from {EXECUTORS}"
-            )
+        _check_executor(executor)
         self.database = database
         self.engine = get_engine(method)
         self.cache = cache if cache is not None else ArtifactCache()
@@ -224,6 +269,7 @@ class ExplainSession:
         self._remote_workers = 0
         self._lock = threading.Lock()
         self._memo: OrderedDict[Operator, _Lineage] = OrderedDict()
+        self._plans: OrderedDict[str, tuple[dict, Operator]] = OrderedDict()
         self._lineage_reuse_hits = 0
 
     # ------------------------------------------------------------------
@@ -240,6 +286,7 @@ class ExplainSession:
         self._closed = True
         with self._lock:
             self._memo.clear()
+            self._plans.clear()
         transports, self._transports = self._transports, {}
         errors = []
         for transport in transports.values():
@@ -253,6 +300,13 @@ class ExplainSession:
     @property
     def closed(self) -> bool:
         return self._closed
+
+    @property
+    def transport_kinds(self) -> tuple[str, ...]:
+        """The executors this session has started, sorted: under the
+        default executor, which of threads and the pool its batches
+        ran on."""
+        return tuple(sorted(self._transports))
 
     def __enter__(self) -> "ExplainSession":
         if self._closed:
@@ -323,15 +377,16 @@ class ExplainSession:
         if self._closed:
             raise RuntimeError("session is closed")
         executor = executor if executor is not None else self.executor
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; choose from {EXECUTORS}"
-            )
-        jobs = self._build_jobs(query, answers)
+        _check_executor(executor)
+        requests = self._requests(query, answers)
         reuse = self.engine.name == "exact"
-        outcomes = self._serve_published(jobs) if reuse else {}
-        pending = [job for job in jobs if job.index not in outcomes]
+        outcomes = self._serve_published(requests) if reuse else {}
+        pending = [self._job(index, request)
+                   for index, request in enumerate(requests)
+                   if index not in outcomes]
         if pending:
+            if executor is None:
+                executor = self._choose(pending)
             plan = plan_batch(
                 self.engine.name, pending, self.engine.uses_cache,
                 batch=self.engine.supports_batch,
@@ -351,37 +406,56 @@ class ExplainSession:
             self._unique_shapes += len(plan.shapes)
             if reuse:
                 self._publish(plan, outcomes)
-        self._answers_explained += len(jobs)
-        return {job.answer: outcomes[job.index] for job in jobs}
+        self._answers_explained += len(requests)
+        return {request[0]: outcomes[index]
+                for index, request in enumerate(requests)}
 
-    def _serve_published(self, jobs: list[Job]) -> dict[int, EngineResult]:
-        """Results of the jobs whose shape has published Shapley values,
-        relabelled on the client (keyed by job index): they are never
-        planned or dispatched.
+    def _choose(self, pending: list[Job]) -> str:
+        """The default executor's transport for one batch.
+
+        The process pool when the batch's unpublished shapes, at
+        ``facts ** 2`` each, outweigh :data:`SHIP_COST` per answer by
+        more than :data:`POOL_COST`; threads otherwise, for engines the
+        constants were not calibrated on (anything but ``"exact"``),
+        and wherever a pool cannot run two children at once (one usable
+        CPU, or ``max_workers=1``).
+        """
+        if (self.engine.name != "exact" or self.max_workers == 1
+                or usable_cpus() < 2):
+            return "thread"
+        facts = {job.signature: len(job.players) for job in pending}
+        cost = sum(n * n for n in facts.values()) - SHIP_COST * len(pending)
+        return "process" if cost > POOL_COST else "thread"
+
+    def _serve_published(self, requests: list[tuple]) -> dict[int, EngineResult]:
+        """Results of the requests whose shape has published Shapley
+        values, relabelled on the client (keyed by request index): they
+        are never planned or dispatched.
 
         Algorithm 1 and Equation 3 read only the shape's tape, so a
         relabel returns the very Fractions a sweep would.  The outcome
         carries the publishing answer's sizes (with this answer's
-        source circuit size) and the relabel time as its ``shapley``
-        stage.
+        source circuit size; one object per shape and size) and the
+        relabel time as its ``shapley`` stage.
         """
         served: dict[int, EngineResult] = {}
-        for job in jobs:
-            handle = job.options.artifacts
+        sized: dict[tuple[int, int], ProvenanceStats] = {}
+        for index, (_, _, players, handle, positions) in enumerate(requests):
             start = time.perf_counter()
             published = handle.shapley_values()
             if published is None:
                 continue
             canonical, stats = published
-            by_label = dict(zip(handle.labels, canonical))
-            values = {player: by_label[player] for player in job.players}
+            values = dict(zip(players, [canonical[k] for k in positions]))
+            key = (id(stats), handle.source_size)
+            answer_stats = sized.get(key)
+            if answer_stats is None:
+                answer_stats = sized[key] = replace(
+                    stats, circuit_size=handle.source_size)
             seconds = time.perf_counter() - start
             outcome = ExactOutcome(
-                "ok", values,
-                replace(stats, circuit_size=handle.source_size),
-                {"shapley": seconds},
-            )
-            served[job.index] = EngineResult(
+                "ok", values, answer_stats, {"shapley": seconds})
+            served[index] = EngineResult(
                 self.engine.name, values, True, "ok", seconds, detail=outcome,
             )
         self.cache.record_reuse(len(served))
@@ -434,10 +508,10 @@ class ExplainSession:
         if self._closed:
             raise RuntimeError("session is closed")
         executor = executor if executor is not None else self.executor
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; choose from {EXECUTORS}"
-            )
+        _check_executor(executor)
+        if executor is None:
+            # Local warming runs inline whichever pool would explain.
+            executor = "thread"
         jobs = self._build_jobs(query, answers)
         if not self.engine.uses_cache:
             # Sampling engines never compile: nothing to warm.
@@ -551,17 +625,40 @@ class ExplainSession:
                     self._memo.popitem(last=False)
         return entry
 
-    def _build_jobs(
+    def _plan(self, query: QueryLike) -> Operator:
+        """``query`` as a plan.  A SQL text's plan is remembered (an LRU
+        of :data:`LINEAGE_MEMO_PLANS` texts) while the database's
+        schema keeps the relations it was parsed against."""
+        if not isinstance(query, str):
+            return to_plan(query, self.database)
+        relations = self.database.schema.relations
+        with self._lock:
+            cached = self._plans.get(query)
+            if cached is not None and cached[0] == relations:
+                self._plans.move_to_end(query)
+                return cached[1]
+        plan = to_plan(query, self.database)
+        with self._lock:
+            self._plans[query] = (dict(relations), plan)
+            self._plans.move_to_end(query)
+            while len(self._plans) > LINEAGE_MEMO_PLANS:
+                self._plans.popitem(last=False)
+        return plan
+
+    def _requests(
         self, query: QueryLike, answers: Sequence[tuple] | None
-    ) -> list[Job]:
-        """One :class:`Job` per requested answer: lineage circuit,
-        canonicalization handle, and per-answer options.
+    ) -> list[tuple]:
+        """One ``(answer, circuit, players, handle, positions)`` per
+        requested answer: its lineage circuit, sorted players, and for
+        cache-using engines its canonicalization handle and each
+        player's position among the handle's labels (``None`` twice
+        otherwise).
 
         The query's lineage, and each answer's circuit and canonical
         form, come from the session's memo (see :meth:`_lineage`); the
         first request of an answer extracts and canonicalizes it, every
         later one only binds a fresh handle to its cache slot."""
-        entry = self._lineage(to_plan(query, self.database))
+        entry = self._lineage(self._plan(query))
         if answers is None:
             answers = entry.answers
         else:
@@ -571,12 +668,12 @@ class ExplainSession:
                     raise ValueError(f"{answer!r} is not an answer of the query")
 
         uses_cache = self.engine.uses_cache
-        jobs: list[Job] = []
-        for index, answer in enumerate(answers):
-            with self._lock:
-                record = entry.records.get(answer)
+        with self._lock:
+            records = [entry.records.get(answer) for answer in answers]
+        requests = []
+        for answer, record in zip(answers, records):
             if record is not None:
-                circuit, players, canonical = record
+                circuit, players, canonical, positions = record
                 handle = self.cache.bind(*canonical) if uses_cache else None
             else:
                 circuit = entry.result.lineage_of(answer)
@@ -588,25 +685,36 @@ class ExplainSession:
                     handle = self.cache.open(circuit)
                     players = tuple(sorted(handle.labels))
                     canonical = handle.canonical
+                    position = {label: k for k, label in enumerate(handle.labels)}
+                    positions = tuple(position[player] for player in players)
                 else:
-                    handle = canonical = None
+                    handle = canonical = positions = None
                     players = tuple(sorted(circuit.reachable_vars()))
                 with self._lock:
                     entry.records.setdefault(
-                        answer, (circuit, players, canonical))
-            options = self.options
-            if options.seed is not None:
-                options = options.with_(
-                    seed=derive_answer_seed(options.seed, answer)
-                )
-            signature = None
-            if handle is not None:
-                options = options.with_(artifacts=handle)
-                signature = handle.signature
-            jobs.append(
-                Job(index, answer, circuit, list(players), options, signature)
-            )
-        return jobs
+                        answer, (circuit, players, canonical, positions))
+            requests.append((answer, circuit, players, handle, positions))
+        return requests
+
+    def _job(self, index: int, request: tuple) -> Job:
+        """The :class:`Job` of one request: per-answer options (the
+        derived sampling seed, the handle) and the shape's signature."""
+        answer, circuit, players, handle, _ = request
+        options = self.options
+        if options.seed is not None:
+            options = options.with_(seed=derive_answer_seed(options.seed, answer))
+        signature = None
+        if handle is not None:
+            options = options.with_(artifacts=handle)
+            signature = handle.signature
+        return Job(index, answer, circuit, list(players), options, signature)
+
+    def _build_jobs(
+        self, query: QueryLike, answers: Sequence[tuple] | None
+    ) -> list[Job]:
+        """One :class:`Job` per requested answer (see :meth:`_requests`)."""
+        return [self._job(index, request)
+                for index, request in enumerate(self._requests(query, answers))]
 
     # ------------------------------------------------------------------
 
@@ -639,10 +747,11 @@ class ExplainSession:
         evaluating the query again.  The
         ``shapley_coefficients_cache_*`` keys expose the bounded
         Equation-3 weight cache.  With a persistent store attached,
-        ``store_*`` counters report the disk tier.  Pool
-        workers of the ``"process"`` executor keep
-        their own local counters (only their artifact *files* are
-        shared); socket workers *do* report back — the coordinator's
+        ``store_*`` counters report the parent's disk tier.  Each task
+        of the ``"process"`` executor's pool returns the change it made
+        to its child's cache counters, which are added here under the
+        same keys (a child's ``store_*`` counters stay in the child);
+        socket workers report back separately — the coordinator's
         per-batch aggregate appears under ``remote_*`` keys, cumulative
         since each worker started.
         """

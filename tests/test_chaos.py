@@ -32,6 +32,8 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.engine.service.local as local_module
+import repro.engine.session as session_module
 from repro.cli import main as cli_main
 from repro.engine import (
     Backoff,
@@ -552,6 +554,49 @@ class TestProcessPoolRestart:
         assert values_of(first) == values_of(baseline)
         assert values_of(second) == values_of(baseline)
         assert stats["pool_restarts"] == 1
+
+
+#: Marker file of :func:`_exit_once_explain_group`: the first pool task
+#: to create it exits its child; later tasks run normally.
+_EXIT_MARKER = ""
+
+_real_explain_group = local_module._process_explain_group
+
+
+def _exit_once_explain_group(*args):
+    """A pool task body whose first call, in whichever child, exits
+    that child mid-batch without a reply."""
+    try:
+        with open(_EXIT_MARKER, "x"):
+            pass
+    except FileExistsError:
+        return _real_explain_group(*args)
+    os._exit(1)
+
+
+class TestDefaultExecutorPoolChild:
+    def test_child_exiting_mid_batch_restarts_the_pool_once(
+        self, tmp_path, monkeypatch
+    ):
+        # The batch is made expensive by lowering the break-even, so the
+        # default executor sends the join fixture to the pool; children
+        # fork from this process and see the patched task body.
+        db = join_database(4, 2)
+        baseline = ExplainSession(db, method="exact").explain_many(JOIN_QUERY)
+        monkeypatch.setattr(session_module, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(session_module, "POOL_COST", -10**9)
+        monkeypatch.setattr(sys.modules[__name__], "_EXIT_MARKER",
+                            str(tmp_path / "exited"))
+        monkeypatch.setattr(local_module, "_process_explain_group",
+                            _exit_once_explain_group)
+        with ExplainSession(db, method="exact", max_workers=2) as session:
+            results = session.explain_many(JOIN_QUERY)
+            stats = session.stats
+            kinds = session.transport_kinds
+        assert (tmp_path / "exited").exists()
+        assert kinds == ("process",)
+        assert stats["pool_restarts"] == 1
+        assert values_of(results) == values_of(baseline)
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX signals required")

@@ -715,3 +715,45 @@ class TestLineageMemo:
         (entry,) = session._memo.values()
         assert len(entry.records) == 6
         session.close()
+
+
+class TestParsedPlans:
+    SQL = "SELECT src FROM Flights WHERE dest = 'ORY'"
+
+    @staticmethod
+    def parses(monkeypatch) -> list:
+        calls = []
+        real = session_module.to_plan
+
+        def counting(query, db):
+            calls.append(query)
+            return real(query, db)
+
+        monkeypatch.setattr(session_module, "to_plan", counting)
+        return calls
+
+    def test_sql_text_is_parsed_once(self, monkeypatch):
+        calls = self.parses(monkeypatch)
+        db = flights_database()
+        with ExplainSession(db, method="exact") as session:
+            first = session.explain_many(self.SQL)
+            second = session.explain_many(self.SQL)
+            assert session.stats["lineage_reuse_hits"] == 1
+        assert calls == [self.SQL]
+        assert items_of(second) == items_of(first)
+
+    def test_schema_change_parses_again(self, monkeypatch):
+        calls = self.parses(monkeypatch)
+        db = flights_database()
+        with ExplainSession(db, method="exact") as session:
+            session.explain_many(self.SQL)
+            db.schema.add(RelationSchema.of("Spare", "x"))
+            session.explain_many(self.SQL)
+        assert calls == [self.SQL, self.SQL]
+
+    def test_plans_are_not_texts(self, monkeypatch):
+        calls = self.parses(monkeypatch)
+        with ExplainSession(flights_database(), method="exact") as session:
+            for _ in range(2):
+                session.explain_many(flights_query())
+        assert len(calls) == 2
